@@ -17,7 +17,8 @@ import numpy as np
 
 from cnslab import (ClipNoiseConfig, MaskFragConfig, SceneConfig,
                     derive_clip_labels, generate_scene, label_error_rate,
-                    mock_clip_scores, mock_sam_masks, render_view)
+                    mock_clip_scores, mock_sam_masks)
+from cnslab.scenesynth import gt_pixel_stack
 
 
 def parse_args():
@@ -40,8 +41,7 @@ def main():
     args = parse_args()
     scene = generate_scene(SceneConfig(), args.seed)
     corr = scene.correspondences()
-    gt_pixel = np.stack([render_view(scene, k, corr).label
-                         for k in range(len(scene.cameras))])
+    gt_pixel = gt_pixel_stack(scene)
     frag = MaskFragConfig(splits_per_object=args.splits,
                           boundary_jitter_px=args.jitter)
     masks = [mock_sam_masks(scene, k, frag, scene.seed)

@@ -19,10 +19,10 @@ from .evaluation import (ConfusionMatrix, confusion, coverage, label_error_rate,
 from .geometry import (CameraModel, CorrespondenceSet, PointCloud,
                        build_correspondences, look_at, project_point,
                        project_points)
-from .nncore import (GradientTape, ModelBundle, ModelConfig,
-                     align_loss_end_to_end, ce_loss, ce_loss_end_to_end,
-                     class_logits, config_hash, cosine_align_loss, grad_check,
-                     load_checkpoint, make_bundle, save_checkpoint, sgd_step)
+from .nncore import (ModelBundle, ModelConfig, ce_loss, class_logits,
+                     config_hash, cosine_align_loss, grad_check,
+                     load_checkpoint, make_bundle, save_checkpoint, sgd_step,
+                     step)
 from .pseudolabel import (IGNORE, LabelMap, argmax_label, derive_clip_labels,
                           refine_by_masks, refine_points_by_view_masks,
                           reproject_refine_points, transfer_labels,
@@ -41,12 +41,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AblationReport", "BundleFormatError", "CameraModel", "ClipNoiseConfig",
     "CnsError", "ConfigError", "ConfusionMatrix", "CorrespondenceSet",
-    "FORMAT_VERSION", "GradientTape", "IGNORE", "LabelMap", "MaskFragConfig",
-    "ModelBundle", "ModelConfig", "NumericalError", "PlacementError",
-    "PointCloud", "ROW_ORDER", "SOURCES", "Scene", "SceneConfig",
-    "SuiteConfig", "TrainConfig", "TrainState", "ValidationError",
-    "align_loss_end_to_end", "argmax_label", "build_correspondences",
-    "ce_loss", "ce_loss_end_to_end", "class_logits", "config_hash",
+    "FORMAT_VERSION", "IGNORE", "LabelMap", "MaskFragConfig", "ModelBundle",
+    "ModelConfig", "NumericalError", "PlacementError", "PointCloud",
+    "ROW_ORDER", "SOURCES", "Scene", "SceneConfig", "SuiteConfig",
+    "TrainConfig", "TrainState", "ValidationError", "argmax_label",
+    "build_correspondences", "ce_loss", "class_logits", "config_hash",
     "confusion", "cosine_align_loss", "coverage", "derive_clip_labels",
     "derive_rng", "generate_scene", "grad_check", "label_error_rate",
     "load_checkpoint", "look_at", "make_bundle", "miou", "mock_clip_scores",
@@ -56,7 +55,8 @@ __all__ = [
     "refine_by_masks", "refine_points_by_view_masks",
     "reproject_refine_points", "render_view", "row_train_config",
     "run_ablation", "sanity_suite", "save_checkpoint", "sgd_step",
-    "standard_oracle_outputs", "standard_suite", "train", "transfer_labels",
-    "transfer_masks", "write_bundle", "write_metrics_csv", "write_raster",
-    "write_report_csv", "write_report_text",
+    "standard_oracle_outputs", "standard_suite", "step", "train",
+    "transfer_labels", "transfer_masks", "write_bundle",
+    "write_metrics_csv", "write_raster", "write_report_csv",
+    "write_report_text",
 ]

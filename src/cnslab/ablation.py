@@ -27,13 +27,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import CnsError, ConfigError
-from .evaluation import confusion, coverage, label_error_rate, miou
+from .evaluation import confusion, coverage, csv_cell, label_error_rate, miou
 from .nncore import ModelConfig, config_hash
 from .pseudolabel import derive_clip_labels
 from .scenesynth import (PIXEL_DESC_DIM, POINT_DESC_DIM, ClipNoiseConfig,
                          MaskFragConfig, Scene, SceneConfig, generate_scene,
-                         render_view, standard_oracle_outputs)
-from .training import TrainConfig, predict_pixel_labels, predict_point_labels, train
+                         gt_pixel_stack, standard_oracle_outputs)
+from .training import TrainConfig, predict_labels_2d, predict_labels_3d, train
 
 logger = logging.getLogger(__name__)
 
@@ -146,8 +146,8 @@ def _score_label_row(scene: Scene, pixel_maps, point_map, gt_pixel, gt_point) ->
 
 def _score_trained_row(scene: Scene, state) -> dict:
     num_classes = scene.num_classes
-    pred_pixel = predict_pixel_labels(state)
-    pred_point = predict_point_labels(state)
+    pred_pixel = predict_labels_2d(state.bundle, state.data["desc2d"])
+    pred_point = predict_labels_3d(state.bundle, state.data["desc3d"])
     gt_pixel = state.data["gt_pixel"]
     gt_point = state.data["gt_point"]
     per2, miou2 = miou(confusion(pred_pixel, gt_pixel, num_classes))
@@ -183,8 +183,7 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
                 scene, suite.clip_noise, suite.frag, suite.feat_dim,
                 suite.feat_sigma, suite.embed_dim)
         corr = scene.correspondences()
-        gt_pixel = np.stack([render_view(scene, k, corr).label
-                             for k in range(len(scene.cameras))])
+        gt_pixel = gt_pixel_stack(scene)
         gt_point = scene.cloud.gt_labels
         labels = derive_clip_labels(corr, oracles["scores"], oracles["masks"],
                                     len(scene.cloud), suite.train.refine3d_mode,
@@ -227,14 +226,6 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
     return AblationReport(rows_out, medians, config_hash(suite), row_hashes)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "absent"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_report_csv(report: AblationReport, path):
     """One CSV row per configuration per seed, canonical order."""
     columns = ("row", "seed", "miou2d", "miou3d", "err2d", "err3d",
@@ -248,7 +239,7 @@ def write_report_csv(report: AblationReport, path):
             if col == "config_hash":
                 cells.append(report.row_hashes.get(entry["row"], ""))
             else:
-                cells.append(_fmt(entry.get(col, "")))
+                cells.append(csv_cell(entry.get(col, "")))
         lines.append(",".join(cells))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

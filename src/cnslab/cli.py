@@ -325,12 +325,6 @@ def _load_bundle(bundle_dir: str):
     return bundle.read_bundle(path)
 
 
-def _gt_pixel_stack(scene: scenesynth.Scene) -> np.ndarray:
-    corr = scene.correspondences()
-    return np.stack([scenesynth.render_view(scene, k, corr).label
-                     for k in range(len(scene.cameras))])
-
-
 def _miou_value(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> float:
     _, mean = evaluation.miou(evaluation.confusion(pred, gt, num_classes))
     if mean is None:
@@ -365,7 +359,7 @@ def cmd_refine(cfg: RunConfig, bundle_dir: str, out_dir: str) -> int:
         corr, oracles["scores"], oracles["masks"], len(scene.cloud),
         refine3d_mode=cfg["refine3d_mode"], multiview=cfg["multiview"])
 
-    gt_pixel = _gt_pixel_stack(scene)
+    gt_pixel = scenesynth.gt_pixel_stack(scene)
     rows = []
     for k in range(len(scene.cameras)):
         raw_err = evaluation.label_error_rate(derived["pixel_raw"][k], gt_pixel[k])
@@ -384,12 +378,8 @@ def cmd_refine(cfg: RunConfig, bundle_dir: str, out_dir: str) -> int:
                         derived["point_refined"].labels.reshape(-1, 1), "<i4")
 
     lines = ["scope,raw_error,refined_error,mask_purity"]
-    for scope, raw_err, ref_err, purity in rows:
-        lines.append(",".join([
-            scope,
-            "absent" if raw_err is None else repr(raw_err),
-            "absent" if ref_err is None else repr(ref_err),
-            "absent" if purity is None else repr(purity)]))
+    lines += [",".join([scope, *(evaluation.csv_cell(v) for v in values)])
+              for scope, *values in rows]
     (out / "refine.csv").write_text("\n".join(lines) + "\n")
     for scope, raw_err, ref_err, purity in rows:
         print(f"{scope}: raw_error={raw_err} refined_error={ref_err} "
@@ -447,7 +437,7 @@ def cmd_eval(cfg: RunConfig, bundle_dir: str, checkpoint: str,
             f"descriptors, scene yields {desc2d.shape[3]}")
     pred2d = training.predict_labels_2d(model, desc2d)
     pred3d = training.predict_labels_3d(model, desc3d)
-    miou2d = _miou_value(pred2d, _gt_pixel_stack(scene), scene.num_classes)
+    miou2d = _miou_value(pred2d, scenesynth.gt_pixel_stack(scene), scene.num_classes)
     miou3d = _miou_value(pred3d, scene.cloud.gt_labels, scene.num_classes)
     (out / "eval.csv").write_text(
         f"domain,miou\npixels,{miou2d!r}\npoints,{miou3d!r}\n")
@@ -471,7 +461,12 @@ def cmd_ablate(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, out_dir: Optional[str] = None) -> int:
-    """Finite-difference verification of every loss gradient."""
+    """Finite-difference verification of the training-step gradient.
+
+    Each loss term is checked alone, then the full training-shaped step
+    (both cross-entropies plus the latent term on distinct paired 3D
+    rows) at latent weights 1.0 and 0.5.
+    """
     if out_dir is not None:
         _prepare_out(cfg, out_dir)
     tol = 1e-4
@@ -479,7 +474,7 @@ def cmd_gradcheck(cfg: RunConfig, out_dir: Optional[str] = None) -> int:
     model_config = nncore.ModelConfig(
         input2d_dim=7, input3d_dim=6, hidden=(10,), latent_dim=9,
         embed_dim=12, anchor_dim=8, sam_dim=4)
-    worst: Dict[str, float] = {"ce2d": 0.0, "ce3d": 0.0, "latent": 0.0}
+    worst: Dict[str, float] = {"ce2d": 0.0, "ce3d": 0.0, "latent": 0.0, "step": 0.0}
     for trial in range(10):
         rng = derive_rng(cfg["seed"], TAG_GRADCHECK, trial)
         embeddings = scenesynth.mock_text_embeddings(
@@ -491,25 +486,22 @@ def cmd_gradcheck(cfg: RunConfig, out_dir: Optional[str] = None) -> int:
         y = rng.integers(0, num_classes, size=batch)
         y[0] = pseudolabel.IGNORE  # the ignore path must be differentiable too
         anchors = rng.standard_normal((batch, model_config.sam_dim))
-
-        def loss_ce2d(b):
-            return nncore.ce_loss_end_to_end(b, x2d, "s2d", y)
-
-        def loss_ce3d(b):
-            return nncore.ce_loss_end_to_end(b, x3d, "s3d", y)
-
-        def loss_latent(b):
-            return nncore.align_loss_end_to_end(b, x2d, x3d, anchors)
-
-        worst["ce2d"] = max(worst["ce2d"], nncore.grad_check(loss_ce2d, model))
-        worst["ce3d"] = max(worst["ce3d"], nncore.grad_check(loss_ce3d, model))
-        worst["latent"] = max(worst["latent"],
-                              nncore.grad_check(loss_latent, model))
-        _, tape = loss_latent(model)
-        if "anchor_head.w" in tape.grads:
-            raise NumericalError("frozen anchor head received a gradient")
-    for name in ("ce2d", "ce3d", "latent"):
-        print(f"{name}: max relative error {worst[name]:.3e}")
+        pair3d = rng.standard_normal((batch, model_config.input3d_dim))
+        y3d = rng.integers(0, num_classes, size=batch)
+        y3d[-1] = pseudolabel.IGNORE
+        checks = [("ce2d", {"x2d": x2d, "y2d": y}), ("ce3d", {"x3d": x3d, "y3d": y}),
+                  ("latent", {"x2d": x2d, "pair3d": x3d, "anchors": anchors,
+                              "latent_weight": 1.0})]
+        checks += [("step", {"x2d": x2d, "y2d": y, "x3d": x3d, "y3d": y3d,
+                             "pair3d": pair3d, "anchors": anchors, "latent_weight": w})
+                   for w in (1.0, 0.5)]
+        for name, step_batch in checks:
+            err = nncore.grad_check(lambda b: nncore.step(b, step_batch), model)
+            worst[name] = max(worst[name], err)
+        if "anchor_head.w" in nncore.trainable_params(model):
+            raise NumericalError("frozen anchor head is a trainable parameter")
+    for name, err in worst.items():
+        print(f"{name}: max relative error {err:.3e}")
     print("anchor head gradient: identically zero (frozen)")
     if max(worst.values()) >= tol:
         raise NumericalError(

@@ -100,6 +100,13 @@ def label_error_rate(labels: Union[LabelMap, np.ndarray],
     return float((lab[keep] != ref[keep]).mean())
 
 
+def csv_cell(value) -> str:
+    """One CSV cell: floats as repr (exact round trip), None as "absent"."""
+    if value is None:
+        return "absent"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def coverage(labels: Union[LabelMap, np.ndarray]) -> float:
     """Fraction of elements carrying a non-IGNORE label."""
     lab = _as_array(labels)

@@ -168,30 +168,21 @@ class CorrespondenceSet:
     def __len__(self) -> int:
         return self.count
 
-    def entries(self):
-        """Iterate (point_index, camera_index, u, v, depth) tuples."""
-        for i in range(self.count):
-            yield (int(self.point_index[i]), int(self.camera_index[i]),
-                   int(self.u[i]), int(self.v[i]), float(self.depth[i]))
-
     def camera_slice(self, camera: int) -> np.ndarray:
         """Boolean mask selecting one camera's entries."""
         return self.camera_index == camera
 
 
 def build_correspondences(cameras: Sequence[CameraModel], cloud: PointCloud,
-                          depth_tolerance: float = 0.0,
                           depth_min: float = DEPTH_MIN) -> CorrespondenceSet:
     """Z-buffered correspondences between a cloud and a set of cameras.
 
     For every (camera, pixel) cell touched by at least one visible point,
     the entry is the point with minimal depth in that cell (depth ties go
-    to the lowest point index).  `depth_tolerance` is reserved for
-    splat-style visibility and does not affect the per-cell winner.
+    to the lowest point index).
     """
     if len(cameras) < 1:
         raise ValidationError("need at least one camera")
-    del depth_tolerance  # winners are per-cell argmin regardless
     pts_all = []
     cams_all = []
     us_all = []

@@ -1,4 +1,4 @@
-"""Small numpy encoders, the training losses, SGD, and gradient checks.
+"""Small numpy encoders, the training step, SGD, and gradient checks.
 
 The 2D and 3D backbones are plain MLPs (ReLU hidden layers, linear
 output) over hand-built descriptors.  On top of the shared latent space
@@ -6,20 +6,22 @@ sit four trainable linear heads — semantic heads mapping into the class
 embedding space and feature heads mapping into the anchor space — plus a
 frozen bias-free anchor projection and the frozen class embedding table.
 
-All arithmetic is float64; gradients are written by hand and verified
-against central finite differences (grad_check).  GradientTape carries
-parameter gradients keyed by declaration-order parameter names, plus
-gradients with respect to the loss inputs so a caller can continue
-backpropagation through the encoders.
+Every trainable parameter lives in one float64 vector, laid out by
+param_views.  All arithmetic is float64; gradients are written by hand.
+`step` computes the training objective and its gradient as one vector
+laid out like the parameters; training and grad_check (central finite
+differences) both call it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import io
+import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+import typing
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -50,19 +52,6 @@ class Mlp:
                 raise ValidationError(f"layer {i} shapes incompatible: {w.shape}, {b.shape}")
             if i and self.weights[i - 1].shape[1] != w.shape[0]:
                 raise ValidationError(f"layer {i} fan-in does not match layer {i-1} fan-out")
-
-    @property
-    def widths(self) -> List[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
-
-def init_mlp(widths: Sequence[int], rng) -> Mlp:
-    """He-initialized MLP with the given layer widths."""
-    weights, biases = [], []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        weights.append(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in))
-        biases.append(np.zeros(fan_out))
-    return Mlp(weights, biases)
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray) -> Tuple[np.ndarray, list]:
@@ -111,26 +100,75 @@ class ModelConfig:
 
     def validate(self):
         if min(self.input2d_dim, self.input3d_dim, self.latent_dim,
-               self.embed_dim, self.anchor_dim, self.sam_dim) < 1:
+               self.embed_dim, self.anchor_dim, self.sam_dim, *self.hidden) < 1:
             raise ValidationError("all model dimensions must be >= 1")
         if self.temperature <= 0:
             raise ValidationError("temperature must be > 0")
 
 
-@dataclass
-class ModelBundle:
-    """The trainable encoder/head pair plus the frozen components."""
+_HEAD_NAMES = ("head_s2d", "head_s3d", "head_f2d", "head_f3d")
 
-    enc2d: Mlp
-    enc3d: Mlp
-    head_s2d: Dict[str, np.ndarray]  # {"w": (D_h, D_e), "b": (D_e,)}
-    head_s3d: Dict[str, np.ndarray]
-    head_f2d: Dict[str, np.ndarray]  # {"w": (D_h, K_f), "b": (K_f,)}
-    head_f3d: Dict[str, np.ndarray]
-    anchor_head: np.ndarray  # (D_s, K_f), bias-free, frozen by default
-    embeddings: ClassEmbeddingTable  # frozen
-    config: ModelConfig
-    seed: int
+
+@functools.lru_cache(maxsize=64)
+def _layout(config: ModelConfig) -> Tuple[Tuple[str, int, int, Tuple[int, ...]], ...]:
+    """(name, start, stop, shape) of every trainable parameter, in declaration order."""
+    shapes = []
+    for enc, fan_in in (("enc2d", config.input2d_dim), ("enc3d", config.input3d_dim)):
+        widths = [fan_in, *config.hidden, config.latent_dim]
+        for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
+            shapes += [(f"{enc}.w{i}", (a, b)), (f"{enc}.b{i}", (b,))]
+    for head in _HEAD_NAMES:
+        width = config.embed_dim if head.startswith("head_s") else config.anchor_dim
+        shapes += [(f"{head}.w", (config.latent_dim, width)), (f"{head}.b", (width,))]
+    if config.train_anchor_head:
+        shapes.append(("anchor_head.w", (config.sam_dim, config.anchor_dim)))
+    layout, offset = [], 0
+    for name, shape in shapes:
+        layout.append((name, offset, offset + math.prod(shape), shape))
+        offset += math.prod(shape)
+    return tuple(layout)
+
+
+def _param_count(config: ModelConfig) -> int:
+    return _layout(config)[-1][2]
+
+
+def param_views(config: ModelConfig, vec: np.ndarray) -> Dict[str, np.ndarray]:
+    """Declaration-ordered name -> view of a parameter or gradient vector."""
+    return {name: vec[start:stop].reshape(shape)
+            for name, start, stop, shape in _layout(config)}
+
+
+class ModelBundle:
+    """The trainable encoder/head pair plus the frozen components.
+
+    `params` holds every trainable parameter; `enc2d`, `enc3d`, the four
+    heads ({"w": (D_h, D_out), "b": (D_out,)}) and, when the config trains
+    it, `anchor_head` are views into it, so updating `params` in place
+    updates them all.  A frozen `anchor_head` (D_s, K_f) is a separate
+    read-only array, like the class embedding table.
+    """
+
+    def __init__(self, config: ModelConfig, params: np.ndarray,
+                 embeddings: ClassEmbeddingTable, seed: int,
+                 frozen_anchor: Optional[np.ndarray] = None):
+        self.config = config
+        self.params = params
+        self.embeddings = embeddings
+        self.seed = int(seed)
+        self._views = views = param_views(config, params)
+        layers = range(len(config.hidden) + 1)
+        self.enc2d, self.enc3d = (
+            Mlp([views[f"{enc}.w{i}"] for i in layers],
+                [views[f"{enc}.b{i}"] for i in layers])
+            for enc in ("enc2d", "enc3d"))
+        self.head_s2d, self.head_s3d, self.head_f2d, self.head_f3d = (
+            {"w": views[f"{head}.w"], "b": views[f"{head}.b"]} for head in _HEAD_NAMES)
+        if config.train_anchor_head:
+            self.anchor_head = views["anchor_head.w"]
+        else:
+            frozen_anchor.setflags(write=False)
+            self.anchor_head = frozen_anchor
 
     def head(self, name: str) -> Dict[str, np.ndarray]:
         try:
@@ -140,82 +178,36 @@ class ModelBundle:
             raise ValidationError(f"unknown head {name!r}") from None
 
 
-_HEAD_NAMES = ("head_s2d", "head_s3d", "head_f2d", "head_f3d")
-
-
 def make_bundle(config: ModelConfig, embeddings: ClassEmbeddingTable,
                 seed: int) -> ModelBundle:
-    """Seeded construction; the anchor head is drawn once and then frozen."""
+    """Seeded construction; the anchor head is drawn once and then frozen.
+
+    Weights are drawn in declaration order, He-scaled in the encoders and
+    scaled by 1/fan_in in the heads and the anchor; biases start at zero.
+    """
     config.validate()
     if embeddings.dim != config.embed_dim:
         raise ValidationError(
             f"embedding table dim {embeddings.dim} != config embed_dim {config.embed_dim}")
     rng = derive_rng(seed, TAG_MODEL)
-    widths2d = [config.input2d_dim, *config.hidden, config.latent_dim]
-    widths3d = [config.input3d_dim, *config.hidden, config.latent_dim]
-    enc2d = init_mlp(widths2d, rng)
-    enc3d = init_mlp(widths3d, rng)
 
-    def linear(fan_in, fan_out):
-        return {"w": rng.standard_normal((fan_in, fan_out)) * np.sqrt(1.0 / fan_in),
-                "b": np.zeros(fan_out)}
+    def draw(name, shape):
+        gain = 2.0 if name.startswith("enc") else 1.0
+        return rng.standard_normal(shape) * np.sqrt(gain / shape[0])
 
-    head_s2d = linear(config.latent_dim, config.embed_dim)
-    head_s3d = linear(config.latent_dim, config.embed_dim)
-    head_f2d = linear(config.latent_dim, config.anchor_dim)
-    head_f3d = linear(config.latent_dim, config.anchor_dim)
-    anchor = rng.standard_normal((config.sam_dim, config.anchor_dim))
-    anchor *= np.sqrt(1.0 / config.sam_dim)
+    params = np.zeros(_param_count(config))
+    for name, view in param_views(config, params).items():
+        if ".w" in name:
+            view[...] = draw(name, view.shape)
+    frozen = None
     if not config.train_anchor_head:
-        anchor.setflags(write=False)
-    return ModelBundle(enc2d, enc3d, head_s2d, head_s3d, head_f2d, head_f3d,
-                       anchor, embeddings, config, int(seed))
+        frozen = draw("anchor_head.w", (config.sam_dim, config.anchor_dim))
+    return ModelBundle(config, params, embeddings, seed, frozen)
 
 
 def trainable_params(bundle: ModelBundle) -> Dict[str, np.ndarray]:
-    """Declaration-ordered name -> array view of every trainable parameter."""
-    params: Dict[str, np.ndarray] = {}
-    for enc_name in ("enc2d", "enc3d"):
-        mlp = getattr(bundle, enc_name)
-        for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-            params[f"{enc_name}.w{i}"] = w
-            params[f"{enc_name}.b{i}"] = b
-    for head_name in _HEAD_NAMES:
-        head = getattr(bundle, head_name)
-        params[f"{head_name}.w"] = head["w"]
-        params[f"{head_name}.b"] = head["b"]
-    if bundle.config.train_anchor_head:
-        params["anchor_head.w"] = bundle.anchor_head
-    return params
-
-
-@dataclass
-class GradientTape:
-    """Parameter gradients plus gradients w.r.t. the loss inputs."""
-
-    grads: Dict[str, np.ndarray] = field(default_factory=dict)
-    d_inputs: Dict[str, np.ndarray] = field(default_factory=dict)
-    aux: Dict[str, float] = field(default_factory=dict)
-
-    def accumulate(self, other: "GradientTape", scale: float = 1.0):
-        for name, g in other.grads.items():
-            if name in self.grads:
-                self.grads[name] = self.grads[name] + scale * g
-            else:
-                self.grads[name] = scale * g
-        return self
-
-
-def forward_2d(bundle: ModelBundle, pixel_descriptors: np.ndarray) -> np.ndarray:
-    """Encode pixel descriptors into latent features."""
-    out, _ = mlp_forward(bundle.enc2d, pixel_descriptors)
-    return out
-
-
-def forward_3d(bundle: ModelBundle, point_descriptors: np.ndarray) -> np.ndarray:
-    """Encode point descriptors into latent features."""
-    out, _ = mlp_forward(bundle.enc3d, point_descriptors)
-    return out
+    """Declaration-ordered name -> view into bundle.params."""
+    return bundle._views
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +230,13 @@ def class_logits(bundle: ModelBundle, features: np.ndarray, head: str) -> np.nda
 
 def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,
             target_labels: Union[LabelMap, np.ndarray], ignore: int = IGNORE
-            ) -> Tuple[float, GradientTape]:
+            ) -> Tuple[float, Dict[str, np.ndarray], np.ndarray]:
     """Cross-entropy of semantic-head predictions against target labels.
 
     Scores are dot products of the head output with each class embedding,
     divided by the temperature.  IGNORE targets are skipped; an all-IGNORE
-    batch yields zero loss and zero gradients.  The tape carries head
-    gradients and d_inputs["features"] for continuing into the encoder.
+    batch yields zero loss and zero gradients.  Returns (loss, head
+    gradients by parameter name, gradient w.r.t. the features).
     """
     if head not in ("s2d", "s3d"):
         raise ValidationError(f"ce_loss expects a semantic head, got {head!r}")
@@ -255,19 +247,15 @@ def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,
         raise ValidationError(f"{len(features)} features vs {len(targets)} targets")
     valid = targets != ignore
     head_name = f"head_{head}"
-    tape = GradientTape()
-    tape.d_inputs["features"] = np.zeros_like(features)
+    h = bundle.head(head)
     if not valid.any():
-        h = bundle.head(head)
-        tape.grads[f"{head_name}.w"] = np.zeros_like(h["w"])
-        tape.grads[f"{head_name}.b"] = np.zeros_like(h["b"])
-        return 0.0, tape
+        return 0.0, {f"{head_name}.w": np.zeros_like(h["w"]),
+                     f"{head_name}.b": np.zeros_like(h["b"])}, np.zeros_like(features)
     feats = features[valid]
     labels = targets[valid].astype(np.int64)
     num_classes = bundle.embeddings.num_classes
     if labels.max() >= num_classes or labels.min() < 0:
         raise ValidationError("target labels outside [0, num_classes)")
-    h = bundle.head(head)
     z = feats @ h["w"] + h["b"]
     logits = (z @ bundle.embeddings.vectors.T) / bundle.config.temperature
     probs = softmax_rows(logits)
@@ -277,13 +265,10 @@ def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,
     d_logits[np.arange(n), labels] -= 1.0
     d_logits /= n
     d_z = (d_logits @ bundle.embeddings.vectors) / bundle.config.temperature
-    tape.grads[f"{head_name}.w"] = feats.T @ d_z
-    tape.grads[f"{head_name}.b"] = d_z.sum(axis=0)
-    d_feats = d_z @ h["w"].T
+    grads = {f"{head_name}.w": feats.T @ d_z, f"{head_name}.b": d_z.sum(axis=0)}
     d_full = np.zeros_like(features)
-    d_full[valid] = d_feats
-    tape.d_inputs["features"] = d_full
-    return loss, tape
+    d_full[valid] = d_z @ h["w"].T
+    return loss, grads, d_full
 
 
 def _safe_unit(vectors: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,28 +281,26 @@ def _safe_unit(vectors: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
                       p_feats: np.ndarray, anchor_feats: np.ndarray
-                      ) -> Tuple[float, GradientTape]:
+                      ) -> Tuple[float, Dict[str, np.ndarray], np.ndarray,
+                                 np.ndarray, int]:
     """Pull both feature heads toward the frozen anchor embedding.
 
     Per pair i the loss is (1 - cos(F2d(x_i), a_i)) + (1 - cos(F3d(p_i), a_i)),
     averaged over pairs, with a_i the normalized anchor projection of the
     oracle feature s_i.  No gradient flows into the anchor head or the
     oracle features unless train_anchor_head is set.  Zero-norm head
-    outputs contribute cosine 0 with zero gradient and are counted in
-    aux["zero_norm_count"].
+    outputs contribute cosine 0 with zero gradient and are counted.
+    Returns (loss, head gradients by parameter name, gradient w.r.t.
+    x_feats, gradient w.r.t. p_feats, zero-norm count).
     """
     x_feats = np.asarray(x_feats, dtype=np.float64)
     p_feats = np.asarray(p_feats, dtype=np.float64)
     anchor_feats = np.asarray(anchor_feats, dtype=np.float64)
     if not (len(x_feats) == len(p_feats) == len(anchor_feats)):
         raise ValidationError("cosine_align_loss needs equally many x, p, s rows")
-    tape = GradientTape()
     n = len(x_feats)
     if n == 0:
-        tape.aux["zero_norm_count"] = 0
-        tape.d_inputs["x_feats"] = np.zeros_like(x_feats)
-        tape.d_inputs["p_feats"] = np.zeros_like(p_feats)
-        return 0.0, tape
+        return 0.0, {}, np.zeros_like(x_feats), np.zeros_like(p_feats), 0
 
     a_raw = anchor_feats @ bundle.anchor_head
     a_unit, a_norms, a_degen = _safe_unit(a_raw)
@@ -348,106 +331,124 @@ def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
     d_w2, d_b2, d_x = side(x_feats, bundle.head_f2d)
     d_w3, d_b3, d_p = side(p_feats, bundle.head_f3d)
     loss = total / n
-    tape.grads["head_f2d.w"] = d_w2
-    tape.grads["head_f2d.b"] = d_b2
-    tape.grads["head_f3d.w"] = d_w3
-    tape.grads["head_f3d.b"] = d_b3
-    tape.d_inputs["x_feats"] = d_x
-    tape.d_inputs["p_feats"] = d_p
-    tape.aux["zero_norm_count"] = zero_count
+    grads = {"head_f2d.w": d_w2, "head_f2d.b": d_b2,
+             "head_f3d.w": d_w3, "head_f3d.b": d_b3}
     if bundle.config.train_anchor_head:
         live = ~a_degen
         d_a_raw = np.zeros_like(a_raw)
         cos_a = np.einsum("ij,ij->i", d_a_unit, a_unit)
         d_a_raw[live] = (d_a_unit[live] - cos_a[live, None] * a_unit[live]) \
             / a_norms[live, None]
-        tape.grads["anchor_head.w"] = anchor_feats.T @ d_a_raw
-    return loss, tape
+        grads["anchor_head.w"] = anchor_feats.T @ d_a_raw
+    return loss, grads, d_x, d_p, zero_count
 
 
-def _chain_into_encoder(bundle: ModelBundle, enc_name: str, cache,
-                        d_feats: np.ndarray, tape: GradientTape):
-    enc = getattr(bundle, enc_name)
-    d_w, d_b, _ = mlp_backward(enc, cache, d_feats)
+# ---------------------------------------------------------------------------
+# the training step, SGD, and the gradient checker
+
+
+def _add_encoder_grads(views: Dict[str, np.ndarray], enc: str, mlp: Mlp,
+                       cache: list, d_out: np.ndarray):
+    d_w, d_b, _ = mlp_backward(mlp, cache, d_out)
     for i, (dw, db) in enumerate(zip(d_w, d_b)):
-        tape.grads[f"{enc_name}.w{i}"] = dw
-        tape.grads[f"{enc_name}.b{i}"] = db
+        views[f"{enc}.w{i}"] += dw
+        views[f"{enc}.b{i}"] += db
 
 
-def ce_loss_end_to_end(bundle: ModelBundle, inputs: np.ndarray, head: str,
-                       target_labels) -> Tuple[float, GradientTape]:
-    """Cross-entropy from raw descriptors, encoder gradients included.
+def step(bundle: ModelBundle, batch: dict) -> Tuple[Dict[str, float], np.ndarray]:
+    """Losses of one training batch and the gradient of their weighted sum.
 
-    `head` selects the network: "s2d" runs enc2d, "s3d" runs enc3d.
+    `batch` holds up to three terms; a term whose keys are absent is
+    skipped and reads 0:
+
+    * "x2d" rows with "y2d" labels: the 2D cross-entropy l_ce2d;
+    * "x3d" rows with "y3d" labels: the 3D cross-entropy l_ce3d;
+    * "pair3d" (the 3D rows paired with the "x2d" rows), "anchors" (their
+      oracle features) and "latent_weight" w: the latent term l_latent.
+
+    Returns ({"loss", "l_ce2d", "l_ce3d", "l_latent"}, grad), where
+    loss = l_ce2d + l_ce3d + w * l_latent and grad, laid out like
+    bundle.params, is its gradient.  w scales the latent gradients before
+    they enter the encoders; the 3D encoder's gradient is the sum of one
+    backward pass per 3D term.
     """
-    enc_name = {"s2d": "enc2d", "s3d": "enc3d"}.get(head)
-    if enc_name is None:
-        raise ValidationError(f"expected head 's2d' or 's3d', got {head!r}")
-    feats, cache = mlp_forward(getattr(bundle, enc_name),
-                               np.asarray(inputs, dtype=np.float64))
-    loss, tape = ce_loss(bundle, feats, head, target_labels)
-    _chain_into_encoder(bundle, enc_name, cache, tape.d_inputs["features"], tape)
-    return loss, tape
+    grad = np.zeros_like(bundle.params)
+    views = param_views(bundle.config, grad)
+    losses = {"l_ce2d": 0.0, "l_ce3d": 0.0, "l_latent": 0.0}
+    d_x2d = None
+    if "x2d" in batch:
+        feats2d, cache2d = mlp_forward(bundle.enc2d, batch["x2d"])
+    if "y2d" in batch:
+        losses["l_ce2d"], heads, d_x2d = ce_loss(bundle, feats2d, "s2d", batch["y2d"])
+        for name, value in heads.items():
+            views[name][...] = value
+    if "y3d" in batch:
+        feats3d, cache3d = mlp_forward(bundle.enc3d, batch["x3d"])
+        losses["l_ce3d"], heads, d_x3d = ce_loss(bundle, feats3d, "s3d", batch["y3d"])
+        for name, value in heads.items():
+            views[name][...] = value
+        _add_encoder_grads(views, "enc3d", bundle.enc3d, cache3d, d_x3d)
+    weight = batch["latent_weight"] if "anchors" in batch else 0.0
+    if "anchors" in batch:
+        feats_pair, cache_pair = mlp_forward(bundle.enc3d, batch["pair3d"])
+        losses["l_latent"], heads, d_lat2d, d_pair, _ = cosine_align_loss(
+            bundle, feats2d, feats_pair, batch["anchors"])
+        for name, value in heads.items():
+            views[name][...] = weight * value
+        d_x2d = weight * d_lat2d if d_x2d is None else d_x2d + weight * d_lat2d
+        _add_encoder_grads(views, "enc3d", bundle.enc3d, cache_pair, weight * d_pair)
+    if d_x2d is not None:
+        _add_encoder_grads(views, "enc2d", bundle.enc2d, cache2d, d_x2d)
+    losses["loss"] = losses["l_ce2d"] + losses["l_ce3d"] + weight * losses["l_latent"]
+    return losses, grad
 
 
-def align_loss_end_to_end(bundle: ModelBundle, x2d: np.ndarray,
-                          x3d: np.ndarray, anchor_feats: np.ndarray
-                          ) -> Tuple[float, GradientTape]:
-    """Cosine alignment from raw descriptors, both encoders' gradients included."""
-    feats2d, cache2d = mlp_forward(bundle.enc2d, np.asarray(x2d, dtype=np.float64))
-    feats3d, cache3d = mlp_forward(bundle.enc3d, np.asarray(x3d, dtype=np.float64))
-    loss, tape = cosine_align_loss(bundle, feats2d, feats3d, anchor_feats)
-    _chain_into_encoder(bundle, "enc2d", cache2d, tape.d_inputs["x_feats"], tape)
-    _chain_into_encoder(bundle, "enc3d", cache3d, tape.d_inputs["p_feats"], tape)
-    return loss, tape
-
-
-def sgd_step(bundle: ModelBundle, tape: GradientTape, lr: float) -> ModelBundle:
-    """In-place SGD update of every trainable parameter present on the tape."""
+def sgd_step(bundle: ModelBundle, grad: np.ndarray, lr: float) -> ModelBundle:
+    """In-place SGD update of the parameter vector."""
     if lr <= 0:
         raise ValidationError(f"learning rate must be > 0, got {lr}")
-    params = trainable_params(bundle)
-    for name, grad in tape.grads.items():
-        if name not in params:
-            raise ValidationError(f"tape gradient for unknown parameter {name!r}")
-        if not np.all(np.isfinite(grad)):
-            raise NumericalError(f"non-finite gradient for {name}; step aborted")
-        if grad.shape != params[name].shape:
-            raise ValidationError(f"gradient shape mismatch for {name}")
-    for name, grad in tape.grads.items():
-        params[name] -= lr * grad
+    if grad.shape != bundle.params.shape:
+        raise ValidationError(
+            f"gradient shape {grad.shape} != parameter shape {bundle.params.shape}")
+    if not np.isfinite(grad).all():
+        raise NumericalError("non-finite gradient; step aborted")
+    bundle.params -= lr * grad
     return bundle
 
 
-def grad_check(loss_op: Callable[[ModelBundle], Tuple[float, GradientTape]],
-               bundle: ModelBundle, eps: float = 1e-5,
-               param_names: Optional[Sequence[str]] = None) -> float:
+def grad_check(loss_op: Callable[[ModelBundle], Tuple[Dict[str, float], np.ndarray]],
+               bundle: ModelBundle, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Checks every element of every parameter named on the analytic tape
-    (or of `param_names` if given).  Relative error per element is
-    |a - n| / max(|a|, |n|, 1e-8).
+    `loss_op(bundle)` returns (losses, grad) like `step`: losses["loss"] is
+    the objective and grad its analytic gradient.  Every element of
+    bundle.params is checked; relative error per element is
+    |a - n| / max(|a|, |n|, 1e-8).  A parameter block whose joint +eps
+    shift leaves the objective bit-identical is not read by the loss: its
+    numeric gradient is 0 and it is checked without per-element probes.
     """
-    _, tape = loss_op(bundle)
-    params = trainable_params(bundle)
-    names = list(param_names) if param_names is not None else sorted(tape.grads)
+    base, analytic = loss_op(bundle)
+    flat = bundle.params
     worst = 0.0
-    for name in names:
-        if name not in params:
-            raise ValidationError(f"unknown parameter {name!r}")
-        arr = params[name]
-        analytic = tape.grads.get(name, np.zeros_like(arr))
-        flat = arr.reshape(-1)
-        flat_analytic = np.asarray(analytic, dtype=np.float64).reshape(-1)
-        for j in range(flat.size):
+    for _, start, stop, _ in _layout(bundle.config):
+        block = flat[start:stop]
+        saved = block.copy()
+        block += eps
+        unread = loss_op(bundle)[0]["loss"] == base["loss"]
+        block[...] = saved
+        if unread:
+            a = np.abs(analytic[start:stop])
+            worst = max(worst, float(np.max(a / np.maximum(a, 1e-8))))
+            continue
+        for j in range(start, stop):
             orig = flat[j]
             flat[j] = orig + eps
-            hi, _ = loss_op(bundle)
+            hi = loss_op(bundle)[0]["loss"]
             flat[j] = orig - eps
-            lo, _ = loss_op(bundle)
+            lo = loss_op(bundle)[0]["loss"]
             flat[j] = orig
             numeric = (hi - lo) / (2.0 * eps)
-            a = flat_analytic[j]
+            a = analytic[j]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, rel)
     return worst
@@ -464,104 +465,88 @@ def config_hash(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
+def _header_value(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _parse_header_value(kind, text: str):
+    if kind is bool:
+        return bool(int(text))
+    if kind in (int, float):
+        return kind(text)
+    return tuple(int(h) for h in text.split(",") if h)
+
+
 def save_checkpoint(bundle: ModelBundle, path, extra: Optional[dict] = None):
     """Write a versioned checkpoint: text header + float32 LE payload.
 
-    The payload holds every trainable parameter in declaration order,
-    then the frozen anchor head and class embedding table.
+    The header names every ModelConfig field; the payload holds the
+    parameter vector, then the frozen anchor head (when not trainable)
+    and the class embedding table.
     """
     cfg = bundle.config
     lines = [_CKPT_MAGIC]
-    lines.append(f"input2d_dim={cfg.input2d_dim}")
-    lines.append(f"input3d_dim={cfg.input3d_dim}")
-    lines.append("hidden=" + ",".join(str(h) for h in cfg.hidden))
-    lines.append(f"latent_dim={cfg.latent_dim}")
-    lines.append(f"embed_dim={cfg.embed_dim}")
-    lines.append(f"anchor_dim={cfg.anchor_dim}")
-    lines.append(f"sam_dim={cfg.sam_dim}")
-    lines.append(f"temperature={cfg.temperature!r}")
-    lines.append(f"train_anchor_head={int(cfg.train_anchor_head)}")
+    lines += [f"{f.name}={_header_value(getattr(cfg, f.name))}" for f in fields(cfg)]
     lines.append(f"num_classes={bundle.embeddings.num_classes}")
     lines.append(f"seed={bundle.seed}")
     lines.append(f"config_hash={config_hash(cfg)}")
-    for key, value in sorted((extra or {}).items()):
-        lines.append(f"x_{key}={value}")
+    lines += [f"x_{key}={value}" for key, value in sorted((extra or {}).items())]
     lines.append("END")
-    header = "\n".join(lines) + "\n"
-    payload = io.BytesIO()
-    arrays = list(trainable_params(bundle).items())
+    arrays = [bundle.params]
     if not cfg.train_anchor_head:
-        arrays.append(("anchor_head", bundle.anchor_head))
-    arrays.append(("embeddings", bundle.embeddings.vectors))
-    for _, arr in arrays:
-        payload.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        arrays.append(bundle.anchor_head)
+    arrays.append(bundle.embeddings.vectors)
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(header.encode())
-        fh.write(payload.getvalue())
+        fh.write(("\n".join(lines) + "\n").encode())
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     os.replace(tmp, str(path))
 
 
 def load_checkpoint(path) -> Tuple[ModelBundle, dict]:
-    """Read a checkpoint back into a ModelBundle (embeddings renormalized)."""
+    """Read a checkpoint back into a ModelBundle (embeddings renormalized).
+
+    A malformed header or payload raises ValidationError naming the file.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     end = blob.find(b"END\n")
     if not blob.startswith(_CKPT_MAGIC.encode()) or end < 0:
         raise ValidationError(f"{path}: not a {_CKPT_MAGIC} checkpoint")
-    meta = {}
-    for line in blob[:end].decode().splitlines()[1:]:
-        if line and "=" in line:
-            key, value = line.split("=", 1)
-            meta[key] = value
-    hidden = tuple(int(h) for h in meta["hidden"].split(",") if h)
-    cfg = ModelConfig(
-        input2d_dim=int(meta["input2d_dim"]), input3d_dim=int(meta["input3d_dim"]),
-        hidden=hidden, latent_dim=int(meta["latent_dim"]),
-        embed_dim=int(meta["embed_dim"]), anchor_dim=int(meta["anchor_dim"]),
-        sam_dim=int(meta["sam_dim"]), temperature=float(meta["temperature"]),
-        train_anchor_head=bool(int(meta["train_anchor_head"])))
-    num_classes = int(meta["num_classes"])
-    payload = blob[end + 4:]
-    offset = 0
+    try:
+        meta = dict(line.split("=", 1)
+                    for line in blob[:end].decode().splitlines()[1:] if "=" in line)
+        kinds = typing.get_type_hints(ModelConfig)
+        cfg = ModelConfig(**{f.name: _parse_header_value(kinds[f.name], meta[f.name])
+                             for f in fields(ModelConfig)})
+        cfg.validate()
+        num_classes = int(meta["num_classes"])
+        seed = int(meta["seed"])
+        if num_classes < 1:
+            raise ValidationError(f"num_classes must be >= 1, got {num_classes}")
+    except KeyError as exc:
+        raise ValidationError(f"{path}: header lacks {exc.args[0]!r}") from None
+    except (ValueError, ValidationError) as exc:
+        raise ValidationError(f"{path}: bad header: {exc}") from None
 
-    def take(shape):
-        nonlocal offset
-        count = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        offset += count * 4
-        return arr.astype(np.float64).reshape(shape)
-
-    # Rebuild in the exact declaration order used by save_checkpoint.
-    widths2d = [cfg.input2d_dim, *cfg.hidden, cfg.latent_dim]
-    widths3d = [cfg.input3d_dim, *cfg.hidden, cfg.latent_dim]
-    enc2d_w = []
-    enc2d_b = []
-    for a, b in zip(widths2d[:-1], widths2d[1:]):
-        enc2d_w.append(take((a, b)))
-        enc2d_b.append(take((b,)))
-    enc3d_w = []
-    enc3d_b = []
-    for a, b in zip(widths3d[:-1], widths3d[1:]):
-        enc3d_w.append(take((a, b)))
-        enc3d_b.append(take((b,)))
-
-    def linear(fan_in, fan_out):
-        return {"w": take((fan_in, fan_out)), "b": take((fan_out,))}
-
-    head_s2d = linear(cfg.latent_dim, cfg.embed_dim)
-    head_s3d = linear(cfg.latent_dim, cfg.embed_dim)
-    head_f2d = linear(cfg.latent_dim, cfg.anchor_dim)
-    head_f3d = linear(cfg.latent_dim, cfg.anchor_dim)
-    anchor = take((cfg.sam_dim, cfg.anchor_dim))
-    emb = take((num_classes, cfg.embed_dim))
+    start = end + 4
+    n_params = _param_count(cfg)
+    n_anchor = 0 if cfg.train_anchor_head else cfg.sam_dim * cfg.anchor_dim
+    expected = 4 * (n_params + n_anchor + num_classes * cfg.embed_dim)
+    if len(blob) - start != expected:
+        raise ValidationError(f"{path}: payload has {len(blob) - start} bytes, "
+                              f"header implies {expected}")
+    params = np.frombuffer(blob, "<f4", n_params, start).astype(np.float64)
+    frozen = np.frombuffer(blob, "<f4", offset=start + 4 * n_params).astype(np.float64)
+    if not (np.isfinite(params).all() and np.isfinite(frozen).all()):
+        raise ValidationError(f"{path}: payload holds non-finite values")
+    anchor = frozen[:n_anchor].reshape(cfg.sam_dim, cfg.anchor_dim) if n_anchor else None
+    emb = frozen[n_anchor:].reshape(num_classes, cfg.embed_dim)
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-    if offset != len(payload):
-        raise ValidationError(
-            f"{path}: payload has {len(payload)} bytes, consumed {offset}")
-    if not cfg.train_anchor_head:
-        anchor.setflags(write=False)
-    bundle = ModelBundle(Mlp(enc2d_w, enc2d_b), Mlp(enc3d_w, enc3d_b),
-                         head_s2d, head_s3d, head_f2d, head_f3d, anchor,
-                         ClassEmbeddingTable(emb), cfg, int(meta["seed"]))
+    bundle = ModelBundle(cfg, params, ClassEmbeddingTable(emb), seed, anchor)
     return bundle, meta

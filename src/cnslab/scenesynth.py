@@ -374,6 +374,13 @@ def render_view(scene: Scene, camera_index: int,
     return ViewRender(label, obj, pidx, depth)
 
 
+def gt_pixel_stack(scene: Scene) -> np.ndarray:
+    """(V, H, W) ground-truth class label of every pixel of every view."""
+    corr = scene.correspondences()
+    return np.stack([render_view(scene, k, corr).label
+                     for k in range(len(scene.cameras))])
+
+
 # ---------------------------------------------------------------------------
 # mock CLIP scores
 

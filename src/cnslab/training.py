@@ -22,18 +22,17 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .evaluation import confusion, miou
-from .nncore import (GradientTape, ModelBundle, ModelConfig, ce_loss,
-                     class_logits, cosine_align_loss, make_bundle,
-                     mlp_backward, mlp_forward, sgd_step)
+from .evaluation import confusion, csv_cell, miou
+from .nncore import (ModelBundle, ModelConfig, class_logits, make_bundle,
+                     mlp_forward, sgd_step, step)
 from .pseudolabel import (IGNORE, POINTS, PIXELS, LabelMap,
                           REFINE3D_REPROJECT, REFINE3D_TRANSFER_MASKS,
                           derive_clip_labels, refine_by_masks,
                           refine_points_by_view_masks,
                           reproject_refine_points, transfer_labels,
                           transfer_masks)
-from .scenesynth import (Scene, pixel_descriptors, point_descriptors,
-                         render_view)
+from .scenesynth import (Scene, gt_pixel_stack, pixel_descriptors,
+                         point_descriptors)
 from .seeding import TAG_SHUFFLE, TAG_SOURCE, derive_rng
 
 SOURCES = ("clip2d", "clip3d", "self2d", "self3d")
@@ -166,14 +165,13 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
     clip2d_as_points = transfer_labels(corr, labels[pixel_key], num_points,
                                        config.multiview).labels
 
-    gt_pixel = np.stack([render_view(scene, k, corr).label for k in range(views)])
     point_masks = transfer_masks(corr, masks, num_points)
 
     data = {
         "desc2d": desc2d, "desc3d": desc3d, "anchors": anchors,
         "ent_cam": corr.camera_index, "ent_v": corr.v, "ent_u": corr.u,
         "ent_point": corr.point_index,
-        "gt_pixel": gt_pixel, "gt_point": scene.cloud.gt_labels,
+        "gt_pixel": gt_pixel_stack(scene), "gt_point": scene.cloud.gt_labels,
         "num_points": num_points, "masks": masks, "point_masks": point_masks,
         "corr": corr,
     }
@@ -215,16 +213,6 @@ def predict_labels_3d(bundle: ModelBundle, desc: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_pixel_labels(state: TrainState) -> np.ndarray:
-    """Argmax semantic-head prediction for every pixel of every view."""
-    return predict_labels_2d(state.bundle, state.data["desc2d"])
-
-
-def predict_point_labels(state: TrainState) -> np.ndarray:
-    """Argmax semantic-head prediction for every point."""
-    return predict_labels_3d(state.bundle, state.data["desc3d"])
-
-
 def compute_self_labels(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:
     """Mask-refined self-predictions of both networks.
 
@@ -233,14 +221,15 @@ def compute_self_labels(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:
     """
     masks = state.data["masks"]
     corr = state.data["corr"]
-    raw_pixel = predict_pixel_labels(state)
+    raw_pixel = predict_labels_2d(state.bundle, state.data["desc2d"])
     pixel_views = [LabelMap(raw_pixel[k], PIXELS, "net2d") for k in range(len(masks))]
     if state.config.refine_labels:
         pixel_views = [refine_by_masks(lm, masks[k].mask_ids)
                        for k, lm in enumerate(pixel_views)]
     self_pixel = np.stack([lm.labels for lm in pixel_views])
 
-    raw_point = LabelMap(predict_point_labels(state), POINTS, "net3d")
+    raw_point = LabelMap(predict_labels_3d(state.bundle, state.data["desc3d"]),
+                         POINTS, "net3d")
     if not state.config.refine_labels:
         self_point = raw_point.labels
     elif state.config.refine3d_mode == REFINE3D_TRANSFER_MASKS:
@@ -288,15 +277,6 @@ def _source_labels_3d(state: TrainState, source: int) -> np.ndarray:
     return state.self_point
 
 
-def _accumulate_mlp(tape: GradientTape, name: str, d_w, d_b):
-    for i, (gw, gb) in enumerate(zip(d_w, d_b)):
-        for key, grad in ((f"{name}.w{i}", gw), (f"{name}.b{i}", gb)):
-            if key in tape.grads:
-                tape.grads[key] = tape.grads[key] + grad
-            else:
-                tape.grads[key] = grad
-
-
 def _draw_sources(state: TrainState, count2d: int,
                   count3d: int) -> Tuple[np.ndarray, np.ndarray]:
     """One source draw per network (or per element when configured)."""
@@ -342,44 +322,25 @@ def _run_epoch(state: TrainState, stage: int) -> dict:
                 lab2 = _source_labels_2d(state, int(draw2d[0]), ents)
                 lab3 = _source_labels_3d(state, int(draw3d[0]))[pts]
 
-        x_in = data["desc2d"][data["ent_cam"][ents], data["ent_v"][ents],
-                              data["ent_u"][ents]].astype(np.float64)
-        x_feats, cache2 = mlp_forward(bundle.enc2d, x_in)
-        p_in = data["desc3d"][pts].astype(np.float64)
-        p_feats, cache3a = mlp_forward(bundle.enc3d, p_in)
-
-        l2, t2 = ce_loss(bundle, x_feats, "s2d", lab2)
-        l3, t3 = ce_loss(bundle, p_feats, "s3d", lab3)
-        tape = GradientTape().accumulate(t2).accumulate(t3)
-        d_x = t2.d_inputs["features"]
-        d_p_ce = t3.d_inputs["features"]
-        l_latent = 0.0
+        batch = {"x2d": _entry_rows(state, data["desc2d"], ents).astype(np.float64),
+                 "y2d": lab2,
+                 "x3d": data["desc3d"][pts].astype(np.float64),
+                 "y3d": lab3}
         if use_latent:
-            pair_in = data["desc3d"][data["ent_point"][ents]].astype(np.float64)
-            pair_feats, cache3b = mlp_forward(bundle.enc3d, pair_in)
-            anchor_rows = _entry_rows(state, data["anchors"], ents).astype(np.float64)
-            l_latent, t_lat = cosine_align_loss(bundle, x_feats, pair_feats,
-                                                anchor_rows)
-            tape.accumulate(t_lat, cfg.latent_loss_weight)
-            d_x = d_x + cfg.latent_loss_weight * t_lat.d_inputs["x_feats"]
-            d_w, d_b, _ = mlp_backward(bundle.enc3d, cache3b,
-                                       cfg.latent_loss_weight * t_lat.d_inputs["p_feats"])
-            _accumulate_mlp(tape, "enc3d", d_w, d_b)
-        d_w, d_b, _ = mlp_backward(bundle.enc2d, cache2, d_x)
-        _accumulate_mlp(tape, "enc2d", d_w, d_b)
-        d_w, d_b, _ = mlp_backward(bundle.enc3d, cache3a, d_p_ce)
-        _accumulate_mlp(tape, "enc3d", d_w, d_b)
-        sgd_step(bundle, tape, cfg.lr)
-        sums["l_ce2d"] += l2
-        sums["l_ce3d"] += l3
-        sums["l_latent"] += l_latent
+            batch["pair3d"] = data["desc3d"][data["ent_point"][ents]].astype(np.float64)
+            batch["anchors"] = _entry_rows(state, data["anchors"], ents).astype(np.float64)
+            batch["latent_weight"] = cfg.latent_loss_weight
+        losses, grad = step(bundle, batch)
+        sgd_step(bundle, grad, cfg.lr)
+        for key in sums:
+            sums[key] += losses[key]
     return {key: value / steps for key, value in sums.items()}
 
 
 def _epoch_metrics(state: TrainState) -> dict:
     num_classes = state.scene.num_classes
-    pred_pix = predict_pixel_labels(state)
-    pred_pts = predict_point_labels(state)
+    pred_pix = predict_labels_2d(state.bundle, state.data["desc2d"])
+    pred_pts = predict_labels_3d(state.bundle, state.data["desc3d"])
     _, miou2d = miou(confusion(pred_pix, state.data["gt_pixel"], num_classes))
     _, miou3d = miou(confusion(pred_pts, state.data["gt_point"], num_classes))
     return {"miou2d": miou2d, "miou3d": miou3d}
@@ -430,16 +391,7 @@ METRIC_COLUMNS = ("epoch", "stage", "l_ce2d", "l_ce3d", "l_latent",
 def write_metrics_csv(history: List[dict], path):
     """One deterministic CSV row per epoch."""
     lines = [",".join(METRIC_COLUMNS)]
-    for row in history:
-        cells = []
-        for col in METRIC_COLUMNS:
-            value = row.get(col)
-            if isinstance(value, float):
-                cells.append(repr(value))
-            elif value is None:
-                cells.append("absent")
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
+    lines += [",".join(csv_cell(row.get(col)) for col in METRIC_COLUMNS)
+              for row in history]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

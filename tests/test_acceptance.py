@@ -17,9 +17,8 @@ import pytest
 from cnslab import ablation, cli, evaluation, pseudolabel, training
 from cnslab.bundle import read_bundle, write_bundle
 from cnslab.geometry import build_correspondences, project_point
-from cnslab.nncore import (ModelConfig, align_loss_end_to_end,
-                           ce_loss_end_to_end, forward_2d, forward_3d,
-                           grad_check, make_bundle)
+from cnslab.nncore import (ModelConfig, grad_check, make_bundle, mlp_forward,
+                           step, trainable_params)
 from cnslab.scenesynth import (PIXEL_DESC_DIM, POINT_DESC_DIM, ClipNoiseConfig,
                                MaskFragConfig, SceneConfig, generate_scene,
                                mock_clip_scores, mock_sam_masks,
@@ -155,7 +154,7 @@ def test_ac4_gradients_match_finite_differences():
     config = ModelConfig(input2d_dim=7, input3d_dim=6, hidden=(10,),
                          latent_dim=9, embed_dim=12, anchor_dim=8, sam_dim=4)
     num_classes, batch = 5, 8
-    worst = 0.0
+    worst = {"ce2d": 0.0, "ce3d": 0.0, "latent": 0.0, "step": 0.0}
     anchor_frozen = True
     for trial in range(10):
         rng = derive_rng(7, TAG_GRADCHECK, 1000 + trial)
@@ -167,18 +166,28 @@ def test_ac4_gradients_match_finite_differences():
         y = rng.integers(0, num_classes, size=batch)
         y[0] = pseudolabel.IGNORE
         anchors = rng.standard_normal((batch, config.sam_dim))
-        losses = (lambda b: ce_loss_end_to_end(b, x2d, "s2d", y),
-                  lambda b: ce_loss_end_to_end(b, x3d, "s3d", y),
-                  lambda b: align_loss_end_to_end(b, x2d, x3d, anchors))
-        for loss_op in losses:
-            worst = max(worst, grad_check(loss_op, model, eps=1e-5))
-        _, tape = losses[2](model)
-        anchor_frozen &= "anchor_head.w" not in tape.grads
+        # The full training step: both cross-entropies with IGNORE rows and
+        # the latent term on paired 3D rows distinct from the CE3d rows.
+        pair3d = rng.standard_normal((batch, config.input3d_dim))
+        y3d = rng.integers(0, num_classes, size=batch)
+        y3d[-1] = pseudolabel.IGNORE
+        batches = [{"x2d": x2d, "y2d": y}, {"x3d": x3d, "y3d": y},
+                   {"x2d": x2d, "pair3d": x3d, "anchors": anchors,
+                    "latent_weight": 1.0}]
+        batches += [{"x2d": x2d, "y2d": y, "x3d": x3d, "y3d": y3d,
+                     "pair3d": pair3d, "anchors": anchors, "latent_weight": w}
+                    for w in (1.0, 0.5)]
+        for kind, step_batch in zip(("ce2d", "ce3d", "latent", "step", "step"),
+                                    batches):
+            err = grad_check(lambda b: step(b, step_batch), model, eps=1e-5)
+            worst[kind] = max(worst[kind], err)
+        anchor_frozen &= "anchor_head.w" not in trainable_params(model)
     elapsed = time.perf_counter() - start
-    _report(4, f"max relative gradient error {worst:.2e} over 10 batches "
+    errors = ", ".join(f"{kind} {err:.2e}" for kind, err in worst.items())
+    _report(4, f"max relative gradient error {errors} over 10 batches "
                f"(tolerance 1e-4), frozen-anchor gradient identically zero: "
                f"{anchor_frozen}, in {elapsed:.1f}s (budget 30s)",
-            worst < 1e-4 and anchor_frozen and elapsed < 30.0)
+            max(worst.values()) < 1e-4 and anchor_frozen and elapsed < 30.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +270,14 @@ def test_ac7_latent_anchoring():
         for k in range(len(scene.cameras)):
             view = render_view(scene, k, corr)
             visible = view.point_index >= 0
-            latent = forward_2d(model, pixel_descriptors(
-                scene, k, suite.train.descriptor_noise)[visible])
+            latent = mlp_forward(model.enc2d, pixel_descriptors(
+                scene, k, suite.train.descriptor_noise)[visible])[0]
             feats.append(latent @ model.head_f2d["w"] + model.head_f2d["b"])
             groups.append(view.object_id[visible])
         gaps2d.append(_cosine_gap(np.concatenate(feats),
                                   np.concatenate(groups), rng))
-        latent = forward_3d(model, point_descriptors(
-            scene, suite.train.descriptor_noise))
+        latent = mlp_forward(model.enc3d, point_descriptors(
+            scene, suite.train.descriptor_noise))[0]
         feats3d = latent @ model.head_f3d["w"] + model.head_f3d["b"]
         gaps3d.append(_cosine_gap(feats3d, scene.cloud.object_ids, rng))
     gap2d, gap3d = np.median(gaps2d), np.median(gaps3d)

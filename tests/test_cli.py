@@ -122,6 +122,7 @@ def test_gradcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "gradcheck passed" in out
     assert "identically zero" in out
+    assert "step: max relative error" in out
 
 
 def test_gradcheck_failure_is_numerical_exit(monkeypatch, capsys):
@@ -219,3 +220,14 @@ def test_eval_rejects_class_count_mismatch(pipeline, tmp_path, capsys):
                      "--out", str(tmp_path / "x")])
     assert code == 1
     assert "classes" in capsys.readouterr().err
+
+
+def test_eval_rejects_truncated_checkpoint(pipeline, tmp_path, capsys):
+    blob = (pipeline / "train" / "checkpoint.ckpt").read_bytes()
+    ckpt = tmp_path / "short.ckpt"
+    ckpt.write_bytes(blob[:-5])
+    code = cli.main(["eval", str(pipeline / "synth" / "bundle"), str(ckpt),
+                     "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "short.ckpt" in err

@@ -173,8 +173,8 @@ def test_matches_brute_force_on_random_cloud(rng):
     cloud = PointCloud(rng.uniform(-3, 3, size=(500, 3)).astype(np.float32))
     corr = build_correspondences(cameras, cloud)
     expected = brute_force_correspondences(cameras, cloud)
-    assert list(corr.entries()) == [(i, k, u, v, pytest.approx(d))
-                                    for i, k, u, v, d in expected]
+    got = list(zip(corr.point_index, corr.camera_index, corr.u, corr.v, corr.depth))
+    assert got == [(i, k, u, v, pytest.approx(d)) for i, k, u, v, d in expected]
 
 
 def test_entries_are_canonically_ordered(small_scene):
@@ -189,7 +189,8 @@ def test_entries_are_canonically_ordered(small_scene):
 
 def test_reprojection_identity(small_scene):
     corr = build_correspondences(small_scene.cameras, small_scene.cloud)
-    for i, k, u, v, depth in list(corr.entries())[::37]:
+    entries = zip(corr.point_index, corr.camera_index, corr.u, corr.v, corr.depth)
+    for i, k, u, v, depth in list(entries)[::37]:
         redo = project_point(small_scene.cameras[k],
                              small_scene.cloud.positions[i])
         assert redo is not None
@@ -234,5 +235,5 @@ def test_oracle_equivalence_property(seed, n_points):
     cloud = PointCloud(rng.uniform(-2, 2, size=(n_points, 3)).astype(np.float32))
     corr = build_correspondences(cameras, cloud)
     expected = brute_force_correspondences(cameras, cloud)
-    got = [(i, k, u, v) for i, k, u, v, _ in corr.entries()]
+    got = list(zip(corr.point_index, corr.camera_index, corr.u, corr.v))
     assert got == [(i, k, u, v) for i, k, u, v, _ in expected]

@@ -1,4 +1,4 @@
-"""Tests for the numpy encoders, losses, SGD, and gradient checks.
+"""Tests for the numpy encoders, losses, the training step, SGD, and checkpoints.
 
 Analytic gradients are verified against central finite differences;
 loss values are checked against closed-form cases (uniform softmax,
@@ -7,14 +7,14 @@ perfectly aligned or anti-aligned features) worked out by hand.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnslab.errors import NumericalError, ValidationError
-from cnslab.nncore import (GradientTape, Mlp, ModelConfig, align_loss_end_to_end,
-                           ce_loss, ce_loss_end_to_end, class_logits,
-                           cosine_align_loss, forward_2d, forward_3d,
-                           grad_check, init_mlp, load_checkpoint, make_bundle,
-                           mlp_backward, mlp_forward, save_checkpoint,
-                           sgd_step, softmax_rows, trainable_params)
+from cnslab.nncore import (Mlp, ModelConfig, ce_loss, class_logits,
+                           cosine_align_loss, grad_check, load_checkpoint,
+                           make_bundle, mlp_backward, mlp_forward, param_views,
+                           save_checkpoint, sgd_step, softmax_rows, step,
+                           trainable_params)
 from cnslab.pseudolabel import IGNORE
 from cnslab.scenesynth import mock_text_embeddings
 
@@ -25,6 +25,25 @@ def tiny_bundle(train_anchor=False, temperature=1.0, seed=5):
                       temperature=temperature, train_anchor_head=train_anchor)
     emb = mock_text_embeddings(5, 9, seed=1)
     return make_bundle(cfg, emb, seed=seed)
+
+
+def he_mlp(widths, rng):
+    """He-initialized MLP with zero biases."""
+    return Mlp([rng.standard_normal((a, b)) * np.sqrt(2.0 / a)
+                for a, b in zip(widths[:-1], widths[1:])],
+               [np.zeros(b) for b in widths[1:]])
+
+
+def head_loss(loss_fn):
+    """grad_check operator for a loss whose gradient covers only heads."""
+    def op(bundle):
+        loss, heads = loss_fn(bundle)[:2]
+        grad = np.zeros_like(bundle.params)
+        views = param_views(bundle.config, grad)
+        for name, value in heads.items():
+            views[name][...] = value
+        return {"loss": loss}, grad
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +66,7 @@ def test_mlp_identity_layer():
 
 
 def test_mlp_forward_brute_force(rng):
-    mlp = init_mlp([4, 6, 5, 3], rng)
+    mlp = he_mlp([4, 6, 5, 3], rng)
     x = rng.standard_normal((7, 4))
     out, _ = mlp_forward(mlp, x)
     h = x
@@ -59,7 +78,7 @@ def test_mlp_forward_brute_force(rng):
 
 
 def test_mlp_backward_matches_finite_difference(rng):
-    mlp = init_mlp([3, 5, 2], rng)
+    mlp = he_mlp([3, 5, 2], rng)
     x = rng.standard_normal((4, 3))
     d_out = rng.standard_normal((4, 2))
 
@@ -104,10 +123,11 @@ def test_mlp_validation():
         Mlp([np.zeros((3, 4)), np.zeros((5, 2))], [np.zeros(4), np.zeros(2)])
 
 
-def test_init_mlp_shapes(rng):
-    mlp = init_mlp([5, 8, 2], rng)
-    assert mlp.widths == [5, 8, 2]
-    assert all(np.array_equal(b, np.zeros_like(b)) for b in mlp.biases)
+def test_make_bundle_initial_weights():
+    bundle = tiny_bundle()
+    for mlp, fan_in in ((bundle.enc2d, 5), (bundle.enc3d, 6)):
+        assert [w.shape for w in mlp.weights] == [(fan_in, 8), (8, 7)]
+        assert all(np.array_equal(b, np.zeros_like(b)) for b in mlp.biases)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +151,12 @@ def test_trainable_params_order_and_views():
                      "enc3d.w0", "enc3d.b0", "enc3d.w1", "enc3d.b1",
                      "head_s2d.w", "head_s2d.b", "head_s3d.w", "head_s3d.b",
                      "head_f2d.w", "head_f2d.b", "head_f3d.w", "head_f3d.b"]
-    # Entries are live views onto the bundle arrays.
+    # Entries are live views onto the bundle arrays and its one vector.
     trainable_params(bundle)["head_s2d.b"][0] = 42.0
     assert bundle.head_s2d["b"][0] == 42.0
+    assert sum(v.size for v in trainable_params(bundle).values()) == bundle.params.size
+    assert all(np.shares_memory(v, bundle.params)
+               for v in trainable_params(bundle).values())
 
 
 def test_anchor_head_frozen_by_default():
@@ -166,7 +189,7 @@ def test_ce_loss_uniform_equals_log_num_classes(rng):
     bundle.head_s2d["b"][:] = 0.0
     feats = rng.standard_normal((10, 7))
     y = rng.integers(0, 5, size=10).astype(np.int32)
-    loss, _ = ce_loss(bundle, feats, "s2d", y)
+    loss, *_ = ce_loss(bundle, feats, "s2d", y)
     assert loss == pytest.approx(np.log(5), abs=1e-12)
 
 
@@ -177,8 +200,8 @@ def test_ce_loss_single_element_eight_classes(rng):
                                                    orthogonalize=True), seed=0)
     bundle.head_s3d["w"][:] = 0.0
     bundle.head_s3d["b"][:] = 0.0
-    loss, _ = ce_loss(bundle, rng.standard_normal((1, 5)),
-                      "s3d", np.array([3], dtype=np.int32))
+    loss, *_ = ce_loss(bundle, rng.standard_normal((1, 5)),
+                       "s3d", np.array([3], dtype=np.int32))
     assert loss == pytest.approx(2.0794415416798357, abs=1e-12)
 
 
@@ -186,22 +209,21 @@ def test_ce_loss_skips_ignore(rng):
     bundle = tiny_bundle()
     feats = rng.standard_normal((6, 7))
     y = np.array([1, IGNORE, 3, IGNORE, 0, 2], dtype=np.int32)
-    loss, tape = ce_loss(bundle, feats, "s2d", y)
+    loss, _, d_feats = ce_loss(bundle, feats, "s2d", y)
     keep = y != IGNORE
-    ref, _ = ce_loss(bundle, feats[keep], "s2d", y[keep])
+    ref, *_ = ce_loss(bundle, feats[keep], "s2d", y[keep])
     assert loss == pytest.approx(ref, abs=1e-12)
     # Ignored rows get zero input gradient.
-    assert np.array_equal(tape.d_inputs["features"][~keep],
-                          np.zeros((2, 7)))
+    assert np.array_equal(d_feats[~keep], np.zeros((2, 7)))
 
 
 def test_ce_loss_all_ignore_is_zero(rng):
     bundle = tiny_bundle()
-    loss, tape = ce_loss(bundle, rng.standard_normal((3, 7)),
-                         "s2d", np.full(3, IGNORE, dtype=np.int32))
+    loss, grads, d_feats = ce_loss(bundle, rng.standard_normal((3, 7)),
+                                   "s2d", np.full(3, IGNORE, dtype=np.int32))
     assert loss == 0.0
-    assert np.array_equal(tape.grads["head_s2d.w"], np.zeros((7, 9)))
-    assert np.array_equal(tape.d_inputs["features"], np.zeros((3, 7)))
+    assert np.array_equal(grads["head_s2d.w"], np.zeros((7, 9)))
+    assert np.array_equal(d_feats, np.zeros((3, 7)))
 
 
 def test_ce_loss_validation(rng):
@@ -219,7 +241,8 @@ def test_ce_loss_gradients_match_finite_difference(rng):
     bundle = tiny_bundle(temperature=0.7)
     feats = rng.standard_normal((6, 7))
     y = np.array([0, 4, IGNORE, 2, 1, 3], dtype=np.int32)
-    err = grad_check(lambda b: ce_loss(b, feats, "s2d", y), bundle, eps=1e-5)
+    err = grad_check(head_loss(lambda b: ce_loss(b, feats, "s2d", y)), bundle,
+                     eps=1e-5)
     assert err < 1e-4
 
 
@@ -227,16 +250,16 @@ def test_ce_loss_feature_gradient_matches_finite_difference(rng):
     bundle = tiny_bundle()
     feats = rng.standard_normal((4, 7))
     y = np.array([0, 1, 2, 3], dtype=np.int32)
-    _, tape = ce_loss(bundle, feats, "s2d", y)
+    _, _, d_feats = ce_loss(bundle, feats, "s2d", y)
     eps = 1e-6
     flat = feats.reshape(-1)
-    grad = tape.d_inputs["features"].reshape(-1)
+    grad = d_feats.reshape(-1)
     for j in range(flat.size):
         orig = flat[j]
         flat[j] = orig + eps
-        hi, _ = ce_loss(bundle, feats, "s2d", y)
+        hi, *_ = ce_loss(bundle, feats, "s2d", y)
         flat[j] = orig - eps
-        lo, _ = ce_loss(bundle, feats, "s2d", y)
+        lo, *_ = ce_loss(bundle, feats, "s2d", y)
         flat[j] = orig
         assert abs((hi - lo) / (2 * eps) - grad[j]) < 1e-5
 
@@ -245,12 +268,12 @@ def test_ce_loss_end_to_end_gradients(rng):
     bundle = tiny_bundle()
     x = rng.standard_normal((6, 5))
     y = np.array([0, 1, IGNORE, 3, 4, 2], dtype=np.int32)
-    _, tape = ce_loss_end_to_end(bundle, x, "s2d", y)
-    assert "enc2d.w0" in tape.grads and "enc3d.w0" not in tape.grads
-    err = grad_check(lambda b: ce_loss_end_to_end(b, x, "s2d", y), bundle)
+    batch = {"x2d": x, "y2d": y}
+    _, grad = step(bundle, batch)
+    views = param_views(bundle.config, grad)
+    assert views["enc2d.w0"].any() and not views["enc3d.w0"].any()
+    err = grad_check(lambda b: step(b, batch), bundle)
     assert err < 1e-4
-    with pytest.raises(ValidationError):
-        ce_loss_end_to_end(bundle, x, "f2d", y)
 
 
 def test_class_logits_formula(rng):
@@ -287,24 +310,25 @@ def _aligned_inputs(bundle, rng, n=4):
 def test_align_loss_zero_when_aligned(rng):
     bundle = tiny_bundle()
     anchor_feats, a_unit = _aligned_inputs(bundle, rng)
-    loss, tape = cosine_align_loss(bundle, a_unit, a_unit, anchor_feats)
+    loss, grads, _, _, zero_count = cosine_align_loss(bundle, a_unit, a_unit,
+                                                      anchor_feats)
     assert loss == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(tape.grads["head_f2d.w"], 0.0, atol=1e-12)
-    assert tape.aux["zero_norm_count"] == 0
+    assert np.allclose(grads["head_f2d.w"], 0.0, atol=1e-12)
+    assert zero_count == 0
 
 
 def test_align_loss_four_when_anti_aligned(rng):
     bundle = tiny_bundle()
     anchor_feats, a_unit = _aligned_inputs(bundle, rng)
-    loss, _ = cosine_align_loss(bundle, -a_unit, -a_unit, anchor_feats)
+    loss, *_ = cosine_align_loss(bundle, -a_unit, -a_unit, anchor_feats)
     assert loss == pytest.approx(4.0, abs=1e-12)
 
 
 def test_align_loss_range(rng):
     bundle = tiny_bundle()
-    loss, _ = cosine_align_loss(bundle, rng.standard_normal((20, 7)),
-                                rng.standard_normal((20, 7)),
-                                rng.standard_normal((20, 3)))
+    loss, *_ = cosine_align_loss(bundle, rng.standard_normal((20, 7)),
+                                 rng.standard_normal((20, 7)),
+                                 rng.standard_normal((20, 3)))
     assert 0.0 <= loss <= 4.0
 
 
@@ -313,20 +337,21 @@ def test_align_loss_zero_norm_row_counts(rng):
     anchor_feats, a_unit = _aligned_inputs(bundle, rng, n=2)
     x = a_unit.copy()
     x[1] = 0.0  # degenerate 2D head output: cosine treated as 0
-    loss, tape = cosine_align_loss(bundle, x, a_unit, anchor_feats)
-    assert tape.aux["zero_norm_count"] == 1
+    loss, grads, _, _, zero_count = cosine_align_loss(bundle, x, a_unit,
+                                                      anchor_feats)
+    assert zero_count == 1
     assert loss == pytest.approx(0.5, abs=1e-12)  # one miss of 1.0 over 2 pairs
     # Degenerate rows must not produce gradients.
-    assert np.isfinite(tape.grads["head_f2d.w"]).all()
+    assert np.isfinite(grads["head_f2d.w"]).all()
 
 
 def test_align_loss_degenerate_anchor(rng):
     bundle = tiny_bundle()
     anchor_feats, a_unit = _aligned_inputs(bundle, rng, n=1)
-    loss, tape = cosine_align_loss(bundle, a_unit, a_unit,
-                                   np.zeros((1, 3)))
+    loss, _, _, _, zero_count = cosine_align_loss(bundle, a_unit, a_unit,
+                                                  np.zeros((1, 3)))
     assert loss == pytest.approx(2.0, abs=1e-12)  # both sides miss
-    assert tape.aux["zero_norm_count"] == 1
+    assert zero_count == 1
 
 
 def test_align_loss_positive_rescaling_invariant(rng):
@@ -336,18 +361,18 @@ def test_align_loss_positive_rescaling_invariant(rng):
     x = rng.standard_normal((5, 7))
     p = rng.standard_normal((5, 7))
     s = rng.standard_normal((5, 3))
-    base, _ = cosine_align_loss(bundle, x, p, s)
+    base, *_ = cosine_align_loss(bundle, x, p, s)
     scales = rng.uniform(0.1, 10.0, size=(5, 1))
-    scaled, _ = cosine_align_loss(bundle, x * scales, p * scales, s)
+    scaled, *_ = cosine_align_loss(bundle, x * scales, p * scales, s)
     assert scaled == pytest.approx(base, abs=1e-10)
 
 
 def test_align_loss_no_anchor_gradient_by_default(rng):
     bundle = tiny_bundle()
-    _, tape = cosine_align_loss(bundle, rng.standard_normal((4, 7)),
-                                rng.standard_normal((4, 7)),
-                                rng.standard_normal((4, 3)))
-    assert "anchor_head.w" not in tape.grads
+    _, grads, *_ = cosine_align_loss(bundle, rng.standard_normal((4, 7)),
+                                     rng.standard_normal((4, 7)),
+                                     rng.standard_normal((4, 3)))
+    assert "anchor_head.w" not in grads
 
 
 def test_align_loss_gradients_match_finite_difference(rng):
@@ -355,7 +380,7 @@ def test_align_loss_gradients_match_finite_difference(rng):
     x = rng.standard_normal((5, 7))
     p = rng.standard_normal((5, 7))
     s = rng.standard_normal((5, 3))
-    err = grad_check(lambda b: cosine_align_loss(b, x, p, s), bundle)
+    err = grad_check(head_loss(lambda b: cosine_align_loss(b, x, p, s)), bundle)
     assert err < 1e-4
 
 
@@ -364,10 +389,9 @@ def test_align_loss_trainable_anchor_gradients(rng):
     x = rng.standard_normal((5, 7))
     p = rng.standard_normal((5, 7))
     s = rng.standard_normal((5, 3))
-    _, tape = cosine_align_loss(bundle, x, p, s)
-    assert "anchor_head.w" in tape.grads
-    err = grad_check(lambda b: cosine_align_loss(b, x, p, s), bundle,
-                     param_names=["anchor_head.w"])
+    _, grads, *_ = cosine_align_loss(bundle, x, p, s)
+    assert "anchor_head.w" in grads
+    err = grad_check(head_loss(lambda b: cosine_align_loss(b, x, p, s)), bundle)
     assert err < 1e-4
 
 
@@ -376,9 +400,11 @@ def test_align_loss_end_to_end_gradients(rng):
     x2d = rng.standard_normal((4, 5))
     x3d = rng.standard_normal((4, 6))
     s = rng.standard_normal((4, 3))
-    _, tape = align_loss_end_to_end(bundle, x2d, x3d, s)
-    assert "enc2d.w0" in tape.grads and "enc3d.w0" in tape.grads
-    err = grad_check(lambda b: align_loss_end_to_end(b, x2d, x3d, s), bundle)
+    batch = {"x2d": x2d, "pair3d": x3d, "anchors": s, "latent_weight": 1.0}
+    _, grad = step(bundle, batch)
+    views = param_views(bundle.config, grad)
+    assert views["enc2d.w0"].any() and views["enc3d.w0"].any()
+    err = grad_check(lambda b: step(b, batch), bundle)
     assert err < 1e-4
 
 
@@ -392,36 +418,77 @@ def test_align_loss_validates_lengths(rng):
 
 def test_align_loss_empty_batch():
     bundle = tiny_bundle()
-    loss, tape = cosine_align_loss(bundle, np.zeros((0, 7)),
-                                   np.zeros((0, 7)), np.zeros((0, 3)))
+    loss, _, _, _, zero_count = cosine_align_loss(bundle, np.zeros((0, 7)),
+                                                  np.zeros((0, 7)), np.zeros((0, 3)))
     assert loss == 0.0
-    assert tape.aux["zero_norm_count"] == 0
+    assert zero_count == 0
 
 
 # ---------------------------------------------------------------------------
 # SGD and the gradient checker
 
 
+def _training_batch(rng, weight=1.0, n=6):
+    """CE2d and CE3d rows with IGNORE labels plus a latent term on other 3D rows."""
+    y2d = rng.integers(0, 5, size=n)
+    y3d = rng.integers(0, 5, size=n)
+    y2d[0] = y3d[-1] = IGNORE
+    return {"x2d": rng.standard_normal((n, 5)), "y2d": y2d,
+            "x3d": rng.standard_normal((n, 6)), "y3d": y3d,
+            "pair3d": rng.standard_normal((n, 6)),
+            "anchors": rng.standard_normal((n, 3)), "latent_weight": weight}
+
+
+def test_step_combines_its_terms(rng):
+    bundle = tiny_bundle()
+    batch = _training_batch(rng, weight=0.5)
+    losses, grad = step(bundle, batch)
+    ce2d = step(bundle, {k: batch[k] for k in ("x2d", "y2d")})
+    ce3d = step(bundle, {k: batch[k] for k in ("x3d", "y3d")})
+    latent = step(bundle, {**{k: batch[k] for k in ("x2d", "pair3d", "anchors")},
+                           "latent_weight": 1.0})
+    assert losses["l_ce2d"] == ce2d[0]["l_ce2d"] and ce2d[0]["l_ce3d"] == 0.0
+    assert losses["l_ce3d"] == ce3d[0]["l_ce3d"] and ce3d[0]["l_latent"] == 0.0
+    assert losses["l_latent"] == latent[0]["l_latent"] and latent[0]["l_ce2d"] == 0.0
+    assert losses["loss"] == (losses["l_ce2d"] + losses["l_ce3d"]
+                              + 0.5 * losses["l_latent"])
+    assert np.allclose(grad, ce2d[1] + ce3d[1] + 0.5 * latent[1], atol=1e-14)
+    empty, zero = step(bundle, {})
+    assert set(empty.values()) == {0.0} and not zero.any()
+
+
+def test_grad_check_flags_wrong_latent_weight(rng):
+    bundle = tiny_bundle()
+    batch = _training_batch(rng, weight=0.5)
+
+    def wrong(b):
+        losses, _ = step(b, {**batch, "latent_weight": 1.0})
+        return losses, step(b, batch)[1]
+
+    assert grad_check(wrong, bundle) > 1e-2
+
+
 def test_sgd_step_hand_example():
     bundle = tiny_bundle()
     bundle.head_s2d["w"][:] = 1.0
-    tape = GradientTape(grads={"head_s2d.w": np.full((7, 9), 0.5)})
-    sgd_step(bundle, tape, lr=0.1)
+    grad = np.zeros_like(bundle.params)
+    param_views(bundle.config, grad)["head_s2d.w"][:] = 0.5
+    sgd_step(bundle, grad, lr=0.1)
     assert np.allclose(bundle.head_s2d["w"], 0.95, atol=1e-15)
 
 
 def test_sgd_step_validation():
     bundle = tiny_bundle()
     with pytest.raises(ValidationError):
-        sgd_step(bundle, GradientTape(grads={"nope": np.zeros(3)}), lr=0.1)
+        sgd_step(bundle, np.zeros(3), lr=0.1)
     with pytest.raises(ValidationError):
-        sgd_step(bundle, GradientTape(
-            grads={"head_s2d.b": np.zeros(3)}), lr=0.1)
+        sgd_step(bundle, np.zeros(bundle.params.size + 1), lr=0.1)
+    nan = np.zeros_like(bundle.params)
+    param_views(bundle.config, nan)["head_s2d.b"][:] = np.nan
     with pytest.raises(NumericalError):
-        sgd_step(bundle, GradientTape(
-            grads={"head_s2d.b": np.full(9, np.nan)}), lr=0.1)
+        sgd_step(bundle, nan, lr=0.1)
     with pytest.raises(ValidationError):
-        sgd_step(bundle, GradientTape(), lr=0.0)
+        sgd_step(bundle, np.zeros_like(bundle.params), lr=0.0)
     # A rejected step must not have touched anything.
     assert np.array_equal(bundle.head_s2d["b"], np.zeros(9))
 
@@ -434,55 +501,35 @@ def test_sgd_never_touches_frozen_anchor(rng):
     s = rng.standard_normal((8, 3))
     y = rng.integers(0, 5, size=8).astype(np.int32)
     for _ in range(5):
-        _, tape = ce_loss_end_to_end(bundle, x2d, "s2d", y)
-        sgd_step(bundle, tape, lr=0.05)
-        _, tape = align_loss_end_to_end(bundle, x2d, x3d, s)
-        sgd_step(bundle, tape, lr=0.05)
+        _, grad = step(bundle, {"x2d": x2d, "y2d": y})
+        sgd_step(bundle, grad, lr=0.05)
+        _, grad = step(bundle, {"x2d": x2d, "pair3d": x3d, "anchors": s,
+                                "latent_weight": 1.0})
+        sgd_step(bundle, grad, lr=0.05)
     assert np.array_equal(bundle.anchor_head, frozen)
+
+
+def _linear_loss(direction):
+    """Loss b·direction over head_s2d.b, with a chosen analytic gradient."""
+    def op(bundle, claimed):
+        grad = np.zeros_like(bundle.params)
+        param_views(bundle.config, grad)["head_s2d.b"][:] = claimed
+        return {"loss": float(bundle.head_s2d["b"] @ direction)}, grad
+    return op
 
 
 def test_grad_check_exact_for_linear_loss():
     bundle = tiny_bundle()
     direction = np.arange(9, dtype=np.float64) / 3.0
-
-    def loss_op(b):
-        tape = GradientTape(grads={"head_s2d.b": direction.copy()})
-        return float(b.head_s2d["b"] @ direction), tape
-
-    assert grad_check(loss_op, bundle) < 1e-10
+    op = _linear_loss(direction)
+    assert grad_check(lambda b: op(b, direction), bundle) < 1e-10
 
 
 def test_grad_check_flags_wrong_gradient():
     bundle = tiny_bundle()
     direction = np.ones(9)
-
-    def loss_op(b):
-        tape = GradientTape(grads={"head_s2d.b": 2.0 * direction})
-        return float(b.head_s2d["b"] @ direction), tape
-
-    assert grad_check(loss_op, bundle) > 0.4
-
-
-def test_grad_check_rejects_unknown_names():
-    bundle = tiny_bundle()
-
-    def loss_op(b):
-        return 0.0, GradientTape()
-
-    with pytest.raises(ValidationError):
-        grad_check(loss_op, bundle, param_names=["anchor_head.w"])
-
-
-# ---------------------------------------------------------------------------
-# encoder wrappers
-
-
-def test_forward_wrappers_match_mlp(rng):
-    bundle = tiny_bundle()
-    x2d = rng.standard_normal((4, 5))
-    x3d = rng.standard_normal((4, 6))
-    assert np.array_equal(forward_2d(bundle, x2d), mlp_forward(bundle.enc2d, x2d)[0])
-    assert np.array_equal(forward_3d(bundle, x3d), mlp_forward(bundle.enc3d, x3d)[0])
+    op = _linear_loss(direction)
+    assert grad_check(lambda b: op(b, 2.0 * direction), bundle) > 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +584,44 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(bad)
     good = tmp_path / "good.ckpt"
     save_checkpoint(tiny_bundle(), good)
+    blob = good.read_bytes()
     truncated = tmp_path / "short.ckpt"
-    truncated.write_bytes(good.read_bytes()[:-8])
-    with pytest.raises((ValidationError, ValueError)):
+    truncated.write_bytes(blob[:-8])
+    expected = len(blob) - blob.index(b"END\n") - 4
+    with pytest.raises(ValidationError, match=f"short.ckpt: payload has "
+                                              f"{expected - 8} bytes, header "
+                                              f"implies {expected}"):
         load_checkpoint(truncated)
+    for old, new in ((b"\nseed=", b"\nsead="), (b"latent_dim=7", b"latent_dim=x"),
+                     (b"embed_dim=9", b"embed_dim=\xff")):
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(blob.replace(old, new, 1))
+        with pytest.raises(ValidationError, match="broken.ckpt"):
+            load_checkpoint(broken)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(tiny_bundle(), path)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_damaged_checkpoint_loads_or_raises_validation_error(checkpoint_blob,
+                                                             tmp_path_factory,
+                                                             data):
+    blob = checkpoint_blob
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, len(blob) - 1), label="position")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        blob = blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1:]
+    path = tmp_path_factory.getbasetemp() / "damaged.ckpt"
+    path.write_bytes(blob)
+    try:
+        load_checkpoint(path)
+    except ValidationError:
+        pass

@@ -119,7 +119,8 @@ def test_transfer_brute_force_rewalk(small_scene, rng):
         views.append(LabelMap(lab, PIXELS))
     out = transfer_labels(corr, views, n)
     expected = np.full(n, IGNORE, dtype=np.int32)
-    for point, camera, u, v, _ in sorted(corr.entries(), key=lambda e: e[1]):
+    entries = list(zip(corr.point_index, corr.camera_index, corr.u, corr.v))
+    for point, camera, u, v in sorted(entries, key=lambda e: e[1]):
         lab = views[camera].labels[v, u]
         if expected[point] == IGNORE and lab != IGNORE:
             expected[point] = lab
@@ -128,7 +129,7 @@ def test_transfer_brute_force_rewalk(small_scene, rng):
     voted = transfer_labels(corr, views, n, multiview="vote")
     for point in range(n):
         tally = {}
-        for p, camera, u, v, _ in corr.entries():
+        for p, camera, u, v in entries:
             if p != point:
                 continue
             lab = int(views[camera].labels[v, u])

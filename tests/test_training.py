@@ -16,7 +16,6 @@ from cnslab.scenesynth import (ClipNoiseConfig, MaskFragConfig, SceneConfig,
                                standard_oracle_outputs)
 from cnslab.training import (METRIC_COLUMNS, TrainConfig, compute_self_labels,
                              init_state, predict_labels_2d, predict_labels_3d,
-                             predict_pixel_labels, predict_point_labels,
                              run_stage1, run_stage2, train, write_metrics_csv)
 
 from conftest import SMALL_SCENE
@@ -243,14 +242,6 @@ def test_stage2_improves_3d_over_stage1_only():
 # prediction and self-labels
 
 
-def test_predict_wrappers_delegate(small_scene, small_oracles):
-    state = init_state(small_scene, small_oracles, short_config())
-    assert np.array_equal(predict_pixel_labels(state),
-                          predict_labels_2d(state.bundle, state.data["desc2d"]))
-    assert np.array_equal(predict_point_labels(state),
-                          predict_labels_3d(state.bundle, state.data["desc3d"]))
-
-
 def test_compute_self_labels_caches_refined_predictions(small_scene,
                                                         small_oracles):
     state = init_state(small_scene, small_oracles, short_config())
@@ -266,8 +257,10 @@ def test_compute_self_labels_caches_refined_predictions(small_scene,
     raw_state = init_state(small_scene, small_oracles,
                            short_config(refine_labels=False))
     raw_pixel, raw_point = compute_self_labels(raw_state)
-    assert np.array_equal(raw_pixel, predict_pixel_labels(raw_state))
-    assert np.array_equal(raw_point, predict_point_labels(raw_state))
+    assert np.array_equal(raw_pixel, predict_labels_2d(raw_state.bundle,
+                                                       raw_state.data["desc2d"]))
+    assert np.array_equal(raw_point, predict_labels_3d(raw_state.bundle,
+                                                       raw_state.data["desc3d"]))
 
 
 # ---------------------------------------------------------------------------

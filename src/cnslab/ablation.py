@@ -33,7 +33,8 @@ from .pseudolabel import derive_clip_labels
 from .scenesynth import (PIXEL_DESC_DIM, POINT_DESC_DIM, ClipNoiseConfig,
                          MaskFragConfig, Scene, SceneConfig, generate_scene,
                          gt_pixel_stack, standard_oracle_outputs)
-from .training import TrainConfig, predict_labels_2d, predict_labels_3d, train
+from .seeding import SEED_BOUND
+from .training import TrainConfig, predictions, train
 
 logger = logging.getLogger(__name__)
 
@@ -65,6 +66,9 @@ class SuiteConfig:
         self.train.validate()
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        for seed in self.seeds:
+            if not 0 <= seed < SEED_BOUND:
+                raise ConfigError(f"seed must be in [0, 2**32), got {seed}")
         for row in self.rows:
             if row not in ROW_ORDER:
                 raise ConfigError(f"unknown ablation row {row!r}")
@@ -146,8 +150,7 @@ def _score_label_row(scene: Scene, pixel_maps, point_map, gt_pixel, gt_point) ->
 
 def _score_trained_row(scene: Scene, state) -> dict:
     num_classes = scene.num_classes
-    pred_pixel = predict_labels_2d(state.bundle, state.data["desc2d"])
-    pred_point = predict_labels_3d(state.bundle, state.data["desc3d"])
+    pred_pixel, pred_point = predictions(state)
     gt_pixel = state.data["gt_pixel"]
     gt_point = state.data["gt_point"]
     per2, miou2 = miou(confusion(pred_pixel, gt_pixel, num_classes))

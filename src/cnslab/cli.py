@@ -31,7 +31,7 @@ import numpy as np
 
 from . import ablation, bundle, evaluation, nncore, pseudolabel, scenesynth, training
 from .errors import CnsError, ConfigError, NumericalError, ValidationError
-from .seeding import TAG_GRADCHECK, derive_rng
+from .seeding import SEED_BOUND, TAG_GRADCHECK, derive_rng
 
 logger = logging.getLogger("cnslab")
 
@@ -210,6 +210,9 @@ class RunConfig:
             raise ConfigError("threads must be >= 1")
         if not self.values["seeds"]:
             raise ConfigError("seeds must name at least one seed")
+        for seed in (self.values["seed"], *self.values["seeds"]):
+            if not 0 <= seed < SEED_BOUND:
+                raise ConfigError(f"seed must be in [0, 2**32), got {seed}")
         unknown = set(self.values["rows"]) - set(ablation.ROW_ORDER)
         if unknown:
             raise ConfigError(f"unknown ablation rows: {sorted(unknown)}")
@@ -427,10 +430,7 @@ def cmd_eval(cfg: RunConfig, bundle_dir: str, checkpoint: str,
         raise ValidationError(
             f"checkpoint predicts {meta['num_classes']} classes but the "
             f"bundle has {scene.num_classes}")
-    noise = cfg["descriptor_noise"]
-    desc2d = np.stack([scenesynth.pixel_descriptors(scene, k, noise)
-                       for k in range(len(scene.cameras))])
-    desc3d = scenesynth.point_descriptors(scene, noise)
+    desc2d, desc3d = training.scene_descriptors(scene, cfg["descriptor_noise"])
     if desc2d.shape[3] != model.config.input2d_dim:
         raise ValidationError(
             f"checkpoint expects {model.config.input2d_dim}-dim pixel "

@@ -222,10 +222,15 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def class_logits(bundle: ModelBundle, features: np.ndarray, head: str) -> np.ndarray:
-    """Semantic-head logits: head(feature) dotted with every class embedding."""
+    """Semantic-head logits: head(feature) dotted with every class embedding.
+
+    The head is folded into the embedding, (f @ W + b) @ E.T / T =
+    f @ (W @ E.T / T) + b @ E.T / T, so the rows never pass through
+    embed_dim.  ce_loss keeps the unfolded form, whose gradient needs z.
+    """
     h = bundle.head(head)
-    z = np.asarray(features, dtype=np.float64) @ h["w"] + h["b"]
-    return (z @ bundle.embeddings.vectors.T) / bundle.config.temperature
+    scale = bundle.embeddings.vectors.T / bundle.config.temperature
+    return np.asarray(features, dtype=np.float64) @ (h["w"] @ scale) + h["b"] @ scale
 
 
 def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,

@@ -24,6 +24,10 @@ TAG_DESCRIPTOR = 10
 TAG_GRADCHECK = 11
 TAG_SUITE = 12
 
+# Root seeds must lie in [0, SEED_BOUND): derive_rng keys its streams by
+# the low 32 bits, so a seed outside would alias an in-range one.
+SEED_BOUND = 2 ** 32
+
 
 def derive_rng(root_seed: int, *tags: int) -> np.random.Generator:
     """Return a PCG64 generator keyed by (root_seed, *tags)."""

@@ -33,7 +33,7 @@ from .pseudolabel import (IGNORE, POINTS, PIXELS, LabelMap,
                           transfer_masks)
 from .scenesynth import (Scene, gt_pixel_stack, pixel_descriptors,
                          point_descriptors)
-from .seeding import TAG_SHUFFLE, TAG_SOURCE, derive_rng
+from .seeding import SEED_BOUND, TAG_SHUFFLE, TAG_SOURCE, derive_rng
 
 SOURCES = ("clip2d", "clip3d", "self2d", "self3d")
 
@@ -88,6 +88,8 @@ class TrainConfig:
             raise ValidationError(f"unknown refine3d_mode {self.refine3d_mode!r}")
         if self.latent_loss_weight < 0:
             raise ValidationError("latent_loss_weight must be >= 0")
+        if not 0 <= self.seed < SEED_BOUND:
+            raise ValidationError(f"seed must be in [0, 2**32), got {self.seed}")
         if self.precision != "float64":
             raise ValidationError("only the float64 precision mode is implemented")
 
@@ -109,6 +111,9 @@ class TrainState:
     self_pixel: Optional[np.ndarray] = None  # (V, H, W) refined self-labels
     self_point: Optional[np.ndarray] = None  # (N,)
     self2d_as_points: Optional[np.ndarray] = None
+    # Argmax (pixel, point) predictions of the current parameters; filled
+    # by predictions() and cleared by _run_epoch, which changes them.
+    predictions: Optional[Tuple[np.ndarray, np.ndarray]] = None
     history: List[dict] = field(default_factory=list)
     source_counts: np.ndarray = field(
         default_factory=lambda: np.zeros((2, 4), dtype=np.int64))
@@ -121,6 +126,14 @@ class TrainState:
         return self.source_counts / totals[:, None]
 
 
+def scene_descriptors(scene: Scene,
+                      noise: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Pixel descriptors of every view (V, H, W, D) and point descriptors (N, D)."""
+    desc2d = np.stack([pixel_descriptors(scene, k, noise)
+                       for k in range(len(scene.cameras))])
+    return desc2d, point_descriptors(scene, noise)
+
+
 def init_state(scene: Scene, oracles: dict, config: TrainConfig,
                model_config: Optional[ModelConfig] = None) -> TrainState:
     """Precompute descriptors, oracle labels, and anchors; build the model."""
@@ -129,11 +142,8 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
     if corr.count == 0:
         raise ValidationError("scene has no pixel-point correspondences to train on")
     num_points = len(scene.cloud)
-    views = len(scene.cameras)
 
-    desc2d = np.stack([pixel_descriptors(scene, k, config.descriptor_noise)
-                       for k in range(views)])
-    desc3d = point_descriptors(scene, config.descriptor_noise)
+    desc2d, desc3d = scene_descriptors(scene, config.descriptor_noise)
     anchors = np.stack([fm.features for fm in oracles["features"]])
     masks = oracles["masks"]
     embeddings = oracles["embeddings"]
@@ -213,6 +223,21 @@ def predict_labels_3d(bundle: ModelBundle, desc: np.ndarray) -> np.ndarray:
     return out
 
 
+def predictions(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:
+    """Argmax predictions (pixel stack (V, H, W), points (N,)) of both networks.
+
+    Full-scene inference runs once per parameter version: the result is
+    kept on the state, read-only, until the next epoch changes the
+    parameters.
+    """
+    if state.predictions is None:
+        pixel = predict_labels_2d(state.bundle, state.data["desc2d"])
+        point = predict_labels_3d(state.bundle, state.data["desc3d"])
+        pixel.flags.writeable = point.flags.writeable = False
+        state.predictions = (pixel, point)
+    return state.predictions
+
+
 def compute_self_labels(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:
     """Mask-refined self-predictions of both networks.
 
@@ -221,15 +246,14 @@ def compute_self_labels(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:
     """
     masks = state.data["masks"]
     corr = state.data["corr"]
-    raw_pixel = predict_labels_2d(state.bundle, state.data["desc2d"])
+    raw_pixel, raw_point = predictions(state)
     pixel_views = [LabelMap(raw_pixel[k], PIXELS, "net2d") for k in range(len(masks))]
     if state.config.refine_labels:
         pixel_views = [refine_by_masks(lm, masks[k].mask_ids)
                        for k, lm in enumerate(pixel_views)]
     self_pixel = np.stack([lm.labels for lm in pixel_views])
 
-    raw_point = LabelMap(predict_labels_3d(state.bundle, state.data["desc3d"]),
-                         POINTS, "net3d")
+    raw_point = LabelMap(raw_point, POINTS, "net3d")
     if not state.config.refine_labels:
         self_point = raw_point.labels
     elif state.config.refine3d_mode == REFINE3D_TRANSFER_MASKS:
@@ -295,6 +319,7 @@ def _run_epoch(state: TrainState, stage: int) -> dict:
     cfg = state.config
     data = state.data
     bundle = state.bundle
+    state.predictions = None
     n_ent = len(data["ent_cam"])
     num_points = data["num_points"]
     order = state.shuffle_rng.permutation(n_ent)
@@ -339,8 +364,7 @@ def _run_epoch(state: TrainState, stage: int) -> dict:
 
 def _epoch_metrics(state: TrainState) -> dict:
     num_classes = state.scene.num_classes
-    pred_pix = predict_labels_2d(state.bundle, state.data["desc2d"])
-    pred_pts = predict_labels_3d(state.bundle, state.data["desc3d"])
+    pred_pix, pred_pts = predictions(state)
     _, miou2d = miou(confusion(pred_pix, state.data["gt_pixel"], num_classes))
     _, miou3d = miou(confusion(pred_pts, state.data["gt_point"], num_classes))
     return {"miou2d": miou2d, "miou3d": miou3d}

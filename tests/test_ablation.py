@@ -62,7 +62,11 @@ def test_suite_config_validation():
         tiny_suite(seeds=()).validate()
     with pytest.raises(ConfigError):
         tiny_suite(rows=("baseline", "extra")).validate()
+    for seed in (2 ** 32, -1):
+        with pytest.raises(ConfigError):
+            tiny_suite(seeds=(0, seed)).validate()
     tiny_suite().validate()
+    tiny_suite(seeds=(2 ** 32 - 1,)).validate()
 
 
 def test_standard_and_sanity_presets():

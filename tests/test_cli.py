@@ -153,6 +153,22 @@ def test_missing_override_value(tmp_path, capsys):
     assert "missing value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["--seed=4294967296", "--seed=-1",
+                                      "--seeds=0,4294967296", "--seeds=-1"])
+def test_seed_outside_32_bits_is_rejected(tmp_path, capsys, override):
+    # derive_rng keys streams by the low 32 bits: 2**32 would alias seed 0.
+    assert cli.main(["synth", "--out", str(tmp_path / "x"), override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[0, 2**32)" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_largest_seed_is_accepted():
+    top = 2 ** 32 - 1
+    cfg = cli.RunConfig.resolve(None, ["--seed", str(top), "--seeds", f"0,{top}"])
+    assert cfg["seed"] == top and cfg["seeds"] == (0, top)
+
+
 def test_config_file_errors(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert cli.main(["synth", "--config", str(missing),

@@ -277,12 +277,19 @@ def test_ce_loss_end_to_end_gradients(rng):
 
 
 def test_class_logits_formula(rng):
-    bundle = tiny_bundle(temperature=2.0)
-    feats = rng.standard_normal((3, 7))
-    logits = class_logits(bundle, feats, "s3d")
-    z = feats @ bundle.head_s3d["w"] + bundle.head_s3d["b"]
-    expected = (z @ bundle.embeddings.vectors.T) / 2.0
-    assert np.allclose(logits, expected, atol=1e-12)
+    # class_logits folds the head into the embedding; it must agree with
+    # the unfolded (f @ W + b) @ E.T / T that ce_loss computes.
+    feats = rng.standard_normal((200, 7))
+    for temperature in (2.0, 1.0, 0.5):
+        bundle = tiny_bundle(temperature=temperature)
+        bundle.params[:] = rng.standard_normal(bundle.params.shape)
+        for head in ("s2d", "s3d"):
+            h = bundle.head(head)
+            logits = class_logits(bundle, feats, head)
+            z = feats @ h["w"] + h["b"]
+            expected = (z @ bundle.embeddings.vectors.T) / temperature
+            np.testing.assert_allclose(logits, expected, rtol=1e-12, atol=0)
+            assert np.array_equal(logits.argmax(axis=1), expected.argmax(axis=1))
 
 
 def test_softmax_rows_stable():

@@ -15,7 +15,8 @@ from cnslab.errors import PlacementError, ValidationError
 from cnslab.geometry import CameraModel, PointCloud, look_at, project_point
 from cnslab.scenesynth import (APPEARANCE_DIM, BACKGROUND_CLASS,
                                BACKGROUND_INSTANCE, PIXEL_DESC_DIM,
-                               POINT_DESC_DIM, ClipNoiseConfig, MaskFragConfig,
+                               POINT_DESC_DIM, ClassEmbeddingTable,
+                               ClipNoiseConfig, MaskFragConfig,
                                MaskMap, Scene, SceneConfig, generate_scene,
                                instance_anchors, instance_palette, mask_purity,
                                mock_clip_scores, mock_sam_features,
@@ -374,6 +375,16 @@ def test_text_embeddings_unit_norm_and_deterministic():
     assert not np.array_equal(a.vectors, c.vectors)
     norms = np.linalg.norm(a.vectors, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_embedding_table_rejects_non_finite(bad):
+    vectors = mock_text_embeddings(3, 4, seed=2).vectors.copy()
+    vectors[1, 2] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        ClassEmbeddingTable(vectors)
+    with pytest.raises(ValidationError, match="finite"):
+        ClassEmbeddingTable(np.full((2, 3), bad))
 
 
 def test_text_embeddings_orthogonalized():

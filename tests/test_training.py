@@ -8,6 +8,8 @@ source-draw frequencies, determinism, and frozen-component invariants.
 import numpy as np
 import pytest
 
+from cnslab import training
+from cnslab.ablation import _score_trained_row
 from cnslab.errors import ValidationError
 from cnslab.nncore import ModelConfig, make_bundle, trainable_params
 from cnslab.pseudolabel import IGNORE
@@ -58,6 +60,10 @@ def test_train_config_validation():
         TrainConfig(latent_loss_weight=-0.1).validate()
     with pytest.raises(ValidationError):
         TrainConfig(precision="float32").validate()
+    for seed in (2 ** 32, -1):
+        with pytest.raises(ValidationError, match=r"2\*\*32"):
+            TrainConfig(seed=seed).validate()
+    TrainConfig(seed=2 ** 32 - 1).validate()
     TrainConfig().validate()
 
 
@@ -261,6 +267,39 @@ def test_compute_self_labels_caches_refined_predictions(small_scene,
                                                        raw_state.data["desc2d"]))
     assert np.array_equal(raw_point, predict_labels_3d(raw_state.bundle,
                                                        raw_state.data["desc3d"]))
+
+
+def test_one_inference_pass_per_parameter_version(small_scene, small_oracles,
+                                                  monkeypatch):
+    seen = []
+
+    def counting(bundle, desc):
+        seen.append(bundle.params.tobytes())
+        return predict_labels_2d(bundle, desc)
+
+    monkeypatch.setattr(training, "predict_labels_2d", counting)
+    state = train(small_scene, small_oracles,
+                  short_config(stage1_epochs=1, total_epochs=3))
+    # The epoch metrics predict once per epoch; the two stage-2 refreshes
+    # reuse the predictions of the epoch before them.
+    assert len(seen) == 3 and len(set(seen)) == 3
+    _score_trained_row(small_scene, state)
+    assert len(seen) == 3
+
+
+def test_prediction_cache_follows_parameter_updates(small_scene, small_oracles):
+    state = init_state(small_scene, small_oracles,
+                       short_config(refine_labels=False))
+    before_pixel, before_point = (a.copy() for a in compute_self_labels(state))
+    training._run_epoch(state, stage=2)
+    raw_pixel, raw_point = compute_self_labels(state)
+    fresh_pixel = predict_labels_2d(state.bundle, state.data["desc2d"])
+    fresh_point = predict_labels_3d(state.bundle, state.data["desc3d"])
+    # The epoch changed both networks' predictions, so a stale cache fails.
+    assert not np.array_equal(fresh_pixel, before_pixel)
+    assert not np.array_equal(fresh_point, before_point)
+    assert np.array_equal(raw_pixel, fresh_pixel)
+    assert np.array_equal(raw_point, fresh_point)
 
 
 # ---------------------------------------------------------------------------

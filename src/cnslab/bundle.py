@@ -157,6 +157,15 @@ def _read_header_line(blob: bytes, name: str) -> Tuple[str, int]:
         raise BundleFormatError(f"{name}: undecodable header (offset 0)") from exc
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BundleFormatError(
+            f"{path.name}: undecodable byte at offset {exc.start} (UTF-8 "
+            f"text required)") from None
+
+
 def _read_points(path: Path) -> PointCloud:
     name = path.name
     blob = path.read_bytes()
@@ -198,7 +207,7 @@ def _read_points(path: Path) -> PointCloud:
 
 def _read_cameras(path: Path) -> List[CameraModel]:
     cameras = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         tokens = line.split()
@@ -254,7 +263,7 @@ def read_raster(path: Path) -> np.ndarray:
 
 def read_manifest(path: Path) -> Dict[str, str]:
     manifest = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         if "=" not in line:
@@ -280,16 +289,16 @@ def read_bundle(path) -> Tuple[Scene, dict, Dict[str, str]]:
     path = Path(path)
     manifest = read_manifest(path / "manifest.txt")
 
-    def man_int(key):
+    def man_value(key, kind=int):
         try:
-            return int(manifest[key])
+            return kind(manifest[key])
         except (KeyError, ValueError):
             raise BundleFormatError(f"manifest.txt: missing or bad {key!r}") from None
 
-    num_points = man_int("num_points")
-    num_views = man_int("num_views")
-    num_classes = man_int("num_classes")
-    object_count = man_int("object_count")
+    num_points = man_value("num_points")
+    num_views = man_value("num_views")
+    num_classes = man_value("num_classes")
+    object_count = man_value("object_count")
 
     cloud = _read_points(path / "points.bin")
     if len(cloud) != num_points:
@@ -340,7 +349,7 @@ def read_bundle(path) -> Tuple[Scene, dict, Dict[str, str]]:
         if members.any():
             object_classes[inst] = cloud.gt_labels[members][0]
     scene = Scene(cloud, cameras, num_classes, object_count, object_classes,
-                  man_int("seed"), float(manifest["room_size"]))
+                  man_value("seed"), man_value("room_size", float))
     scene.validate()
 
     oracles = {"scores": scores, "masks": masks, "features": feats,
@@ -348,11 +357,9 @@ def read_bundle(path) -> Tuple[Scene, dict, Dict[str, str]]:
                         ("clip_eps", "clip_block", "clip_margin", "frag_splits",
                          "frag_jitter", "feat_dim", "feat_sigma", "embed_dim",
                          "oracle_seed") if key in manifest}}
-    embed_dim = manifest.get("embed_dim", "")
-    oracle_seed = manifest.get("oracle_seed", "")
-    if embed_dim and oracle_seed:
+    if manifest.get("embed_dim") and manifest.get("oracle_seed"):
         oracles["embeddings"] = mock_text_embeddings(
-            num_classes, int(embed_dim), int(oracle_seed))
+            num_classes, man_value("embed_dim"), man_value("oracle_seed"))
     if has_labels:
         oracles["labels"] = labels
     return scene, oracles, manifest

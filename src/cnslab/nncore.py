@@ -55,15 +55,20 @@ class Mlp:
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray) -> Tuple[np.ndarray, list]:
-    """Forward pass returning (output, cache-for-backward)."""
+    """Forward pass returning (output, cache-for-backward).
+
+    Each layer allocates one array, the `h @ w` product; the bias and the
+    ReLU are applied to it in place.  `x` is never written.
+    """
     x = np.asarray(x, dtype=np.float64)
     cache = [x]
     h = x
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i < last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
         cache.append(h)
     return h, cache
 
@@ -77,7 +82,7 @@ def mlp_backward(mlp: Mlp, cache: list, d_out: np.ndarray
     last = len(mlp.weights) - 1
     for i in range(last, -1, -1):
         if i < last:
-            grad = grad * (cache[i + 1] > 0)
+            grad *= cache[i + 1] > 0
         d_w[i] = cache[i].T @ grad
         d_b[i] = grad.sum(axis=0)
         grad = grad @ mlp.weights[i].T
@@ -256,24 +261,30 @@ def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,
     if not valid.any():
         return 0.0, {f"{head_name}.w": np.zeros_like(h["w"]),
                      f"{head_name}.b": np.zeros_like(h["b"])}, np.zeros_like(features)
-    feats = features[valid]
-    labels = targets[valid].astype(np.int64)
+    masked = not valid.all()
+    feats = features[valid] if masked else features
+    labels = (targets[valid] if masked else targets).astype(np.int64)
     num_classes = bundle.embeddings.num_classes
     if labels.max() >= num_classes or labels.min() < 0:
         raise ValidationError("target labels outside [0, num_classes)")
-    z = feats @ h["w"] + h["b"]
-    logits = (z @ bundle.embeddings.vectors.T) / bundle.config.temperature
+    z = feats @ h["w"]
+    z += h["b"]
+    logits = z @ bundle.embeddings.vectors.T
+    logits /= bundle.config.temperature
     probs = softmax_rows(logits)
     n = len(labels)
     loss = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-300)).mean())
-    d_logits = probs.copy()
+    d_logits = probs  # probs is not read again; its buffer is reused
     d_logits[np.arange(n), labels] -= 1.0
     d_logits /= n
-    d_z = (d_logits @ bundle.embeddings.vectors) / bundle.config.temperature
+    d_z = d_logits @ bundle.embeddings.vectors
+    d_z /= bundle.config.temperature
     grads = {f"{head_name}.w": feats.T @ d_z, f"{head_name}.b": d_z.sum(axis=0)}
-    d_full = np.zeros_like(features)
-    d_full[valid] = d_z @ h["w"].T
-    return loss, grads, d_full
+    d_feats = d_z @ h["w"].T
+    if masked:
+        d_feats, d_kept = np.zeros_like(features), d_feats
+        d_feats[valid] = d_kept
+    return loss, grads, d_feats
 
 
 def _safe_unit(vectors: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -312,22 +323,31 @@ def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
 
     total = 0.0
     zero_count = int(a_degen.sum())
-    d_a_unit = np.zeros_like(a_unit)
+    train_anchor = bundle.config.train_anchor_head
+    d_a_unit = np.zeros_like(a_unit) if train_anchor else None
 
     def side(feats, head):
         nonlocal total, zero_count
-        out = feats @ head["w"] + head["b"]
+        out = feats @ head["w"]
+        out += head["b"]
         unit, norms, degen = _safe_unit(out)
         cos = np.einsum("ij,ij->i", unit, a_unit)
-        cos = np.where(degen | a_degen, 0.0, cos)
+        dead = degen | a_degen
+        masked = dead.any()
+        # With every row live, `live` is a full slice: no gather, no scatter.
+        live = ~dead if masked else slice(None)
+        if masked:
+            cos[dead] = 0.0
         zero_count += int(degen.sum())
         total += float(np.sum(1.0 - cos))
         # d(cos)/d(out) = (a_unit - cos * unit) / norm; zero for degenerate rows.
-        live = ~(degen | a_degen)
-        d_out = np.zeros_like(out)
-        d_out[live] = -(a_unit[live] - cos[live, None] * unit[live]) / norms[live, None] / n
-        # d(cos)/d(a_unit) = unit (before anchor normalization chain).
-        d_a_unit[live] += -unit[live] / n
+        d_out = -(a_unit[live] - cos[live, None] * unit[live]) / norms[live, None] / n
+        if masked:
+            d_out, d_live = np.zeros_like(out), d_out
+            d_out[live] = d_live
+        if train_anchor:
+            # d(cos)/d(a_unit) = unit (before anchor normalization chain).
+            d_a_unit[live] += -unit[live] / n
         d_w = feats.T @ d_out
         d_b = d_out.sum(axis=0)
         d_feats = d_out @ head["w"].T
@@ -338,7 +358,7 @@ def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
     loss = total / n
     grads = {"head_f2d.w": d_w2, "head_f2d.b": d_b2,
              "head_f3d.w": d_w3, "head_f3d.b": d_b3}
-    if bundle.config.train_anchor_head:
+    if train_anchor:
         live = ~a_degen
         d_a_raw = np.zeros_like(a_raw)
         cos_a = np.einsum("ij,ij->i", d_a_unit, a_unit)

@@ -246,6 +246,8 @@ class ClassEmbeddingTable:
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2:
             raise ValidationError(f"vectors must be (L, D), got {self.vectors.shape}")
+        if not len(self.vectors):
+            raise ValidationError("class embedding table has no classes")
         if not np.isfinite(self.vectors).all():
             raise ValidationError("class embeddings must be finite")
         norms = np.linalg.norm(self.vectors, axis=1)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .evaluation import confusion, csv_cell, miou
-from .nncore import (ModelBundle, ModelConfig, class_logits, make_bundle,
+from .nncore import (Mlp, ModelBundle, ModelConfig, class_logits, make_bundle,
                      mlp_forward, sgd_step, step)
 from .pseudolabel import (IGNORE, POINTS, PIXELS, LabelMap,
                           REFINE3D_REPROJECT, REFINE3D_TRANSFER_MASKS,
@@ -196,31 +196,32 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
 # ---------------------------------------------------------------------------
 # prediction and self-labels
 
-_CHUNK = 8192
+# Rows per inference chunk.  Every temporary of a chunk (a 64-wide hidden
+# activation is 512 KiB) then stays small enough to be reused from the
+# allocator's free pages instead of being mapped afresh on every call.
+_CHUNK = 1024
+
+
+def _predict_rows(bundle: ModelBundle, mlp: Mlp, head: str,
+                  rows: np.ndarray) -> np.ndarray:
+    """Argmax semantic-head prediction for (N, D) descriptor rows, by chunk."""
+    out = np.empty(len(rows), dtype=np.int32)
+    for lo in range(0, len(rows), _CHUNK):
+        feats, _ = mlp_forward(mlp, rows[lo:lo + _CHUNK])
+        out[lo:lo + _CHUNK] = np.argmax(class_logits(bundle, feats, head), axis=1)
+    return out
 
 
 def predict_labels_2d(bundle: ModelBundle, desc: np.ndarray) -> np.ndarray:
     """Argmax semantic-head prediction for (V, H, W, D) pixel descriptors."""
     views, h, w, dim = desc.shape
-    flat = desc.reshape(-1, dim)
-    out = np.empty(len(flat), dtype=np.int32)
-    for lo in range(0, len(flat), _CHUNK):
-        rows = flat[lo:lo + _CHUNK].astype(np.float64)
-        feats, _ = mlp_forward(bundle.enc2d, rows)
-        logits = class_logits(bundle, feats, "s2d")
-        out[lo:lo + _CHUNK] = np.argmax(logits, axis=1)
-    return out.reshape(views, h, w)
+    labels = _predict_rows(bundle, bundle.enc2d, "s2d", desc.reshape(-1, dim))
+    return labels.reshape(views, h, w)
 
 
 def predict_labels_3d(bundle: ModelBundle, desc: np.ndarray) -> np.ndarray:
     """Argmax semantic-head prediction for (N, D) point descriptors."""
-    out = np.empty(len(desc), dtype=np.int32)
-    for lo in range(0, len(desc), _CHUNK):
-        rows = desc[lo:lo + _CHUNK].astype(np.float64)
-        feats, _ = mlp_forward(bundle.enc3d, rows)
-        logits = class_logits(bundle, feats, "s3d")
-        out[lo:lo + _CHUNK] = np.argmax(logits, axis=1)
-    return out
+    return _predict_rows(bundle, bundle.enc3d, "s3d", desc)
 
 
 def predictions(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnslab.bundle import (FORMAT_VERSION, _points_bytes, _read_points,
                            read_bundle, read_manifest, read_raster,
@@ -268,3 +269,42 @@ def test_read_bundle_validates_scene(written, tmp_path):
 def test_no_tmp_files_left_behind(written):
     path, _ = written
     assert not list(path.glob("*.tmp"))
+
+
+# ---------------------------------------------------------------------------
+# damaged bundles
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundle(tmp_path_factory, small_scene, small_oracles):
+    """A labelled bundle on disk and the original bytes of each of its files."""
+    h, w = SMALL_SCENE.image_height, SMALL_SCENE.image_width
+    labels = [np.full((h, w), k - 1, dtype=np.int32)
+              for k in range(len(small_scene.cameras))]
+    path = tmp_path_factory.mktemp("fuzz") / "scene"
+    write_bundle(small_scene, small_oracles, path, labels=labels)
+    return path, {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_damaged_bundle_loads_or_raises_validation_error(fuzz_bundle, data):
+    path, files = fuzz_bundle
+    name = data.draw(st.sampled_from(sorted(files)), label="file")
+    blob = files[name]
+    # Most of a file is payload; half the draws aim at its first bytes,
+    # where the text files and the binary headers are.
+    end = data.draw(st.sampled_from([min(len(blob), 256), len(blob)]), label="span")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = blob[:data.draw(st.integers(0, end - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, end - 1), label="position")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        damaged = blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1:]
+    (path / name).write_bytes(damaged)
+    try:
+        read_bundle(path)
+    except ValidationError:
+        pass
+    finally:
+        (path / name).write_bytes(blob)

@@ -6,6 +6,8 @@ full synth -> refine -> train -> eval -> ablate flow once on a tiny
 scene; individual tests then inspect each stage's outputs.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,19 @@ def test_refine_rejects_non_bundle(tmp_path, capsys):
     assert cli.main(["refine", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "x")]) == 1
     assert "not a bundle directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["manifest.txt", "cameras.txt"])
+def test_refine_rejects_undecodable_text(pipeline, tmp_path, capsys, name):
+    damaged = tmp_path / "bundle"
+    shutil.copytree(pipeline / "synth" / "bundle", damaged)
+    blob = bytearray((damaged / name).read_bytes())
+    blob[5] ^= 0x80
+    (damaged / name).write_bytes(bytes(blob))
+    code = cli.main(["refine", str(damaged), "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
 
 
 def test_train_rejects_dim_mismatch(pipeline, tmp_path, capsys):

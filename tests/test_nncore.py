@@ -68,13 +68,20 @@ def test_mlp_identity_layer():
 def test_mlp_forward_brute_force(rng):
     mlp = he_mlp([4, 6, 5, 3], rng)
     x = rng.standard_normal((7, 4))
-    out, _ = mlp_forward(mlp, x)
+    x_before = x.copy()
+    out, cache = mlp_forward(mlp, x)
+    assert np.array_equal(x, x_before)
+    assert cache[0] is x
     h = x
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         h = h @ w + b
         if i < len(mlp.weights) - 1:
             h = np.where(h > 0, h, 0.0)
+            # The cache holds each hidden layer's post-ReLU activations.
+            assert np.allclose(cache[i + 1], h, atol=1e-12)
+            assert (cache[i + 1] >= 0).all()
     assert np.allclose(out, h, atol=1e-12)
+    assert cache[-1] is out
 
 
 def test_mlp_backward_matches_finite_difference(rng):
@@ -209,10 +216,14 @@ def test_ce_loss_skips_ignore(rng):
     bundle = tiny_bundle()
     feats = rng.standard_normal((6, 7))
     y = np.array([1, IGNORE, 3, IGNORE, 0, 2], dtype=np.int32)
-    loss, _, d_feats = ce_loss(bundle, feats, "s2d", y)
+    loss, grads, d_feats = ce_loss(bundle, feats, "s2d", y)
     keep = y != IGNORE
-    ref, *_ = ce_loss(bundle, feats[keep], "s2d", y[keep])
-    assert loss == pytest.approx(ref, abs=1e-12)
+    ref, ref_grads, ref_d_feats = ce_loss(bundle, feats[keep], "s2d", y[keep])
+    # The masked batch and its all-valid sub-batch agree bit for bit.
+    assert loss == ref
+    for name in ("head_s2d.w", "head_s2d.b"):
+        assert np.array_equal(grads[name], ref_grads[name]), name
+    assert np.array_equal(d_feats[keep], ref_d_feats)
     # Ignored rows get zero input gradient.
     assert np.array_equal(d_feats[~keep], np.zeros((2, 7)))
 

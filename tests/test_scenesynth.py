@@ -387,6 +387,11 @@ def test_embedding_table_rejects_non_finite(bad):
         ClassEmbeddingTable(np.full((2, 3), bad))
 
 
+def test_embedding_table_rejects_zero_classes():
+    with pytest.raises(ValidationError, match="no classes"):
+        ClassEmbeddingTable(np.zeros((0, 3)))
+
+
 def test_text_embeddings_orthogonalized():
     table = mock_text_embeddings(4, 4, seed=1, orthogonalize=True)
     gram = table.vectors @ table.vectors.T

@@ -11,7 +11,8 @@ import pytest
 from cnslab import training
 from cnslab.ablation import _score_trained_row
 from cnslab.errors import ValidationError
-from cnslab.nncore import ModelConfig, make_bundle, trainable_params
+from cnslab.nncore import (ModelConfig, class_logits, make_bundle, mlp_forward,
+                           trainable_params)
 from cnslab.pseudolabel import IGNORE
 from cnslab.scenesynth import (ClipNoiseConfig, MaskFragConfig, SceneConfig,
                                generate_scene, mock_text_embeddings,
@@ -171,6 +172,44 @@ def test_zeroed_head_predicts_class_zero(rng):
     bundle.head_s2d["b"][:] = 0.0
     assert np.all(predict_labels_3d(bundle, rng.standard_normal((20, 4))) == 0)
     assert np.all(predict_labels_2d(bundle, rng.standard_normal((1, 3, 3, 4))) == 0)
+
+
+def _random_inference_bundle(rng):
+    # Many classes, so that a row the chunk loop skipped (left as whatever
+    # np.empty held) rarely matches its label by chance.
+    cfg = ModelConfig(input2d_dim=5, input3d_dim=6, hidden=(8, 7), latent_dim=6,
+                      embed_dim=64, anchor_dim=4, sam_dim=3)
+    bundle = make_bundle(cfg, mock_text_embeddings(24, 64, seed=1), seed=0)
+    bundle.params[:] = rng.standard_normal(bundle.params.shape)
+    return bundle
+
+
+def _one_piece_labels(bundle, mlp, head, rows):
+    return np.argmax(class_logits(bundle, mlp_forward(mlp, rows)[0], head), axis=1)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_chunked_point_inference_matches_one_piece(offset):
+    rng = np.random.default_rng(100 + offset)
+    bundle = _random_inference_bundle(rng)
+    desc = rng.standard_normal((training._CHUNK + offset, 6)).astype(np.float32)
+    before = desc.copy()
+    pred = predict_labels_3d(bundle, desc)
+    assert np.array_equal(desc, before)
+    assert pred.shape == (len(desc),)
+    assert np.array_equal(pred, _one_piece_labels(bundle, bundle.enc3d, "s3d", desc))
+
+
+def test_chunked_pixel_inference_matches_one_piece(rng):
+    bundle = _random_inference_bundle(rng)
+    desc = rng.standard_normal((3, 17, 29, 5)).astype(np.float32)
+    rows = desc[..., 0].size
+    assert rows > training._CHUNK and rows % training._CHUNK != 0
+    before = desc.copy()
+    pred = predict_labels_2d(bundle, desc)
+    assert np.array_equal(desc, before)
+    expect = _one_piece_labels(bundle, bundle.enc2d, "s2d", desc.reshape(-1, 5))
+    assert np.array_equal(pred, expect.reshape(3, 17, 29))
 
 
 def test_all_oracle_switching_equals_pure_stage1(small_scene, small_oracles):

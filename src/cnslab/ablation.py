@@ -44,7 +44,11 @@ ROW_ORDER = ("baseline", "wo_cns", "wo_refine", "wo_ct", "wo_sct",
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """One ablation campaign: scene, oracles, training, seeds, rows."""
+    """One ablation campaign: scene, oracles, model, training, seeds, rows.
+
+    It is also the whole flat configuration of the `cnslab` command: every
+    field, and every field of the nested configs, is one CLI key.
+    """
 
     scene: SceneConfig = field(default_factory=SceneConfig)
     clip_noise: ClipNoiseConfig = field(default_factory=ClipNoiseConfig)
@@ -55,6 +59,7 @@ class SuiteConfig:
     anchor_dim: int = 16
     hidden: Tuple[int, ...] = (64,)
     latent_dim: int = 48
+    temperature: float = 1.0
     train: TrainConfig = field(default_factory=TrainConfig)
     seeds: Tuple[int, ...] = (0, 1, 2)
     rows: Tuple[str, ...] = ROW_ORDER
@@ -64,6 +69,7 @@ class SuiteConfig:
         self.clip_noise.validate()
         self.frag.validate()
         self.train.validate()
+        self.model_config().validate()
         if not self.seeds:
             raise ConfigError("need at least one seed")
         for seed in self.seeds:
@@ -72,6 +78,13 @@ class SuiteConfig:
         for row in self.rows:
             if row not in ROW_ORDER:
                 raise ConfigError(f"unknown ablation row {row!r}")
+
+    def model_config(self) -> ModelConfig:
+        """The model every trained run of this configuration builds."""
+        return ModelConfig(input2d_dim=PIXEL_DESC_DIM, input3d_dim=POINT_DESC_DIM,
+                           hidden=self.hidden, latent_dim=self.latent_dim,
+                           embed_dim=self.embed_dim, anchor_dim=self.anchor_dim,
+                           sam_dim=self.feat_dim, temperature=self.temperature)
 
 
 def standard_suite(**overrides) -> SuiteConfig:
@@ -167,10 +180,10 @@ def _score_trained_row(scene: Scene, state) -> dict:
 def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationReport:
     """Evaluate every requested row on every seed's scene.
 
-    `scenes` may carry pre-generated {seed: (scene, oracles)} pairs (the
-    CLI uses this to run on an on-disk bundle); missing seeds are
-    generated from the suite config.  Row failures are recorded in that
-    row's entry without aborting the remaining rows.
+    `scenes` may carry pre-generated {seed: (scene, oracles)} pairs, for
+    example scenes read from on-disk bundles; missing seeds are generated
+    from the suite config.  Row failures are recorded in that row's entry
+    without aborting the remaining rows.
     """
     suite.validate()
     rows_out: List[dict] = []
@@ -203,12 +216,7 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
                     row_hashes.setdefault(row, config_hash((row, suite.clip_noise,
                                                             suite.frag)))
                 else:
-                    model_cfg = ModelConfig(
-                        input2d_dim=PIXEL_DESC_DIM, input3d_dim=POINT_DESC_DIM,
-                        hidden=suite.hidden, latent_dim=suite.latent_dim,
-                        embed_dim=suite.embed_dim, anchor_dim=suite.anchor_dim,
-                        sam_dim=suite.feat_dim)
-                    state = train(scene, oracles, cfg, model_cfg)
+                    state = train(scene, oracles, cfg, suite.model_config())
                     scored = _score_trained_row(scene, state)
                     row_hashes.setdefault(row, config_hash(replace(cfg, seed=0)))
                 entry.update(scored)

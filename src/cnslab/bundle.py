@@ -11,11 +11,12 @@ A bundle is a directory:
     view_K.labels.bin   optional int32 label raster, IGNORE = -1
 
 Raster payloads are row-major, channel-last.  The dtype token doubles as
-an endianness guard: only "<f4" and "<i4" are accepted.  Camera values
-are written with repr() so float64 round-trips exactly.  All writes land
-in a ".tmp" file first and are renamed into place, so a crashed writer
-never leaves a corrupt final file.  Readers reject any inconsistency
-rather than guessing, reporting file names and byte offsets.
+an endianness guard: only "<f4" and "<i4" are accepted.  Text values
+are written by evaluation.format_value, floats as repr() so float64
+round-trips exactly.  All writes land in a ".tmp" file first and are
+renamed into place, so a crashed writer never leaves a corrupt final
+file.  Readers reject any inconsistency rather than guessing, reporting
+file names and byte offsets.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import BundleFormatError
+from .evaluation import format_value, parse_value
 from .geometry import CameraModel, PointCloud
 from .nncore import config_hash
 from .scenesynth import (FeatureMap, MaskMap, Scene, ScoreMap,
@@ -52,14 +54,6 @@ def _atomic_write(path: Path, data: bytes):
     os.replace(tmp, path)
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _points_bytes(cloud: PointCloud) -> bytes:
     has_labels = int(cloud.gt_labels is not None)
     has_objects = int(cloud.object_ids is not None)
@@ -77,7 +71,7 @@ def _cameras_text(cameras: List[CameraModel]) -> bytes:
     for cam in cameras:
         values = [cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height]
         values += list(cam.rotation.ravel()) + list(cam.translation)
-        lines.append(" ".join(_fmt_value(v) for v in values))
+        lines.append(" ".join(format_value(v) for v in values))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -122,7 +116,7 @@ def write_bundle(scene: Scene, oracles: dict, path,
                 "oracle_seed"):
         manifest[key] = meta.get(key, "")
     manifest["config_hash"] = config_hash(
-        tuple(sorted((k, _fmt_value(v)) for k, v in manifest.items())))
+        tuple(sorted((k, format_value(v)) for k, v in manifest.items())))
 
     _atomic_write(path / "points.bin", _points_bytes(scene.cloud))
     _atomic_write(path / "cameras.txt", _cameras_text(scene.cameras))
@@ -137,10 +131,10 @@ def write_bundle(scene: Scene, oracles: dict, path,
             _atomic_write(path / f"view_{k}.labels.bin",
                           _raster_bytes(np.asarray(labels[k], dtype=np.int32),
                                         "<i4"))
-    manifest_text = "".join(f"{key}={_fmt_value(manifest[key])}\n"
+    manifest_text = "".join(f"{key}={format_value(manifest[key])}\n"
                             for key in _MANIFEST_ORDER)
     _atomic_write(path / "manifest.txt", manifest_text.encode())
-    return {key: _fmt_value(value) for key, value in manifest.items()}
+    return {key: format_value(value) for key, value in manifest.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +210,15 @@ def _read_cameras(path: Path) -> List[CameraModel]:
                 f"{path.name}:{lineno}: expected 18 values per camera, "
                 f"got {len(tokens)}")
         try:
-            fx, fy, cx, cy = (float(t) for t in tokens[:4])
-            width, height = int(tokens[4]), int(tokens[5])
-            rot = np.array([float(t) for t in tokens[6:15]]).reshape(3, 3)
-            trans = np.array([float(t) for t in tokens[15:18]])
+            floats = np.array([parse_value(float, t) for t in tokens[:4] + tokens[6:]])
+            width, height = (parse_value(int, t) for t in tokens[4:6])
         except ValueError as exc:
             raise BundleFormatError(f"{path.name}:{lineno}: unparseable number") \
                 from exc
+        if not np.isfinite(floats).all():
+            raise BundleFormatError(f"{path.name}:{lineno}: non-finite number")
+        fx, fy, cx, cy = floats[:4].tolist()
+        rot, trans = floats[4:13].reshape(3, 3), floats[13:]
         cameras.append(CameraModel(fx, fy, cx, cy, rot, trans, width, height))
     if not cameras:
         raise BundleFormatError(f"{path.name}: no cameras")
@@ -291,7 +287,7 @@ def read_bundle(path) -> Tuple[Scene, dict, Dict[str, str]]:
 
     def man_value(key, kind=int):
         try:
-            return kind(manifest[key])
+            return parse_value(kind, manifest[key])
         except (KeyError, ValueError):
             raise BundleFormatError(f"manifest.txt: missing or bad {key!r}") from None
 

@@ -9,29 +9,33 @@ One binary with subcommands covering the whole pipeline:
     cnslab ablate  --out DIR [...]
     cnslab gradcheck [--out DIR] [...]
 
-Configuration is a flat key=value namespace: defaults, then the optional
-`--config` file, then `--key value` overrides, in that order.  Unknown
-keys are errors.  Every command echoes the fully resolved configuration
-into its output directory as `resolved.cfg`, so a run directory is
-self-describing.  The `CNS_LOG` environment variable sets the logging
-level (DEBUG/INFO/WARNING/ERROR).  Exit codes: 0 success, 1 validation
-error, 2 numerical abort.
+Configuration is a flat key=value namespace with one key per field of
+ablation.SuiteConfig and of the configs nested in it: defaults, then the
+optional `--config` file, then `--key value` overrides, in that order.
+Unknown keys are errors.  Every command echoes the fully resolved
+configuration into its output directory as `resolved.cfg`, so a run
+directory is self-describing.  The `CNS_LOG` environment variable sets
+the logging level (DEBUG/INFO/WARNING/ERROR).  Exit codes: 0 success,
+1 validation error, 2 numerical abort.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
+import typing
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import ablation, bundle, evaluation, nncore, pseudolabel, scenesynth, training
-from .errors import CnsError, ConfigError, NumericalError, ValidationError
-from .seeding import SEED_BOUND, TAG_GRADCHECK, derive_rng
+from .errors import ConfigError, NumericalError, ValidationError
+from .evaluation import format_value, parse_value
+from .seeding import TAG_GRADCHECK, derive_rng
 
 logger = logging.getLogger("cnslab")
 
@@ -44,120 +48,40 @@ EXIT_NUMERICAL = 2
 # flat configuration schema
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _parse_opt_float(text: str) -> Optional[float]:
-    return None if text.strip().lower() == "none" else float(text)
-
-
-def _parse_int_tuple(text: str) -> Tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _parse_float_tuple(text: str) -> Tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _parse_opt_float_tuple(text: str) -> Optional[Tuple[float, ...]]:
-    return None if text.strip().lower() == "none" else _parse_float_tuple(text)
-
-
-def _parse_str_tuple(text: str) -> Tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def format_value(value) -> str:
-    """Canonical textual form used by config echoes and manifests."""
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(format_value(v) for v in value)
-    return str(value)
+# Config fields whose CLI key differs from the field name.
+_RENAMES = {"splits_per_object": "splits", "boundary_jitter_px": "jitter"}
 
 
 class _Key(NamedTuple):
-    parse: Callable[[str], object]
+    hint: object  # the field's type hint, read by evaluation.parse_value
     default: object
 
 
-def _build_schema() -> Dict[str, _Key]:
-    scene = scenesynth.SceneConfig()
-    clip = scenesynth.ClipNoiseConfig()
-    frag = scenesynth.MaskFragConfig()
-    suite = ablation.SuiteConfig()
-    tr = training.TrainConfig()
+def _fields(cls):
+    """(CLI key, field, type hint) of each field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return [(_RENAMES.get(f.name, f.name), f, hints[f.name])
+            for f in dataclasses.fields(cls)]
+
+
+def _build_schema(cls=ablation.SuiteConfig) -> Dict[str, _Key]:
+    """The fields of SuiteConfig, each nested config's fields in its place."""
     schema: Dict[str, _Key] = {}
-
-    def add(name, parse, default):
-        schema[name] = _Key(parse, default)
-
-    # scene geometry
-    add("room_size", float, scene.room_size)
-    add("object_count", int, scene.object_count)
-    add("points_per_object", int, scene.points_per_object)
-    add("background_points", int, scene.background_points)
-    add("num_classes", int, scene.num_classes)
-    add("camera_count", int, scene.camera_count)
-    add("image_width", int, scene.image_width)
-    add("image_height", int, scene.image_height)
-    add("focal", float, scene.focal)
-    add("min_box_size", float, scene.min_box_size)
-    add("max_box_size", float, scene.max_box_size)
-    add("placement_margin", float, scene.placement_margin)
-    add("max_place_attempts", int, scene.max_place_attempts)
-    add("camera_radius", _parse_opt_float, scene.camera_radius)
-    add("camera_height", _parse_opt_float, scene.camera_height)
-    # oracle noise
-    add("eps", float, clip.eps)
-    add("block", int, clip.block)
-    add("margin", float, clip.margin)
-    add("splits", int, frag.splits_per_object)
-    add("jitter", int, frag.boundary_jitter_px)
-    add("feat_dim", int, suite.feat_dim)
-    add("feat_sigma", float, suite.feat_sigma)
-    add("embed_dim", int, suite.embed_dim)
-    # model
-    add("hidden", _parse_int_tuple, suite.hidden)
-    add("latent_dim", int, suite.latent_dim)
-    add("anchor_dim", int, suite.anchor_dim)
-    add("temperature", float, 1.0)
-    # training
-    add("stage1_epochs", int, tr.stage1_epochs)
-    add("total_epochs", int, tr.total_epochs)
-    add("lr", float, tr.lr)
-    add("batch_pixels", int, tr.batch_pixels)
-    add("batch_points", int, tr.batch_points)
-    add("switch_probs", _parse_float_tuple, tr.switch_probs)
-    add("switch_probs_2d", _parse_opt_float_tuple, tr.switch_probs_2d)
-    add("switch_probs_3d", _parse_opt_float_tuple, tr.switch_probs_3d)
-    add("switch_per_element", _parse_bool, tr.switch_per_element)
-    add("latent_loss_weight", float, tr.latent_loss_weight)
-    add("latent_in_stage1", _parse_bool, tr.latent_in_stage1)
-    add("refine_labels", _parse_bool, tr.refine_labels)
-    add("refine3d_mode", str, tr.refine3d_mode)
-    add("multiview", str, tr.multiview)
-    add("descriptor_noise", float, tr.descriptor_noise)
-    add("precision", str, tr.precision)
-    # run control
-    add("seed", int, 0)
-    add("seeds", _parse_int_tuple, suite.seeds)
-    add("rows", _parse_str_tuple, suite.rows)
-    add("threads", int, 1)
+    for key, f, hint in _fields(cls):
+        if dataclasses.is_dataclass(hint):
+            schema.update(_build_schema(hint))
+        else:
+            schema[key] = _Key(hint, f.default)
     return schema
 
 
 SCHEMA = _build_schema()
+
+
+def _build_config(cls, values: Dict[str, object]):
+    return cls(**{f.name: _build_config(hint, values)
+                  if dataclasses.is_dataclass(hint) else values[key]
+                  for key, f, hint in _fields(cls)})
 
 
 class RunConfig:
@@ -174,7 +98,7 @@ class RunConfig:
         if key not in SCHEMA:
             raise ConfigError(f"{origin}: unknown config key {key!r}")
         try:
-            return key, SCHEMA[key].parse(text)
+            return key, parse_value(SCHEMA[key].hint, text)
         except ValueError as exc:
             raise ConfigError(
                 f"{origin}: bad value {text!r} for key {key!r}: {exc}") from exc
@@ -202,86 +126,12 @@ class RunConfig:
         for key, value in _parse_overrides(overrides):
             values[key] = value
         cfg = cls(values)
-        cfg.validate()
+        cfg.suite_config().validate()
         return cfg
 
-    def validate(self):
-        if self.values["threads"] < 1:
-            raise ConfigError("threads must be >= 1")
-        if not self.values["seeds"]:
-            raise ConfigError("seeds must name at least one seed")
-        for seed in (self.values["seed"], *self.values["seeds"]):
-            if not 0 <= seed < SEED_BOUND:
-                raise ConfigError(f"seed must be in [0, 2**32), got {seed}")
-        unknown = set(self.values["rows"]) - set(ablation.ROW_ORDER)
-        if unknown:
-            raise ConfigError(f"unknown ablation rows: {sorted(unknown)}")
-        # Construction validates each sub-config's own invariants.
-        self.scene_config()
-        self.clip_config()
-        self.frag_config()
-        self.train_config()
-
-    # -- sub-config builders ------------------------------------------------
-
-    def scene_config(self) -> scenesynth.SceneConfig:
-        v = self.values
-        return scenesynth.SceneConfig(
-            room_size=v["room_size"], object_count=v["object_count"],
-            points_per_object=v["points_per_object"],
-            background_points=v["background_points"],
-            num_classes=v["num_classes"], camera_count=v["camera_count"],
-            image_width=v["image_width"], image_height=v["image_height"],
-            focal=v["focal"], min_box_size=v["min_box_size"],
-            max_box_size=v["max_box_size"],
-            placement_margin=v["placement_margin"],
-            max_place_attempts=v["max_place_attempts"],
-            camera_radius=v["camera_radius"], camera_height=v["camera_height"])
-
-    def clip_config(self) -> scenesynth.ClipNoiseConfig:
-        v = self.values
-        return scenesynth.ClipNoiseConfig(eps=v["eps"], block=v["block"],
-                                          margin=v["margin"])
-
-    def frag_config(self) -> scenesynth.MaskFragConfig:
-        v = self.values
-        return scenesynth.MaskFragConfig(splits_per_object=v["splits"],
-                                         boundary_jitter_px=v["jitter"])
-
-    def train_config(self) -> training.TrainConfig:
-        v = self.values
-        return training.TrainConfig(
-            stage1_epochs=v["stage1_epochs"], total_epochs=v["total_epochs"],
-            lr=v["lr"], batch_pixels=v["batch_pixels"],
-            batch_points=v["batch_points"], switch_probs=v["switch_probs"],
-            switch_probs_2d=v["switch_probs_2d"],
-            switch_probs_3d=v["switch_probs_3d"],
-            switch_per_element=v["switch_per_element"],
-            latent_loss_weight=v["latent_loss_weight"],
-            latent_in_stage1=v["latent_in_stage1"],
-            refine_labels=v["refine_labels"],
-            refine3d_mode=v["refine3d_mode"], multiview=v["multiview"],
-            descriptor_noise=v["descriptor_noise"], seed=v["seed"],
-            precision=v["precision"])
-
-    def model_config(self) -> nncore.ModelConfig:
-        v = self.values
-        return nncore.ModelConfig(
-            input2d_dim=scenesynth.PIXEL_DESC_DIM,
-            input3d_dim=scenesynth.POINT_DESC_DIM,
-            hidden=v["hidden"], latent_dim=v["latent_dim"],
-            embed_dim=v["embed_dim"], anchor_dim=v["anchor_dim"],
-            sam_dim=v["feat_dim"], temperature=v["temperature"])
-
     def suite_config(self) -> ablation.SuiteConfig:
-        v = self.values
-        return ablation.SuiteConfig(
-            scene=self.scene_config(), clip_noise=self.clip_config(),
-            frag=self.frag_config(), feat_dim=v["feat_dim"],
-            feat_sigma=v["feat_sigma"], embed_dim=v["embed_dim"],
-            anchor_dim=v["anchor_dim"], hidden=v["hidden"],
-            latent_dim=v["latent_dim"], train=self.train_config(),
-            seeds=v["seeds"], rows=v["rows"])
+        """The configuration as one SuiteConfig, nested configs included."""
+        return _build_config(ablation.SuiteConfig, self.values)
 
     def echo(self, out_dir: Path):
         """Write the fully resolved configuration as resolved.cfg."""
@@ -343,10 +193,11 @@ def _miou_value(pred: np.ndarray, gt: np.ndarray, num_classes: int) -> float:
 def cmd_synth(cfg: RunConfig, out_dir: str) -> int:
     """Generate one scene plus oracle outputs and store them as a bundle."""
     out = _prepare_out(cfg, out_dir)
-    scene = scenesynth.generate_scene(cfg.scene_config(), cfg["seed"])
+    suite = cfg.suite_config()
+    scene = scenesynth.generate_scene(suite.scene, cfg["seed"])
     oracles = scenesynth.standard_oracle_outputs(
-        scene, cfg.clip_config(), cfg.frag_config(), cfg["feat_dim"],
-        cfg["feat_sigma"], cfg["embed_dim"])
+        scene, suite.clip_noise, suite.frag, suite.feat_dim, suite.feat_sigma,
+        suite.embed_dim)
     manifest = bundle.write_bundle(scene, oracles, out / "bundle")
     print(f"bundle written to {out / 'bundle'}: {manifest['num_points']} points, "
           f"{manifest['num_views']} views, {manifest['num_classes']} classes")
@@ -408,8 +259,9 @@ def cmd_train(cfg: RunConfig, bundle_dir: str, out_dir: str) -> int:
     if "embeddings" not in oracles:
         raise ValidationError("bundle lacks embedding metadata; cannot train")
     _check_bundle_dims(cfg, oracles)
-    tconf = cfg.train_config()
-    state = training.train(scene, oracles, tconf, cfg.model_config())
+    suite = cfg.suite_config()
+    tconf = suite.train
+    state = training.train(scene, oracles, tconf, suite.model_config())
     nncore.save_checkpoint(state.bundle, out / "checkpoint.ckpt",
                            extra={"train_hash": nncore.config_hash(tconf)})
     training.write_metrics_csv(state.history, out / "metrics.csv")

@@ -3,11 +3,13 @@
 IGNORE ground-truth elements are excluded from all counts.  Predictions
 of IGNORE (possible for projection-style label maps that do not cover
 every element) are likewise excluded and tallied, so callers can report
-coverage alongside the score.
+coverage alongside the score.  The one value codec of every text file
+the package writes (format_value / parse_value) lives here too.
 """
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -100,11 +102,47 @@ def label_error_rate(labels: Union[LabelMap, np.ndarray],
     return float((lab[keep] != ref[keep]).mean())
 
 
-def csv_cell(value) -> str:
-    """One CSV cell: floats as repr (exact round trip), None as "absent"."""
+def format_value(value) -> str:
+    """Canonical text of one value in every key=value file and CSV cell.
+
+    The files are resolved.cfg, manifest.txt, cameras.txt and checkpoint
+    headers.  None is "none", bools "true"/"false", floats (numpy scalars
+    included) their repr (exact round trip), tuples comma-joined items.
+    """
     if value is None:
-        return "absent"
-    return repr(value) if isinstance(value, float) else str(value)
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return ",".join(format_value(v) for v in value)
+    return str(value)
+
+
+def parse_value(hint, text: str):
+    """Inverse of format_value for a type hint; ValueError if text does not parse.
+
+    Optional[X] also reads "none"; tuples read comma-separated items
+    (empty items skipped); bools also read 1/0, yes/no and on/off.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is Union:
+        return None if text.strip().lower() == "none" else parse_value(args[0], text)
+    if typing.get_origin(hint) is tuple:
+        return tuple(parse_value(args[0], part.strip())
+                     for part in text.split(",") if part.strip())
+    if hint is bool:
+        lowered = text.strip().lower()
+        if lowered in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            return lowered in ("1", "true", "yes", "on")
+        raise ValueError(f"not a boolean: {text!r}")
+    return hint(text)
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: None as "absent", anything else as format_value."""
+    return "absent" if value is None else format_value(value)
 
 
 def coverage(labels: Union[LabelMap, np.ndarray]) -> float:

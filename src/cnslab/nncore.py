@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .evaluation import format_value, parse_value
 from .pseudolabel import IGNORE, LabelMap
 from .scenesynth import ClassEmbeddingTable
 from .seeding import TAG_MODEL, derive_rng
@@ -101,7 +102,6 @@ class ModelConfig:
     anchor_dim: int = 64  # frozen anchor space
     sam_dim: int = 32  # oracle feature dimension entering the anchor head
     temperature: float = 1.0
-    train_anchor_head: bool = False
 
     def validate(self):
         if min(self.input2d_dim, self.input3d_dim, self.latent_dim,
@@ -125,8 +125,6 @@ def _layout(config: ModelConfig) -> Tuple[Tuple[str, int, int, Tuple[int, ...]],
     for head in _HEAD_NAMES:
         width = config.embed_dim if head.startswith("head_s") else config.anchor_dim
         shapes += [(f"{head}.w", (config.latent_dim, width)), (f"{head}.b", (width,))]
-    if config.train_anchor_head:
-        shapes.append(("anchor_head.w", (config.sam_dim, config.anchor_dim)))
     layout, offset = [], 0
     for name, shape in shapes:
         layout.append((name, offset, offset + math.prod(shape), shape))
@@ -147,16 +145,16 @@ def param_views(config: ModelConfig, vec: np.ndarray) -> Dict[str, np.ndarray]:
 class ModelBundle:
     """The trainable encoder/head pair plus the frozen components.
 
-    `params` holds every trainable parameter; `enc2d`, `enc3d`, the four
-    heads ({"w": (D_h, D_out), "b": (D_out,)}) and, when the config trains
-    it, `anchor_head` are views into it, so updating `params` in place
-    updates them all.  A frozen `anchor_head` (D_s, K_f) is a separate
-    read-only array, like the class embedding table.
+    `params` holds every trainable parameter; `enc2d`, `enc3d` and the
+    four heads ({"w": (D_h, D_out), "b": (D_out,)}) are views into it, so
+    updating `params` in place updates them all.  The frozen `anchor_head`
+    (D_s, K_f) is a separate read-only array, like the class embedding
+    table.
     """
 
     def __init__(self, config: ModelConfig, params: np.ndarray,
                  embeddings: ClassEmbeddingTable, seed: int,
-                 frozen_anchor: Optional[np.ndarray] = None):
+                 anchor_head: np.ndarray):
         self.config = config
         self.params = params
         self.embeddings = embeddings
@@ -169,11 +167,8 @@ class ModelBundle:
             for enc in ("enc2d", "enc3d"))
         self.head_s2d, self.head_s3d, self.head_f2d, self.head_f3d = (
             {"w": views[f"{head}.w"], "b": views[f"{head}.b"]} for head in _HEAD_NAMES)
-        if config.train_anchor_head:
-            self.anchor_head = views["anchor_head.w"]
-        else:
-            frozen_anchor.setflags(write=False)
-            self.anchor_head = frozen_anchor
+        anchor_head.setflags(write=False)
+        self.anchor_head = anchor_head
 
     def head(self, name: str) -> Dict[str, np.ndarray]:
         try:
@@ -204,10 +199,8 @@ def make_bundle(config: ModelConfig, embeddings: ClassEmbeddingTable,
     for name, view in param_views(config, params).items():
         if ".w" in name:
             view[...] = draw(name, view.shape)
-    frozen = None
-    if not config.train_anchor_head:
-        frozen = draw("anchor_head.w", (config.sam_dim, config.anchor_dim))
-    return ModelBundle(config, params, embeddings, seed, frozen)
+    anchor = draw("anchor_head.w", (config.sam_dim, config.anchor_dim))
+    return ModelBundle(config, params, embeddings, seed, anchor)
 
 
 def trainable_params(bundle: ModelBundle) -> Dict[str, np.ndarray]:
@@ -303,9 +296,9 @@ def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
 
     Per pair i the loss is (1 - cos(F2d(x_i), a_i)) + (1 - cos(F3d(p_i), a_i)),
     averaged over pairs, with a_i the normalized anchor projection of the
-    oracle feature s_i.  No gradient flows into the anchor head or the
-    oracle features unless train_anchor_head is set.  Zero-norm head
-    outputs contribute cosine 0 with zero gradient and are counted.
+    oracle feature s_i.  No gradient flows into the frozen anchor head or
+    the oracle features.  Zero-norm head outputs contribute cosine 0 with
+    zero gradient and are counted.
     Returns (loss, head gradients by parameter name, gradient w.r.t.
     x_feats, gradient w.r.t. p_feats, zero-norm count).
     """
@@ -318,13 +311,10 @@ def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
     if n == 0:
         return 0.0, {}, np.zeros_like(x_feats), np.zeros_like(p_feats), 0
 
-    a_raw = anchor_feats @ bundle.anchor_head
-    a_unit, a_norms, a_degen = _safe_unit(a_raw)
+    a_unit, _, a_degen = _safe_unit(anchor_feats @ bundle.anchor_head)
 
     total = 0.0
     zero_count = int(a_degen.sum())
-    train_anchor = bundle.config.train_anchor_head
-    d_a_unit = np.zeros_like(a_unit) if train_anchor else None
 
     def side(feats, head):
         nonlocal total, zero_count
@@ -345,9 +335,6 @@ def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
         if masked:
             d_out, d_live = np.zeros_like(out), d_out
             d_out[live] = d_live
-        if train_anchor:
-            # d(cos)/d(a_unit) = unit (before anchor normalization chain).
-            d_a_unit[live] += -unit[live] / n
         d_w = feats.T @ d_out
         d_b = d_out.sum(axis=0)
         d_feats = d_out @ head["w"].T
@@ -358,13 +345,6 @@ def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
     loss = total / n
     grads = {"head_f2d.w": d_w2, "head_f2d.b": d_b2,
              "head_f3d.w": d_w3, "head_f3d.b": d_b3}
-    if train_anchor:
-        live = ~a_degen
-        d_a_raw = np.zeros_like(a_raw)
-        cos_a = np.einsum("ij,ij->i", d_a_unit, a_unit)
-        d_a_raw[live] = (d_a_unit[live] - cos_a[live, None] * a_unit[live]) \
-            / a_norms[live, None]
-        grads["anchor_head.w"] = anchor_feats.T @ d_a_raw
     return loss, grads, d_x, d_p, zero_count
 
 
@@ -490,45 +470,26 @@ def config_hash(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
-def _header_value(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def _parse_header_value(kind, text: str):
-    if kind is bool:
-        return bool(int(text))
-    if kind in (int, float):
-        return kind(text)
-    return tuple(int(h) for h in text.split(",") if h)
-
-
 def save_checkpoint(bundle: ModelBundle, path, extra: Optional[dict] = None):
     """Write a versioned checkpoint: text header + float32 LE payload.
 
     The header names every ModelConfig field; the payload holds the
-    parameter vector, then the frozen anchor head (when not trainable)
-    and the class embedding table.
+    parameter vector, then the frozen anchor head and the class embedding
+    table.
     """
     cfg = bundle.config
     lines = [_CKPT_MAGIC]
-    lines += [f"{f.name}={_header_value(getattr(cfg, f.name))}" for f in fields(cfg)]
+    lines += [f"{f.name}={format_value(getattr(cfg, f.name))}" for f in fields(cfg)]
     lines.append(f"num_classes={bundle.embeddings.num_classes}")
     lines.append(f"seed={bundle.seed}")
     lines.append(f"config_hash={config_hash(cfg)}")
-    lines += [f"x_{key}={value}" for key, value in sorted((extra or {}).items())]
+    lines += [f"x_{key}={format_value(value)}"
+              for key, value in sorted((extra or {}).items())]
     lines.append("END")
-    arrays = [bundle.params]
-    if not cfg.train_anchor_head:
-        arrays.append(bundle.anchor_head)
-    arrays.append(bundle.embeddings.vectors)
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
-        for arr in arrays:
+        for arr in (bundle.params, bundle.anchor_head, bundle.embeddings.vectors):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     os.replace(tmp, str(path))
 
@@ -537,6 +498,8 @@ def load_checkpoint(path) -> Tuple[ModelBundle, dict]:
     """Read a checkpoint back into a ModelBundle (embeddings renormalized).
 
     A malformed header or payload raises ValidationError naming the file.
+    Header keys that name no ModelConfig field are kept in the returned
+    metadata and otherwise ignored.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -547,7 +510,7 @@ def load_checkpoint(path) -> Tuple[ModelBundle, dict]:
         meta = dict(line.split("=", 1)
                     for line in blob[:end].decode().splitlines()[1:] if "=" in line)
         kinds = typing.get_type_hints(ModelConfig)
-        cfg = ModelConfig(**{f.name: _parse_header_value(kinds[f.name], meta[f.name])
+        cfg = ModelConfig(**{f.name: parse_value(kinds[f.name], meta[f.name])
                              for f in fields(ModelConfig)})
         cfg.validate()
         num_classes = int(meta["num_classes"])
@@ -561,7 +524,7 @@ def load_checkpoint(path) -> Tuple[ModelBundle, dict]:
 
     start = end + 4
     n_params = _param_count(cfg)
-    n_anchor = 0 if cfg.train_anchor_head else cfg.sam_dim * cfg.anchor_dim
+    n_anchor = cfg.sam_dim * cfg.anchor_dim
     expected = 4 * (n_params + n_anchor + num_classes * cfg.embed_dim)
     if len(blob) - start != expected:
         raise ValidationError(f"{path}: payload has {len(blob) - start} bytes, "
@@ -570,7 +533,7 @@ def load_checkpoint(path) -> Tuple[ModelBundle, dict]:
     frozen = np.frombuffer(blob, "<f4", offset=start + 4 * n_params).astype(np.float64)
     if not (np.isfinite(params).all() and np.isfinite(frozen).all()):
         raise ValidationError(f"{path}: payload holds non-finite values")
-    anchor = frozen[:n_anchor].reshape(cfg.sam_dim, cfg.anchor_dim) if n_anchor else None
+    anchor = frozen[:n_anchor].reshape(cfg.sam_dim, cfg.anchor_dim)
     emb = frozen[n_anchor:].reshape(num_classes, cfg.embed_dim)
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     bundle = ModelBundle(cfg, params, ClassEmbeddingTable(emb), seed, anchor)

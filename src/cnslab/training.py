@@ -52,13 +52,11 @@ class TrainConfig:
     switch_probs_3d: Optional[Tuple[float, float, float, float]] = None
     switch_per_element: bool = False
     latent_loss_weight: float = 1.0
-    latent_in_stage1: bool = True
     refine_labels: bool = True
     refine3d_mode: str = REFINE3D_TRANSFER_MASKS
     multiview: str = "first-camera"
     descriptor_noise: float = 0.02
     seed: int = 0
-    precision: str = "float64"
 
     def probs_for(self, net: int) -> np.ndarray:
         """Effective source probabilities for network 0 (2D) or 1 (3D)."""
@@ -90,8 +88,6 @@ class TrainConfig:
             raise ValidationError("latent_loss_weight must be >= 0")
         if not 0 <= self.seed < SEED_BOUND:
             raise ValidationError(f"seed must be in [0, 2**32), got {self.seed}")
-        if self.precision != "float64":
-            raise ValidationError("only the float64 precision mode is implemented")
 
 
 @dataclass
@@ -326,7 +322,7 @@ def _run_epoch(state: TrainState, stage: int) -> dict:
     order = state.shuffle_rng.permutation(n_ent)
     point_order = state.shuffle_rng.permutation(num_points)
     steps = math.ceil(n_ent / cfg.batch_pixels)
-    use_latent = cfg.latent_loss_weight > 0 and (stage == 2 or cfg.latent_in_stage1)
+    use_latent = cfg.latent_loss_weight > 0
     sums = {"l_ce2d": 0.0, "l_ce3d": 0.0, "l_latent": 0.0}
     cursor = 0
     for t in range(steps):

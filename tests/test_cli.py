@@ -11,8 +11,9 @@ import shutil
 import numpy as np
 import pytest
 
-from cnslab import cli, nncore
+from cnslab import ablation, cli, nncore
 from cnslab.bundle import read_manifest, read_raster
+from cnslab.errors import ValidationError
 from cnslab.scenesynth import mock_text_embeddings
 
 from conftest import TINY_TRAIN
@@ -69,6 +70,49 @@ def test_resolved_config_echo(pipeline):
         assert pairs["total_epochs"] == "2"
         assert pairs["camera_radius"] == "none"
         assert pairs["rows"] == "baseline,full"
+
+
+def test_resolved_config_round_trips(tmp_path):
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(first),
+                     "--switch_per_element", "true", "--camera_radius", "5.5",
+                     "--hidden", "16,8", "--switch_probs_2d", "0.5,0,0.5,0",
+                     "--rows", "full,wo_cns"]) == 0
+    echoed = (first / "resolved.cfg").read_text().splitlines()
+    for line in ("switch_per_element=true", "camera_radius=5.5", "hidden=16,8",
+                 "switch_probs_2d=0.5,0.0,0.5,0.0", "rows=full,wo_cns"):
+        assert line in echoed
+    assert cli.main(["synth", "--config", str(first / "resolved.cfg"),
+                     "--out", str(second)]) == 0
+    assert (second / "resolved.cfg").read_bytes() == \
+        (first / "resolved.cfg").read_bytes()
+
+
+def test_every_key_reaches_the_suite_config():
+    defaults = {key: entry.default for key, entry in cli.SCHEMA.items()}
+    base = cli.RunConfig(defaults).suite_config()
+    for key in cli.SCHEMA:
+        # A fresh object differs from every default, whatever the key's type.
+        changed = cli.RunConfig({**defaults, key: object()}).suite_config()
+        assert changed != base, key
+
+
+def test_ablation_trains_at_the_configured_temperature(monkeypatch, small_scene,
+                                                      small_oracles):
+    seen = []
+
+    def fake_train(scene, oracles, config, model_config):
+        seen.append(model_config)
+        raise ValidationError("stop after recording the model config")
+
+    monkeypatch.setattr(ablation, "train", fake_train)
+    suite = cli.RunConfig.resolve(None, ["--temperature", "0.5", "--seeds", "11",
+                                         "--rows", "full"]).suite_config()
+    report = ablation.run_ablation(suite, {11: (small_scene, small_oracles)})
+    assert [m.temperature for m in seen] == [0.5]
+    assert seen[0] == suite.model_config()
+    assert report.rows[0]["error"] == "stop after recording the model config"
 
 
 def test_refine_outputs(pipeline, small_scene):
@@ -231,6 +275,20 @@ def test_refine_rejects_undecodable_text(pipeline, tmp_path, capsys, name):
     assert err.startswith("error:") and name in err
 
 
+def test_refine_rejects_non_finite_camera(pipeline, tmp_path, capsys):
+    damaged = tmp_path / "bundle"
+    shutil.copytree(pipeline / "synth" / "bundle", damaged)
+    lines = (damaged / "cameras.txt").read_text().splitlines()
+    tokens = lines[0].split()
+    tokens[15] = "1e999"  # parses as inf
+    lines[0] = " ".join(tokens)
+    (damaged / "cameras.txt").write_text("\n".join(lines) + "\n")
+    code = cli.main(["refine", str(damaged), "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cameras.txt:1" in err
+
+
 def test_train_rejects_dim_mismatch(pipeline, tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "tiny.cfg")
     code = cli.main(["train", str(pipeline / "synth" / "bundle"),
@@ -262,3 +320,18 @@ def test_eval_rejects_truncated_checkpoint(pipeline, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "short.ckpt" in err
+
+
+def test_eval_reads_checkpoint_with_train_anchor_head_line(pipeline, tmp_path):
+    # Checkpoints from before the anchor head was always frozen carry a
+    # train_anchor_head=0 header line; their payload order is the same.
+    blob = (pipeline / "train" / "checkpoint.ckpt").read_bytes()
+    legacy = blob.replace(b"\nnum_classes=", b"\ntrain_anchor_head=0\nnum_classes=", 1)
+    assert legacy != blob
+    ckpt = tmp_path / "legacy.ckpt"
+    ckpt.write_bytes(legacy)
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
+    assert cli.main(["eval", str(pipeline / "synth" / "bundle"), str(ckpt),
+                     "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    assert (tmp_path / "x" / "eval.csv").read_bytes() == \
+        (pipeline / "eval" / "eval.csv").read_bytes()

@@ -19,10 +19,10 @@ from cnslab.pseudolabel import IGNORE
 from cnslab.scenesynth import mock_text_embeddings
 
 
-def tiny_bundle(train_anchor=False, temperature=1.0, seed=5):
+def tiny_bundle(temperature=1.0, seed=5):
     cfg = ModelConfig(input2d_dim=5, input3d_dim=6, hidden=(8,), latent_dim=7,
                       embed_dim=9, anchor_dim=7, sam_dim=3,
-                      temperature=temperature, train_anchor_head=train_anchor)
+                      temperature=temperature)
     emb = mock_text_embeddings(5, 9, seed=1)
     return make_bundle(cfg, emb, seed=seed)
 
@@ -172,8 +172,6 @@ def test_anchor_head_frozen_by_default():
     assert not bundle.anchor_head.flags.writeable
     with pytest.raises(ValueError):
         bundle.anchor_head[0, 0] = 1.0
-    trainable = tiny_bundle(train_anchor=True)
-    assert "anchor_head.w" in trainable_params(trainable)
 
 
 def test_make_bundle_rejects_dim_mismatch():
@@ -398,17 +396,6 @@ def test_align_loss_gradients_match_finite_difference(rng):
     x = rng.standard_normal((5, 7))
     p = rng.standard_normal((5, 7))
     s = rng.standard_normal((5, 3))
-    err = grad_check(head_loss(lambda b: cosine_align_loss(b, x, p, s)), bundle)
-    assert err < 1e-4
-
-
-def test_align_loss_trainable_anchor_gradients(rng):
-    bundle = tiny_bundle(train_anchor=True)
-    x = rng.standard_normal((5, 7))
-    p = rng.standard_normal((5, 7))
-    s = rng.standard_normal((5, 3))
-    _, grads, *_ = cosine_align_loss(bundle, x, p, s)
-    assert "anchor_head.w" in grads
     err = grad_check(head_loss(lambda b: cosine_align_loss(b, x, p, s)), bundle)
     assert err < 1e-4
 

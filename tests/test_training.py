@@ -59,8 +59,6 @@ def test_train_config_validation():
         TrainConfig(refine3d_mode="splat").validate()
     with pytest.raises(ValidationError):
         TrainConfig(latent_loss_weight=-0.1).validate()
-    with pytest.raises(ValidationError):
-        TrainConfig(precision="float32").validate()
     for seed in (2 ** 32, -1):
         with pytest.raises(ValidationError, match=r"2\*\*32"):
             TrainConfig(seed=seed).validate()

@@ -145,27 +145,10 @@ class AblationReport:
     row_hashes: Dict[str, str]
 
 
-def _score_label_row(scene: Scene, pixel_maps, point_map, gt_pixel, gt_point) -> dict:
+def _score_label_row(scene: Scene, pred_pixel: np.ndarray, pred_point: np.ndarray,
+                     gt_pixel: np.ndarray, gt_point: np.ndarray) -> dict:
+    """Scores of one row's (V, H, W) pixel and (N,) point predictions."""
     num_classes = scene.num_classes
-    pred_pixel = np.stack([lm.labels for lm in pixel_maps])
-    cm2 = confusion(pred_pixel, gt_pixel, num_classes)
-    per2, miou2 = miou(cm2)
-    cm3 = confusion(point_map.labels, gt_point, num_classes)
-    per3, miou3 = miou(cm3)
-    return {
-        "miou2d": miou2, "miou3d": miou3,
-        "per_class2d": per2, "per_class3d": per3,
-        "err2d": label_error_rate(pred_pixel, gt_pixel),
-        "err3d": label_error_rate(point_map.labels, gt_point),
-        "coverage3d": coverage(point_map.labels),
-    }
-
-
-def _score_trained_row(scene: Scene, state) -> dict:
-    num_classes = scene.num_classes
-    pred_pixel, pred_point = predictions(state)
-    gt_pixel = state.data["gt_pixel"]
-    gt_point = state.data["gt_point"]
     per2, miou2 = miou(confusion(pred_pixel, gt_pixel, num_classes))
     per3, miou3 = miou(confusion(pred_point, gt_point, num_classes))
     return {
@@ -173,7 +156,7 @@ def _score_trained_row(scene: Scene, state) -> dict:
         "per_class2d": per2, "per_class3d": per3,
         "err2d": label_error_rate(pred_pixel, gt_pixel),
         "err3d": label_error_rate(pred_point, gt_point),
-        "coverage3d": 1.0,
+        "coverage3d": coverage(pred_point),
     }
 
 
@@ -210,15 +193,16 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
                 cfg = row_train_config(row, replace(suite.train, seed=seed))
                 if cfg is None:
                     key = "raw" if row == "baseline" else "refined"
-                    scored = _score_label_row(
-                        scene, labels[f"pixel_{key}"], labels[f"point_{key}"],
-                        gt_pixel, gt_point)
-                    row_hashes.setdefault(row, config_hash((row, suite.clip_noise,
-                                                            suite.frag)))
+                    pred_pixel = np.stack([lm.labels for lm in labels[f"pixel_{key}"]])
+                    pred_point = labels[f"point_{key}"].labels
+                    hashed = (row, suite.clip_noise, suite.frag)
                 else:
                     state = train(scene, oracles, cfg, suite.model_config())
-                    scored = _score_trained_row(scene, state)
-                    row_hashes.setdefault(row, config_hash(replace(cfg, seed=0)))
+                    pred_pixel, pred_point = predictions(state)
+                    hashed = replace(cfg, seed=0)
+                scored = _score_label_row(scene, pred_pixel, pred_point,
+                                          gt_pixel, gt_point)
+                row_hashes.setdefault(row, config_hash(hashed))
                 entry.update(scored)
                 per_row[row]["miou2d"].append(scored["miou2d"])
                 per_row[row]["miou3d"].append(scored["miou3d"])

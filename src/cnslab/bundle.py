@@ -194,6 +194,10 @@ def _read_points(path: Path) -> PointCloud:
     if offset != len(blob):
         raise BundleFormatError(
             f"{name}: {len(blob) - offset} trailing bytes at offset {offset}")
+    finite = np.isfinite(positions).all(axis=1)
+    if not finite.all():
+        raise BundleFormatError(
+            f"{name}: point {int(np.argmin(finite))} has a non-finite position")
     return PointCloud(positions.copy(),
                       None if gt_labels is None else gt_labels.copy(),
                       None if object_ids is None else object_ids.copy())

@@ -106,18 +106,21 @@ def project_points(camera: CameraModel, positions: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized projection of an (N, 3) array.
 
-    Returns (uv, depth, valid): uv is (N, 2) int64 (garbage where invalid),
-    depth is (N,) float64, valid is the visibility mask.
+    Returns (uv, depth, valid): uv is (N, 2) int64 (0 where invalid),
+    depth is (N,) float64, valid is the visibility mask.  Visibility is
+    decided on the float pixel coordinates, so a non-finite or far
+    off-image projection never reaches the integer cast.
     """
     pts = np.asarray(positions, dtype=np.float64)
     cam_pts = pts @ camera.rotation.T + camera.translation
     z = cam_pts[:, 2]
     valid = z > depth_min
     zsafe = np.where(valid, z, 1.0)
-    u = np.floor(camera.fx * cam_pts[:, 0] / zsafe + camera.cx + 0.5).astype(np.int64)
-    v = np.floor(camera.fy * cam_pts[:, 1] / zsafe + camera.cy + 0.5).astype(np.int64)
+    u = np.floor(camera.fx * cam_pts[:, 0] / zsafe + camera.cx + 0.5)
+    v = np.floor(camera.fy * cam_pts[:, 1] / zsafe + camera.cy + 0.5)
     valid &= (u >= 0) & (u < camera.width) & (v >= 0) & (v < camera.height)
-    return np.stack([u, v], axis=1), z, valid
+    uv = np.where(valid[:, None], np.stack([u, v], axis=1), 0.0).astype(np.int64)
+    return uv, z, valid
 
 
 @dataclass

@@ -159,7 +159,7 @@ class ModelBundle:
         self.params = params
         self.embeddings = embeddings
         self.seed = int(seed)
-        self._views = views = param_views(config, params)
+        views = param_views(config, params)
         layers = range(len(config.hidden) + 1)
         self.enc2d, self.enc3d = (
             Mlp([views[f"{enc}.w{i}"] for i in layers],
@@ -201,11 +201,6 @@ def make_bundle(config: ModelConfig, embeddings: ClassEmbeddingTable,
             view[...] = draw(name, view.shape)
     anchor = draw("anchor_head.w", (config.sam_dim, config.anchor_dim))
     return ModelBundle(config, params, embeddings, seed, anchor)
-
-
-def trainable_params(bundle: ModelBundle) -> Dict[str, np.ndarray]:
-    """Declaration-ordered name -> view into bundle.params."""
-    return bundle._views
 
 
 # ---------------------------------------------------------------------------

@@ -98,15 +98,15 @@ class TrainState:
     config: TrainConfig
     scene: Scene
     data: Dict[str, np.ndarray]
-    clip_pixel: np.ndarray  # (V, H, W) refined oracle labels
-    clip_point: np.ndarray  # (N,) refined oracle labels
-    clip2d_as_points: np.ndarray  # (N,) 2D oracle labels carried to points
+    # Each network's supervision, one int32 row per source in SOURCES
+    # order: the 2D network's at each correspondence entry (4, E), the 3D
+    # network's at each point (4, N).  The self-label rows 2-3 read IGNORE
+    # until compute_self_labels fills them.
+    labels2d: np.ndarray
+    labels3d: np.ndarray
     shuffle_rng: np.random.Generator
     source_rng: np.random.Generator
     epoch: int = 0
-    self_pixel: Optional[np.ndarray] = None  # (V, H, W) refined self-labels
-    self_point: Optional[np.ndarray] = None  # (N,)
-    self2d_as_points: Optional[np.ndarray] = None
     # Argmax (pixel, point) predictions of the current parameters; filled
     # by predictions() and cleared by _run_epoch, which changes them.
     predictions: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -140,7 +140,8 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
     num_points = len(scene.cloud)
 
     desc2d, desc3d = scene_descriptors(scene, config.descriptor_noise)
-    anchors = np.stack([fm.features for fm in oracles["features"]])
+    entries = (corr.camera_index, corr.v, corr.u)
+    anchors = np.stack([fm.features for fm in oracles["features"]])[entries]
     masks = oracles["masks"]
     embeddings = oracles["embeddings"]
     if embeddings.num_classes != scene.num_classes:
@@ -166,27 +167,40 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
                                 config.refine3d_mode, config.multiview)
     pixel_key = "pixel_refined" if config.refine_labels else "pixel_raw"
     point_key = "point_refined" if config.refine_labels else "point_raw"
-    clip_pixel = np.stack([lm.labels for lm in labels[pixel_key]])
-    clip_point = labels[point_key].labels
-    clip2d_as_points = transfer_labels(corr, labels[pixel_key], num_points,
-                                       config.multiview).labels
-
-    point_masks = transfer_masks(corr, masks, num_points)
 
     data = {
-        "desc2d": desc2d, "desc3d": desc3d, "anchors": anchors,
-        "ent_cam": corr.camera_index, "ent_v": corr.v, "ent_u": corr.u,
-        "ent_point": corr.point_index,
+        "desc2d": desc2d, "desc3d": desc3d,
+        "x2d": desc2d[entries], "anchors": anchors, "ent_point": corr.point_index,
         "gt_pixel": gt_pixel_stack(scene), "gt_point": scene.cloud.gt_labels,
-        "num_points": num_points, "masks": masks, "point_masks": point_masks,
+        "masks": masks, "point_masks": transfer_masks(corr, masks, num_points),
         "corr": corr,
     }
-    return TrainState(
+    state = TrainState(
         bundle=bundle, config=config, scene=scene, data=data,
-        clip_pixel=clip_pixel, clip_point=clip_point,
-        clip2d_as_points=clip2d_as_points,
+        labels2d=np.full((len(SOURCES), corr.count), IGNORE, dtype=np.int32),
+        labels3d=np.full((len(SOURCES), num_points), IGNORE, dtype=np.int32),
         shuffle_rng=derive_rng(config.seed, TAG_SHUFFLE),
         source_rng=derive_rng(config.seed, TAG_SOURCE))
+    _set_sources(state, 0, labels[pixel_key], labels[point_key].labels)
+    return state
+
+
+def _set_sources(state: TrainState, row: int, pixel_views: List[LabelMap],
+                 point_labels: np.ndarray) -> np.ndarray:
+    """Fill rows `row` (from pixel labels) and `row + 1` (from point labels).
+
+    Each network's row holds the labels at its own inputs: pixel labels
+    at the entries or carried onto points, point labels at the entries'
+    points or as they are.  Returns the (V, H, W) pixel label stack.
+    """
+    corr = state.data["corr"]
+    pixel = np.stack([lm.labels for lm in pixel_views])
+    state.labels2d[row] = pixel[corr.camera_index, corr.v, corr.u]
+    state.labels2d[row + 1] = point_labels[corr.point_index]
+    state.labels3d[row] = transfer_labels(corr, pixel_views, len(point_labels),
+                                          state.config.multiview).labels
+    state.labels3d[row + 1] = point_labels
+    return pixel
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +252,15 @@ def predictions(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:
 def compute_self_labels(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:
     """Mask-refined self-predictions of both networks.
 
-    Returns (pixel stack (V, H, W), point labels (N,)) and caches them on
-    the state together with the pixel labels carried onto points.
+    Fills the self-label rows 2-3 of both label tables and returns the
+    (pixel stack (V, H, W), point labels (N,)) they were taken from.
     """
     masks = state.data["masks"]
-    corr = state.data["corr"]
     raw_pixel, raw_point = predictions(state)
     pixel_views = [LabelMap(raw_pixel[k], PIXELS, "net2d") for k in range(len(masks))]
     if state.config.refine_labels:
         pixel_views = [refine_by_masks(lm, masks[k].mask_ids)
                        for k, lm in enumerate(pixel_views)]
-    self_pixel = np.stack([lm.labels for lm in pixel_views])
 
     raw_point = LabelMap(raw_point, POINTS, "net3d")
     if not state.config.refine_labels:
@@ -258,44 +270,12 @@ def compute_self_labels(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:
             raw_point, state.data["point_masks"]).labels
     else:
         self_point = reproject_refine_points(
-            corr, raw_point, masks, state.config.multiview).labels
-
-    state.self_pixel = self_pixel
-    state.self_point = self_point
-    state.self2d_as_points = transfer_labels(
-        corr, pixel_views, state.data["num_points"], state.config.multiview).labels
-    return self_pixel, self_point
+            state.data["corr"], raw_point, masks, state.config.multiview).labels
+    return _set_sources(state, 2, pixel_views, self_point), self_point
 
 
 # ---------------------------------------------------------------------------
 # one training epoch
-
-
-def _entry_rows(state: TrainState, stack: np.ndarray, ents: np.ndarray) -> np.ndarray:
-    data = state.data
-    return stack[data["ent_cam"][ents], data["ent_v"][ents], data["ent_u"][ents]]
-
-
-def _source_labels_2d(state: TrainState, source: int, ents: np.ndarray) -> np.ndarray:
-    """Supervision for the 2D network at the given correspondence entries."""
-    if source == 0:
-        return _entry_rows(state, state.clip_pixel, ents)
-    if source == 1:
-        return state.clip_point[state.data["ent_point"][ents]]
-    if source == 2:
-        return _entry_rows(state, state.self_pixel, ents)
-    return state.self_point[state.data["ent_point"][ents]]
-
-
-def _source_labels_3d(state: TrainState, source: int) -> np.ndarray:
-    """Supervision for the 3D network over all points."""
-    if source == 0:
-        return state.clip2d_as_points
-    if source == 1:
-        return state.clip_point
-    if source == 2:
-        return state.self2d_as_points
-    return state.self_point
 
 
 def _draw_sources(state: TrainState, count2d: int,
@@ -317,8 +297,8 @@ def _run_epoch(state: TrainState, stage: int) -> dict:
     data = state.data
     bundle = state.bundle
     state.predictions = None
-    n_ent = len(data["ent_cam"])
-    num_points = data["num_points"]
+    n_ent = state.labels2d.shape[1]
+    num_points = state.labels3d.shape[1]
     order = state.shuffle_rng.permutation(n_ent)
     point_order = state.shuffle_rng.permutation(num_points)
     steps = math.ceil(n_ent / cfg.batch_pixels)
@@ -330,27 +310,15 @@ def _run_epoch(state: TrainState, stage: int) -> dict:
         pts = point_order[(cursor + np.arange(cfg.batch_points)) % num_points]
         cursor = (cursor + cfg.batch_points) % num_points
 
-        if stage == 1:
-            lab2 = _entry_rows(state, state.clip_pixel, ents)
-            lab3 = state.clip_point[pts]
+        if stage == 1:  # each network's own-modality oracle labels
+            draw2d, draw3d = 0, 1
         else:
             draw2d, draw3d = _draw_sources(state, len(ents), len(pts))
-            if cfg.switch_per_element:
-                cand2 = np.stack([_source_labels_2d(state, s, ents) for s in range(4)])
-                lab2 = cand2[draw2d, np.arange(len(ents))]
-                cand3 = np.stack([_source_labels_3d(state, s)[pts] for s in range(4)])
-                lab3 = cand3[draw3d, np.arange(len(pts))]
-            else:
-                lab2 = _source_labels_2d(state, int(draw2d[0]), ents)
-                lab3 = _source_labels_3d(state, int(draw3d[0]))[pts]
-
-        batch = {"x2d": _entry_rows(state, data["desc2d"], ents).astype(np.float64),
-                 "y2d": lab2,
-                 "x3d": data["desc3d"][pts].astype(np.float64),
-                 "y3d": lab3}
+        batch = {"x2d": data["x2d"][ents], "y2d": state.labels2d[draw2d, ents],
+                 "x3d": data["desc3d"][pts], "y3d": state.labels3d[draw3d, pts]}
         if use_latent:
-            batch["pair3d"] = data["desc3d"][data["ent_point"][ents]].astype(np.float64)
-            batch["anchors"] = _entry_rows(state, data["anchors"], ents).astype(np.float64)
+            batch["pair3d"] = data["desc3d"][data["ent_point"][ents]]
+            batch["anchors"] = data["anchors"][ents]
             batch["latent_weight"] = cfg.latent_loss_weight
         losses, grad = step(bundle, batch)
         sgd_step(bundle, grad, cfg.lr)

@@ -17,15 +17,13 @@ import pytest
 from cnslab import ablation, cli, evaluation, pseudolabel, training
 from cnslab.bundle import read_bundle, write_bundle
 from cnslab.geometry import build_correspondences, project_point
-from cnslab.nncore import (ModelConfig, grad_check, make_bundle, mlp_forward,
-                           step, trainable_params)
+from cnslab.nncore import ModelConfig, make_bundle, mlp_forward, param_views
 from cnslab.scenesynth import (PIXEL_DESC_DIM, POINT_DESC_DIM, ClipNoiseConfig,
                                MaskFragConfig, SceneConfig, generate_scene,
                                mock_clip_scores, mock_sam_masks,
                                mock_text_embeddings, pixel_descriptors,
                                point_descriptors, render_view,
                                standard_oracle_outputs)
-from cnslab.seeding import TAG_GRADCHECK, derive_rng
 from cnslab.training import TrainConfig
 
 
@@ -151,37 +149,10 @@ def test_ac3_correspondences_match_exhaustive_scan():
 
 def test_ac4_gradients_match_finite_differences():
     start = time.perf_counter()
-    config = ModelConfig(input2d_dim=7, input3d_dim=6, hidden=(10,),
-                         latent_dim=9, embed_dim=12, anchor_dim=8, sam_dim=4)
-    num_classes, batch = 5, 8
-    worst = {"ce2d": 0.0, "ce3d": 0.0, "latent": 0.0, "step": 0.0}
-    anchor_frozen = True
-    for trial in range(10):
-        rng = derive_rng(7, TAG_GRADCHECK, 1000 + trial)
-        embeddings = mock_text_embeddings(num_classes, config.embed_dim,
-                                          int(rng.integers(1 << 30)))
-        model = make_bundle(config, embeddings, int(rng.integers(1 << 30)))
-        x2d = rng.standard_normal((batch, config.input2d_dim))
-        x3d = rng.standard_normal((batch, config.input3d_dim))
-        y = rng.integers(0, num_classes, size=batch)
-        y[0] = pseudolabel.IGNORE
-        anchors = rng.standard_normal((batch, config.sam_dim))
-        # The full training step: both cross-entropies with IGNORE rows and
-        # the latent term on paired 3D rows distinct from the CE3d rows.
-        pair3d = rng.standard_normal((batch, config.input3d_dim))
-        y3d = rng.integers(0, num_classes, size=batch)
-        y3d[-1] = pseudolabel.IGNORE
-        batches = [{"x2d": x2d, "y2d": y}, {"x3d": x3d, "y3d": y},
-                   {"x2d": x2d, "pair3d": x3d, "anchors": anchors,
-                    "latent_weight": 1.0}]
-        batches += [{"x2d": x2d, "y2d": y, "x3d": x3d, "y3d": y3d,
-                     "pair3d": pair3d, "anchors": anchors, "latent_weight": w}
-                    for w in (1.0, 0.5)]
-        for kind, step_batch in zip(("ce2d", "ce3d", "latent", "step", "step"),
-                                    batches):
-            err = grad_check(lambda b: step(b, step_batch), model, eps=1e-5)
-            worst[kind] = max(worst[kind], err)
-        anchor_frozen &= "anchor_head.w" not in trainable_params(model)
+    worst = cli.gradient_errors(7, 1000)
+    config = cli.GRADCHECK_MODEL
+    model = make_bundle(config, mock_text_embeddings(5, config.embed_dim, 0), 0)
+    anchor_frozen = "anchor_head.w" not in param_views(model.config, model.params)
     elapsed = time.perf_counter() - start
     errors = ", ".join(f"{kind} {err:.2e}" for kind, err in worst.items())
     _report(4, f"max relative gradient error {errors} over 10 batches "

@@ -164,6 +164,16 @@ def test_read_points_rejects_corruption(tmp_path):
             _read_points(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_read_points_rejects_non_finite_positions(tmp_path, value):
+    path = tmp_path / "points.bin"
+    path.write_bytes(b"CNSPTS v1 2 0 0\n"
+                     + struct.pack("<6f", 1.5, -2.0, 3.25, 0.0, value, 2.0))
+    with pytest.raises(BundleFormatError,
+                       match="points.bin: point 1 has a non-finite position"):
+        _read_points(path)
+
+
 # ---------------------------------------------------------------------------
 # rasters
 

@@ -289,6 +289,19 @@ def test_refine_rejects_non_finite_camera(pipeline, tmp_path, capsys):
     assert err.startswith("error:") and "cameras.txt:1" in err
 
 
+def test_refine_rejects_non_finite_point(pipeline, tmp_path, capsys):
+    damaged = tmp_path / "bundle"
+    shutil.copytree(pipeline / "synth" / "bundle", damaged)
+    blob = (damaged / "points.bin").read_bytes()
+    start = blob.index(b"\n") + 1  # point 0's x follows the header line
+    (damaged / "points.bin").write_bytes(
+        blob[:start] + np.float32(np.nan).tobytes() + blob[start + 4:])
+    code = cli.main(["refine", str(damaged), "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "points.bin: point 0" in err
+
+
 def test_train_rejects_dim_mismatch(pipeline, tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "tiny.cfg")
     code = cli.main(["train", str(pipeline / "synth" / "bundle"),

@@ -1,5 +1,7 @@
 """Projection, z-buffer correspondences, and their brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +88,28 @@ def test_project_points_matches_scalar_path(rng):
             assert valid[i]
             assert (uv[i, 0], uv[i, 1]) == single[:2]
             assert np.isclose(depth[i], single[2])
+
+
+def test_project_points_masks_unprojectable_points_before_the_cast(rng):
+    # A non-finite position and a finite camera translation far off the
+    # image both yield pixel coordinates no int64 holds; they must come
+    # out invalid without a cast warning, and the rest exactly as before.
+    cam = ring_camera((6.0, 1.0, 3.0), (0.0, 0.0, 0.0))
+    pts = rng.uniform(-4, 4, size=(50, 3))
+    pts[0, 0] = pts[1, 2] = np.nan
+    far = CameraModel(cam.fx, cam.fy, cam.cx, cam.cy, cam.rotation,
+                      cam.translation + [1e30, 0.0, 0.0], cam.width, cam.height)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        uv, _, valid = project_points(cam, pts)
+        far_uv, _, far_valid = project_points(far, pts)
+    assert not valid[:2].any() and valid[2:].any()
+    assert not far_valid.any()
+    for i in range(2, len(pts)):
+        single = project_point(cam, pts[i])
+        assert valid[i] == (single is not None)
+        if single is not None:
+            assert (uv[i, 0], uv[i, 1]) == single[:2]
 
 
 def test_camera_rejects_bad_rotation():

@@ -13,8 +13,7 @@ from cnslab.errors import NumericalError, ValidationError
 from cnslab.nncore import (Mlp, ModelConfig, ce_loss, class_logits,
                            cosine_align_loss, grad_check, load_checkpoint,
                            make_bundle, mlp_backward, mlp_forward, param_views,
-                           save_checkpoint, sgd_step, softmax_rows, step,
-                           trainable_params)
+                           save_checkpoint, sgd_step, softmax_rows, step)
 from cnslab.pseudolabel import IGNORE
 from cnslab.scenesynth import mock_text_embeddings
 
@@ -145,30 +144,32 @@ def test_make_bundle_deterministic():
     a = tiny_bundle(seed=5)
     b = tiny_bundle(seed=5)
     c = tiny_bundle(seed=6)
-    for name in trainable_params(a):
-        assert np.array_equal(trainable_params(a)[name], trainable_params(b)[name])
+    views_a = param_views(a.config, a.params)
+    views_b = param_views(b.config, b.params)
+    for name in views_a:
+        assert np.array_equal(views_a[name], views_b[name])
     assert not np.array_equal(a.enc2d.weights[0], c.enc2d.weights[0])
     assert np.array_equal(a.anchor_head, b.anchor_head)
 
 
-def test_trainable_params_order_and_views():
+def test_param_views_order_and_views():
     bundle = tiny_bundle()
-    names = list(trainable_params(bundle))
+    views = param_views(bundle.config, bundle.params)
+    names = list(views)
     assert names == ["enc2d.w0", "enc2d.b0", "enc2d.w1", "enc2d.b1",
                      "enc3d.w0", "enc3d.b0", "enc3d.w1", "enc3d.b1",
                      "head_s2d.w", "head_s2d.b", "head_s3d.w", "head_s3d.b",
                      "head_f2d.w", "head_f2d.b", "head_f3d.w", "head_f3d.b"]
     # Entries are live views onto the bundle arrays and its one vector.
-    trainable_params(bundle)["head_s2d.b"][0] = 42.0
+    views["head_s2d.b"][0] = 42.0
     assert bundle.head_s2d["b"][0] == 42.0
-    assert sum(v.size for v in trainable_params(bundle).values()) == bundle.params.size
-    assert all(np.shares_memory(v, bundle.params)
-               for v in trainable_params(bundle).values())
+    assert sum(v.size for v in views.values()) == bundle.params.size
+    assert all(np.shares_memory(v, bundle.params) for v in views.values())
 
 
 def test_anchor_head_frozen_by_default():
     bundle = tiny_bundle()
-    assert "anchor_head.w" not in trainable_params(bundle)
+    assert "anchor_head.w" not in param_views(bundle.config, bundle.params)
     assert not bundle.anchor_head.flags.writeable
     with pytest.raises(ValueError):
         bundle.anchor_head[0, 0] = 1.0
@@ -549,8 +550,8 @@ def test_checkpoint_round_trip(tmp_path):
     assert meta["x_note"] == "hello"
     assert loaded.config == bundle.config
     assert loaded.seed == bundle.seed
-    orig = trainable_params(bundle)
-    back = trainable_params(loaded)
+    orig = param_views(bundle.config, bundle.params)
+    back = param_views(loaded.config, loaded.params)
     for name in orig:
         assert np.array_equal(back[name],
                               orig[name].astype("<f4").astype(np.float64)), name
@@ -576,8 +577,8 @@ def test_checkpoint_reload_is_stable(tmp_path):
     first, _ = load_checkpoint(tmp_path / "a.ckpt")
     save_checkpoint(first, tmp_path / "b.ckpt")
     second, _ = load_checkpoint(tmp_path / "b.ckpt")
-    a = trainable_params(first)
-    b = trainable_params(second)
+    a = param_views(first.config, first.params)
+    b = param_views(second.config, second.params)
     for name in a:
         assert np.array_equal(a[name], b[name]), name
 

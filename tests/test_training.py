@@ -9,17 +9,18 @@ import numpy as np
 import pytest
 
 from cnslab import training
-from cnslab.ablation import _score_trained_row
+from cnslab.ablation import _score_label_row
 from cnslab.errors import ValidationError
 from cnslab.nncore import (ModelConfig, class_logits, make_bundle, mlp_forward,
-                           trainable_params)
-from cnslab.pseudolabel import IGNORE
+                           param_views)
+from cnslab.pseudolabel import IGNORE, PIXELS, LabelMap, transfer_labels
 from cnslab.scenesynth import (ClipNoiseConfig, MaskFragConfig, SceneConfig,
                                generate_scene, mock_text_embeddings,
                                standard_oracle_outputs)
 from cnslab.training import (METRIC_COLUMNS, TrainConfig, compute_self_labels,
                              init_state, predict_labels_2d, predict_labels_3d,
-                             run_stage1, run_stage2, train, write_metrics_csv)
+                             predictions, run_stage1, run_stage2, train,
+                             write_metrics_csv)
 
 from conftest import SMALL_SCENE
 
@@ -31,7 +32,8 @@ def short_config(**overrides):
 
 
 def _params_snapshot(bundle):
-    return {name: arr.copy() for name, arr in trainable_params(bundle).items()}
+    return {name: arr.copy()
+            for name, arr in param_views(bundle.config, bundle.params).items()}
 
 
 def _params_equal(a, b):
@@ -83,11 +85,13 @@ def test_init_state_noiseless_labels_match_ground_truth(small_scene,
     corr = small_scene.correspondences()
     visible = np.zeros(len(small_scene.cloud), dtype=bool)
     visible[corr.point_index] = True
-    assert np.array_equal(state.clip_point[visible],
-                          small_scene.cloud.gt_labels[visible])
-    assert np.all(state.clip_point[~visible] == IGNORE)
-    assert np.array_equal(state.clip_pixel, state.data["gt_pixel"])
-    assert np.array_equal(state.clip2d_as_points, state.clip_point)
+    clip2d, clip3d = state.labels3d[:2]
+    assert np.array_equal(clip3d[visible], small_scene.cloud.gt_labels[visible])
+    assert np.all(clip3d[~visible] == IGNORE)
+    assert np.array_equal(state.labels2d[0],
+                          state.data["gt_pixel"][corr.camera_index, corr.v, corr.u])
+    assert np.array_equal(state.labels2d[1], clip3d[corr.point_index])
+    assert np.array_equal(clip2d, clip3d)
 
 
 def test_init_state_rejects_mismatched_embeddings(small_scene, small_oracles):
@@ -230,6 +234,21 @@ def test_all_oracle_switching_equals_pure_stage1(small_scene, small_oracles):
         assert row_a["l_ce3d"] == row_b["l_ce3d"]
 
 
+@pytest.mark.parametrize("source", range(4))
+def test_one_hot_source_is_the_same_per_element_and_per_batch(
+        small_scene, small_oracles, source):
+    # A one-hot draw picks one table row for every element, so the draw
+    # granularity changes only how many numbers source_rng yields, and
+    # that stream feeds nothing but the draws.
+    probs = tuple(float(s == source) for s in range(4))
+    runs = [train(small_scene, small_oracles,
+                  short_config(stage1_epochs=1, total_epochs=3, switch_probs=probs,
+                               switch_per_element=per_element))
+            for per_element in (False, True)]
+    assert _params_equal(*(_params_snapshot(run.bundle) for run in runs))
+    assert runs[0].history == runs[1].history
+
+
 def test_source_draw_frequencies(small_scene, small_oracles):
     probs = (0.4, 0.3, 0.2, 0.1)
     config = short_config(stage1_epochs=0, total_epochs=10,
@@ -293,9 +312,14 @@ def test_compute_self_labels_caches_refined_predictions(small_scene,
     h, w = SMALL_SCENE.image_height, SMALL_SCENE.image_width
     assert self_pixel.shape == (views, h, w)
     assert self_point.shape == (len(small_scene.cloud),)
-    assert state.self_pixel is self_pixel
-    assert state.self_point is self_point
-    assert state.self2d_as_points is not None
+    corr = small_scene.correspondences()
+    assert np.array_equal(state.labels2d[2],
+                          self_pixel[corr.camera_index, corr.v, corr.u])
+    assert np.array_equal(state.labels2d[3], self_point[corr.point_index])
+    carried = transfer_labels(corr, [LabelMap(view, PIXELS) for view in self_pixel],
+                              len(self_point))
+    assert np.array_equal(state.labels3d[2], carried.labels)
+    assert np.array_equal(state.labels3d[3], self_point)
     # Without refinement the self-labels are the raw predictions.
     raw_state = init_state(small_scene, small_oracles,
                            short_config(refine_labels=False))
@@ -320,7 +344,8 @@ def test_one_inference_pass_per_parameter_version(small_scene, small_oracles,
     # The epoch metrics predict once per epoch; the two stage-2 refreshes
     # reuse the predictions of the epoch before them.
     assert len(seen) == 3 and len(set(seen)) == 3
-    _score_trained_row(small_scene, state)
+    _score_label_row(small_scene, *predictions(state), state.data["gt_pixel"],
+                     state.data["gt_point"])
     assert len(seen) == 3
 
 

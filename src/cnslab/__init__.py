@@ -19,8 +19,9 @@ from .evaluation import (ConfusionMatrix, confusion, coverage, label_error_rate,
 from .geometry import (CameraModel, CorrespondenceSet, PointCloud,
                        build_correspondences, look_at, project_point,
                        project_points)
-from .nncore import (ModelBundle, ModelConfig, ce_loss, class_logits,
-                     config_hash, cosine_align_loss, grad_check,
+from .nncore import (ModelBundle, ModelConfig, anchor_units, ce_loss,
+                     class_logits, class_map, config_hash, cosine_align_loss,
+                     grad_check,
                      load_checkpoint, make_bundle, save_checkpoint, sgd_step,
                      step)
 from .pseudolabel import (IGNORE, LabelMap, argmax_label, derive_clip_labels,
@@ -44,8 +45,9 @@ __all__ = [
     "FORMAT_VERSION", "IGNORE", "LabelMap", "MaskFragConfig", "ModelBundle",
     "ModelConfig", "NumericalError", "PlacementError", "PointCloud",
     "ROW_ORDER", "SOURCES", "Scene", "SceneConfig", "SuiteConfig",
-    "TrainConfig", "TrainState", "ValidationError", "argmax_label",
-    "build_correspondences", "ce_loss", "class_logits", "config_hash",
+    "TrainConfig", "TrainState", "ValidationError", "anchor_units",
+    "argmax_label", "build_correspondences", "ce_loss", "class_logits",
+    "class_map", "config_hash",
     "confusion", "cosine_align_loss", "coverage", "derive_clip_labels",
     "derive_rng", "generate_scene", "grad_check", "label_error_rate",
     "load_checkpoint", "look_at", "make_bundle", "miou", "mock_clip_scores",

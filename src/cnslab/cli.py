@@ -340,7 +340,7 @@ def gradient_errors(root_seed: int, first_trial: int) -> Dict[str, float]:
         x3d = rng.standard_normal((batch, config.input3d_dim))
         y = rng.integers(0, num_classes, size=batch)
         y[0] = pseudolabel.IGNORE  # the ignore path must be differentiable too
-        anchors = rng.standard_normal((batch, config.sam_dim))
+        anchors = nncore.anchor_units(model, rng.standard_normal((batch, config.sam_dim)))
         pair3d = rng.standard_normal((batch, config.input3d_dim))
         y3d = rng.integers(0, num_classes, size=batch)
         y3d[-1] = pseudolabel.IGNORE

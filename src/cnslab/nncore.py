@@ -75,8 +75,11 @@ def mlp_forward(mlp: Mlp, x: np.ndarray) -> Tuple[np.ndarray, list]:
 
 
 def mlp_backward(mlp: Mlp, cache: list, d_out: np.ndarray
-                 ) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
-    """Backward pass: (weight grads, bias grads, gradient w.r.t. input)."""
+                 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Backward pass: (weight grads, bias grads).
+
+    The gradient w.r.t. the input is not formed: the inputs are data.
+    """
     d_w = [None] * len(mlp.weights)
     d_b = [None] * len(mlp.biases)
     grad = np.asarray(d_out, dtype=np.float64)
@@ -86,8 +89,9 @@ def mlp_backward(mlp: Mlp, cache: list, d_out: np.ndarray
             grad *= cache[i + 1] > 0
         d_w[i] = cache[i].T @ grad
         d_b[i] = grad.sum(axis=0)
-        grad = grad @ mlp.weights[i].T
-    return d_w, d_b, grad
+        if i:
+            grad = grad @ mlp.weights[i].T
+    return d_w, d_b
 
 
 @dataclass(frozen=True)
@@ -208,22 +212,35 @@ def make_bundle(config: ModelConfig, embeddings: ClassEmbeddingTable,
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable row softmax."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Numerically stable row softmax, computed in place in `logits`."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
-def class_logits(bundle: ModelBundle, features: np.ndarray, head: str) -> np.ndarray:
-    """Semantic-head logits: head(feature) dotted with every class embedding.
+def class_map(bundle: ModelBundle, head: str) -> Tuple[np.ndarray, np.ndarray]:
+    """A semantic head folded into the class embeddings: (M, c).
 
-    The head is folded into the embedding, (f @ W + b) @ E.T / T =
-    f @ (W @ E.T / T) + b @ E.T / T, so the rows never pass through
-    embed_dim.  ce_loss keeps the unfolded form, whose gradient needs z.
+    With M = W @ E.T / T and c = b @ E.T / T, the logits of feature rows f
+    are (f @ W + b) @ E.T / T = f @ M + c, so the rows never pass through
+    embed_dim.
     """
     h = bundle.head(head)
     scale = bundle.embeddings.vectors.T / bundle.config.temperature
-    return np.asarray(features, dtype=np.float64) @ (h["w"] @ scale) + h["b"] @ scale
+    return h["w"] @ scale, h["b"] @ scale
+
+
+def class_logits(features: np.ndarray,
+                 folded: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Semantic-head logits f @ M + c under a class map (M, c) of class_map.
+
+    ce_loss keeps the unfolded form, whose gradient needs z.
+    """
+    m, c = folded
+    logits = np.asarray(features, dtype=np.float64) @ m
+    logits += c
+    return logits
 
 
 def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,
@@ -259,7 +276,7 @@ def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,
     z += h["b"]
     logits = z @ bundle.embeddings.vectors.T
     logits /= bundle.config.temperature
-    probs = softmax_rows(logits)
+    probs = softmax_rows(logits)  # in place: logits is not read again
     n = len(labels)
     loss = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-300)).mean())
     d_logits = probs  # probs is not read again; its buffer is reused
@@ -275,47 +292,62 @@ def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,
     return loss, grads, d_feats
 
 
-def _safe_unit(vectors: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-normalize; rows with ~zero norm become zero vectors (flagged)."""
+def _normalize_rows(vectors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Scale rows to unit norm in place; ~zero-norm rows become zero rows.
+
+    Returns (norms, degenerate mask).
+    """
     norms = np.linalg.norm(vectors, axis=1)
     degenerate = norms < _NORM_EPS
-    safe = np.where(degenerate, 1.0, norms)
-    return vectors / safe[:, None], norms, degenerate
+    vectors /= np.where(degenerate, 1.0, norms)[:, None]
+    vectors[degenerate] = 0.0
+    return norms, degenerate
+
+
+def anchor_units(bundle: ModelBundle, oracle_feats: np.ndarray) -> np.ndarray:
+    """Unit anchor embeddings (N, anchor_dim) of oracle features (N, sam_dim).
+
+    Row i is the frozen anchor projection s_i @ A scaled to unit norm, or a
+    zero row where the projection has ~zero norm.  The anchor head never
+    trains, so a training run computes these once.
+    """
+    units = np.asarray(oracle_feats, dtype=np.float64) @ bundle.anchor_head
+    _normalize_rows(units)
+    return units
 
 
 def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
-                      p_feats: np.ndarray, anchor_feats: np.ndarray
+                      p_feats: np.ndarray, anchors: np.ndarray
                       ) -> Tuple[float, Dict[str, np.ndarray], np.ndarray,
                                  np.ndarray, int]:
     """Pull both feature heads toward the frozen anchor embedding.
 
     Per pair i the loss is (1 - cos(F2d(x_i), a_i)) + (1 - cos(F3d(p_i), a_i)),
-    averaged over pairs, with a_i the normalized anchor projection of the
-    oracle feature s_i.  No gradient flows into the frozen anchor head or
-    the oracle features.  Zero-norm head outputs contribute cosine 0 with
-    zero gradient and are counted.
+    averaged over pairs, with a_i the unit anchor embedding given in
+    `anchors` (rows of anchor_units).  No gradient flows into the frozen
+    anchor head.  Zero-norm head outputs and zero anchor rows contribute
+    cosine 0 with zero gradient and are counted.
     Returns (loss, head gradients by parameter name, gradient w.r.t.
     x_feats, gradient w.r.t. p_feats, zero-norm count).
     """
     x_feats = np.asarray(x_feats, dtype=np.float64)
     p_feats = np.asarray(p_feats, dtype=np.float64)
-    anchor_feats = np.asarray(anchor_feats, dtype=np.float64)
-    if not (len(x_feats) == len(p_feats) == len(anchor_feats)):
-        raise ValidationError("cosine_align_loss needs equally many x, p, s rows")
+    a_unit = np.asarray(anchors, dtype=np.float64)
+    if not (len(x_feats) == len(p_feats) == len(a_unit)):
+        raise ValidationError("cosine_align_loss needs equally many x, p, anchor rows")
     n = len(x_feats)
     if n == 0:
         return 0.0, {}, np.zeros_like(x_feats), np.zeros_like(p_feats), 0
 
-    a_unit, _, a_degen = _safe_unit(anchor_feats @ bundle.anchor_head)
-
+    a_degen = ~a_unit.any(axis=1)
     total = 0.0
     zero_count = int(a_degen.sum())
 
     def side(feats, head):
         nonlocal total, zero_count
-        out = feats @ head["w"]
-        out += head["b"]
-        unit, norms, degen = _safe_unit(out)
+        unit = feats @ head["w"]
+        unit += head["b"]
+        norms, degen = _normalize_rows(unit)
         cos = np.einsum("ij,ij->i", unit, a_unit)
         dead = degen | a_degen
         masked = dead.any()
@@ -328,7 +360,7 @@ def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
         # d(cos)/d(out) = (a_unit - cos * unit) / norm; zero for degenerate rows.
         d_out = -(a_unit[live] - cos[live, None] * unit[live]) / norms[live, None] / n
         if masked:
-            d_out, d_live = np.zeros_like(out), d_out
+            d_out, d_live = np.zeros_like(unit), d_out
             d_out[live] = d_live
         d_w = feats.T @ d_out
         d_b = d_out.sum(axis=0)
@@ -349,7 +381,7 @@ def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
 
 def _add_encoder_grads(views: Dict[str, np.ndarray], enc: str, mlp: Mlp,
                        cache: list, d_out: np.ndarray):
-    d_w, d_b, _ = mlp_backward(mlp, cache, d_out)
+    d_w, d_b = mlp_backward(mlp, cache, d_out)
     for i, (dw, db) in enumerate(zip(d_w, d_b)):
         views[f"{enc}.w{i}"] += dw
         views[f"{enc}.b{i}"] += db
@@ -364,7 +396,8 @@ def step(bundle: ModelBundle, batch: dict) -> Tuple[Dict[str, float], np.ndarray
     * "x2d" rows with "y2d" labels: the 2D cross-entropy l_ce2d;
     * "x3d" rows with "y3d" labels: the 3D cross-entropy l_ce3d;
     * "pair3d" (the 3D rows paired with the "x2d" rows), "anchors" (their
-      oracle features) and "latent_weight" w: the latent term l_latent.
+      unit anchor embeddings, see anchor_units) and "latent_weight" w: the
+      latent term l_latent.
 
     Returns ({"loss", "l_ce2d", "l_ce3d", "l_latent"}, grad), where
     loss = l_ce2d + l_ce3d + w * l_latent and grad, laid out like

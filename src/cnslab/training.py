@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .evaluation import confusion, csv_cell, miou
-from .nncore import (Mlp, ModelBundle, ModelConfig, class_logits, make_bundle,
-                     mlp_forward, sgd_step, step)
+from .nncore import (Mlp, ModelBundle, ModelConfig, anchor_units, class_logits,
+                     class_map, make_bundle, mlp_forward, sgd_step, step)
 from .pseudolabel import (IGNORE, POINTS, PIXELS, LabelMap,
                           REFINE3D_REPROJECT, REFINE3D_TRANSFER_MASKS,
                           derive_clip_labels, refine_by_masks,
@@ -132,7 +132,7 @@ def scene_descriptors(scene: Scene,
 
 def init_state(scene: Scene, oracles: dict, config: TrainConfig,
                model_config: Optional[ModelConfig] = None) -> TrainState:
-    """Precompute descriptors, oracle labels, and anchors; build the model."""
+    """Precompute descriptors, oracle labels, and unit anchors; build the model."""
     config.validate()
     corr = scene.correspondences()
     if corr.count == 0:
@@ -170,7 +170,8 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
 
     data = {
         "desc2d": desc2d, "desc3d": desc3d,
-        "x2d": desc2d[entries], "anchors": anchors, "ent_point": corr.point_index,
+        "x2d": desc2d[entries], "anchors": anchor_units(bundle, anchors),
+        "ent_point": corr.point_index,
         "gt_pixel": gt_pixel_stack(scene), "gt_point": scene.cloud.gt_labels,
         "masks": masks, "point_masks": transfer_masks(corr, masks, num_points),
         "corr": corr,
@@ -216,9 +217,10 @@ def _predict_rows(bundle: ModelBundle, mlp: Mlp, head: str,
                   rows: np.ndarray) -> np.ndarray:
     """Argmax semantic-head prediction for (N, D) descriptor rows, by chunk."""
     out = np.empty(len(rows), dtype=np.int32)
+    folded = class_map(bundle, head)
     for lo in range(0, len(rows), _CHUNK):
         feats, _ = mlp_forward(mlp, rows[lo:lo + _CHUNK])
-        out[lo:lo + _CHUNK] = np.argmax(class_logits(bundle, feats, head), axis=1)
+        out[lo:lo + _CHUNK] = np.argmax(class_logits(feats, folded), axis=1)
     return out
 
 
@@ -302,23 +304,33 @@ def _run_epoch(state: TrainState, stage: int) -> dict:
     order = state.shuffle_rng.permutation(n_ent)
     point_order = state.shuffle_rng.permutation(num_points)
     steps = math.ceil(n_ent / cfg.batch_pixels)
+    # Step t trains on entries order[t * batch_pixels:][:batch_pixels] and
+    # on the next batch_points points of point_order, which wraps around.
+    # The epoch's rows and label columns are gathered once, in this order.
+    pts = point_order[np.arange(steps * cfg.batch_points) % num_points]
+    x2d, labels2d = data["x2d"][order], state.labels2d[:, order]
+    x3d, labels3d = data["desc3d"][pts], state.labels3d[:, pts]
     use_latent = cfg.latent_loss_weight > 0
+    if use_latent:
+        pair3d = data["desc3d"][data["ent_point"][order]]
+        anchors = data["anchors"][order]
+    # Positions in the gathered arrays; label columns are picked with these
+    # index arrays, so that a per-batch draw broadcasts over the batch.
+    at2d, at3d = np.arange(n_ent), np.arange(len(pts))
     sums = {"l_ce2d": 0.0, "l_ce3d": 0.0, "l_latent": 0.0}
-    cursor = 0
     for t in range(steps):
-        ents = order[t * cfg.batch_pixels:(t + 1) * cfg.batch_pixels]
-        pts = point_order[(cursor + np.arange(cfg.batch_points)) % num_points]
-        cursor = (cursor + cfg.batch_points) % num_points
-
+        rows2d = slice(t * cfg.batch_pixels, (t + 1) * cfg.batch_pixels)
+        rows3d = slice(t * cfg.batch_points, (t + 1) * cfg.batch_points)
+        ents, cols = at2d[rows2d], at3d[rows3d]
         if stage == 1:  # each network's own-modality oracle labels
             draw2d, draw3d = 0, 1
         else:
-            draw2d, draw3d = _draw_sources(state, len(ents), len(pts))
-        batch = {"x2d": data["x2d"][ents], "y2d": state.labels2d[draw2d, ents],
-                 "x3d": data["desc3d"][pts], "y3d": state.labels3d[draw3d, pts]}
+            draw2d, draw3d = _draw_sources(state, len(ents), len(cols))
+        batch = {"x2d": x2d[rows2d], "y2d": labels2d[draw2d, ents],
+                 "x3d": x3d[rows3d], "y3d": labels3d[draw3d, cols]}
         if use_latent:
-            batch["pair3d"] = data["desc3d"][data["ent_point"][ents]]
-            batch["anchors"] = data["anchors"][ents]
+            batch["pair3d"] = pair3d[rows2d]
+            batch["anchors"] = anchors[rows2d]
             batch["latent_weight"] = cfg.latent_loss_weight
         losses, grad = step(bundle, batch)
         sgd_step(bundle, grad, cfg.lr)

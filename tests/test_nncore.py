@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cnslab.errors import NumericalError, ValidationError
-from cnslab.nncore import (Mlp, ModelConfig, ce_loss, class_logits,
-                           cosine_align_loss, grad_check, load_checkpoint,
+from cnslab.nncore import (Mlp, ModelConfig, anchor_units, ce_loss, class_logits,
+                           class_map, cosine_align_loss, grad_check, load_checkpoint,
                            make_bundle, mlp_backward, mlp_forward, param_views,
                            save_checkpoint, sgd_step, softmax_rows, step)
 from cnslab.pseudolabel import IGNORE
@@ -93,7 +93,7 @@ def test_mlp_backward_matches_finite_difference(rng):
         return float(np.sum(out * d_out))
 
     out, cache = mlp_forward(mlp, x)
-    d_w, d_b, d_x = mlp_backward(mlp, cache, d_out)
+    d_w, d_b = mlp_backward(mlp, cache, d_out)
     eps = 1e-6
     for arrs, grads in ((mlp.weights, d_w), (mlp.biases, d_b)):
         for arr, grad in zip(arrs, grads):
@@ -107,17 +107,6 @@ def test_mlp_backward_matches_finite_difference(rng):
                 lo = scalar_loss()
                 flat[j] = orig
                 assert abs((hi - lo) / (2 * eps) - gflat[j]) < 1e-5
-    # Input gradient too.
-    xflat = x.reshape(-1)
-    dflat = d_x.reshape(-1)
-    for j in range(xflat.size):
-        orig = xflat[j]
-        xflat[j] = orig + eps
-        hi = scalar_loss()
-        xflat[j] = orig - eps
-        lo = scalar_loss()
-        xflat[j] = orig
-        assert abs((hi - lo) / (2 * eps) - dflat[j]) < 1e-5
 
 
 def test_mlp_validation():
@@ -295,7 +284,7 @@ def test_class_logits_formula(rng):
         bundle.params[:] = rng.standard_normal(bundle.params.shape)
         for head in ("s2d", "s3d"):
             h = bundle.head(head)
-            logits = class_logits(bundle, feats, head)
+            logits = class_logits(feats, class_map(bundle, head))
             z = feats @ h["w"] + h["b"]
             expected = (z @ bundle.embeddings.vectors.T) / temperature
             np.testing.assert_allclose(logits, expected, rtol=1e-12, atol=0)
@@ -314,21 +303,31 @@ def test_softmax_rows_stable():
 
 
 def _aligned_inputs(bundle, rng, n=4):
-    """Anchor projections plus feature-head inputs that reproduce them."""
-    anchor_feats = rng.standard_normal((n, 3))
-    a_raw = anchor_feats @ bundle.anchor_head
-    a_unit = a_raw / np.linalg.norm(a_raw, axis=1, keepdims=True)
+    """Unit anchors, with identity feature heads that reproduce them."""
+    a_unit = anchor_units(bundle, rng.standard_normal((n, 3)))
     for head in (bundle.head_f2d, bundle.head_f3d):
         head["w"][:] = np.eye(7)
         head["b"][:] = 0.0
-    return anchor_feats, a_unit
+    return a_unit
+
+
+def test_anchor_units_normalize_the_anchor_projection(rng):
+    bundle = tiny_bundle()
+    feats = rng.standard_normal((6, 3))
+    feats[2] = 0.0  # a degenerate projection becomes a zero row
+    a_raw = feats @ bundle.anchor_head
+    units = anchor_units(bundle, feats.astype(np.float32))
+    keep = np.arange(6) != 2
+    np.testing.assert_allclose(
+        units[keep], a_raw[keep] / np.linalg.norm(a_raw[keep], axis=1, keepdims=True),
+        rtol=1e-6)
+    assert not units[2].any()
 
 
 def test_align_loss_zero_when_aligned(rng):
     bundle = tiny_bundle()
-    anchor_feats, a_unit = _aligned_inputs(bundle, rng)
-    loss, grads, _, _, zero_count = cosine_align_loss(bundle, a_unit, a_unit,
-                                                      anchor_feats)
+    a_unit = _aligned_inputs(bundle, rng)
+    loss, grads, _, _, zero_count = cosine_align_loss(bundle, a_unit, a_unit, a_unit)
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(grads["head_f2d.w"], 0.0, atol=1e-12)
     assert zero_count == 0
@@ -336,8 +335,8 @@ def test_align_loss_zero_when_aligned(rng):
 
 def test_align_loss_four_when_anti_aligned(rng):
     bundle = tiny_bundle()
-    anchor_feats, a_unit = _aligned_inputs(bundle, rng)
-    loss, *_ = cosine_align_loss(bundle, -a_unit, -a_unit, anchor_feats)
+    a_unit = _aligned_inputs(bundle, rng)
+    loss, *_ = cosine_align_loss(bundle, -a_unit, -a_unit, a_unit)
     assert loss == pytest.approx(4.0, abs=1e-12)
 
 
@@ -345,17 +344,16 @@ def test_align_loss_range(rng):
     bundle = tiny_bundle()
     loss, *_ = cosine_align_loss(bundle, rng.standard_normal((20, 7)),
                                  rng.standard_normal((20, 7)),
-                                 rng.standard_normal((20, 3)))
+                                 anchor_units(bundle, rng.standard_normal((20, 3))))
     assert 0.0 <= loss <= 4.0
 
 
 def test_align_loss_zero_norm_row_counts(rng):
     bundle = tiny_bundle()
-    anchor_feats, a_unit = _aligned_inputs(bundle, rng, n=2)
+    a_unit = _aligned_inputs(bundle, rng, n=2)
     x = a_unit.copy()
     x[1] = 0.0  # degenerate 2D head output: cosine treated as 0
-    loss, grads, _, _, zero_count = cosine_align_loss(bundle, x, a_unit,
-                                                      anchor_feats)
+    loss, grads, _, _, zero_count = cosine_align_loss(bundle, x, a_unit, a_unit)
     assert zero_count == 1
     assert loss == pytest.approx(0.5, abs=1e-12)  # one miss of 1.0 over 2 pairs
     # Degenerate rows must not produce gradients.
@@ -364,9 +362,9 @@ def test_align_loss_zero_norm_row_counts(rng):
 
 def test_align_loss_degenerate_anchor(rng):
     bundle = tiny_bundle()
-    anchor_feats, a_unit = _aligned_inputs(bundle, rng, n=1)
-    loss, _, _, _, zero_count = cosine_align_loss(bundle, a_unit, a_unit,
-                                                  np.zeros((1, 3)))
+    a_unit = _aligned_inputs(bundle, rng, n=1)
+    loss, _, _, _, zero_count = cosine_align_loss(
+        bundle, a_unit, a_unit, anchor_units(bundle, np.zeros((1, 3))))
     assert loss == pytest.approx(2.0, abs=1e-12)  # both sides miss
     assert zero_count == 1
 
@@ -377,7 +375,7 @@ def test_align_loss_positive_rescaling_invariant(rng):
         head["b"][:] = 0.0
     x = rng.standard_normal((5, 7))
     p = rng.standard_normal((5, 7))
-    s = rng.standard_normal((5, 3))
+    s = anchor_units(bundle, rng.standard_normal((5, 3)))
     base, *_ = cosine_align_loss(bundle, x, p, s)
     scales = rng.uniform(0.1, 10.0, size=(5, 1))
     scaled, *_ = cosine_align_loss(bundle, x * scales, p * scales, s)
@@ -388,7 +386,7 @@ def test_align_loss_no_anchor_gradient_by_default(rng):
     bundle = tiny_bundle()
     _, grads, *_ = cosine_align_loss(bundle, rng.standard_normal((4, 7)),
                                      rng.standard_normal((4, 7)),
-                                     rng.standard_normal((4, 3)))
+                                     anchor_units(bundle, rng.standard_normal((4, 3))))
     assert "anchor_head.w" not in grads
 
 
@@ -396,7 +394,7 @@ def test_align_loss_gradients_match_finite_difference(rng):
     bundle = tiny_bundle()
     x = rng.standard_normal((5, 7))
     p = rng.standard_normal((5, 7))
-    s = rng.standard_normal((5, 3))
+    s = anchor_units(bundle, rng.standard_normal((5, 3)))
     err = grad_check(head_loss(lambda b: cosine_align_loss(b, x, p, s)), bundle)
     assert err < 1e-4
 
@@ -405,7 +403,7 @@ def test_align_loss_end_to_end_gradients(rng):
     bundle = tiny_bundle()
     x2d = rng.standard_normal((4, 5))
     x3d = rng.standard_normal((4, 6))
-    s = rng.standard_normal((4, 3))
+    s = anchor_units(bundle, rng.standard_normal((4, 3)))
     batch = {"x2d": x2d, "pair3d": x3d, "anchors": s, "latent_weight": 1.0}
     _, grad = step(bundle, batch)
     views = param_views(bundle.config, grad)
@@ -419,13 +417,13 @@ def test_align_loss_validates_lengths(rng):
     with pytest.raises(ValidationError):
         cosine_align_loss(bundle, rng.standard_normal((3, 7)),
                           rng.standard_normal((2, 7)),
-                          rng.standard_normal((3, 3)))
+                          rng.standard_normal((3, 7)))
 
 
 def test_align_loss_empty_batch():
     bundle = tiny_bundle()
     loss, _, _, _, zero_count = cosine_align_loss(bundle, np.zeros((0, 7)),
-                                                  np.zeros((0, 7)), np.zeros((0, 3)))
+                                                  np.zeros((0, 7)), np.zeros((0, 7)))
     assert loss == 0.0
     assert zero_count == 0
 
@@ -434,7 +432,7 @@ def test_align_loss_empty_batch():
 # SGD and the gradient checker
 
 
-def _training_batch(rng, weight=1.0, n=6):
+def _training_batch(bundle, rng, weight=1.0, n=6):
     """CE2d and CE3d rows with IGNORE labels plus a latent term on other 3D rows."""
     y2d = rng.integers(0, 5, size=n)
     y3d = rng.integers(0, 5, size=n)
@@ -442,12 +440,13 @@ def _training_batch(rng, weight=1.0, n=6):
     return {"x2d": rng.standard_normal((n, 5)), "y2d": y2d,
             "x3d": rng.standard_normal((n, 6)), "y3d": y3d,
             "pair3d": rng.standard_normal((n, 6)),
-            "anchors": rng.standard_normal((n, 3)), "latent_weight": weight}
+            "anchors": anchor_units(bundle, rng.standard_normal((n, 3))),
+            "latent_weight": weight}
 
 
 def test_step_combines_its_terms(rng):
     bundle = tiny_bundle()
-    batch = _training_batch(rng, weight=0.5)
+    batch = _training_batch(bundle, rng, weight=0.5)
     losses, grad = step(bundle, batch)
     ce2d = step(bundle, {k: batch[k] for k in ("x2d", "y2d")})
     ce3d = step(bundle, {k: batch[k] for k in ("x3d", "y3d")})
@@ -465,7 +464,7 @@ def test_step_combines_its_terms(rng):
 
 def test_grad_check_flags_wrong_latent_weight(rng):
     bundle = tiny_bundle()
-    batch = _training_batch(rng, weight=0.5)
+    batch = _training_batch(bundle, rng, weight=0.5)
 
     def wrong(b):
         losses, _ = step(b, {**batch, "latent_weight": 1.0})
@@ -504,7 +503,7 @@ def test_sgd_never_touches_frozen_anchor(rng):
     frozen = bundle.anchor_head.copy()
     x2d = rng.standard_normal((8, 5))
     x3d = rng.standard_normal((8, 6))
-    s = rng.standard_normal((8, 3))
+    s = anchor_units(bundle, rng.standard_normal((8, 3)))
     y = rng.integers(0, 5, size=8).astype(np.int32)
     for _ in range(5):
         _, grad = step(bundle, {"x2d": x2d, "y2d": y})

@@ -11,8 +11,8 @@ import pytest
 from cnslab import training
 from cnslab.ablation import _score_label_row
 from cnslab.errors import ValidationError
-from cnslab.nncore import (ModelConfig, class_logits, make_bundle, mlp_forward,
-                           param_views)
+from cnslab.nncore import (ModelConfig, class_logits, class_map, make_bundle,
+                           mlp_forward, param_views)
 from cnslab.pseudolabel import IGNORE, PIXELS, LabelMap, transfer_labels
 from cnslab.scenesynth import (ClipNoiseConfig, MaskFragConfig, SceneConfig,
                                generate_scene, mock_text_embeddings,
@@ -187,7 +187,8 @@ def _random_inference_bundle(rng):
 
 
 def _one_piece_labels(bundle, mlp, head, rows):
-    return np.argmax(class_logits(bundle, mlp_forward(mlp, rows)[0], head), axis=1)
+    folded = class_map(bundle, head)
+    return np.argmax(class_logits(mlp_forward(mlp, rows)[0], folded), axis=1)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])

@@ -5,6 +5,9 @@ output) over hand-built descriptors.  On top of the shared latent space
 sit four trainable linear heads — semantic heads mapping into the class
 embedding space and feature heads mapping into the anchor space — plus a
 frozen bias-free anchor projection and the frozen class embedding table.
+A semantic head is folded into the class embeddings (class_map), so the
+class logits are f @ M + c in training (ce_loss) and inference
+(class_logits) alike.
 
 Every trainable parameter lives in one float64 vector, laid out by
 param_views.  All arithmetic is float64; gradients are written by hand.
@@ -233,10 +236,7 @@ def class_map(bundle: ModelBundle, head: str) -> Tuple[np.ndarray, np.ndarray]:
 
 def class_logits(features: np.ndarray,
                  folded: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Semantic-head logits f @ M + c under a class map (M, c) of class_map.
-
-    ce_loss keeps the unfolded form, whose gradient needs z.
-    """
+    """Semantic-head logits f @ M + c under a class map (M, c) of class_map."""
     m, c = folded
     logits = np.asarray(features, dtype=np.float64) @ m
     logits += c
@@ -249,9 +249,12 @@ def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,
     """Cross-entropy of semantic-head predictions against target labels.
 
     Scores are dot products of the head output with each class embedding,
-    divided by the temperature.  IGNORE targets are skipped; an all-IGNORE
-    batch yields zero loss and zero gradients.  Returns (loss, head
-    gradients by parameter name, gradient w.r.t. the features).
+    divided by the temperature, computed as f @ M + c from class_map.  The
+    head gradients pass through M = W @ E.T / T and c = b @ E.T / T:
+    dW = (f.T @ d_logits) @ E / T, db = d_logits.sum(0) @ E / T, and the
+    feature gradient is d_logits @ M.T.  IGNORE targets are skipped; an
+    all-IGNORE batch yields zero loss and zero gradients.  Returns (loss,
+    head gradients by parameter name, gradient w.r.t. the features).
     """
     if head not in ("s2d", "s3d"):
         raise ValidationError(f"ce_loss expects a semantic head, got {head!r}")
@@ -272,20 +275,19 @@ def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,
     num_classes = bundle.embeddings.num_classes
     if labels.max() >= num_classes or labels.min() < 0:
         raise ValidationError("target labels outside [0, num_classes)")
-    z = feats @ h["w"]
-    z += h["b"]
-    logits = z @ bundle.embeddings.vectors.T
-    logits /= bundle.config.temperature
+    m, c = class_map(bundle, head)
+    logits = feats @ m
+    logits += c
     probs = softmax_rows(logits)  # in place: logits is not read again
     n = len(labels)
     loss = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-300)).mean())
     d_logits = probs  # probs is not read again; its buffer is reused
     d_logits[np.arange(n), labels] -= 1.0
     d_logits /= n
-    d_z = d_logits @ bundle.embeddings.vectors
-    d_z /= bundle.config.temperature
-    grads = {f"{head_name}.w": feats.T @ d_z, f"{head_name}.b": d_z.sum(axis=0)}
-    d_feats = d_z @ h["w"].T
+    emb = bundle.embeddings.vectors / bundle.config.temperature
+    grads = {f"{head_name}.w": (feats.T @ d_logits) @ emb,
+             f"{head_name}.b": d_logits.sum(axis=0) @ emb}
+    d_feats = d_logits @ m.T
     if masked:
         d_feats, d_kept = np.zeros_like(features), d_feats
         d_feats[valid] = d_kept

@@ -275,9 +275,45 @@ def test_ce_loss_end_to_end_gradients(rng):
     assert err < 1e-4
 
 
+def _unfolded_ce(bundle, feats, head, y):
+    """Reference cross-entropy through z = f @ W + b and logits z @ E.T / T."""
+    h = bundle.head(head)
+    emb = bundle.embeddings.vectors
+    keep = y != IGNORE
+    f, labels = feats[keep], y[keep]
+    n = len(labels)
+    z = f @ h["w"] + h["b"]
+    logits = (z @ emb.T) / bundle.config.temperature
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    loss = -np.log(probs[np.arange(n), labels]).mean()
+    d_logits = probs.copy()
+    d_logits[np.arange(n), labels] -= 1.0
+    d_z = (d_logits / n) @ emb / bundle.config.temperature
+    d_feats = np.zeros_like(feats)
+    d_feats[keep] = d_z @ h["w"].T
+    return loss, f.T @ d_z, d_z.sum(axis=0), d_feats
+
+
+def test_folded_ce_loss_matches_unfolded_form(rng):
+    feats = rng.standard_normal((40, 7))
+    y = rng.integers(0, 5, size=40).astype(np.int32)
+    y[[0, 7, 39]] = IGNORE
+    for temperature in (2.0, 1.0, 0.5):
+        bundle = tiny_bundle(temperature=temperature)
+        bundle.params[:] = rng.standard_normal(bundle.params.shape)
+        for head in ("s2d", "s3d"):
+            loss, grads, d_feats = ce_loss(bundle, feats, head, y)
+            ref_loss, ref_w, ref_b, ref_feats = _unfolded_ce(bundle, feats, head, y)
+            assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+            for got, want in ((grads[f"head_{head}.w"], ref_w),
+                              (grads[f"head_{head}.b"], ref_b), (d_feats, ref_feats)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_class_logits_formula(rng):
-    # class_logits folds the head into the embedding; it must agree with
-    # the unfolded (f @ W + b) @ E.T / T that ce_loss computes.
+    # class_logits applies the head folded into the embedding; it must
+    # agree with the unfolded (f @ W + b) @ E.T / T.
     feats = rng.standard_normal((200, 7))
     for temperature in (2.0, 1.0, 0.5):
         bundle = tiny_bundle(temperature=temperature)

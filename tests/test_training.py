@@ -141,6 +141,44 @@ def test_stage2_requires_stage1(small_scene, small_oracles):
         run_stage2(state)
 
 
+def test_one_epoch_uses_every_entry_once(small_scene, small_oracles, monkeypatch):
+    # A batch size that does not divide the entry count: the last batch is short.
+    state = init_state(small_scene, small_oracles,
+                       short_config(batch_pixels=100, batch_points=128))
+    data = state.data
+    n_ent, num_points = state.labels2d.shape[1], state.labels3d.shape[1]
+    assert n_ent % 100
+    # Column 0 of each descriptor row carries its entry or point index.
+    data["x2d"] = data["x2d"].copy()
+    data["x2d"][:, 0] = np.arange(n_ent)
+    data["desc3d"] = data["desc3d"].copy()
+    data["desc3d"][:, 0] = np.arange(num_points)
+    batches = []
+
+    def recording_step(bundle, batch, *args, **kwargs):
+        batches.append({key: np.array(value) for key, value in batch.items()})
+        return real_step(bundle, batch, *args, **kwargs)
+
+    real_step = training.step
+    monkeypatch.setattr(training, "step", recording_step)
+    training._run_epoch(state, stage=1)
+
+    assert [len(b["x2d"]) for b in batches] == [100] * (n_ent // 100) + [n_ent % 100]
+    ents = np.concatenate([b["x2d"][:, 0] for b in batches]).astype(np.int64)
+    assert np.array_equal(np.sort(ents), np.arange(n_ent))
+    pts = np.concatenate([b["x3d"][:, 0] for b in batches]).astype(np.int64)
+    assert len(pts) == 128 * len(batches) >= num_points
+    counts = np.bincount(pts, minlength=num_points)
+    assert counts.max() - counts.min() <= 1
+    for b in batches:  # every term of a batch reads the same entries
+        e = b["x2d"][:, 0].astype(np.int64)
+        p = b["x3d"][:, 0].astype(np.int64)
+        assert np.array_equal(b["y2d"], state.labels2d[0, e])
+        assert np.array_equal(b["y3d"], state.labels3d[1, p])
+        assert np.array_equal(b["pair3d"][:, 0], data["ent_point"][e])
+        assert np.array_equal(b["anchors"], data["anchors"][e])
+
+
 def test_history_rows_have_metric_columns(small_scene, small_oracles):
     state = train(small_scene, small_oracles,
                   short_config(stage1_epochs=1, total_epochs=2))

@@ -263,7 +263,8 @@ def cmd_train(cfg: RunConfig, bundle_dir: str, out_dir: str) -> int:
     tconf = suite.train
     state = training.train(scene, oracles, tconf, suite.model_config())
     nncore.save_checkpoint(state.bundle, out / "checkpoint.ckpt",
-                           extra={"train_hash": nncore.config_hash(tconf)})
+                           extra={"train_hash": nncore.config_hash(tconf),
+                                  "descriptor_noise": tconf.descriptor_noise})
     training.write_metrics_csv(state.history, out / "metrics.csv")
     last = state.history[-1]
     print(f"trained {tconf.total_epochs} epochs: "
@@ -282,6 +283,14 @@ def cmd_eval(cfg: RunConfig, bundle_dir: str, checkpoint: str,
         raise ValidationError(
             f"checkpoint predicts {meta['num_classes']} classes but the "
             f"bundle has {scene.num_classes}")
+    # The network only scores right on the descriptors it was trained on.
+    # Checkpoints from before this header key was written are not checked.
+    trained = meta.get("x_descriptor_noise")
+    noise = format_value(cfg["descriptor_noise"])
+    if trained is not None and trained != noise:
+        raise ValidationError(
+            f"checkpoint was trained with descriptor_noise={trained} but eval "
+            f"uses descriptor_noise={noise}; pass --descriptor_noise {trained}")
     desc2d, desc3d = training.scene_descriptors(scene, cfg["descriptor_noise"])
     if desc2d.shape[3] != model.config.input2d_dim:
         raise ValidationError(
@@ -319,8 +328,8 @@ GRADCHECK_MODEL = nncore.ModelConfig(
     embed_dim=12, anchor_dim=8, sam_dim=4)
 
 
-def gradient_errors(root_seed: int, first_trial: int) -> Dict[str, float]:
-    """Worst finite-difference gradient error per check over ten random trials.
+def gradient_trials(root_seed: int, first_trial: int):
+    """(check name, model, batch) of the checks of ten random trials.
 
     Trial i draws its model and batch from the stream (root_seed,
     TAG_GRADCHECK, first_trial + i).  Each loss term is checked alone
@@ -330,7 +339,6 @@ def gradient_errors(root_seed: int, first_trial: int) -> Dict[str, float]:
     """
     num_classes, batch = 5, 8
     config = GRADCHECK_MODEL
-    worst = {"ce2d": 0.0, "ce3d": 0.0, "latent": 0.0, "step": 0.0}
     for trial in range(first_trial, first_trial + 10):
         rng = derive_rng(root_seed, TAG_GRADCHECK, trial)
         embeddings = scenesynth.mock_text_embeddings(
@@ -344,15 +352,21 @@ def gradient_errors(root_seed: int, first_trial: int) -> Dict[str, float]:
         pair3d = rng.standard_normal((batch, config.input3d_dim))
         y3d = rng.integers(0, num_classes, size=batch)
         y3d[-1] = pseudolabel.IGNORE
-        checks = [("ce2d", {"x2d": x2d, "y2d": y}), ("ce3d", {"x3d": x3d, "y3d": y}),
-                  ("latent", {"x2d": x2d, "pair3d": x3d, "anchors": anchors,
-                              "latent_weight": 1.0})]
-        checks += [("step", {"x2d": x2d, "y2d": y, "x3d": x3d, "y3d": y3d,
-                             "pair3d": pair3d, "anchors": anchors, "latent_weight": w})
-                   for w in (1.0, 0.5)]
-        for name, step_batch in checks:
-            err = nncore.grad_check(lambda b: nncore.step(b, step_batch), model)
-            worst[name] = max(worst[name], err)
+        yield "ce2d", model, {"x2d": x2d, "y2d": y}
+        yield "ce3d", model, {"x3d": x3d, "y3d": y}
+        yield "latent", model, {"x2d": x2d, "pair3d": x3d, "anchors": anchors,
+                                "latent_weight": 1.0}
+        for w in (1.0, 0.5):
+            yield "step", model, {"x2d": x2d, "y2d": y, "x3d": x3d, "y3d": y3d,
+                                  "pair3d": pair3d, "anchors": anchors, "latent_weight": w}
+
+
+def gradient_errors(root_seed: int, first_trial: int) -> Dict[str, float]:
+    """Worst finite-difference gradient error per check of gradient_trials."""
+    worst = {"ce2d": 0.0, "ce3d": 0.0, "latent": 0.0, "step": 0.0}
+    for name, model, batch in gradient_trials(root_seed, first_trial):
+        err = nncore.grad_check(lambda b, grad: nncore.step(b, batch, grad), model)
+        worst[name] = max(worst[name], err)
     return worst
 
 

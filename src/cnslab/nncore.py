@@ -13,7 +13,7 @@ Every trainable parameter lives in one float64 vector, laid out by
 param_views.  All arithmetic is float64; gradients are written by hand.
 `step` computes the training objective and its gradient as one vector
 laid out like the parameters; training and grad_check (central finite
-differences) both call it.
+differences) both call it, the checker's probes in its loss-only mode.
 """
 
 from __future__ import annotations
@@ -244,8 +244,9 @@ def class_logits(features: np.ndarray,
 
 
 def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,
-            target_labels: Union[LabelMap, np.ndarray], ignore: int = IGNORE
-            ) -> Tuple[float, Dict[str, np.ndarray], np.ndarray]:
+            target_labels: Union[LabelMap, np.ndarray], ignore: int = IGNORE,
+            grad: bool = True
+            ) -> Tuple[float, Dict[str, np.ndarray], Optional[np.ndarray]]:
     """Cross-entropy of semantic-head predictions against target labels.
 
     Scores are dot products of the head output with each class embedding,
@@ -254,7 +255,8 @@ def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,
     dW = (f.T @ d_logits) @ E / T, db = d_logits.sum(0) @ E / T, and the
     feature gradient is d_logits @ M.T.  IGNORE targets are skipped; an
     all-IGNORE batch yields zero loss and zero gradients.  Returns (loss,
-    head gradients by parameter name, gradient w.r.t. the features).
+    head gradients by parameter name, gradient w.r.t. the features); with
+    grad=False the backward half is skipped and they are {} and None.
     """
     if head not in ("s2d", "s3d"):
         raise ValidationError(f"ce_loss expects a semantic head, got {head!r}")
@@ -281,6 +283,8 @@ def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,
     probs = softmax_rows(logits)  # in place: logits is not read again
     n = len(labels)
     loss = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-300)).mean())
+    if not grad:
+        return loss, {}, None
     d_logits = probs  # probs is not read again; its buffer is reused
     d_logits[np.arange(n), labels] -= 1.0
     d_logits /= n
@@ -319,9 +323,9 @@ def anchor_units(bundle: ModelBundle, oracle_feats: np.ndarray) -> np.ndarray:
 
 
 def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
-                      p_feats: np.ndarray, anchors: np.ndarray
-                      ) -> Tuple[float, Dict[str, np.ndarray], np.ndarray,
-                                 np.ndarray, int]:
+                      p_feats: np.ndarray, anchors: np.ndarray, grad: bool = True
+                      ) -> Tuple[float, Dict[str, np.ndarray], Optional[np.ndarray],
+                                 Optional[np.ndarray], int]:
     """Pull both feature heads toward the frozen anchor embedding.
 
     Per pair i the loss is (1 - cos(F2d(x_i), a_i)) + (1 - cos(F3d(p_i), a_i)),
@@ -330,7 +334,8 @@ def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
     anchor head.  Zero-norm head outputs and zero anchor rows contribute
     cosine 0 with zero gradient and are counted.
     Returns (loss, head gradients by parameter name, gradient w.r.t.
-    x_feats, gradient w.r.t. p_feats, zero-norm count).
+    x_feats, gradient w.r.t. p_feats, zero-norm count); with grad=False the
+    backward half is skipped and the gradients are {}, None and None.
     """
     x_feats = np.asarray(x_feats, dtype=np.float64)
     p_feats = np.asarray(p_feats, dtype=np.float64)
@@ -359,6 +364,8 @@ def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
             cos[dead] = 0.0
         zero_count += int(degen.sum())
         total += float(np.sum(1.0 - cos))
+        if not grad:
+            return None, None, None
         # d(cos)/d(out) = (a_unit - cos * unit) / norm; zero for degenerate rows.
         d_out = -(a_unit[live] - cos[live, None] * unit[live]) / norms[live, None] / n
         if masked:
@@ -372,6 +379,8 @@ def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
     d_w2, d_b2, d_x = side(x_feats, bundle.head_f2d)
     d_w3, d_b3, d_p = side(p_feats, bundle.head_f3d)
     loss = total / n
+    if not grad:
+        return loss, {}, None, None, zero_count
     grads = {"head_f2d.w": d_w2, "head_f2d.b": d_b2,
              "head_f3d.w": d_w3, "head_f3d.b": d_b3}
     return loss, grads, d_x, d_p, zero_count
@@ -389,7 +398,8 @@ def _add_encoder_grads(views: Dict[str, np.ndarray], enc: str, mlp: Mlp,
         views[f"{enc}.b{i}"] += db
 
 
-def step(bundle: ModelBundle, batch: dict) -> Tuple[Dict[str, float], np.ndarray]:
+def step(bundle: ModelBundle, batch: dict, grad: bool = True
+         ) -> Tuple[Dict[str, float], Optional[np.ndarray]]:
     """Losses of one training batch and the gradient of their weighted sum.
 
     `batch` holds up to three terms; a term whose keys are absent is
@@ -401,41 +411,46 @@ def step(bundle: ModelBundle, batch: dict) -> Tuple[Dict[str, float], np.ndarray
       unit anchor embeddings, see anchor_units) and "latent_weight" w: the
       latent term l_latent.
 
-    Returns ({"loss", "l_ce2d", "l_ce3d", "l_latent"}, grad), where
-    loss = l_ce2d + l_ce3d + w * l_latent and grad, laid out like
+    Returns ({"loss", "l_ce2d", "l_ce3d", "l_latent"}, gradient), where
+    loss = l_ce2d + l_ce3d + w * l_latent and the gradient, laid out like
     bundle.params, is its gradient.  w scales the latent gradients before
     they enter the encoders; the 3D encoder's gradient is the sum of one
-    backward pass per 3D term.
+    backward pass per 3D term.  With grad=False every backward half is
+    skipped and the gradient is None; the losses are the same to the bit.
     """
-    grad = np.zeros_like(bundle.params)
-    views = param_views(bundle.config, grad)
+    total = np.zeros_like(bundle.params) if grad else None
+    views = param_views(bundle.config, total) if grad else {}
     losses = {"l_ce2d": 0.0, "l_ce3d": 0.0, "l_latent": 0.0}
     d_x2d = None
     if "x2d" in batch:
         feats2d, cache2d = mlp_forward(bundle.enc2d, batch["x2d"])
     if "y2d" in batch:
-        losses["l_ce2d"], heads, d_x2d = ce_loss(bundle, feats2d, "s2d", batch["y2d"])
+        losses["l_ce2d"], heads, d_x2d = ce_loss(bundle, feats2d, "s2d", batch["y2d"],
+                                                 grad=grad)
         for name, value in heads.items():
             views[name][...] = value
     if "y3d" in batch:
         feats3d, cache3d = mlp_forward(bundle.enc3d, batch["x3d"])
-        losses["l_ce3d"], heads, d_x3d = ce_loss(bundle, feats3d, "s3d", batch["y3d"])
+        losses["l_ce3d"], heads, d_x3d = ce_loss(bundle, feats3d, "s3d", batch["y3d"],
+                                                 grad=grad)
         for name, value in heads.items():
             views[name][...] = value
-        _add_encoder_grads(views, "enc3d", bundle.enc3d, cache3d, d_x3d)
+        if grad:
+            _add_encoder_grads(views, "enc3d", bundle.enc3d, cache3d, d_x3d)
     weight = batch["latent_weight"] if "anchors" in batch else 0.0
     if "anchors" in batch:
         feats_pair, cache_pair = mlp_forward(bundle.enc3d, batch["pair3d"])
         losses["l_latent"], heads, d_lat2d, d_pair, _ = cosine_align_loss(
-            bundle, feats2d, feats_pair, batch["anchors"])
+            bundle, feats2d, feats_pair, batch["anchors"], grad=grad)
         for name, value in heads.items():
             views[name][...] = weight * value
-        d_x2d = weight * d_lat2d if d_x2d is None else d_x2d + weight * d_lat2d
-        _add_encoder_grads(views, "enc3d", bundle.enc3d, cache_pair, weight * d_pair)
-    if d_x2d is not None:
+        if grad:
+            d_x2d = weight * d_lat2d if d_x2d is None else d_x2d + weight * d_lat2d
+            _add_encoder_grads(views, "enc3d", bundle.enc3d, cache_pair, weight * d_pair)
+    if grad and d_x2d is not None:
         _add_encoder_grads(views, "enc2d", bundle.enc2d, cache2d, d_x2d)
     losses["loss"] = losses["l_ce2d"] + losses["l_ce3d"] + weight * losses["l_latent"]
-    return losses, grad
+    return losses, total
 
 
 def sgd_step(bundle: ModelBundle, grad: np.ndarray, lr: float) -> ModelBundle:
@@ -451,25 +466,32 @@ def sgd_step(bundle: ModelBundle, grad: np.ndarray, lr: float) -> ModelBundle:
     return bundle
 
 
-def grad_check(loss_op: Callable[[ModelBundle], Tuple[Dict[str, float], np.ndarray]],
+def grad_check(loss_op: Callable[[ModelBundle, bool],
+                                 Tuple[Dict[str, float], Optional[np.ndarray]]],
                bundle: ModelBundle, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    `loss_op(bundle)` returns (losses, grad) like `step`: losses["loss"] is
-    the objective and grad its analytic gradient.  Every element of
-    bundle.params is checked; relative error per element is
-    |a - n| / max(|a|, |n|, 1e-8).  A parameter block whose joint +eps
-    shift leaves the objective bit-identical is not read by the loss: its
-    numeric gradient is 0 and it is checked without per-element probes.
+    `loss_op(bundle, grad)` returns (losses, gradient) like `step`:
+    losses["loss"] is the objective and, when grad is true, the gradient
+    its analytic gradient.  The probes call it with grad=False, which must
+    give the same objective to the bit.  Every element of bundle.params
+    is checked; relative error per element is |a - n| / max(|a|, |n|, 1e-8).
+    A parameter block whose joint +eps shift leaves the objective
+    bit-identical is not read by the loss: its numeric gradient is 0 and
+    it is checked without per-element probes.
     """
-    base, analytic = loss_op(bundle)
+    base, analytic = loss_op(bundle, True)
+
+    def objective():
+        return loss_op(bundle, False)[0]["loss"]
+
     flat = bundle.params
     worst = 0.0
     for _, start, stop, _ in _layout(bundle.config):
         block = flat[start:stop]
         saved = block.copy()
         block += eps
-        unread = loss_op(bundle)[0]["loss"] == base["loss"]
+        unread = objective() == base["loss"]
         block[...] = saved
         if unread:
             a = np.abs(analytic[start:stop])
@@ -478,9 +500,9 @@ def grad_check(loss_op: Callable[[ModelBundle], Tuple[Dict[str, float], np.ndarr
         for j in range(start, stop):
             orig = flat[j]
             flat[j] = orig + eps
-            hi = loss_op(bundle)[0]["loss"]
+            hi = objective()
             flat[j] = orig - eps
-            lo = loss_op(bundle)[0]["loss"]
+            lo = objective()
             flat[j] = orig
             numeric = (hi - lo) / (2.0 * eps)
             a = analytic[j]
@@ -559,10 +581,12 @@ def load_checkpoint(path) -> Tuple[ModelBundle, dict]:
     if len(blob) - start != expected:
         raise ValidationError(f"{path}: payload has {len(blob) - start} bytes, "
                               f"header implies {expected}")
-    params = np.frombuffer(blob, "<f4", n_params, start).astype(np.float64)
-    frozen = np.frombuffer(blob, "<f4", offset=start + 4 * n_params).astype(np.float64)
-    if not (np.isfinite(params).all() and np.isfinite(frozen).all()):
+    payload = np.frombuffer(blob, "<f4", offset=start)
+    # Checked before the float64 cast, which warns on a signalling NaN.
+    if not np.isfinite(payload).all():
         raise ValidationError(f"{path}: payload holds non-finite values")
+    params = payload[:n_params].astype(np.float64)
+    frozen = payload[n_params:].astype(np.float64)
     anchor = frozen[:n_anchor].reshape(cfg.sam_dim, cfg.anchor_dim)
     emb = frozen[n_anchor:].reshape(num_classes, cfg.embed_dim)
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)

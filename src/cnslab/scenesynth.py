@@ -283,6 +283,26 @@ def _place_boxes(cfg: SceneConfig, rng) -> list:
     return boxes
 
 
+# Box layouts tried before generate_scene gives up.  Layout 0 draws from
+# the stream (seed, TAG_SCENE); after a failed placement, layout r starts
+# over from the stream (seed, TAG_SCENE, r).
+_LAYOUTS = 10
+
+
+def _layout(cfg: SceneConfig, seed: int):
+    """(generator, boxes) of the first layout that places every object.
+
+    The scene's later draws continue the generator of that layout.
+    """
+    for layout in range(_LAYOUTS):
+        rng = derive_rng(seed, TAG_SCENE, *((layout,) if layout else ()))
+        try:
+            return rng, _place_boxes(cfg, rng)
+        except PlacementError as exc:
+            error = exc
+    raise PlacementError(f"{error} in each of {_LAYOUTS} layouts")
+
+
 def _sample_box_surface(box, count, rng) -> np.ndarray:
     """Uniform area-weighted samples on the five exposed faces of a box."""
     x0, y0, x1, y1, sz = box
@@ -318,8 +338,7 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
     every class is present in the ground truth.
     """
     cfg.validate()
-    rng = derive_rng(seed, TAG_SCENE)
-    boxes = _place_boxes(cfg, rng)
+    rng, boxes = _layout(cfg, seed)
 
     perm = rng.permutation(cfg.num_classes - 1) + 1
     object_classes = np.zeros(cfg.object_count + 1, dtype=np.int32)

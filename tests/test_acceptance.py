@@ -17,7 +17,7 @@ import pytest
 from cnslab import ablation, cli, evaluation, pseudolabel, training
 from cnslab.bundle import read_bundle, write_bundle
 from cnslab.geometry import build_correspondences, project_point
-from cnslab.nncore import ModelConfig, make_bundle, mlp_forward, param_views
+from cnslab.nncore import ModelConfig, make_bundle, mlp_forward, param_views, step
 from cnslab.scenesynth import (PIXEL_DESC_DIM, POINT_DESC_DIM, ClipNoiseConfig,
                                MaskFragConfig, SceneConfig, generate_scene,
                                mock_clip_scores, mock_sam_masks,
@@ -159,6 +159,20 @@ def test_ac4_gradients_match_finite_differences():
                f"(tolerance 1e-4), frozen-anchor gradient identically zero: "
                f"{anchor_frozen}, in {elapsed:.1f}s (budget 30s)",
             max(worst.values()) < 1e-4 and anchor_frozen and elapsed < 30.0)
+
+
+def test_ac4_loss_only_step_matches_the_full_step():
+    # The probes of AC4 read step(..., grad=False).  On every AC4 batch, at
+    # the drawn parameters and at shifted ones as a probe sees them, its
+    # losses must be those of the full step to the bit.
+    rng = np.random.default_rng(0)
+    for _, model, batch in cli.gradient_trials(7, 1000):
+        saved = model.params.copy()
+        for _ in range(3):
+            full = step(model, batch)[0]
+            assert step(model, batch, grad=False) == (full, None)
+            model.params[rng.integers(model.params.size)] += 1e-5
+        model.params[...] = saved
 
 
 # ---------------------------------------------------------------------------

@@ -348,3 +348,35 @@ def test_eval_reads_checkpoint_with_train_anchor_head_line(pipeline, tmp_path):
                      "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
     assert (tmp_path / "x" / "eval.csv").read_bytes() == \
         (pipeline / "eval" / "eval.csv").read_bytes()
+
+
+def test_eval_refuses_other_descriptor_noise(pipeline, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
+    bundle_dir = str(pipeline / "synth" / "bundle")
+    ckpt = str(tmp_path / "train" / "checkpoint.ckpt")
+    assert cli.main(["train", bundle_dir, "--config", str(cfg),
+                     "--out", str(tmp_path / "train"), "--descriptor_noise", "0.2"]) == 0
+    assert nncore.load_checkpoint(ckpt)[1]["x_descriptor_noise"] == "0.2"
+    capsys.readouterr()
+    code = cli.main(["eval", bundle_dir, ckpt, "--config", str(cfg),
+                     "--out", str(tmp_path / "eval")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "descriptor_noise=0.2" in err and "descriptor_noise=0.02" in err
+    assert cli.main(["eval", bundle_dir, ckpt, "--config", str(cfg),
+                     "--out", str(tmp_path / "eval"), "--descriptor_noise", "0.2"]) == 0
+    # A checkpoint written before the key existed is evaluated as before.
+    blob = (tmp_path / "train" / "checkpoint.ckpt").read_bytes()
+    legacy = tmp_path / "legacy.ckpt"
+    legacy.write_bytes(blob.replace(b"x_descriptor_noise=0.2\n", b"", 1))
+    assert legacy.read_bytes() != blob
+    assert cli.main(["eval", bundle_dir, str(legacy), "--config", str(cfg),
+                     "--out", str(tmp_path / "legacy")]) == 0
+
+
+def test_synth_restarts_a_layout_that_cannot_place(tmp_path, capsys):
+    # The first box layout of seed 6 cannot place object 11; a layout
+    # restarted from a derived stream can.
+    assert cli.main(["synth", "--out", str(tmp_path), "--seed", "6"]) == 0
+    assert read_manifest(tmp_path / "bundle" / "manifest.txt")["num_points"] == "9600"

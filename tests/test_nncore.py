@@ -5,6 +5,8 @@ loss values are checked against closed-form cases (uniform softmax,
 perfectly aligned or anti-aligned features) worked out by hand.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,8 +37,10 @@ def he_mlp(widths, rng):
 
 def head_loss(loss_fn):
     """grad_check operator for a loss whose gradient covers only heads."""
-    def op(bundle):
-        loss, heads = loss_fn(bundle)[:2]
+    def op(bundle, with_grad):
+        loss, heads = loss_fn(bundle, with_grad)[:2]
+        if not with_grad:
+            return {"loss": loss}, None
         grad = np.zeros_like(bundle.params)
         views = param_views(bundle.config, grad)
         for name, value in heads.items():
@@ -240,7 +244,7 @@ def test_ce_loss_gradients_match_finite_difference(rng):
     bundle = tiny_bundle(temperature=0.7)
     feats = rng.standard_normal((6, 7))
     y = np.array([0, 4, IGNORE, 2, 1, 3], dtype=np.int32)
-    err = grad_check(head_loss(lambda b: ce_loss(b, feats, "s2d", y)), bundle,
+    err = grad_check(head_loss(lambda b, g: ce_loss(b, feats, "s2d", y, grad=g)), bundle,
                      eps=1e-5)
     assert err < 1e-4
 
@@ -271,7 +275,7 @@ def test_ce_loss_end_to_end_gradients(rng):
     _, grad = step(bundle, batch)
     views = param_views(bundle.config, grad)
     assert views["enc2d.w0"].any() and not views["enc3d.w0"].any()
-    err = grad_check(lambda b: step(b, batch), bundle)
+    err = grad_check(lambda b, grad: step(b, batch, grad), bundle)
     assert err < 1e-4
 
 
@@ -431,7 +435,8 @@ def test_align_loss_gradients_match_finite_difference(rng):
     x = rng.standard_normal((5, 7))
     p = rng.standard_normal((5, 7))
     s = anchor_units(bundle, rng.standard_normal((5, 3)))
-    err = grad_check(head_loss(lambda b: cosine_align_loss(b, x, p, s)), bundle)
+    err = grad_check(head_loss(lambda b, g: cosine_align_loss(b, x, p, s, grad=g)),
+                     bundle)
     assert err < 1e-4
 
 
@@ -444,7 +449,7 @@ def test_align_loss_end_to_end_gradients(rng):
     _, grad = step(bundle, batch)
     views = param_views(bundle.config, grad)
     assert views["enc2d.w0"].any() and views["enc3d.w0"].any()
-    err = grad_check(lambda b: step(b, batch), bundle)
+    err = grad_check(lambda b, grad: step(b, batch, grad), bundle)
     assert err < 1e-4
 
 
@@ -502,8 +507,8 @@ def test_grad_check_flags_wrong_latent_weight(rng):
     bundle = tiny_bundle()
     batch = _training_batch(bundle, rng, weight=0.5)
 
-    def wrong(b):
-        losses, _ = step(b, {**batch, "latent_weight": 1.0})
+    def wrong(b, grad):
+        losses, _ = step(b, {**batch, "latent_weight": 1.0}, grad=False)
         return losses, step(b, batch)[1]
 
     assert grad_check(wrong, bundle) > 1e-2
@@ -563,14 +568,14 @@ def test_grad_check_exact_for_linear_loss():
     bundle = tiny_bundle()
     direction = np.arange(9, dtype=np.float64) / 3.0
     op = _linear_loss(direction)
-    assert grad_check(lambda b: op(b, direction), bundle) < 1e-10
+    assert grad_check(lambda b, grad: op(b, direction), bundle) < 1e-10
 
 
 def test_grad_check_flags_wrong_gradient():
     bundle = tiny_bundle()
     direction = np.ones(9)
     op = _linear_loss(direction)
-    assert grad_check(lambda b: op(b, 2.0 * direction), bundle) > 0.4
+    assert grad_check(lambda b, grad: op(b, 2.0 * direction), bundle) > 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +644,21 @@ def test_checkpoint_rejects_garbage(tmp_path):
         broken.write_bytes(blob.replace(old, new, 1))
         with pytest.raises(ValidationError, match="broken.ckpt"):
             load_checkpoint(broken)
+
+
+def test_checkpoint_rejects_signalling_nan_without_a_warning(tmp_path):
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(tiny_bundle(), good)
+    blob = good.read_bytes()
+    start = blob.index(b"END\n") + 4
+    snan = np.array([0x7F800001], dtype="<u4").tobytes()
+    for offset in (start, len(blob) - 4):  # a parameter, an embedding entry
+        bad = tmp_path / "snan.ckpt"
+        bad.write_bytes(blob[:offset] + snan + blob[offset + 4:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite"):
+                load_checkpoint(bad)
 
 
 @pytest.fixture(scope="module")

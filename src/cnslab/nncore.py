@@ -269,6 +269,8 @@ def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,
     head_name = f"head_{head}"
     h = bundle.head(head)
     if not valid.any():
+        if not grad:
+            return 0.0, {}, None
         return 0.0, {f"{head_name}.w": np.zeros_like(h["w"]),
                      f"{head_name}.b": np.zeros_like(h["b"])}, np.zeros_like(features)
     masked = not valid.all()

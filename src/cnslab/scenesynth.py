@@ -289,7 +289,7 @@ def _place_boxes(cfg: SceneConfig, rng) -> list:
 _LAYOUTS = 10
 
 
-def _layout(cfg: SceneConfig, seed: int):
+def _box_layout(cfg: SceneConfig, seed: int):
     """(generator, boxes) of the first layout that places every object.
 
     The scene's later draws continue the generator of that layout.
@@ -338,7 +338,7 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
     every class is present in the ground truth.
     """
     cfg.validate()
-    rng, boxes = _layout(cfg, seed)
+    rng, boxes = _box_layout(cfg, seed)
 
     perm = rng.permutation(cfg.num_classes - 1) + 1
     object_classes = np.zeros(cfg.object_count + 1, dtype=np.int32)

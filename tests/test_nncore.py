@@ -503,6 +503,17 @@ def test_step_combines_its_terms(rng):
     assert set(empty.values()) == {0.0} and not zero.any()
 
 
+def test_loss_only_step_matches_the_full_step(rng):
+    bundle = tiny_bundle()
+    batch = _training_batch(bundle, rng, weight=0.5)
+    ignored = {**batch, "y2d": np.full(6, IGNORE), "y3d": np.full(6, IGNORE)}
+    for b in (batch, ignored, {k: batch[k] for k in ("x3d", "y3d")}, {}):
+        full = step(bundle, b)[0]
+        assert step(bundle, b, grad=False) == (full, None)
+    assert ce_loss(bundle, rng.standard_normal((6, 7)), "s2d", batch["y2d"],
+                   grad=False)[1:] == ({}, None)
+
+
 def test_grad_check_flags_wrong_latent_weight(rng):
     bundle = tiny_bundle()
     batch = _training_batch(bundle, rng, weight=0.5)

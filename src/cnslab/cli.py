@@ -28,7 +28,7 @@ import os
 import sys
 import typing
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -328,7 +328,8 @@ GRADCHECK_MODEL = nncore.ModelConfig(
     embed_dim=12, anchor_dim=8, sam_dim=4)
 
 
-def gradient_trials(root_seed: int, first_trial: int):
+def gradient_trials(root_seed: int, first_trial: int
+                    ) -> Iterator[Tuple[str, nncore.ModelBundle, dict]]:
     """(check name, model, batch) of the checks of ten random trials.
 
     Trial i draws its model and batch from the stream (root_seed,

@@ -375,7 +375,7 @@ def test_eval_refuses_other_descriptor_noise(pipeline, tmp_path, capsys):
                      "--out", str(tmp_path / "legacy")]) == 0
 
 
-def test_synth_restarts_a_layout_that_cannot_place(tmp_path, capsys):
+def test_synth_restarts_a_layout_that_cannot_place(tmp_path):
     # The first box layout of seed 6 cannot place object 11; a layout
     # restarted from a derived stream can.
     assert cli.main(["synth", "--out", str(tmp_path), "--seed", "6"]) == 0

@@ -203,8 +203,9 @@ def _read_points(path: Path) -> PointCloud:
                       None if object_ids is None else object_ids.copy())
 
 
-def _read_cameras(path: Path) -> List[CameraModel]:
-    cameras = []
+def _read_cameras(path: Path) -> Tuple[List[CameraModel], List[int]]:
+    """The cameras of cameras.txt and the line number of each."""
+    cameras, linenos = [], []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
@@ -224,9 +225,10 @@ def _read_cameras(path: Path) -> List[CameraModel]:
         fx, fy, cx, cy = floats[:4].tolist()
         rot, trans = floats[4:13].reshape(3, 3), floats[13:]
         cameras.append(CameraModel(fx, fy, cx, cy, rot, trans, width, height))
+        linenos.append(lineno)
     if not cameras:
         raise BundleFormatError(f"{path.name}: no cameras")
-    return cameras
+    return cameras, linenos
 
 
 def read_raster(path: Path) -> np.ndarray:
@@ -305,7 +307,7 @@ def read_bundle(path) -> Tuple[Scene, dict, Dict[str, str]]:
         raise BundleFormatError(
             f"points.bin holds {len(cloud)} points but manifest.txt says "
             f"num_points={num_points}")
-    cameras = _read_cameras(path / "cameras.txt")
+    cameras, camera_lines = _read_cameras(path / "cameras.txt")
     if len(cameras) != num_views:
         raise BundleFormatError(
             f"cameras.txt holds {len(cameras)} cameras but manifest.txt says "
@@ -350,6 +352,10 @@ def read_bundle(path) -> Tuple[Scene, dict, Dict[str, str]]:
             object_classes[inst] = cloud.gt_labels[members][0]
     scene = Scene(cloud, cameras, num_classes, object_count, object_classes,
                   man_value("seed"), man_value("room_size", float))
+    blind = scene.blind_camera()
+    if blind is not None:
+        raise BundleFormatError(f"cameras.txt:{camera_lines[blind]}: camera {blind} "
+                                f"sees no point of points.bin")
     scene.validate()
 
     oracles = {"scores": scores, "masks": masks, "features": feats,

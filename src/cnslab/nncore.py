@@ -5,9 +5,16 @@ output) over hand-built descriptors.  On top of the shared latent space
 sit four trainable linear heads — semantic heads mapping into the class
 embedding space and feature heads mapping into the anchor space — plus a
 frozen bias-free anchor projection and the frozen class embedding table.
-A semantic head is folded into the class embeddings (class_map), so the
-class logits are f @ M + c in training (ce_loss) and inference
-(class_logits) alike.
+A semantic head is folded into the class embeddings (class_map), so its
+logits are f @ M + c.
+
+Every head is linear and reads only the latent rows, and so is each
+encoder's output layer.  The training step and inference therefore fold
+an encoder's output layer into the heads it feeds (fold_output): the
+folded net maps input rows straight to the head outputs, and the latent
+rows are never formed.  The losses (ce_loss, cosine_align_loss) read
+head outputs and return their gradients; one chain-rule helper carries
+the folded layer's gradient back to the encoder and head parameters.
 
 Every trainable parameter lives in one float64 vector, laid out by
 param_views.  All arithmetic is float64; gradients are written by hand.
@@ -58,19 +65,22 @@ class Mlp:
                 raise ValidationError(f"layer {i} fan-in does not match layer {i-1} fan-out")
 
 
-def mlp_forward(mlp: Mlp, x: np.ndarray) -> Tuple[np.ndarray, list]:
+def mlp_forward(mlp: Mlp, x: np.ndarray,
+                hidden_only: bool = False) -> Tuple[np.ndarray, list]:
     """Forward pass returning (output, cache-for-backward).
 
     Each layer allocates one array, the `h @ w` product; the bias and the
-    ReLU are applied to it in place.  `x` is never written.
+    ReLU are applied to it in place.  `x` is never written.  With
+    hidden_only the output layer is not run: the output is the last hidden
+    layer's activations, or the input rows of a net without hidden layers.
     """
     x = np.asarray(x, dtype=np.float64)
     cache = [x]
     h = x
     last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = h @ w
-        h += b
+    for i in range(last if hidden_only else last + 1):
+        h = h @ mlp.weights[i]
+        h += mlp.biases[i]
         if i < last:
             np.maximum(h, 0.0, out=h)
         cache.append(h)
@@ -95,6 +105,24 @@ def mlp_backward(mlp: Mlp, cache: list, d_out: np.ndarray
         if i:
             grad = grad @ mlp.weights[i].T
     return d_w, d_b
+
+
+def _side_by_side(arrays: List[np.ndarray]) -> np.ndarray:
+    """Arrays joined along their last axis; a single array is returned as is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
+
+
+def fold_output(mlp: Mlp, a: np.ndarray, bias: np.ndarray) -> Mlp:
+    """`mlp` with its linear output layer folded into a linear map (A, a).
+
+    The folded net outputs out(x) @ A + a without forming out(x): its last
+    layer is (W_L @ A, b_L @ A + a), and its hidden layers are `mlp`'s own
+    arrays.  A map that feeds several heads has their (A_i, a_i) side by
+    side, and so the folded net has their outputs side by side.
+    """
+    b_last = mlp.biases[-1] @ a
+    b_last += bias
+    return Mlp(mlp.weights[:-1] + [mlp.weights[-1] @ a], mlp.biases[:-1] + [b_last])
 
 
 @dataclass(frozen=True)
@@ -227,77 +255,64 @@ def class_map(bundle: ModelBundle, head: str) -> Tuple[np.ndarray, np.ndarray]:
 
     With M = W @ E.T / T and c = b @ E.T / T, the logits of feature rows f
     are (f @ W + b) @ E.T / T = f @ M + c, so the rows never pass through
-    embed_dim.
+    embed_dim.  The training step and inference fold the encoder's output
+    layer into (M, c) in turn (fold_output).
     """
+    if head not in ("s2d", "s3d"):
+        raise ValidationError(f"class_map expects a semantic head, got {head!r}")
     h = bundle.head(head)
     scale = bundle.embeddings.vectors.T / bundle.config.temperature
     return h["w"] @ scale, h["b"] @ scale
 
 
-def class_logits(features: np.ndarray,
+def class_logits(rows: np.ndarray,
                  folded: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Semantic-head logits f @ M + c under a class map (M, c) of class_map."""
+    """Logits rows @ M + c under a folded class map (M, c).
+
+    With (M, c) from class_map the rows are latent features; inference
+    passes an encoder's last hidden activations and the last layer of the
+    encoder folded into the class map (fold_output).
+    """
     m, c = folded
-    logits = np.asarray(features, dtype=np.float64) @ m
+    logits = np.asarray(rows, dtype=np.float64) @ m
     logits += c
     return logits
 
 
-def ce_loss(bundle: ModelBundle, features: np.ndarray, head: str,
-            target_labels: Union[LabelMap, np.ndarray], ignore: int = IGNORE,
-            grad: bool = True
-            ) -> Tuple[float, Dict[str, np.ndarray], Optional[np.ndarray]]:
-    """Cross-entropy of semantic-head predictions against target labels.
+def ce_loss(logits: np.ndarray, target_labels: Union[LabelMap, np.ndarray],
+            ignore: int = IGNORE, grad: bool = True
+            ) -> Tuple[float, Optional[np.ndarray]]:
+    """Mean cross-entropy of class logits (N, C) against target labels.
 
-    Scores are dot products of the head output with each class embedding,
-    divided by the temperature, computed as f @ M + c from class_map.  The
-    head gradients pass through M = W @ E.T / T and c = b @ E.T / T:
-    dW = (f.T @ d_logits) @ E / T, db = d_logits.sum(0) @ E / T, and the
-    feature gradient is d_logits @ M.T.  IGNORE targets are skipped; an
-    all-IGNORE batch yields zero loss and zero gradients.  Returns (loss,
-    head gradients by parameter name, gradient w.r.t. the features); with
-    grad=False the backward half is skipped and they are {} and None.
+    IGNORE targets are skipped and get a zero gradient row; an all-IGNORE
+    batch yields zero loss and a zero gradient.  Returns (loss, gradient
+    w.r.t. the logits); with grad=False the backward half is skipped and
+    the gradient is None.  `logits` is not written.
     """
-    if head not in ("s2d", "s3d"):
-        raise ValidationError(f"ce_loss expects a semantic head, got {head!r}")
+    logits = np.asarray(logits, dtype=np.float64)
     targets = target_labels.labels if isinstance(target_labels, LabelMap) else target_labels
     targets = np.asarray(targets).ravel()
-    features = np.asarray(features, dtype=np.float64)
-    if len(targets) != len(features):
-        raise ValidationError(f"{len(features)} features vs {len(targets)} targets")
+    if logits.ndim != 2 or len(targets) != len(logits):
+        raise ValidationError(f"logits of shape {logits.shape} vs {len(targets)} targets")
     valid = targets != ignore
-    head_name = f"head_{head}"
-    h = bundle.head(head)
     if not valid.any():
-        if not grad:
-            return 0.0, {}, None
-        return 0.0, {f"{head_name}.w": np.zeros_like(h["w"]),
-                     f"{head_name}.b": np.zeros_like(h["b"])}, np.zeros_like(features)
+        return 0.0, np.zeros_like(logits) if grad else None
     masked = not valid.all()
-    feats = features[valid] if masked else features
     labels = (targets[valid] if masked else targets).astype(np.int64)
-    num_classes = bundle.embeddings.num_classes
-    if labels.max() >= num_classes or labels.min() < 0:
+    if labels.max() >= logits.shape[1] or labels.min() < 0:
         raise ValidationError("target labels outside [0, num_classes)")
-    m, c = class_map(bundle, head)
-    logits = feats @ m
-    logits += c
-    probs = softmax_rows(logits)  # in place: logits is not read again
+    probs = softmax_rows(logits[valid] if masked else logits.copy())
     n = len(labels)
     loss = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-300)).mean())
     if not grad:
-        return loss, {}, None
+        return loss, None
     d_logits = probs  # probs is not read again; its buffer is reused
     d_logits[np.arange(n), labels] -= 1.0
     d_logits /= n
-    emb = bundle.embeddings.vectors / bundle.config.temperature
-    grads = {f"{head_name}.w": (feats.T @ d_logits) @ emb,
-             f"{head_name}.b": d_logits.sum(axis=0) @ emb}
-    d_feats = d_logits @ m.T
     if masked:
-        d_feats, d_kept = np.zeros_like(features), d_feats
-        d_feats[valid] = d_kept
-    return loss, grads, d_feats
+        d_logits, d_kept = np.zeros_like(logits), d_logits
+        d_logits[valid] = d_kept
+    return loss, d_logits
 
 
 def _normalize_rows(vectors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -324,38 +339,38 @@ def anchor_units(bundle: ModelBundle, oracle_feats: np.ndarray) -> np.ndarray:
     return units
 
 
-def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
-                      p_feats: np.ndarray, anchors: np.ndarray, grad: bool = True
-                      ) -> Tuple[float, Dict[str, np.ndarray], Optional[np.ndarray],
-                                 Optional[np.ndarray], int]:
-    """Pull both feature heads toward the frozen anchor embedding.
+def cosine_align_loss(x_out: np.ndarray, p_out: np.ndarray, anchors: np.ndarray,
+                      grad: bool = True
+                      ) -> Tuple[float, Optional[np.ndarray], Optional[np.ndarray], int]:
+    """Pull both feature-head outputs toward the frozen anchor embedding.
 
-    Per pair i the loss is (1 - cos(F2d(x_i), a_i)) + (1 - cos(F3d(p_i), a_i)),
+    `x_out` and `p_out` are the F2d and F3d head outputs of paired rows.
+    Per pair i the loss is (1 - cos(x_out_i, a_i)) + (1 - cos(p_out_i, a_i)),
     averaged over pairs, with a_i the unit anchor embedding given in
-    `anchors` (rows of anchor_units).  No gradient flows into the frozen
-    anchor head.  Zero-norm head outputs and zero anchor rows contribute
-    cosine 0 with zero gradient and are counted.
-    Returns (loss, head gradients by parameter name, gradient w.r.t.
-    x_feats, gradient w.r.t. p_feats, zero-norm count); with grad=False the
-    backward half is skipped and the gradients are {}, None and None.
+    `anchors` (rows of anchor_units); the frozen anchors get no gradient.
+    Zero-norm head outputs and zero anchor rows contribute cosine 0 with
+    zero gradient and are counted.  Returns (loss, gradient w.r.t. x_out,
+    gradient w.r.t. p_out, zero-norm count); with grad=False the backward
+    half is skipped and both gradients are None.  No input is written.
     """
-    x_feats = np.asarray(x_feats, dtype=np.float64)
-    p_feats = np.asarray(p_feats, dtype=np.float64)
+    x_out = np.asarray(x_out, dtype=np.float64)
+    p_out = np.asarray(p_out, dtype=np.float64)
     a_unit = np.asarray(anchors, dtype=np.float64)
-    if not (len(x_feats) == len(p_feats) == len(a_unit)):
+    if not (len(x_out) == len(p_out) == len(a_unit)):
         raise ValidationError("cosine_align_loss needs equally many x, p, anchor rows")
-    n = len(x_feats)
+    n = len(x_out)
     if n == 0:
-        return 0.0, {}, np.zeros_like(x_feats), np.zeros_like(p_feats), 0
+        if not grad:
+            return 0.0, None, None, 0
+        return 0.0, np.zeros_like(x_out), np.zeros_like(p_out), 0
 
     a_degen = ~a_unit.any(axis=1)
     total = 0.0
     zero_count = int(a_degen.sum())
 
-    def side(feats, head):
+    def side(out):
         nonlocal total, zero_count
-        unit = feats @ head["w"]
-        unit += head["b"]
+        unit = out.copy()
         norms, degen = _normalize_rows(unit)
         cos = np.einsum("ij,ij->i", unit, a_unit)
         dead = degen | a_degen
@@ -367,37 +382,55 @@ def cosine_align_loss(bundle: ModelBundle, x_feats: np.ndarray,
         zero_count += int(degen.sum())
         total += float(np.sum(1.0 - cos))
         if not grad:
-            return None, None, None
+            return None
         # d(cos)/d(out) = (a_unit - cos * unit) / norm; zero for degenerate rows.
         d_out = -(a_unit[live] - cos[live, None] * unit[live]) / norms[live, None] / n
         if masked:
             d_out, d_live = np.zeros_like(unit), d_out
             d_out[live] = d_live
-        d_w = feats.T @ d_out
-        d_b = d_out.sum(axis=0)
-        d_feats = d_out @ head["w"].T
-        return d_w, d_b, d_feats
+        return d_out
 
-    d_w2, d_b2, d_x = side(x_feats, bundle.head_f2d)
-    d_w3, d_b3, d_p = side(p_feats, bundle.head_f3d)
-    loss = total / n
-    if not grad:
-        return loss, {}, None, None, zero_count
-    grads = {"head_f2d.w": d_w2, "head_f2d.b": d_b2,
-             "head_f3d.w": d_w3, "head_f3d.b": d_b3}
-    return loss, grads, d_x, d_p, zero_count
+    d_x = side(x_out)
+    d_p = side(p_out)
+    return total / n, d_x, d_p, zero_count
 
 
 # ---------------------------------------------------------------------------
 # the training step, SGD, and the gradient checker
 
 
-def _add_encoder_grads(views: Dict[str, np.ndarray], enc: str, mlp: Mlp,
-                       cache: list, d_out: np.ndarray):
-    d_w, d_b = mlp_backward(mlp, cache, d_out)
-    for i, (dw, db) in enumerate(zip(d_w, d_b)):
-        views[f"{enc}.w{i}"] += dw
-        views[f"{enc}.b{i}"] += db
+def _head_map(bundle: ModelBundle, head: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The linear map (A, a) from latent rows to a head's outputs."""
+    if head in ("s2d", "s3d"):
+        return class_map(bundle, head)
+    h = bundle.head(head)
+    return h["w"], h["b"]
+
+
+def _unfold_grads(bundle: ModelBundle, views: Dict[str, np.ndarray], enc: str,
+                  a: np.ndarray, cols: Dict[str, slice], g: np.ndarray, s: np.ndarray):
+    """Add the gradients behind one folded output layer to `views`.
+
+    The encoder `enc`'s output layer (W_L, b_L) was folded into the map
+    (A, a) (fold_output), whose columns `cols` belong to each head, and
+    g = h.T @ D and s = D.sum(0) are the folded layer's weight and bias
+    gradients.  By the chain rule dW_L = g @ A.T, db_L = s @ A.T,
+    dA = W_L.T @ g + outer(b_L, s) and da = s.  A semantic head's
+    (M, c) = (W, b) @ E.T / T passes dA and da on through E / T.
+    """
+    mlp = getattr(bundle, enc)
+    last = len(mlp.weights) - 1
+    views[f"{enc}.w{last}"] += g @ a.T
+    views[f"{enc}.b{last}"] += s @ a.T
+    d_a = mlp.weights[-1].T @ g
+    d_a += np.outer(mlp.biases[-1], s)
+    for head, span in cols.items():
+        d_w, d_b = d_a[:, span], s[span]
+        if head in ("s2d", "s3d"):
+            emb = bundle.embeddings.vectors / bundle.config.temperature
+            d_w, d_b = d_w @ emb, d_b @ emb
+        views[f"head_{head}.w"] += d_w
+        views[f"head_{head}.b"] += d_b
 
 
 def step(bundle: ModelBundle, batch: dict, grad: bool = True
@@ -415,43 +448,60 @@ def step(bundle: ModelBundle, batch: dict, grad: bool = True
 
     Returns ({"loss", "l_ce2d", "l_ce3d", "l_latent"}, gradient), where
     loss = l_ce2d + l_ce3d + w * l_latent and the gradient, laid out like
-    bundle.params, is its gradient.  w scales the latent gradients before
-    they enter the encoders; the 3D encoder's gradient is the sum of one
-    backward pass per 3D term.  With grad=False every backward half is
-    skipped and the gradient is None; the losses are the same to the bit.
+    bundle.params, is its gradient.  Each of the three row sets makes one
+    pass through its encoder with the output layer folded into the heads
+    that read those rows (fold_output): the x2d rows into s2d and f2d, the
+    x3d rows into s3d, the pair3d rows into f3d.  w scales the latent
+    output gradients before they enter the folded layers.  With grad=False
+    every backward half is skipped and the gradient is None; the losses
+    are the same to the bit.
     """
-    total = np.zeros_like(bundle.params) if grad else None
-    views = param_views(bundle.config, total) if grad else {}
+    latent = "anchors" in batch
+    weight = batch["latent_weight"] if latent else 0.0
+    # (encoder, rows, the heads that read those rows' latent features)
+    plan = (("enc2d", "x2d", [h for h, used in (("s2d", "y2d" in batch), ("f2d", latent))
+                              if used]),
+            ("enc3d", "x3d", ["s3d"] if "y3d" in batch else []),
+            ("enc3d", "pair3d", ["f3d"] if latent else []))
+    passes, outs = [], {}
+    for enc, rows, heads in plan:
+        if not heads:
+            continue
+        maps = [_head_map(bundle, head) for head in heads]
+        a = _side_by_side([m for m, _ in maps])
+        net = fold_output(getattr(bundle, enc), a, _side_by_side([c for _, c in maps]))
+        out, cache = mlp_forward(net, batch[rows])
+        cols, lo = {}, 0
+        for head, (m, _) in zip(heads, maps):
+            cols[head] = slice(lo, lo + m.shape[1])
+            outs[head] = out[:, cols[head]]
+            lo += m.shape[1]
+        passes.append((enc, a, cols, net, cache))
+
     losses = {"l_ce2d": 0.0, "l_ce3d": 0.0, "l_latent": 0.0}
-    d_x2d = None
-    if "x2d" in batch:
-        feats2d, cache2d = mlp_forward(bundle.enc2d, batch["x2d"])
-    if "y2d" in batch:
-        losses["l_ce2d"], heads, d_x2d = ce_loss(bundle, feats2d, "s2d", batch["y2d"],
-                                                 grad=grad)
-        for name, value in heads.items():
-            views[name][...] = value
-    if "y3d" in batch:
-        feats3d, cache3d = mlp_forward(bundle.enc3d, batch["x3d"])
-        losses["l_ce3d"], heads, d_x3d = ce_loss(bundle, feats3d, "s3d", batch["y3d"],
-                                                 grad=grad)
-        for name, value in heads.items():
-            views[name][...] = value
-        if grad:
-            _add_encoder_grads(views, "enc3d", bundle.enc3d, cache3d, d_x3d)
-    weight = batch["latent_weight"] if "anchors" in batch else 0.0
-    if "anchors" in batch:
-        feats_pair, cache_pair = mlp_forward(bundle.enc3d, batch["pair3d"])
-        losses["l_latent"], heads, d_lat2d, d_pair, _ = cosine_align_loss(
-            bundle, feats2d, feats_pair, batch["anchors"], grad=grad)
-        for name, value in heads.items():
-            views[name][...] = weight * value
-        if grad:
-            d_x2d = weight * d_lat2d if d_x2d is None else d_x2d + weight * d_lat2d
-            _add_encoder_grads(views, "enc3d", bundle.enc3d, cache_pair, weight * d_pair)
-    if grad and d_x2d is not None:
-        _add_encoder_grads(views, "enc2d", bundle.enc2d, cache2d, d_x2d)
+    d_outs = {}
+    for head, labels, key in (("s2d", "y2d", "l_ce2d"), ("s3d", "y3d", "l_ce3d")):
+        if head in outs:
+            losses[key], d_outs[head] = ce_loss(outs[head], batch[labels], grad=grad)
+    if latent:
+        losses["l_latent"], d_x, d_p, _ = cosine_align_loss(
+            outs["f2d"], outs["f3d"], batch["anchors"], grad=grad)
+        if grad:  # the gradients are fresh arrays, scaled in place
+            d_x *= weight
+            d_p *= weight
+            d_outs["f2d"], d_outs["f3d"] = d_x, d_p
     losses["loss"] = losses["l_ce2d"] + losses["l_ce3d"] + weight * losses["l_latent"]
+    if not grad:
+        return losses, None
+
+    total = np.zeros_like(bundle.params)
+    views = param_views(bundle.config, total)
+    for enc, a, cols, net, cache in passes:
+        d_w, d_b = mlp_backward(net, cache, _side_by_side([d_outs[head] for head in cols]))
+        for i in range(len(d_w) - 1):
+            views[f"{enc}.w{i}"] += d_w[i]
+            views[f"{enc}.b{i}"] += d_b[i]
+        _unfold_grads(bundle, views, enc, a, cols, d_w[-1], d_b[-1])
     return losses, total
 
 

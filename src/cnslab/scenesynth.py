@@ -146,11 +146,15 @@ class Scene:
             classes = np.unique(cloud.gt_labels[cloud.object_ids == inst])
             if len(classes) != 1 or classes[0] != self.object_classes[inst]:
                 raise ValidationError(f"instance {inst} has inconsistent classes {classes}")
-        corr = self.correspondences()
-        seen = np.bincount(corr.camera_index, minlength=len(self.cameras))
-        if (seen == 0).any():
-            empty = int(np.nonzero(seen == 0)[0][0])
-            raise ValidationError(f"camera {empty} sees no point")
+        blind = self.blind_camera()
+        if blind is not None:
+            raise ValidationError(f"camera {blind} sees no point")
+
+    def blind_camera(self) -> Optional[int]:
+        """Index of the first camera that sees no point, or None."""
+        seen = np.bincount(self.correspondences().camera_index,
+                           minlength=len(self.cameras))
+        return int(np.argmin(seen)) if (seen == 0).any() else None
 
 
 @dataclass

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import ValidationError
 from .evaluation import confusion, csv_cell, miou
 from .nncore import (Mlp, ModelBundle, ModelConfig, anchor_units, class_logits,
-                     class_map, make_bundle, mlp_forward, sgd_step, step)
+                     class_map, fold_output, make_bundle, mlp_forward, sgd_step,
+                     step)
 from .pseudolabel import (IGNORE, POINTS, PIXELS, LabelMap,
                           REFINE3D_REPROJECT, REFINE3D_TRANSFER_MASKS,
                           derive_clip_labels, refine_by_masks,
@@ -215,12 +216,17 @@ _CHUNK = 1024
 
 def _predict_rows(bundle: ModelBundle, mlp: Mlp, head: str,
                   rows: np.ndarray) -> np.ndarray:
-    """Argmax semantic-head prediction for (N, D) descriptor rows, by chunk."""
+    """Argmax semantic-head prediction for (N, D) descriptor rows, by chunk.
+
+    The encoder's output layer is folded into the class map once per call,
+    so each chunk runs the hidden layers and then one layer to the logits.
+    """
     out = np.empty(len(rows), dtype=np.int32)
-    folded = class_map(bundle, head)
+    net = fold_output(mlp, *class_map(bundle, head))
+    folded = (net.weights[-1], net.biases[-1])
     for lo in range(0, len(rows), _CHUNK):
-        feats, _ = mlp_forward(mlp, rows[lo:lo + _CHUNK])
-        out[lo:lo + _CHUNK] = np.argmax(class_logits(feats, folded), axis=1)
+        hidden, _ = mlp_forward(mlp, rows[lo:lo + _CHUNK], hidden_only=True)
+        out[lo:lo + _CHUNK] = np.argmax(class_logits(hidden, folded), axis=1)
     return out
 
 

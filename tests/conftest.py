@@ -1,7 +1,15 @@
 """Shared fixtures: one small scene with oracle outputs, reused read-only."""
 
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, set before numpy is first imported: the suite's arrays
+# are small, and a thread per core oversubscribes the cores when two
+# suites run at once.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from cnslab.scenesynth import (ClipNoiseConfig, MaskFragConfig, SceneConfig,
                                generate_scene, standard_oracle_outputs)

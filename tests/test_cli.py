@@ -7,6 +7,7 @@ scene; individual tests then inspect each stage's outputs.
 """
 
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,23 @@ def test_refine_rejects_non_finite_camera(pipeline, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "cameras.txt:1" in err
+
+
+def test_refine_names_the_line_of_a_camera_that_sees_nothing(pipeline, tmp_path,
+                                                             capsys):
+    damaged = tmp_path / "bundle"
+    shutil.copytree(pipeline / "synth" / "bundle", damaged)
+    lines = (damaged / "cameras.txt").read_text().splitlines()
+    tokens = lines[1].split()
+    tokens[15] = "1e30"  # finite, but every point projects out of view
+    lines[1] = " ".join(tokens)
+    (damaged / "cameras.txt").write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["refine", str(damaged), "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cameras.txt:2: camera 1 sees no point")
 
 
 def test_refine_rejects_non_finite_point(pipeline, tmp_path, capsys):

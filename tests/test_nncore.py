@@ -13,15 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from cnslab.errors import NumericalError, ValidationError
 from cnslab.nncore import (Mlp, ModelConfig, anchor_units, ce_loss, class_logits,
-                           class_map, cosine_align_loss, grad_check, load_checkpoint,
-                           make_bundle, mlp_backward, mlp_forward, param_views,
-                           save_checkpoint, sgd_step, softmax_rows, step)
+                           class_map, cosine_align_loss, fold_output, grad_check,
+                           load_checkpoint, make_bundle, mlp_backward, mlp_forward,
+                           param_views, save_checkpoint, sgd_step, softmax_rows, step)
 from cnslab.pseudolabel import IGNORE
 from cnslab.scenesynth import mock_text_embeddings
 
 
-def tiny_bundle(temperature=1.0, seed=5):
-    cfg = ModelConfig(input2d_dim=5, input3d_dim=6, hidden=(8,), latent_dim=7,
+def tiny_bundle(temperature=1.0, seed=5, hidden=(8,)):
+    cfg = ModelConfig(input2d_dim=5, input3d_dim=6, hidden=hidden, latent_dim=7,
                       embed_dim=9, anchor_dim=7, sam_dim=3,
                       temperature=temperature)
     emb = mock_text_embeddings(5, 9, seed=1)
@@ -33,20 +33,6 @@ def he_mlp(widths, rng):
     return Mlp([rng.standard_normal((a, b)) * np.sqrt(2.0 / a)
                 for a, b in zip(widths[:-1], widths[1:])],
                [np.zeros(b) for b in widths[1:]])
-
-
-def head_loss(loss_fn):
-    """grad_check operator for a loss whose gradient covers only heads."""
-    def op(bundle, with_grad):
-        loss, heads = loss_fn(bundle, with_grad)[:2]
-        if not with_grad:
-            return {"loss": loss}, None
-        grad = np.zeros_like(bundle.params)
-        views = param_views(bundle.config, grad)
-        for name, value in heads.items():
-            views[name][...] = value
-        return {"loss": loss}, grad
-    return op
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +174,7 @@ def test_ce_loss_uniform_equals_log_num_classes(rng):
     bundle.head_s2d["b"][:] = 0.0
     feats = rng.standard_normal((10, 7))
     y = rng.integers(0, 5, size=10).astype(np.int32)
-    loss, *_ = ce_loss(bundle, feats, "s2d", y)
+    loss, _ = ce_loss(class_logits(feats, class_map(bundle, "s2d")), y)
     assert loss == pytest.approx(np.log(5), abs=1e-12)
 
 
@@ -199,70 +185,69 @@ def test_ce_loss_single_element_eight_classes(rng):
                                                    orthogonalize=True), seed=0)
     bundle.head_s3d["w"][:] = 0.0
     bundle.head_s3d["b"][:] = 0.0
-    loss, *_ = ce_loss(bundle, rng.standard_normal((1, 5)),
-                       "s3d", np.array([3], dtype=np.int32))
+    logits = class_logits(rng.standard_normal((1, 5)), class_map(bundle, "s3d"))
+    loss, _ = ce_loss(logits, np.array([3], dtype=np.int32))
     assert loss == pytest.approx(2.0794415416798357, abs=1e-12)
 
 
 def test_ce_loss_skips_ignore(rng):
-    bundle = tiny_bundle()
-    feats = rng.standard_normal((6, 7))
+    logits = rng.standard_normal((6, 5))
+    before = logits.copy()
     y = np.array([1, IGNORE, 3, IGNORE, 0, 2], dtype=np.int32)
-    loss, grads, d_feats = ce_loss(bundle, feats, "s2d", y)
+    loss, d_logits = ce_loss(logits, y)
+    assert np.array_equal(logits, before)
     keep = y != IGNORE
-    ref, ref_grads, ref_d_feats = ce_loss(bundle, feats[keep], "s2d", y[keep])
+    ref, ref_d_logits = ce_loss(logits[keep], y[keep])
     # The masked batch and its all-valid sub-batch agree bit for bit.
     assert loss == ref
-    for name in ("head_s2d.w", "head_s2d.b"):
-        assert np.array_equal(grads[name], ref_grads[name]), name
-    assert np.array_equal(d_feats[keep], ref_d_feats)
-    # Ignored rows get zero input gradient.
-    assert np.array_equal(d_feats[~keep], np.zeros((2, 7)))
+    assert np.array_equal(d_logits[keep], ref_d_logits)
+    # Ignored rows get zero gradient.
+    assert np.array_equal(d_logits[~keep], np.zeros((2, 5)))
 
 
 def test_ce_loss_all_ignore_is_zero(rng):
-    bundle = tiny_bundle()
-    loss, grads, d_feats = ce_loss(bundle, rng.standard_normal((3, 7)),
-                                   "s2d", np.full(3, IGNORE, dtype=np.int32))
+    loss, d_logits = ce_loss(rng.standard_normal((3, 5)),
+                             np.full(3, IGNORE, dtype=np.int32))
     assert loss == 0.0
-    assert np.array_equal(grads["head_s2d.w"], np.zeros((7, 9)))
-    assert np.array_equal(d_feats, np.zeros((3, 7)))
+    assert np.array_equal(d_logits, np.zeros((3, 5)))
 
 
 def test_ce_loss_validation(rng):
     bundle = tiny_bundle()
-    feats = rng.standard_normal((2, 7))
+    logits = rng.standard_normal((2, 5))
     with pytest.raises(ValidationError):
-        ce_loss(bundle, feats, "f2d", np.array([0, 1]))
+        class_map(bundle, "f2d")  # only a semantic head scores classes
     with pytest.raises(ValidationError):
-        ce_loss(bundle, feats, "s2d", np.array([0, 5]))  # class 5 of 5
+        ce_loss(logits, np.array([0, 5]))  # class 5 of 5
     with pytest.raises(ValidationError):
-        ce_loss(bundle, feats, "s2d", np.array([0, 1, 2]))
+        ce_loss(logits, np.array([0, 1, 2]))
 
 
 def test_ce_loss_gradients_match_finite_difference(rng):
-    bundle = tiny_bundle(temperature=0.7)
-    feats = rng.standard_normal((6, 7))
+    # Without a hidden layer the folded layer reads the input rows; the
+    # semantic head's gradient passes through E / T.
+    bundle = tiny_bundle(temperature=0.7, hidden=())
     y = np.array([0, 4, IGNORE, 2, 1, 3], dtype=np.int32)
-    err = grad_check(head_loss(lambda b, g: ce_loss(b, feats, "s2d", y, grad=g)), bundle,
-                     eps=1e-5)
+    batch = {"x2d": rng.standard_normal((6, 5)), "y2d": y}
+    views = param_views(bundle.config, step(bundle, batch)[1])
+    assert views["head_s2d.w"].any() and views["enc2d.w0"].any()
+    err = grad_check(lambda b, grad: step(b, batch, grad), bundle, eps=1e-5)
     assert err < 1e-4
 
 
-def test_ce_loss_feature_gradient_matches_finite_difference(rng):
-    bundle = tiny_bundle()
-    feats = rng.standard_normal((4, 7))
-    y = np.array([0, 1, 2, 3], dtype=np.int32)
-    _, _, d_feats = ce_loss(bundle, feats, "s2d", y)
+def test_ce_loss_logit_gradient_matches_finite_difference(rng):
+    logits = rng.standard_normal((4, 5))
+    y = np.array([0, 1, IGNORE, 3], dtype=np.int32)
+    _, d_logits = ce_loss(logits, y)
     eps = 1e-6
-    flat = feats.reshape(-1)
-    grad = d_feats.reshape(-1)
+    flat = logits.reshape(-1)
+    grad = d_logits.reshape(-1)
     for j in range(flat.size):
         orig = flat[j]
         flat[j] = orig + eps
-        hi, *_ = ce_loss(bundle, feats, "s2d", y)
+        hi, _ = ce_loss(logits, y)
         flat[j] = orig - eps
-        lo, *_ = ce_loss(bundle, feats, "s2d", y)
+        lo, _ = ce_loss(logits, y)
         flat[j] = orig
         assert abs((hi - lo) / (2 * eps) - grad[j]) < 1e-5
 
@@ -280,39 +265,44 @@ def test_ce_loss_end_to_end_gradients(rng):
 
 
 def _unfolded_ce(bundle, feats, head, y):
-    """Reference cross-entropy through z = f @ W + b and logits z @ E.T / T."""
+    """Reference cross-entropy through z = f @ W + b and logits z @ E.T / T.
+
+    Returns the loss and its gradient w.r.t. z.
+    """
     h = bundle.head(head)
     emb = bundle.embeddings.vectors
     keep = y != IGNORE
-    f, labels = feats[keep], y[keep]
-    n = len(labels)
-    z = f @ h["w"] + h["b"]
-    logits = (z @ emb.T) / bundle.config.temperature
+    n = int(keep.sum())
+    z = feats @ h["w"] + h["b"]
+    d_z = np.zeros_like(z)
+    if n == 0:
+        return 0.0, d_z
+    logits = (z[keep] @ emb.T) / bundle.config.temperature
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
+    labels = y[keep]
     loss = -np.log(probs[np.arange(n), labels]).mean()
     d_logits = probs.copy()
     d_logits[np.arange(n), labels] -= 1.0
-    d_z = (d_logits / n) @ emb / bundle.config.temperature
-    d_feats = np.zeros_like(feats)
-    d_feats[keep] = d_z @ h["w"].T
-    return loss, f.T @ d_z, d_z.sum(axis=0), d_feats
+    d_z[keep] = (d_logits / n) @ emb / bundle.config.temperature
+    return loss, d_z
 
 
 def test_folded_ce_loss_matches_unfolded_form(rng):
-    feats = rng.standard_normal((40, 7))
+    # The encoder's output layer folded into the class map gives the
+    # logits of the unfolded chain x -> f -> z -> z @ E.T / T.
+    x = rng.standard_normal((40, 5))
     y = rng.integers(0, 5, size=40).astype(np.int32)
     y[[0, 7, 39]] = IGNORE
     for temperature in (2.0, 1.0, 0.5):
         bundle = tiny_bundle(temperature=temperature)
         bundle.params[:] = rng.standard_normal(bundle.params.shape)
+        feats = mlp_forward(bundle.enc2d, x)[0]
         for head in ("s2d", "s3d"):
-            loss, grads, d_feats = ce_loss(bundle, feats, head, y)
-            ref_loss, ref_w, ref_b, ref_feats = _unfolded_ce(bundle, feats, head, y)
+            logits = mlp_forward(fold_output(bundle.enc2d, *class_map(bundle, head)), x)[0]
+            loss, _ = ce_loss(logits, y)
+            ref_loss, _ = _unfolded_ce(bundle, feats, head, y)
             assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
-            for got, want in ((grads[f"head_{head}.w"], ref_w),
-                              (grads[f"head_{head}.b"], ref_b), (d_feats, ref_feats)):
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_class_logits_formula(rng):
@@ -331,6 +321,25 @@ def test_class_logits_formula(rng):
             assert np.array_equal(logits.argmax(axis=1), expected.argmax(axis=1))
 
 
+def test_fold_output_skips_the_output_layer(rng):
+    x = rng.standard_normal((30, 5))
+    for hidden in ((8,), (8, 7), ()):
+        bundle = tiny_bundle(hidden=hidden)
+        bundle.params[:] = rng.standard_normal(bundle.params.shape)
+        enc = bundle.enc2d
+        a, c = rng.standard_normal((7, 4)), rng.standard_normal(4)
+        net = fold_output(enc, a, c)
+        assert len(net.weights) == len(enc.weights)
+        assert all(w is v for w, v in zip(net.weights[:-1], enc.weights[:-1]))
+        out, cache = mlp_forward(net, x)
+        np.testing.assert_allclose(out, mlp_forward(enc, x)[0] @ a + c, rtol=1e-12)
+        hidden_rows, _ = mlp_forward(enc, x, hidden_only=True)
+        # hidden_only stops at the rows the output layer reads.
+        assert np.array_equal(hidden_rows, cache[-2])
+        if not hidden:
+            assert np.array_equal(hidden_rows, x)
+
+
 def test_softmax_rows_stable():
     probs = softmax_rows(np.array([[1e4, 1e4 + 1.0], [0.0, 0.0]]))
     assert np.allclose(probs.sum(axis=1), 1.0)
@@ -340,15 +349,6 @@ def test_softmax_rows_stable():
 
 # ---------------------------------------------------------------------------
 # cosine alignment
-
-
-def _aligned_inputs(bundle, rng, n=4):
-    """Unit anchors, with identity feature heads that reproduce them."""
-    a_unit = anchor_units(bundle, rng.standard_normal((n, 3)))
-    for head in (bundle.head_f2d, bundle.head_f3d):
-        head["w"][:] = np.eye(7)
-        head["b"][:] = 0.0
-    return a_unit
 
 
 def test_anchor_units_normalize_the_anchor_projection(rng):
@@ -364,80 +364,91 @@ def test_anchor_units_normalize_the_anchor_projection(rng):
     assert not units[2].any()
 
 
+def _anchors(rng, n=4):
+    return anchor_units(tiny_bundle(), rng.standard_normal((n, 3)))
+
+
 def test_align_loss_zero_when_aligned(rng):
-    bundle = tiny_bundle()
-    a_unit = _aligned_inputs(bundle, rng)
-    loss, grads, _, _, zero_count = cosine_align_loss(bundle, a_unit, a_unit, a_unit)
+    a_unit = _anchors(rng)
+    loss, d_x, d_p, zero_count = cosine_align_loss(a_unit, a_unit, a_unit)
     assert loss == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(grads["head_f2d.w"], 0.0, atol=1e-12)
+    assert np.allclose(d_x, 0.0, atol=1e-12) and np.allclose(d_p, 0.0, atol=1e-12)
     assert zero_count == 0
 
 
 def test_align_loss_four_when_anti_aligned(rng):
-    bundle = tiny_bundle()
-    a_unit = _aligned_inputs(bundle, rng)
-    loss, *_ = cosine_align_loss(bundle, -a_unit, -a_unit, a_unit)
+    a_unit = _anchors(rng)
+    loss, *_ = cosine_align_loss(-a_unit, -a_unit, a_unit)
     assert loss == pytest.approx(4.0, abs=1e-12)
 
 
 def test_align_loss_range(rng):
-    bundle = tiny_bundle()
-    loss, *_ = cosine_align_loss(bundle, rng.standard_normal((20, 7)),
-                                 rng.standard_normal((20, 7)),
-                                 anchor_units(bundle, rng.standard_normal((20, 3))))
+    loss, *_ = cosine_align_loss(rng.standard_normal((20, 7)),
+                                 rng.standard_normal((20, 7)), _anchors(rng, 20))
     assert 0.0 <= loss <= 4.0
 
 
 def test_align_loss_zero_norm_row_counts(rng):
-    bundle = tiny_bundle()
-    a_unit = _aligned_inputs(bundle, rng, n=2)
+    a_unit = _anchors(rng, n=2)
     x = a_unit.copy()
     x[1] = 0.0  # degenerate 2D head output: cosine treated as 0
-    loss, grads, _, _, zero_count = cosine_align_loss(bundle, x, a_unit, a_unit)
+    loss, d_x, _, zero_count = cosine_align_loss(x, a_unit, a_unit)
     assert zero_count == 1
     assert loss == pytest.approx(0.5, abs=1e-12)  # one miss of 1.0 over 2 pairs
     # Degenerate rows must not produce gradients.
-    assert np.isfinite(grads["head_f2d.w"]).all()
+    assert np.isfinite(d_x).all() and not d_x[1].any()
 
 
 def test_align_loss_degenerate_anchor(rng):
-    bundle = tiny_bundle()
-    a_unit = _aligned_inputs(bundle, rng, n=1)
-    loss, _, _, _, zero_count = cosine_align_loss(
-        bundle, a_unit, a_unit, anchor_units(bundle, np.zeros((1, 3))))
+    a_unit = _anchors(rng, n=1)
+    loss, _, _, zero_count = cosine_align_loss(
+        a_unit, a_unit, anchor_units(tiny_bundle(), np.zeros((1, 3))))
     assert loss == pytest.approx(2.0, abs=1e-12)  # both sides miss
     assert zero_count == 1
 
 
 def test_align_loss_positive_rescaling_invariant(rng):
-    bundle = tiny_bundle()
-    for head in (bundle.head_f2d, bundle.head_f3d):
-        head["b"][:] = 0.0
     x = rng.standard_normal((5, 7))
     p = rng.standard_normal((5, 7))
-    s = anchor_units(bundle, rng.standard_normal((5, 3)))
-    base, *_ = cosine_align_loss(bundle, x, p, s)
+    s = _anchors(rng, 5)
+    base, *_ = cosine_align_loss(x, p, s)
     scales = rng.uniform(0.1, 10.0, size=(5, 1))
-    scaled, *_ = cosine_align_loss(bundle, x * scales, p * scales, s)
+    scaled, *_ = cosine_align_loss(x * scales, p * scales, s)
     assert scaled == pytest.approx(base, abs=1e-10)
 
 
 def test_align_loss_no_anchor_gradient_by_default(rng):
-    bundle = tiny_bundle()
-    _, grads, *_ = cosine_align_loss(bundle, rng.standard_normal((4, 7)),
-                                     rng.standard_normal((4, 7)),
-                                     anchor_units(bundle, rng.standard_normal((4, 3))))
-    assert "anchor_head.w" not in grads
+    x, p, s = rng.standard_normal((4, 7)), rng.standard_normal((4, 7)), _anchors(rng)
+    inputs = [arr.copy() for arr in (x, p, s)]
+    result = cosine_align_loss(x, p, s)
+    # A gradient for each head output and none for the frozen anchors.
+    assert len(result) == 4 and result[1].shape == x.shape and result[2].shape == p.shape
+    assert all(np.array_equal(a, b) for a, b in zip((x, p, s), inputs))
 
 
 def test_align_loss_gradients_match_finite_difference(rng):
-    bundle = tiny_bundle()
-    x = rng.standard_normal((5, 7))
-    p = rng.standard_normal((5, 7))
-    s = anchor_units(bundle, rng.standard_normal((5, 3)))
-    err = grad_check(head_loss(lambda b, g: cosine_align_loss(b, x, p, s, grad=g)),
-                     bundle)
-    assert err < 1e-4
+    outs = [rng.standard_normal((5, 7)), rng.standard_normal((5, 7))]
+    s = _anchors(rng, 5)
+    grads = cosine_align_loss(*outs, s)[1:3]
+    eps = 1e-6
+    for out, grad in zip(outs, grads):
+        flat, gflat = out.reshape(-1), grad.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + eps
+            hi = cosine_align_loss(*outs, s)[0]
+            flat[j] = orig - eps
+            lo = cosine_align_loss(*outs, s)[0]
+            flat[j] = orig
+            assert abs((hi - lo) / (2 * eps) - gflat[j]) < 1e-6
+    # The feature heads' gradients, through a folded layer that reads the
+    # input rows directly.
+    bundle = tiny_bundle(hidden=())
+    batch = {"x2d": rng.standard_normal((5, 5)), "pair3d": rng.standard_normal((5, 6)),
+             "anchors": s, "latent_weight": 0.5}
+    views = param_views(bundle.config, step(bundle, batch)[1])
+    assert views["head_f2d.w"].any() and views["head_f3d.w"].any()
+    assert grad_check(lambda b, grad: step(b, batch, grad), bundle) < 1e-4
 
 
 def test_align_loss_end_to_end_gradients(rng):
@@ -454,19 +465,17 @@ def test_align_loss_end_to_end_gradients(rng):
 
 
 def test_align_loss_validates_lengths(rng):
-    bundle = tiny_bundle()
     with pytest.raises(ValidationError):
-        cosine_align_loss(bundle, rng.standard_normal((3, 7)),
-                          rng.standard_normal((2, 7)),
+        cosine_align_loss(rng.standard_normal((3, 7)), rng.standard_normal((2, 7)),
                           rng.standard_normal((3, 7)))
 
 
 def test_align_loss_empty_batch():
-    bundle = tiny_bundle()
-    loss, _, _, _, zero_count = cosine_align_loss(bundle, np.zeros((0, 7)),
-                                                  np.zeros((0, 7)), np.zeros((0, 7)))
+    loss, d_x, d_p, zero_count = cosine_align_loss(np.zeros((0, 7)), np.zeros((0, 7)),
+                                                   np.zeros((0, 7)))
     assert loss == 0.0
     assert zero_count == 0
+    assert d_x.shape == d_p.shape == (0, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +516,96 @@ def test_loss_only_step_matches_the_full_step(rng):
     bundle = tiny_bundle()
     batch = _training_batch(bundle, rng, weight=0.5)
     ignored = {**batch, "y2d": np.full(6, IGNORE), "y3d": np.full(6, IGNORE)}
-    for b in (batch, ignored, {k: batch[k] for k in ("x3d", "y3d")}, {}):
+    empty = {key: value[:0] if key != "latent_weight" else value
+             for key, value in batch.items()}
+    for b in (batch, ignored, empty, {k: batch[k] for k in ("x3d", "y3d")}, {}):
         full = step(bundle, b)[0]
         assert step(bundle, b, grad=False) == (full, None)
-    assert ce_loss(bundle, rng.standard_normal((6, 7)), "s2d", batch["y2d"],
-                   grad=False)[1:] == ({}, None)
+    assert ce_loss(rng.standard_normal((6, 5)), batch["y2d"], grad=False)[1] is None
+    assert ce_loss(rng.standard_normal((6, 5)), np.full(6, IGNORE),
+                   grad=False) == (0.0, None)
+    assert cosine_align_loss(np.zeros((0, 7)), np.zeros((0, 7)), np.zeros((0, 7)),
+                             grad=False) == (0.0, None, None, 0)
+
+
+def _unfolded_step(bundle, batch):
+    """Reference step with nothing folded: latent rows f = mlp(x), then the
+    heads, then the losses, and back through each of them in turn."""
+    grads = {name: np.zeros_like(view)
+             for name, view in param_views(bundle.config, bundle.params).items()}
+    losses = {"l_ce2d": 0.0, "l_ce3d": 0.0, "l_latent": 0.0}
+    weight = batch["latent_weight"] if "anchors" in batch else 0.0
+
+    def encode(enc, rows):
+        feats, cache = mlp_forward(getattr(bundle, enc), rows)
+        return feats, cache, np.zeros_like(feats)
+
+    def back(enc, cache, d_feats):
+        d_w, d_b = mlp_backward(getattr(bundle, enc), cache, d_feats)
+        for i, (dw, db) in enumerate(zip(d_w, d_b)):
+            grads[f"{enc}.w{i}"] += dw
+            grads[f"{enc}.b{i}"] += db
+
+    def head_back(head, feats, d_z):
+        h = bundle.head(head)
+        grads[f"head_{head}.w"] += feats.T @ d_z
+        grads[f"head_{head}.b"] += d_z.sum(axis=0)
+        return d_z @ h["w"].T
+
+    def cosine_side(head, feats, anchors):
+        h = bundle.head(head)
+        z = feats @ h["w"] + h["b"]
+        norms = np.linalg.norm(z, axis=1)
+        live = (norms >= 1e-12) & anchors.any(axis=1)
+        cos = np.where(live, np.einsum("ij,ij->i", z, anchors) / np.maximum(norms, 1e-300), 0.0)
+        d_z = -(anchors - cos[:, None] * z / norms[:, None]) / norms[:, None]
+        d_z[~live] = 0.0
+        return float(np.sum(1.0 - cos)), d_z * (weight / len(feats))
+
+    if "y2d" in batch or "anchors" in batch:
+        f2d, c2d, d2d = encode("enc2d", batch["x2d"])
+    if "y2d" in batch:
+        losses["l_ce2d"], d_z = _unfolded_ce(bundle, f2d, "s2d", batch["y2d"])
+        d2d += head_back("s2d", f2d, d_z)
+    if "y3d" in batch:
+        f3d, c3d, d3d = encode("enc3d", batch["x3d"])
+        losses["l_ce3d"], d_z = _unfolded_ce(bundle, f3d, "s3d", batch["y3d"])
+        back("enc3d", c3d, d3d + head_back("s3d", f3d, d_z))
+    if "anchors" in batch:
+        fp, cp, dp = encode("enc3d", batch["pair3d"])
+        miss2d, d_z2d = cosine_side("f2d", f2d, batch["anchors"])
+        miss3d, d_z3d = cosine_side("f3d", fp, batch["anchors"])
+        losses["l_latent"] = (miss2d + miss3d) / len(fp)
+        d2d += head_back("f2d", f2d, d_z2d)
+        back("enc3d", cp, dp + head_back("f3d", fp, d_z3d))
+    if "y2d" in batch or "anchors" in batch:
+        back("enc2d", c2d, d2d)
+    losses["loss"] = losses["l_ce2d"] + losses["l_ce3d"] + weight * losses["l_latent"]
+    return losses, np.concatenate([g.ravel() for g in grads.values()])
+
+
+@pytest.mark.parametrize("hidden", [(8,), (8, 7), ()])
+@pytest.mark.parametrize("terms", ["full", "ce2d", "ce3d", "latent"])
+def test_step_matches_the_unfolded_reference(hidden, terms):
+    rng = np.random.default_rng(2024 + len(hidden))
+    bundle = tiny_bundle(temperature=0.8, hidden=hidden)
+    bundle.params[:] = 0.5 * rng.standard_normal(bundle.params.shape)  # biases too
+    keys = {"full": ("x2d", "y2d", "x3d", "y3d", "pair3d", "anchors"),
+            "ce2d": ("x2d", "y2d"), "ce3d": ("x3d", "y3d"),
+            "latent": ("x2d", "pair3d", "anchors")}[terms]
+    for weight in (0.0, 0.5, 1.0):
+        full = _training_batch(bundle, rng, weight=weight, n=9)
+        batch = {key: full[key] for key in keys}
+        if "anchors" in batch:
+            batch["latent_weight"] = weight
+        losses, grad = step(bundle, batch)
+        ref_losses, ref_grad = _unfolded_step(bundle, batch)
+        for key, value in ref_losses.items():
+            assert losses[key] == pytest.approx(value, rel=1e-12, abs=0), key
+        # Entries that are sums with cancellation are held to the same
+        # 1e-12 relative to the gradient's largest entry.
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref_grad).max())
 
 
 def test_grad_check_flags_wrong_latent_weight(rng):

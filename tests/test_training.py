@@ -225,6 +225,7 @@ def _random_inference_bundle(rng):
 
 
 def _one_piece_labels(bundle, mlp, head, rows):
+    """Argmax of the unfolded logits: latent rows first, then the class map."""
     folded = class_map(bundle, head)
     return np.argmax(class_logits(mlp_forward(mlp, rows)[0], folded), axis=1)
 
@@ -251,6 +252,19 @@ def test_chunked_pixel_inference_matches_one_piece(rng):
     assert np.array_equal(desc, before)
     expect = _one_piece_labels(bundle, bundle.enc2d, "s2d", desc.reshape(-1, 5))
     assert np.array_equal(pred, expect.reshape(3, 17, 29))
+
+
+def test_inference_matches_the_unfolded_logits_on_the_small_scene(small_scene,
+                                                                   small_oracles):
+    state = init_state(small_scene, small_oracles, short_config(stage1_epochs=1))
+    run_stage1(state)
+    bundle, desc2d, desc3d = state.bundle, state.data["desc2d"], state.data["desc3d"]
+    pixel = predict_labels_2d(bundle, desc2d)
+    expect = _one_piece_labels(bundle, bundle.enc2d, "s2d",
+                               desc2d.reshape(-1, desc2d.shape[-1]))
+    assert np.array_equal(pixel, expect.reshape(pixel.shape))
+    assert np.array_equal(predict_labels_3d(bundle, desc3d),
+                          _one_piece_labels(bundle, bundle.enc3d, "s3d", desc3d))
 
 
 def test_all_oracle_switching_equals_pure_stage1(small_scene, small_oracles):

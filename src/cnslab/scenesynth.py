@@ -14,6 +14,12 @@ replace the foundation models with controllable-noise stand-ins:
 ``mock_text_embeddings`` supplies the frozen per-class unit vectors the
 labeler scores against.  Everything is a pure function of (config,
 seed), so downstream claims can be checked against known ground truth.
+
+The scene and the oracles need numpy alone; background masks come from
+a numpy 4-connected component labeller.  Only the network descriptors
+(``point_descriptors``, ``pixel_descriptors``) use scipy, imported where
+they are built, so that ``cnslab synth`` and ``cnslab refine`` start
+without it.
 """
 
 from __future__ import annotations
@@ -21,11 +27,9 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .errors import PlacementError, ValidationError
 from .geometry import (CameraModel, CorrespondenceSet, PointCloud,
@@ -454,6 +458,43 @@ def mock_clip_scores(scene: Scene, camera_index: int, noise: ClipNoiseConfig,
 _BIG = np.iinfo(np.int32).max
 
 
+def _label_components(mask: np.ndarray) -> Tuple[np.ndarray, int]:
+    """(labels, count) of the 4-connected components of a boolean mask.
+
+    Components are numbered from 1 in raster order of their first pixel,
+    as scipy.ndimage.label numbers them; pixels off the mask read 0.
+    Each pixel points at the smallest flat index known to share its
+    component.  A round hooks every root to the smallest root it touches
+    along an edge, then follows pointers until each points at a root, so
+    the roots of a component at least halve per round.
+    """
+    h, w = mask.shape
+    pixel = np.arange(h * w)
+    index = pixel.reshape(h, w)
+    across = mask[:, :-1] & mask[:, 1:]
+    down = mask[:-1, :] & mask[1:, :]
+    a = np.concatenate([index[:, :-1][across], index[:-1, :][down]])
+    b = np.concatenate([index[:, 1:][across], index[1:, :][down]])
+    root = pixel.copy()
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        ra, rb = ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    flat = mask.ravel()
+    first = flat & (root == pixel)
+    number = np.cumsum(first, dtype=np.int32)
+    labels = np.where(flat, number[root], 0).reshape(h, w)
+    return labels, int(first.sum())
+
+
 def _geodesic_distance(mask: np.ndarray, seeds: list) -> np.ndarray:
     """4-connected geodesic distance inside `mask` from a seed set."""
     dist = np.full(mask.shape, np.inf)
@@ -526,14 +567,8 @@ def mock_sam_masks(scene: Scene, camera_index: int, frag: MaskFragConfig,
     frag.validate()
     render = render_view(scene, camera_index)
     rng = derive_rng(seed, TAG_MASKS, camera_index)
-    mask_ids = np.full(render.label.shape, -1, dtype=np.int32)
-    next_id = 0
-    background = render.object_id == BACKGROUND_INSTANCE
-    if background.any():
-        comps, ncomp = ndimage.label(background)
-        for c in range(1, ncomp + 1):
-            mask_ids[comps == c] = next_id
-            next_id += 1
+    comps, next_id = _label_components(render.object_id == BACKGROUND_INSTANCE)
+    mask_ids = comps - 1  # background components first; -1 elsewhere
     for obj in np.unique(render.object_id):
         if obj == BACKGROUND_INSTANCE:
             continue
@@ -670,6 +705,7 @@ def point_descriptors(scene: Scene, noise_sigma: float = DESCRIPTOR_NOISE,
     pos = scene.cloud.positions.astype(np.float64)
     app = point_appearance(scene, noise_sigma, seed).astype(np.float64)
     k = min(9, len(pos))
+    from scipy.spatial import cKDTree  # local: synth and refine start without scipy
     dist, idx = cKDTree(pos).query(pos, k=k)
     if k > 1:
         mean_dist = dist[:, 1:].mean(axis=1, keepdims=True) / scene.room_size
@@ -698,6 +734,7 @@ def pixel_descriptors(scene: Scene, camera_index: int,
     empty_noise = rng.standard_normal((h, w, APPEARANCE_DIM))
     empty_app = palette[BACKGROUND_INSTANCE][None, None, :] + noise_sigma * empty_noise
     app[~visible] = empty_app[~visible]
+    from scipy import ndimage  # local: synth and refine start without scipy
     local = ndimage.uniform_filter(app, size=(3, 3, 1), mode="nearest")
     yy, xx = np.mgrid[0:h, 0:w]
     u_norm = xx / max(w - 1, 1)

@@ -107,6 +107,9 @@ class TrainState:
     labels3d: np.ndarray
     shuffle_rng: np.random.Generator
     source_rng: np.random.Generator
+    # Each network's cumulative source probabilities (2, 4), built once
+    # from TrainConfig.probs_for; see _draw_sources.
+    source_cdf: np.ndarray
     epoch: int = 0
     # Argmax (pixel, point) predictions of the current parameters; filled
     # by predictions() and cleared by _run_epoch, which changes them.
@@ -163,6 +166,7 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
             f"model sam_dim {model_config.sam_dim} != oracle feature dim "
             f"{anchors.shape[-1]}")
     bundle = make_bundle(model_config, embeddings, config.seed)
+    source_cdf = np.stack([config.probs_for(net).cumsum() for net in (0, 1)])
 
     labels = derive_clip_labels(corr, oracles["scores"], masks, num_points,
                                 config.refine3d_mode, config.multiview)
@@ -182,7 +186,8 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
         labels2d=np.full((len(SOURCES), corr.count), IGNORE, dtype=np.int32),
         labels3d=np.full((len(SOURCES), num_points), IGNORE, dtype=np.int32),
         shuffle_rng=derive_rng(config.seed, TAG_SHUFFLE),
-        source_rng=derive_rng(config.seed, TAG_SOURCE))
+        source_rng=derive_rng(config.seed, TAG_SOURCE),
+        source_cdf=source_cdf / source_cdf[:, -1:])
     _set_sources(state, 0, labels[pixel_key], labels[point_key].labels)
     return state
 
@@ -288,16 +293,22 @@ def compute_self_labels(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:
 
 def _draw_sources(state: TrainState, count2d: int,
                   count3d: int) -> Tuple[np.ndarray, np.ndarray]:
-    """One source draw per network (or per element when configured)."""
+    """One source draw per network (or per element when configured).
+
+    Each draw is ``source_rng.choice(4, size, p=probs_for(net))`` to the
+    bit, generator state included: numpy draws such a choice by searching
+    the normalised cumulative sum of ``p`` for uniform samples, and here
+    that sum is built once per run instead of once per draw.
+    """
     per_element = state.config.switch_per_element
-    draw2d = state.source_rng.choice(4, size=count2d if per_element else 1,
-                                     p=state.config.probs_for(0))
-    draw3d = state.source_rng.choice(4, size=count3d if per_element else 1,
-                                     p=state.config.probs_for(1))
-    for net, draws in enumerate((draw2d, draw3d)):
-        state.source_counts[net] += np.bincount(draws, minlength=4)
-        state.source_draws[net] += len(draws)
-    return draw2d, draw3d
+    draws = []
+    for net, count in enumerate((count2d, count3d)):
+        uniform = state.source_rng.random(count if per_element else 1)
+        draw = state.source_cdf[net].searchsorted(uniform, side="right")
+        state.source_counts[net] += np.bincount(draw, minlength=4)
+        state.source_draws[net] += len(draw)
+        draws.append(draw)
+    return draws[0], draws[1]
 
 
 def _run_epoch(state: TrainState, stage: int) -> dict:

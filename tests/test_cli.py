@@ -6,8 +6,14 @@ full synth -> refine -> train -> eval -> ablate flow once on a tiny
 scene; individual tests then inspect each stage's outputs.
 """
 
+import hashlib
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,3 +404,76 @@ def test_synth_restarts_a_layout_that_cannot_place(tmp_path):
     # restarted from a derived stream can.
     assert cli.main(["synth", "--out", str(tmp_path), "--seed", "6"]) == 0
     assert read_manifest(tmp_path / "bundle" / "manifest.txt")["num_points"] == "9600"
+
+
+# sha256 of every file of the default-config bundle of `cnslab synth
+# --seed <seed>`.  A change to any oracle's output changes one of these.
+SYNTH_SHA256 = {
+    0: {
+        "cameras.txt": "8941d6d65d482ed39d747aa87a90f7ee817475bc0f77a3481a3bfca6dc9b2e6b",
+        "manifest.txt": "844b5f7807feb85e949d0e4384de7f4039dad011f0baebb4d4e48b344e2e78b6",
+        "points.bin": "3251d0bbc90e8070a0c9ca2ae311b5fd9f62b7b603bf611baebffae11ad1fecc",
+        "view_0.feat.bin": "a6d2ebdf2d072e75c1f830ead65d72be78c8905a8e818ffdfc3db498cba0494c",
+        "view_0.masks.bin": "7b9e3da5fce5a43912578aa8058b1cf36c0e3a2ced1ad32bf3d8d0c8a45e6d25",
+        "view_0.scores.bin": "66bd18335648743d9361ae3e7f4734814edcbdf3aa59ab0e88a6d2d0b39d9b51",
+        "view_1.feat.bin": "bdf93443aa877f14c79724254edf70feb2139186a57cf8d22a4d177a474f2f7c",
+        "view_1.masks.bin": "78dc46ad7d3a2c4aad5a4b9eae983e35c2e3aab687bf88c5ff9619dc73cd2ace",
+        "view_1.scores.bin": "6a78de8d30b01e48206cdc6f8e34b82f17befdc9246f92a75883b9104170410d",
+        "view_2.feat.bin": "03cd638d8526017dea38e355383288d822facffbcbebc6b3c6fc49a7b2d94c7c",
+        "view_2.masks.bin": "903642bd08e2a94c91224caf3427414daa8140487e68b4a92b44e031920e47a4",
+        "view_2.scores.bin": "6f3343d065f586d9cb33b97520306807a626c3fceeae5c85ac57e614f2da9baa",
+        "view_3.feat.bin": "18e66cd8282b55a5e74fb80818292ee44ebc976fe896df90f2b33a6fbd3c808d",
+        "view_3.masks.bin": "68d41a7b9de68c445278c4b327539bb7f14d455cf8060ec6bddde758f4242201",
+        "view_3.scores.bin": "890398e6096ed338cf5a2e49348c48b7ec331faf0a7b0f65e5681e536bdb0ccb",
+    },
+    1: {
+        "cameras.txt": "8941d6d65d482ed39d747aa87a90f7ee817475bc0f77a3481a3bfca6dc9b2e6b",
+        "manifest.txt": "72ab9d8243442a2f5ebdf0b1c764e64f1b2dcfba739a4e1499c60f0b4c9a9201",
+        "points.bin": "a2262e66c5c0ef28ca6d63e0eb3555829e6edadbf2e8fde5147072ef4c6dfb19",
+        "view_0.feat.bin": "b21f7fb6ec9d8bec6c953c45fe12f227797373c0d6fcf3ea4d9585ec5f9a9999",
+        "view_0.masks.bin": "e07f2811cd3fe178e85a233c9fa4bc1bcbdf6830f4930be0c824c28426d2d91f",
+        "view_0.scores.bin": "61aa2847b5bceb96bdd591889c1db4d0531e13e771aeca7b459358240a64da25",
+        "view_1.feat.bin": "20f66404aa4864b7c55de74e243413c22fbfe5a9191bffc2d7713b2804e8a502",
+        "view_1.masks.bin": "53a06599d74cb35bf760bfa8d5be4f4a3313eebf5a536cf831807f0f7c800b57",
+        "view_1.scores.bin": "fe040b35dd4a7b6952c82f57d8d925d6dc87d4342b0b873de073f255845b331d",
+        "view_2.feat.bin": "efc2fc3e9d63adb502be1c4fd6acb9ebe087b116b0c571923b0f356913fa993e",
+        "view_2.masks.bin": "484b32205ed6a263c4ca92b91f5bbb9c8983b601bdf9ae56d122113513ab4418",
+        "view_2.scores.bin": "012c370e95429f07b3faade3607310663d1fff6e0ff6839bbe75f4ff9cda12a1",
+        "view_3.feat.bin": "8affcd6bbcbace5e3fc96a5f8243201d889125ed67b33b92ac7560584213e8ef",
+        "view_3.masks.bin": "28c302433c75b09345321be0d27d580ddec1a289dbce3332e6db1882cbbd1e9f",
+        "view_3.scores.bin": "1d59da0bce80d55d17f2391da179c3daa56378f8fec7ba4d69775bcb5706f998",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SYNTH_SHA256))
+def test_synth_bundle_bytes_are_pinned(tmp_path, seed):
+    assert cli.main(["synth", "--out", str(tmp_path), "--seed", str(seed)]) == 0
+    bundle_dir = tmp_path / "bundle"
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in bundle_dir.iterdir()}
+    assert digests == SYNTH_SHA256[seed]
+
+
+def test_synth_refine_and_help_never_import_scipy(tmp_path):
+    # A fresh interpreter: this one has imported scipy already.
+    script = textwrap.dedent("""
+        import sys
+        import cnslab, cnslab.cli
+        out = sys.argv[1]
+        assert cnslab.cli.main(["synth", "--out", out + "/synth"]) == 0
+        assert cnslab.cli.main(["refine", out + "/synth/bundle",
+                                "--out", out + "/refine"]) == 0
+        try:
+            cnslab.cli.main(["--help"])
+        except SystemExit:
+            pass
+        print(sorted(name for name in sys.modules if name.startswith("scipy")))
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, CNS_LOG="WARNING",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

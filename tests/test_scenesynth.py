@@ -22,7 +22,8 @@ from cnslab.scenesynth import (APPEARANCE_DIM, BACKGROUND_CLASS,
                                mock_clip_scores, mock_sam_features,
                                mock_sam_masks, mock_text_embeddings,
                                pixel_descriptors, point_descriptors,
-                               render_view, standard_oracle_outputs)
+                               render_view, standard_oracle_outputs,
+                               _label_components)
 
 from conftest import SMALL_SCENE
 
@@ -296,6 +297,69 @@ def test_masks_deterministic(small_scene):
     a = mock_sam_masks(small_scene, 1, frag, seed=4)
     b = mock_sam_masks(small_scene, 1, frag, seed=4)
     assert np.array_equal(a.mask_ids, b.mask_ids)
+
+
+def _assert_labels_like_scipy(mask):
+    labels, count = _label_components(mask)
+    expected, expected_count = ndimage.label(mask)
+    assert count == expected_count
+    assert labels.dtype == np.int32
+    np.testing.assert_array_equal(labels, expected)
+
+
+def test_label_components_match_scipy_on_random_masks():
+    rng = np.random.default_rng(2306)
+    for _ in range(300):
+        h, w = rng.integers(1, 48, size=2)
+        _assert_labels_like_scipy(rng.random((h, w)) < rng.uniform(0.05, 0.95))
+
+
+@pytest.mark.parametrize("mask", [
+    np.zeros((6, 9), dtype=bool),
+    np.ones((6, 9), dtype=bool),
+    np.array([[1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1]], dtype=bool),
+    np.array([[1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1]], dtype=bool).T,
+    np.indices((9, 8)).sum(axis=0) % 2 == 0,  # diagonal neighbors stay apart
+], ids=["empty", "full", "row", "column", "checkerboard"])
+def test_label_components_match_scipy_on_edge_cases(mask):
+    _assert_labels_like_scipy(mask)
+
+
+def _spiral(n):
+    """One-pixel-wide square spiral from the top-left corner inward."""
+    mask = np.zeros((n, n), dtype=bool)
+    y = x = 0
+    mask[0, 0] = True
+    moves = [(0, 1), (1, 0), (0, -1), (-1, 0)]
+    lengths = [n - 1, n - 1] + [n - 1 - 2 * (k // 2) for k in range(2, 2 * n)]
+    for turn, length in enumerate(lengths):
+        if length <= 0:
+            break
+        dy, dx = moves[turn % 4]
+        for _ in range(length):
+            y, x = y + dy, x + dx
+            mask[y, x] = True
+    return mask
+
+
+def test_label_components_follow_a_long_spiral():
+    mask = _spiral(64)
+    assert mask.sum() > 2000  # one path of over 2000 pixels
+    assert _label_components(mask)[1] == 1
+    _assert_labels_like_scipy(mask)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_background_mask_ids_follow_scipy_numbering(seed):
+    # The default scene of `cnslab synth --seed <seed>`, every view.
+    scene = generate_scene(SceneConfig(), seed)
+    for k in range(len(scene.cameras)):
+        background = render_view(scene, k).object_id == BACKGROUND_INSTANCE
+        _assert_labels_like_scipy(background)
+        comps, count = ndimage.label(background)
+        mask_ids = mock_sam_masks(scene, k, MaskFragConfig(3, 0), seed).mask_ids
+        np.testing.assert_array_equal(mask_ids[background], comps[background] - 1)
+        assert mask_ids[~background].min() >= count
 
 
 def test_mask_purity_hand_example():

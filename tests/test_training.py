@@ -17,6 +17,7 @@ from cnslab.pseudolabel import IGNORE, PIXELS, LabelMap, transfer_labels
 from cnslab.scenesynth import (ClipNoiseConfig, MaskFragConfig, SceneConfig,
                                generate_scene, mock_text_embeddings,
                                standard_oracle_outputs)
+from cnslab.seeding import TAG_SOURCE, derive_rng
 from cnslab.training import (METRIC_COLUMNS, TrainConfig, compute_self_labels,
                              init_state, predict_labels_2d, predict_labels_3d,
                              predictions, run_stage1, run_stage2, train,
@@ -300,6 +301,24 @@ def test_one_hot_source_is_the_same_per_element_and_per_batch(
             for per_element in (False, True)]
     assert _params_equal(*(_params_snapshot(run.bundle) for run in runs))
     assert runs[0].history == runs[1].history
+
+
+@pytest.mark.parametrize("per_element", [False, True])
+def test_source_draws_equal_generator_choice(small_scene, small_oracles,
+                                             per_element):
+    config = short_config(switch_probs=(0.1, 0.2, 0.3, 0.4),
+                          switch_probs_3d=(0.5, 0.0, 0.0, 0.5),
+                          switch_per_element=per_element)
+    state = init_state(small_scene, small_oracles, config)
+    reference = derive_rng(config.seed, TAG_SOURCE)
+    for count2d, count3d in ((256, 256), (7, 1), (1, 7), (100, 256)):
+        draw2d, draw3d = training._draw_sources(state, count2d, count3d)
+        size2d, size3d = (count2d, count3d) if per_element else (1, 1)
+        np.testing.assert_array_equal(
+            draw2d, reference.choice(4, size2d, p=config.probs_for(0)))
+        np.testing.assert_array_equal(
+            draw3d, reference.choice(4, size3d, p=config.probs_for(1)))
+    assert state.source_rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_source_draw_frequencies(small_scene, small_oracles):

@@ -18,6 +18,7 @@ import numpy as np
 from cnslab import (ClipNoiseConfig, MaskFragConfig, SceneConfig,
                     derive_clip_labels, generate_scene, label_error_rate,
                     mock_clip_scores, mock_sam_masks)
+from cnslab.evaluation import format_value
 from cnslab.scenesynth import gt_pixel_stack
 
 
@@ -65,7 +66,7 @@ def main():
 
     args.out.mkdir(parents=True, exist_ok=True)
     lines = ["eps,pixel_raw,pixel_refined,point_raw,point_refined"]
-    lines += [",".join(repr(v) for v in row) for row in rows]
+    lines += [",".join(format_value(v) for v in row) for row in rows]
     (args.out / "sweep.csv").write_text("\n".join(lines) + "\n")
 
     print(f"{'eps':>5} {'px raw':>8} {'px ref':>8} {'pt raw':>8} {'pt ref':>8}")

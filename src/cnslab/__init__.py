@@ -14,8 +14,7 @@ from .bundle import (FORMAT_VERSION, read_bundle, read_manifest, read_raster,
                      write_bundle, write_raster)
 from .errors import (BundleFormatError, CnsError, ConfigError, NumericalError,
                      PlacementError, ValidationError)
-from .evaluation import (ConfusionMatrix, confusion, coverage, label_error_rate,
-                         miou)
+from .evaluation import confusion, coverage, label_error_rate, miou
 from .geometry import (CameraModel, CorrespondenceSet, PointCloud,
                        build_correspondences, look_at, project_point,
                        project_points)
@@ -24,7 +23,7 @@ from .nncore import (ModelBundle, ModelConfig, anchor_units, ce_loss,
                      grad_check,
                      load_checkpoint, make_bundle, save_checkpoint, sgd_step,
                      step)
-from .pseudolabel import (IGNORE, LabelMap, argmax_label, derive_clip_labels,
+from .pseudolabel import (IGNORE, argmax_label, derive_clip_labels,
                           refine_by_masks, refine_points_by_view_masks,
                           reproject_refine_points, transfer_labels,
                           transfer_masks)
@@ -41,8 +40,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AblationReport", "BundleFormatError", "CameraModel", "ClipNoiseConfig",
-    "CnsError", "ConfigError", "ConfusionMatrix", "CorrespondenceSet",
-    "FORMAT_VERSION", "IGNORE", "LabelMap", "MaskFragConfig", "ModelBundle",
+    "CnsError", "ConfigError", "CorrespondenceSet",
+    "FORMAT_VERSION", "IGNORE", "MaskFragConfig", "ModelBundle",
     "ModelConfig", "NumericalError", "PlacementError", "PointCloud",
     "ROW_ORDER", "SOURCES", "Scene", "SceneConfig", "SuiteConfig",
     "TrainConfig", "TrainState", "ValidationError", "anchor_units",

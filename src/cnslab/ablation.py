@@ -193,8 +193,8 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
                 cfg = row_train_config(row, replace(suite.train, seed=seed))
                 if cfg is None:
                     key = "raw" if row == "baseline" else "refined"
-                    pred_pixel = np.stack([lm.labels for lm in labels[f"pixel_{key}"]])
-                    pred_point = labels[f"point_{key}"].labels
+                    pred_pixel = labels[f"pixel_{key}"]
+                    pred_point = labels[f"point_{key}"]
                     hashed = (row, suite.clip_noise, suite.frag)
                 else:
                     state = train(scene, oracles, cfg, suite.model_config())

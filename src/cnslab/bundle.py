@@ -226,6 +226,12 @@ def _read_cameras(path: Path) -> Tuple[List[CameraModel], List[int]]:
         rot, trans = floats[4:13].reshape(3, 3), floats[13:]
         cameras.append(CameraModel(fx, fy, cx, cy, rot, trans, width, height))
         linenos.append(lineno)
+        # Every view's pixels are stacked into one (V, H, W) array.
+        first = cameras[0]
+        if (width, height) != (first.width, first.height):
+            raise BundleFormatError(
+                f"{path.name}:{lineno}: camera {len(cameras) - 1} is "
+                f"{width}x{height}, camera 0 is {first.width}x{first.height}")
     if not cameras:
         raise BundleFormatError(f"{path.name}: no cameras")
     return cameras, linenos

@@ -222,14 +222,14 @@ def cmd_refine(cfg: RunConfig, bundle_dir: str, out_dir: str) -> int:
         purity = scenesynth.mask_purity(oracles["masks"][k], gt_pixel[k])
         rows.append((f"view_{k}", raw_err, ref_err, purity))
         bundle.write_raster(out / f"view_{k}.labels.bin",
-                            derived["pixel_refined"][k].labels, "<i4")
+                            derived["pixel_refined"][k], "<i4")
     gt_point = scene.cloud.gt_labels
     rows.append(("points",
                  evaluation.label_error_rate(derived["point_raw"], gt_point),
                  evaluation.label_error_rate(derived["point_refined"], gt_point),
                  None))
     bundle.write_raster(out / "point_labels.bin",
-                        derived["point_refined"].labels.reshape(-1, 1), "<i4")
+                        derived["point_refined"].reshape(-1, 1), "<i4")
 
     lines = ["scope,raw_error,refined_error,mask_purity"]
     lines += [",".join([scope, *(evaluation.csv_cell(v) for v in values)])

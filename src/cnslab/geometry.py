@@ -84,15 +84,14 @@ def look_at(position, target, up=(0.0, 0.0, 1.0)) -> tuple[np.ndarray, np.ndarra
     return rot, trans
 
 
-def project_point(camera: CameraModel, point, depth_min: float = DEPTH_MIN
-                  ) -> Optional[tuple[int, int, float]]:
+def project_point(camera: CameraModel, point) -> Optional[tuple[int, int, float]]:
     """Project one world point; None if behind the camera or off-image.
 
     Returns (u, v, depth) with u, v already rounded to the nearest pixel.
     """
     p = np.asarray(point, dtype=np.float64)
     x, y, z = camera.rotation @ p + camera.translation
-    if z <= depth_min:
+    if z <= DEPTH_MIN:
         return None
     u = int(np.floor(camera.fx * x / z + camera.cx + 0.5))
     v = int(np.floor(camera.fy * y / z + camera.cy + 0.5))
@@ -101,8 +100,7 @@ def project_point(camera: CameraModel, point, depth_min: float = DEPTH_MIN
     return u, v, float(z)
 
 
-def project_points(camera: CameraModel, positions: np.ndarray,
-                   depth_min: float = DEPTH_MIN
+def project_points(camera: CameraModel, positions: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized projection of an (N, 3) array.
 
@@ -114,7 +112,7 @@ def project_points(camera: CameraModel, positions: np.ndarray,
     pts = np.asarray(positions, dtype=np.float64)
     cam_pts = pts @ camera.rotation.T + camera.translation
     z = cam_pts[:, 2]
-    valid = z > depth_min
+    valid = z > DEPTH_MIN
     zsafe = np.where(valid, z, 1.0)
     u = np.floor(camera.fx * cam_pts[:, 0] / zsafe + camera.cx + 0.5)
     v = np.floor(camera.fy * cam_pts[:, 1] / zsafe + camera.cy + 0.5)
@@ -176,8 +174,8 @@ class CorrespondenceSet:
         return self.camera_index == camera
 
 
-def build_correspondences(cameras: Sequence[CameraModel], cloud: PointCloud,
-                          depth_min: float = DEPTH_MIN) -> CorrespondenceSet:
+def build_correspondences(cameras: Sequence[CameraModel],
+                          cloud: PointCloud) -> CorrespondenceSet:
     """Z-buffered correspondences between a cloud and a set of cameras.
 
     For every (camera, pixel) cell touched by at least one visible point,
@@ -192,7 +190,7 @@ def build_correspondences(cameras: Sequence[CameraModel], cloud: PointCloud,
     vs_all = []
     ds_all = []
     for k, cam in enumerate(cameras):
-        uv, z, valid = project_points(cam, cloud.positions, depth_min)
+        uv, z, valid = project_points(cam, cloud.positions)
         idx = np.nonzero(valid)[0]
         if len(idx) == 0:
             continue

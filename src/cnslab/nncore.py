@@ -31,13 +31,13 @@ import math
 import os
 import typing
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .evaluation import format_value, parse_value
-from .pseudolabel import IGNORE, LabelMap
+from .pseudolabel import IGNORE
 from .scenesynth import ClassEmbeddingTable
 from .seeding import TAG_MODEL, derive_rng
 
@@ -279,7 +279,7 @@ def class_logits(rows: np.ndarray,
     return logits
 
 
-def ce_loss(logits: np.ndarray, target_labels: Union[LabelMap, np.ndarray],
+def ce_loss(logits: np.ndarray, target_labels: np.ndarray,
             ignore: int = IGNORE, grad: bool = True
             ) -> Tuple[float, Optional[np.ndarray]]:
     """Mean cross-entropy of class logits (N, C) against target labels.
@@ -290,8 +290,7 @@ def ce_loss(logits: np.ndarray, target_labels: Union[LabelMap, np.ndarray],
     the gradient is None.  `logits` is not written.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    targets = target_labels.labels if isinstance(target_labels, LabelMap) else target_labels
-    targets = np.asarray(targets).ravel()
+    targets = np.asarray(target_labels).ravel()
     if logits.ndim != 2 or len(targets) != len(logits):
         raise ValidationError(f"logits of shape {logits.shape} vs {len(targets)} targets")
     valid = targets != ignore

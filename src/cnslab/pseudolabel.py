@@ -4,14 +4,15 @@ Implements the three label operations the training scheme is built on:
 scoring pixels against class embeddings and taking the argmax, carrying
 labels and mask ids between pixels and points along the correspondence
 set, and replacing every label inside a mask by the mask's plurality
-label.  All operations treat IGNORE (-1) as "no label": IGNORE elements
-never vote and are never overwritten.
+label.  Labels are plain int32 arrays: a scene's pixel labels are one
+(V, H, W) stack, its point labels one (N,) array.  All operations treat
+IGNORE (-1) as "no label": IGNORE elements never vote and are never
+overwritten.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 
@@ -21,94 +22,49 @@ from .scenesynth import MaskMap, ScoreMap
 
 IGNORE = -1
 
-PIXELS = "pixels"
-POINTS = "points"
 
+def argmax_label(scores: np.ndarray) -> np.ndarray:
+    """Label every element by its highest-scoring class along the last axis.
 
-@dataclass
-class LabelMap:
-    """Class labels over one view's pixels or over the point cloud."""
-
-    labels: np.ndarray  # int32; (H, W) for pixels, (N,) for points
-    domain: str  # PIXELS or POINTS
-    source: str = "unknown"
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int32)
-        if self.domain == PIXELS and self.labels.ndim != 2:
-            raise ValidationError(f"pixel labels must be (H, W), got {self.labels.shape}")
-        if self.domain == POINTS and self.labels.ndim != 1:
-            raise ValidationError(f"point labels must be (N,), got {self.labels.shape}")
-        if self.domain not in (PIXELS, POINTS):
-            raise ValidationError(f"unknown domain {self.domain!r}")
-        if self.labels.size and self.labels.min() < IGNORE:
-            raise ValidationError("labels must be >= IGNORE (-1)")
-
-    def copy(self) -> "LabelMap":
-        return LabelMap(self.labels.copy(), self.domain, self.source)
-
-
-def argmax_label(scores: Union[ScoreMap, np.ndarray], domain: Optional[str] = None,
-                 source: str = "clip") -> LabelMap:
-    """Label every element by its highest-scoring class.
-
-    Ties break toward the lowest class index.  A ScoreMap yields a pixel
-    map; a plain (N, L) array defaults to the point domain.
+    Ties break toward the lowest class index.
     """
-    if isinstance(scores, ScoreMap):
-        arr = scores.scores
-        domain = PIXELS if domain is None else domain
-    else:
-        arr = np.asarray(scores)
-        domain = POINTS if domain is None else domain
-    if arr.ndim < 2 or arr.shape[-1] < 1:
-        raise ValidationError(f"scores need a trailing class axis, got {arr.shape}")
-    labels = np.argmax(arr, axis=-1).astype(np.int32)  # first max = lowest class
-    return LabelMap(labels, domain, source)
+    scores = np.asarray(scores)
+    if scores.ndim < 2 or scores.shape[-1] < 1:
+        raise ValidationError(f"scores need a trailing class axis, got {scores.shape}")
+    return np.argmax(scores, axis=-1).astype(np.int32)  # first max = lowest class
 
 
-def transfer_labels(corr: CorrespondenceSet, pixel_labels: Sequence[LabelMap],
-                    num_points: int, multiview: str = "first-camera",
-                    source: str = "clip") -> LabelMap:
-    """Carry per-view pixel labels onto points along the correspondences.
+def transfer_labels(corr: CorrespondenceSet, pixel_labels: np.ndarray,
+                    num_points: int, multiview: str = "first-camera") -> np.ndarray:
+    """Carry a (V, H, W) pixel label stack onto points along the correspondences.
 
     Points with no correspondence (or only IGNORE-labeled pixels) get
     IGNORE.  With multiview="first-camera" the lowest camera index
     holding a non-IGNORE label wins; "vote" takes the per-point plurality
     across views (ties to the lowest class index).
     """
+    if pixel_labels.ndim != 3:
+        raise ValidationError(
+            f"pixel labels must be a (V, H, W) stack, got {pixel_labels.shape}")
     if corr.count and int(corr.camera_index.max()) >= len(pixel_labels):
         raise ValidationError("pixel_labels must cover every view in the correspondence set")
-    for lm in pixel_labels:
-        if lm.domain != PIXELS:
-            raise ValidationError("transfer_labels expects pixel-domain label maps")
+    lab = pixel_labels[corr.camera_index, corr.v, corr.u]
+    ok = lab != IGNORE
+    pts, cams, lab = corr.point_index[ok], corr.camera_index[ok], lab[ok]
     out = np.full(num_points, IGNORE, dtype=np.int32)
     if multiview == "first-camera":
-        for k in range(len(pixel_labels)):
-            sel = corr.camera_slice(k)
-            if not sel.any():
-                continue
-            pts = corr.point_index[sel]
-            lab = pixel_labels[k].labels[corr.v[sel], corr.u[sel]]
-            need = (out[pts] == IGNORE) & (lab != IGNORE)
-            out[pts[need]] = lab[need]
+        # A point has one entry per camera; the lowest camera writes last.
+        for k in reversed(range(len(pixel_labels))):
+            sel = cams == k
+            out[pts[sel]] = lab[sel]
     elif multiview == "vote":
-        num_classes = 1 + max((int(lm.labels.max(initial=0)) for lm in pixel_labels),
-                              default=0)
-        counts = np.zeros((num_points, num_classes), dtype=np.int64)
-        for k in range(len(pixel_labels)):
-            sel = corr.camera_slice(k)
-            if not sel.any():
-                continue
-            pts = corr.point_index[sel]
-            lab = pixel_labels[k].labels[corr.v[sel], corr.u[sel]]
-            ok = lab != IGNORE
-            np.add.at(counts, (pts[ok], lab[ok]), 1)
+        counts = np.zeros((num_points, 1 + int(lab.max(initial=0))), dtype=np.int64)
+        np.add.at(counts, (pts, lab), 1)
         voted = counts.sum(axis=1) > 0
-        out[voted] = np.argmax(counts[voted], axis=1).astype(np.int32)
+        out[voted] = np.argmax(counts[voted], axis=1)
     else:
         raise ValidationError(f"unknown multiview policy {multiview!r}")
-    return LabelMap(out, POINTS, source)
+    return out
 
 
 def transfer_masks(corr: CorrespondenceSet, masks: Sequence[MaskMap],
@@ -129,19 +85,19 @@ def transfer_masks(corr: CorrespondenceSet, masks: Sequence[MaskMap],
     return out
 
 
-def refine_by_masks(labels: LabelMap, mask_ids: np.ndarray) -> LabelMap:
+def refine_by_masks(labels: np.ndarray, mask_ids: np.ndarray) -> np.ndarray:
     """Replace every label by the plurality label of its mask.
 
     Vote ties go to the lowest class index.  Elements with mask id < 0
     are outside every mask and keep their label; masks whose members are
     all IGNORE stay IGNORE.
     """
-    flat_labels = labels.labels.ravel()
+    flat_labels = labels.ravel()
     flat_masks = np.asarray(mask_ids).ravel()
     if flat_masks.shape != flat_labels.shape:
         raise ValidationError(
             f"mask ids shape {np.asarray(mask_ids).shape} does not match "
-            f"labels shape {labels.labels.shape}")
+            f"labels shape {labels.shape}")
     out = flat_labels.copy()
     voters = (flat_labels != IGNORE) & (flat_masks >= 0)
     if voters.any():
@@ -154,53 +110,55 @@ def refine_by_masks(labels: LabelMap, mask_ids: np.ndarray) -> LabelMap:
         has_votes = counts.sum(axis=1) > 0
         replace = (flat_labels != IGNORE) & (flat_masks >= 0) & has_votes[np.maximum(flat_masks, 0)]
         out[replace] = winner[flat_masks[replace]]
-    return LabelMap(out.reshape(labels.labels.shape), labels.domain,
-                    f"refined({labels.source})")
+    return out.reshape(labels.shape)
 
 
-def refine_points_by_view_masks(labels: LabelMap,
-                                point_mask_ids: Sequence[np.ndarray]) -> LabelMap:
+def refine_views(pixel_labels: np.ndarray, masks: Sequence[MaskMap]) -> np.ndarray:
+    """Mask-vote each view of a (V, H, W) label stack inside its own masks."""
+    return np.stack([refine_by_masks(pixel_labels[k], mask.mask_ids)
+                     for k, mask in enumerate(masks)])
+
+
+def _require_points(labels: np.ndarray, caller: str):
+    if labels.ndim != 1:
+        raise ValidationError(f"{caller} expects (N,) point labels, got {labels.shape}")
+
+
+def refine_points_by_view_masks(labels: np.ndarray,
+                                point_mask_ids: Sequence[np.ndarray]) -> np.ndarray:
     """Lift mask voting to points via per-view transferred mask ids.
 
     Each view refines the point labels among its visible points; the
     per-point result is taken from the lowest camera index where the
     point is visible.  Points visible nowhere keep their label.
     """
-    if labels.domain != POINTS:
-        raise ValidationError("refine_points_by_view_masks expects point labels")
-    out = labels.labels.copy()
+    _require_points(labels, "refine_points_by_view_masks")
+    out = labels.copy()
     filled = np.zeros(len(out), dtype=bool)
     for ids in point_mask_ids:
-        refined = refine_by_masks(labels, ids).labels
+        refined = refine_by_masks(labels, ids)
         visible = np.asarray(ids) >= 0
         take = visible & ~filled
         out[take] = refined[take]
         filled |= visible
-    return LabelMap(out, POINTS, f"refined({labels.source})")
+    return out
 
 
-def reproject_refine_points(corr: CorrespondenceSet, labels: LabelMap,
+def reproject_refine_points(corr: CorrespondenceSet, labels: np.ndarray,
                             masks: Sequence[MaskMap],
-                            multiview: str = "first-camera") -> LabelMap:
+                            multiview: str = "first-camera") -> np.ndarray:
     """Refine point labels by a pixel round trip.
 
     Point labels are splatted onto each view's paired pixels (IGNORE
     elsewhere), voted inside that view's masks, and transferred back with
     the usual camera priority.  Points visible nowhere keep their label.
     """
-    if labels.domain != POINTS:
-        raise ValidationError("reproject_refine_points expects point labels")
-    refined_views = []
-    for k, mask in enumerate(masks):
-        pix = np.full(mask.mask_ids.shape, IGNORE, dtype=np.int32)
-        sel = corr.camera_slice(k)
-        if sel.any():
-            pix[corr.v[sel], corr.u[sel]] = labels.labels[corr.point_index[sel]]
-        refined_views.append(refine_by_masks(LabelMap(pix, PIXELS, labels.source),
-                                             mask.mask_ids))
-    transferred = transfer_labels(corr, refined_views, len(labels.labels), multiview)
-    out = np.where(transferred.labels != IGNORE, transferred.labels, labels.labels)
-    return LabelMap(out.astype(np.int32), POINTS, f"refined({labels.source})")
+    _require_points(labels, "reproject_refine_points")
+    pixel = np.full((len(masks),) + masks[0].mask_ids.shape, IGNORE, dtype=np.int32)
+    pixel[corr.camera_index, corr.v, corr.u] = labels[corr.point_index]
+    transferred = transfer_labels(corr, refine_views(pixel, masks), len(labels),
+                                  multiview)
+    return np.where(transferred != IGNORE, transferred, labels).astype(np.int32)
 
 
 REFINE3D_TRANSFER_MASKS = "transfer-masks"
@@ -213,9 +171,9 @@ def derive_clip_labels(corr: CorrespondenceSet, scores: Sequence[ScoreMap],
                        multiview: str = "first-camera") -> dict:
     """Full oracle-label pipeline for one scene.
 
-    Returns raw and mask-refined label maps on both domains:
-    {"pixel_raw": [per view], "pixel_refined": [per view],
-     "point_raw": LabelMap, "point_refined": LabelMap}.
+    Returns raw and mask-refined labels on both domains:
+    {"pixel_raw": (V, H, W), "pixel_refined": (V, H, W),
+     "point_raw": (N,), "point_refined": (N,)}.
 
     refine3d_mode picks how the refined point labels arise: voting over
     transferred mask ids ("transfer-masks") or transferring the already
@@ -223,15 +181,13 @@ def derive_clip_labels(corr: CorrespondenceSet, scores: Sequence[ScoreMap],
     """
     if refine3d_mode not in (REFINE3D_TRANSFER_MASKS, REFINE3D_REPROJECT):
         raise ValidationError(f"unknown refine3d_mode {refine3d_mode!r}")
-    pixel_raw = [argmax_label(s, source="clip") for s in scores]
-    pixel_refined = [refine_by_masks(lm, mask.mask_ids)
-                     for lm, mask in zip(pixel_raw, masks)]
+    pixel_raw = np.stack([argmax_label(s.scores) for s in scores])
+    pixel_refined = refine_views(pixel_raw, masks)
     point_raw = transfer_labels(corr, pixel_raw, num_points, multiview)
     if refine3d_mode == REFINE3D_TRANSFER_MASKS:
         point_masks = transfer_masks(corr, masks, num_points)
         point_refined = refine_points_by_view_masks(point_raw, point_masks)
     else:
         point_refined = transfer_labels(corr, pixel_refined, num_points, multiview)
-        point_refined.source = f"refined({point_raw.source})"
     return {"pixel_raw": pixel_raw, "pixel_refined": pixel_refined,
             "point_raw": point_raw, "point_refined": point_refined}

@@ -384,12 +384,11 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
     return scene
 
 
-def render_view(scene: Scene, camera_index: int,
-                corr: Optional[CorrespondenceSet] = None) -> ViewRender:
+def render_view(scene: Scene, camera_index: int) -> ViewRender:
     """Rasterize ground-truth labels/instances/depth for one camera."""
     if not 0 <= camera_index < len(scene.cameras):
         raise ValidationError(f"camera_index {camera_index} out of range")
-    corr = corr if corr is not None else scene.correspondences()
+    corr = scene.correspondences()
     cam = scene.cameras[camera_index]
     h, w = cam.height, cam.width
     label = np.full((h, w), BACKGROUND_CLASS, dtype=np.int32)
@@ -407,9 +406,7 @@ def render_view(scene: Scene, camera_index: int,
 
 def gt_pixel_stack(scene: Scene) -> np.ndarray:
     """(V, H, W) ground-truth class label of every pixel of every view."""
-    corr = scene.correspondences()
-    return np.stack([render_view(scene, k, corr).label
-                     for k in range(len(scene.cameras))])
+    return np.stack([render_view(scene, k).label for k in range(len(scene.cameras))])
 
 
 # ---------------------------------------------------------------------------
@@ -632,33 +629,29 @@ def mock_sam_features(scene: Scene, camera_index: int, feat_dim: int,
     return FeatureMap((feats / norms).astype(np.float32))
 
 
-def mock_text_embeddings(num_classes: int, dim: int, seed: int,
-                         max_coherence: float = 0.3, orthogonalize: bool = False,
-                         max_attempts: int = 1000) -> ClassEmbeddingTable:
-    """Random unit class embeddings with bounded pairwise coherence."""
+# Largest |cosine| between two class embeddings, and the draws allowed to reach it.
+_MAX_COHERENCE = 0.3
+_COHERENCE_ATTEMPTS = 1000
+
+
+def mock_text_embeddings(num_classes: int, dim: int, seed: int) -> ClassEmbeddingTable:
+    """Random unit class embeddings with pairwise |cosine| <= 0.3."""
     if num_classes < 1 or dim < 1:
         raise ValidationError("num_classes and dim must be >= 1")
     if dim < num_classes:
         logger.warning("embedding dim %d < class count %d; coherence target may be "
                        "infeasible", dim, num_classes)
     rng = derive_rng(seed, TAG_EMBEDDINGS)
-    if orthogonalize:
-        if dim < num_classes:
-            raise ValidationError("orthogonalization needs dim >= num_classes")
-        m = rng.standard_normal((dim, num_classes))
-        q, r = np.linalg.qr(m)
-        q = q * np.sign(np.diag(r))
-        return ClassEmbeddingTable(q.T)
-    for _ in range(max_attempts):
+    for _ in range(_COHERENCE_ATTEMPTS):
         vectors = rng.standard_normal((num_classes, dim))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         gram = vectors @ vectors.T
         np.fill_diagonal(gram, 0.0)
-        if np.max(np.abs(gram)) <= max_coherence:
+        if np.max(np.abs(gram)) <= _MAX_COHERENCE:
             return ClassEmbeddingTable(vectors)
     raise ValidationError(
-        f"could not reach coherence <= {max_coherence} for {num_classes} classes "
-        f"in {dim} dims after {max_attempts} attempts")
+        f"could not reach coherence <= {_MAX_COHERENCE} for {num_classes} classes "
+        f"in {dim} dims after {_COHERENCE_ATTEMPTS} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -688,22 +681,20 @@ def instance_palette(max_instance_id: int) -> np.ndarray:
     return out
 
 
-def point_appearance(scene: Scene, noise_sigma: float, seed: int) -> np.ndarray:
+def point_appearance(scene: Scene, noise_sigma: float) -> np.ndarray:
     """Per-point appearance: instance palette plus gaussian channel noise."""
     palette = instance_palette(scene.object_count)
-    rng = derive_rng(seed, TAG_DESCRIPTOR, 0)
+    rng = derive_rng(scene.seed, TAG_DESCRIPTOR, 0)
     app = palette[scene.cloud.object_ids]
     if noise_sigma > 0:
         app = app + noise_sigma * rng.standard_normal(app.shape)
     return app.astype(np.float32)
 
 
-def point_descriptors(scene: Scene, noise_sigma: float = DESCRIPTOR_NOISE,
-                      seed: Optional[int] = None) -> np.ndarray:
+def point_descriptors(scene: Scene, noise_sigma: float = DESCRIPTOR_NOISE) -> np.ndarray:
     """3D network inputs: coordinates, appearance, neighborhood statistics."""
-    seed = scene.seed if seed is None else seed
     pos = scene.cloud.positions.astype(np.float64)
-    app = point_appearance(scene, noise_sigma, seed).astype(np.float64)
+    app = point_appearance(scene, noise_sigma).astype(np.float64)
     k = min(9, len(pos))
     from scipy.spatial import cKDTree  # local: synth and refine start without scipy
     dist, idx = cKDTree(pos).query(pos, k=k)
@@ -718,19 +709,17 @@ def point_descriptors(scene: Scene, noise_sigma: float = DESCRIPTOR_NOISE,
 
 
 def pixel_descriptors(scene: Scene, camera_index: int,
-                      noise_sigma: float = DESCRIPTOR_NOISE,
-                      seed: Optional[int] = None) -> np.ndarray:
+                      noise_sigma: float = DESCRIPTOR_NOISE) -> np.ndarray:
     """2D network inputs: pixel position encoding, depth, and rendered
     appearance channels with their 3x3 local means."""
-    seed = scene.seed if seed is None else seed
     render = render_view(scene, camera_index)
     h, w = render.label.shape
-    app_points = point_appearance(scene, noise_sigma, seed).astype(np.float64)
+    app_points = point_appearance(scene, noise_sigma).astype(np.float64)
     palette = instance_palette(scene.object_count)
     app = np.empty((h, w, APPEARANCE_DIM))
     visible = render.point_index >= 0
     app[visible] = app_points[render.point_index[visible]]
-    rng = derive_rng(seed, TAG_DESCRIPTOR, 1 + camera_index)
+    rng = derive_rng(scene.seed, TAG_DESCRIPTOR, 1 + camera_index)
     empty_noise = rng.standard_normal((h, w, APPEARANCE_DIM))
     empty_app = palette[BACKGROUND_INSTANCE][None, None, :] + noise_sigma * empty_noise
     app[~visible] = empty_app[~visible]
@@ -751,8 +740,7 @@ POINT_DESC_DIM = 4 + 2 * APPEARANCE_DIM
 
 def standard_oracle_outputs(scene: Scene, clip_noise: ClipNoiseConfig,
                             frag: MaskFragConfig, feat_dim: int,
-                            feat_sigma: float, embed_dim: int,
-                            seed: Optional[int] = None) -> dict:
+                            feat_sigma: float, embed_dim: int) -> dict:
     """Generate every oracle product for a scene in one sweep.
 
     Returns a dict with per-view lists under "scores", "masks", and
@@ -760,7 +748,7 @@ def standard_oracle_outputs(scene: Scene, clip_noise: ClipNoiseConfig,
     generation parameters under "meta" (echoed into bundle manifests so
     a reader can regenerate the frozen embeddings).
     """
-    seed = scene.seed if seed is None else seed
+    seed = scene.seed
     views = range(len(scene.cameras))
     return {
         "scores": [mock_clip_scores(scene, k, clip_noise, seed) for k in views],

@@ -26,12 +26,10 @@ from .evaluation import confusion, csv_cell, miou
 from .nncore import (Mlp, ModelBundle, ModelConfig, anchor_units, class_logits,
                      class_map, fold_output, make_bundle, mlp_forward, sgd_step,
                      step)
-from .pseudolabel import (IGNORE, POINTS, PIXELS, LabelMap,
-                          REFINE3D_REPROJECT, REFINE3D_TRANSFER_MASKS,
-                          derive_clip_labels, refine_by_masks,
-                          refine_points_by_view_masks,
-                          reproject_refine_points, transfer_labels,
-                          transfer_masks)
+from .pseudolabel import (IGNORE, REFINE3D_REPROJECT, REFINE3D_TRANSFER_MASKS,
+                          derive_clip_labels, refine_points_by_view_masks,
+                          refine_views, reproject_refine_points,
+                          transfer_labels, transfer_masks)
 from .scenesynth import (Scene, gt_pixel_stack, pixel_descriptors,
                          point_descriptors)
 from .seeding import SEED_BOUND, TAG_SHUFFLE, TAG_SOURCE, derive_rng
@@ -67,6 +65,8 @@ class TrainConfig:
         return probs / probs.sum()
 
     def validate(self):
+        if self.total_epochs < 1:
+            raise ValidationError(f"total_epochs must be >= 1, got {self.total_epochs}")
         if not 0 <= self.stage1_epochs <= self.total_epochs:
             raise ValidationError("need 0 <= stage1_epochs <= total_epochs")
         if self.lr <= 0:
@@ -188,26 +188,25 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
         shuffle_rng=derive_rng(config.seed, TAG_SHUFFLE),
         source_rng=derive_rng(config.seed, TAG_SOURCE),
         source_cdf=source_cdf / source_cdf[:, -1:])
-    _set_sources(state, 0, labels[pixel_key], labels[point_key].labels)
+    _set_sources(state, 0, labels[pixel_key], labels[point_key])
     return state
 
 
-def _set_sources(state: TrainState, row: int, pixel_views: List[LabelMap],
-                 point_labels: np.ndarray) -> np.ndarray:
-    """Fill rows `row` (from pixel labels) and `row + 1` (from point labels).
+def _set_sources(state: TrainState, row: int, pixel: np.ndarray,
+                 point: np.ndarray):
+    """Fill rows `row` (from (V, H, W) pixel labels) and `row + 1` (from (N,)
+    point labels).
 
     Each network's row holds the labels at its own inputs: pixel labels
     at the entries or carried onto points, point labels at the entries'
-    points or as they are.  Returns the (V, H, W) pixel label stack.
+    points or as they are.
     """
     corr = state.data["corr"]
-    pixel = np.stack([lm.labels for lm in pixel_views])
     state.labels2d[row] = pixel[corr.camera_index, corr.v, corr.u]
-    state.labels2d[row + 1] = point_labels[corr.point_index]
-    state.labels3d[row] = transfer_labels(corr, pixel_views, len(point_labels),
-                                          state.config.multiview).labels
-    state.labels3d[row + 1] = point_labels
-    return pixel
+    state.labels2d[row + 1] = point[corr.point_index]
+    state.labels3d[row] = transfer_labels(corr, pixel, len(point),
+                                          state.config.multiview)
+    state.labels3d[row + 1] = point
 
 
 # ---------------------------------------------------------------------------
@@ -269,22 +268,16 @@ def compute_self_labels(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:
     (pixel stack (V, H, W), point labels (N,)) they were taken from.
     """
     masks = state.data["masks"]
-    raw_pixel, raw_point = predictions(state)
-    pixel_views = [LabelMap(raw_pixel[k], PIXELS, "net2d") for k in range(len(masks))]
+    pixel, point = predictions(state)
     if state.config.refine_labels:
-        pixel_views = [refine_by_masks(lm, masks[k].mask_ids)
-                       for k, lm in enumerate(pixel_views)]
-
-    raw_point = LabelMap(raw_point, POINTS, "net3d")
-    if not state.config.refine_labels:
-        self_point = raw_point.labels
-    elif state.config.refine3d_mode == REFINE3D_TRANSFER_MASKS:
-        self_point = refine_points_by_view_masks(
-            raw_point, state.data["point_masks"]).labels
-    else:
-        self_point = reproject_refine_points(
-            state.data["corr"], raw_point, masks, state.config.multiview).labels
-    return _set_sources(state, 2, pixel_views, self_point), self_point
+        pixel = refine_views(pixel, masks)
+        if state.config.refine3d_mode == REFINE3D_TRANSFER_MASKS:
+            point = refine_points_by_view_masks(point, state.data["point_masks"])
+        else:
+            point = reproject_refine_points(state.data["corr"], point, masks,
+                                            state.config.multiview)
+    _set_sources(state, 2, pixel, point)
+    return pixel, point
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,7 @@ def test_ac1_mask_vote_matches_recount():
         num_masks = int(rng.integers(1, 13))
         labels = rng.integers(-1, num_classes, size=(h, w)).astype(np.int32)
         masks = rng.integers(-1, num_masks, size=(h, w)).astype(np.int32)
-        got = pseudolabel.refine_by_masks(
-            pseudolabel.LabelMap(labels, pseudolabel.PIXELS), masks).labels
+        got = pseudolabel.refine_by_masks(labels, masks)
         # Independent recount: one histogram per mask, plurality with
         # lowest-class tie break, IGNORE never votes or changes.
         expect = labels.copy()
@@ -81,7 +80,7 @@ def test_ac2_refinement_beats_raw_labels():
     for seed in range(100):
         scene = generate_scene(cfg, seed)
         gt = render_view(scene, 0).label
-        raw = pseudolabel.argmax_label(mock_clip_scores(scene, 0, noise, seed))
+        raw = pseudolabel.argmax_label(mock_clip_scores(scene, 0, noise, seed).scores)
         masks = mock_sam_masks(scene, 0, frag, seed)
         refined = pseudolabel.refine_by_masks(raw, masks.mask_ids)
         raw_err = evaluation.label_error_rate(raw, gt)
@@ -250,10 +249,9 @@ def test_ac7_latent_anchoring():
         state = training.train(scene, oracles,
                                replace(suite.train, seed=seed), model_cfg)
         model = state.bundle
-        corr = scene.correspondences()
         feats, groups = [], []
         for k in range(len(scene.cameras)):
-            view = render_view(scene, k, corr)
+            view = render_view(scene, k)
             visible = view.point_index >= 0
             latent = mlp_forward(model.enc2d, pixel_descriptors(
                 scene, k, suite.train.descriptor_noise)[visible])[0]

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from cnslab import ablation, cli, nncore
-from cnslab.bundle import read_manifest, read_raster
+from cnslab.bundle import read_manifest, read_raster, write_raster
 from cnslab.errors import ValidationError
 from cnslab.scenesynth import mock_text_embeddings
 
@@ -313,6 +313,28 @@ def test_refine_names_the_line_of_a_camera_that_sees_nothing(pipeline, tmp_path,
     assert err.startswith("error: cameras.txt:2: camera 1 sees no point")
 
 
+@pytest.mark.parametrize("command", ["refine", "train"])
+def test_cameras_of_unequal_size_are_rejected(pipeline, tmp_path, capsys, command):
+    # Camera 1 and its rasters cropped to 32x24 form an otherwise
+    # consistent bundle; the views would not stack into one array.
+    damaged = tmp_path / "bundle"
+    shutil.copytree(pipeline / "synth" / "bundle", damaged)
+    lines = (damaged / "cameras.txt").read_text().splitlines()
+    tokens = lines[1].split()
+    tokens[5] = "24"  # height
+    lines[1] = " ".join(tokens)
+    (damaged / "cameras.txt").write_text("\n".join(lines) + "\n")
+    for kind, dtype in (("scores", "<f4"), ("masks", "<i4"), ("feat", "<f4")):
+        path = damaged / f"view_1.{kind}.bin"
+        write_raster(path, read_raster(path)[:24], dtype)
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
+    code = cli.main([command, str(damaged), "--config", str(cfg),
+                     "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: cameras.txt:2: camera 1 is 32x24, camera 0 is 32x32\n"
+
+
 def test_refine_rejects_non_finite_point(pipeline, tmp_path, capsys):
     damaged = tmp_path / "bundle"
     shutil.copytree(pipeline / "synth" / "bundle", damaged)
@@ -324,6 +346,16 @@ def test_refine_rejects_non_finite_point(pipeline, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "points.bin: point 0" in err
+
+
+def test_zero_epoch_train_is_rejected(pipeline, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
+    code = cli.main(["train", str(pipeline / "synth" / "bundle"),
+                     "--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "--stage1_epochs", "0", "--total_epochs", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "total_epochs must be >= 1" in err
 
 
 def test_train_rejects_dim_mismatch(pipeline, tmp_path, capsys):
@@ -453,6 +485,58 @@ def test_synth_bundle_bytes_are_pinned(tmp_path, seed):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in bundle_dir.iterdir()}
     assert digests == SYNTH_SHA256[seed]
+
+
+# sha256 of the outputs of `cnslab refine` on the `synth --seed 0` bundle,
+# per refine override.  The files hold only integers and their decimal
+# text, so no BLAS or float rounding enters them.  The refined pixel
+# labels do not depend on how the point labels are refined.
+_REFINED_VIEWS_SHA256 = {
+    "view_0.labels.bin": "f42b9c0e679bc399b1da3498fe0768936d2d1cc49490237b35e03921aab3e62a",
+    "view_1.labels.bin": "a434efeff490461d16a48f77a2faff35507b0c340877b4b2a1d1b4447d558c98",
+    "view_2.labels.bin": "da0e6656a8755f3d65442610c63d3cc1ccd020ad7032d13af887f9b063a4d24a",
+    "view_3.labels.bin": "75574aa5a25ffa80770b5caabad973bdc478748c0c4881e81c0db8e8ce22fb43",
+}
+REFINE_SHA256 = {
+    (): {
+        "refine.csv": "1d3d53df10c2e868c99ecfb5565589c5ad349c751a1057ce1ae0a57bb94d8bcb",
+        "point_labels.bin": "05ea123c0fc29c5009c45afc06cf3206d6ae3fd3f4de5c8e69ad04784fd9dcc1",
+        **_REFINED_VIEWS_SHA256,
+    },
+    ("--refine3d_mode", "reproject", "--multiview", "vote"): {
+        "refine.csv": "fc73e0fde6f1095c9675ddd8b22558d6b369ecf1f7e396fd09d61968c63d0de8",
+        "point_labels.bin": "7b63726132fb4c87afb350cf57c0935879bef3c068bc769b97087054bee215f2",
+        **_REFINED_VIEWS_SHA256,
+    },
+}
+
+
+def test_refine_bytes_are_pinned(tmp_path):
+    assert cli.main(["synth", "--out", str(tmp_path / "synth"), "--seed", "0"]) == 0
+    for i, overrides in enumerate(REFINE_SHA256):
+        out = tmp_path / f"refine{i}"
+        assert cli.main(["refine", str(tmp_path / "synth" / "bundle"),
+                         "--out", str(out), *overrides]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out.iterdir() if path.name != "resolved.cfg"}
+        assert digests == REFINE_SHA256[overrides], overrides
+
+
+def test_noise_sweep_script(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "noise_sweep.py"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(script), "--eps", "0,0.4",
+                           "--out", str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "eps,pixel_raw,pixel_refined,point_raw,point_refined"
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == [0.0, 0.4]
+    _, pixel_raw, pixel_refined, point_raw, point_refined = rows[1]
+    assert pixel_refined <= pixel_raw and point_refined <= point_raw
 
 
 def test_synth_refine_and_help_never_import_scipy(tmp_path):

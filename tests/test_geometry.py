@@ -154,12 +154,12 @@ def test_point_cloud_validates_shapes():
 # z-buffer correspondences
 
 
-def brute_force_correspondences(cameras, cloud, depth_min=DEPTH_MIN):
+def brute_force_correspondences(cameras, cloud):
     """Exhaustive per-pixel minimum-depth scan, one point at a time."""
     best = {}
     for k, cam in enumerate(cameras):
         for i, pos in enumerate(cloud.positions):
-            hit = project_point(cam, pos, depth_min)
+            hit = project_point(cam, pos)
             if hit is None:
                 continue
             u, v, depth = hit

@@ -180,9 +180,8 @@ def test_ce_loss_uniform_equals_log_num_classes(rng):
 
 def test_ce_loss_single_element_eight_classes(rng):
     cfg = ModelConfig(input2d_dim=4, input3d_dim=4, hidden=(6,), latent_dim=5,
-                      embed_dim=16, anchor_dim=4, sam_dim=3)
-    bundle = make_bundle(cfg, mock_text_embeddings(8, 16, seed=2,
-                                                   orthogonalize=True), seed=0)
+                      embed_dim=64, anchor_dim=4, sam_dim=3)
+    bundle = make_bundle(cfg, mock_text_embeddings(8, 64, seed=2), seed=0)
     bundle.head_s3d["w"][:] = 0.0
     bundle.head_s3d["b"][:] = 0.0
     logits = class_logits(rng.standard_normal((1, 5)), class_map(bundle, "s3d"))

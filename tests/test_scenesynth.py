@@ -456,13 +456,6 @@ def test_embedding_table_rejects_zero_classes():
         ClassEmbeddingTable(np.zeros((0, 3)))
 
 
-def test_text_embeddings_orthogonalized():
-    table = mock_text_embeddings(4, 4, seed=1, orthogonalize=True)
-    gram = table.vectors @ table.vectors.T
-    off = gram - np.eye(4)
-    assert np.max(np.abs(off)) < 1e-9
-
-
 def test_text_embeddings_low_coherence():
     table = mock_text_embeddings(8, 512, seed=1)
     gram = table.vectors @ table.vectors.T
@@ -471,10 +464,8 @@ def test_text_embeddings_low_coherence():
 
 
 def test_text_embeddings_infeasible_raises():
-    with pytest.raises(ValidationError):
-        mock_text_embeddings(4, 2, seed=0, orthogonalize=True)
-    with pytest.raises(ValidationError):
-        mock_text_embeddings(8, 2, seed=0, max_attempts=50)
+    with pytest.raises(ValidationError, match="coherence"):
+        mock_text_embeddings(8, 2, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +491,7 @@ def test_palette_prefix_property(n1, n2):
 
 
 def test_point_descriptors_shape_and_appearance(small_scene):
-    desc = point_descriptors(small_scene, noise_sigma=0.0, seed=1)
+    desc = point_descriptors(small_scene, noise_sigma=0.0)
     assert desc.shape == (len(small_scene.cloud), POINT_DESC_DIM)
     assert np.isfinite(desc).all()
     # Normalized coordinates first, then noise-free palette appearance.
@@ -508,19 +499,19 @@ def test_point_descriptors_shape_and_appearance(small_scene):
     palette = instance_palette(small_scene.object_count)
     expected = palette[small_scene.cloud.object_ids].astype(np.float32)
     assert np.allclose(desc[:, 3:3 + APPEARANCE_DIM], expected, atol=1e-6)
-    again = point_descriptors(small_scene, noise_sigma=0.0, seed=1)
+    again = point_descriptors(small_scene, noise_sigma=0.0)
     assert np.array_equal(desc, again)
 
 
 def test_pixel_descriptors_shape_and_position(small_scene):
-    desc = pixel_descriptors(small_scene, 0, noise_sigma=0.02, seed=1)
+    desc = pixel_descriptors(small_scene, 0, noise_sigma=0.02)
     h, w = SMALL_SCENE.image_height, SMALL_SCENE.image_width
     assert desc.shape == (h, w, PIXEL_DESC_DIM)
     assert np.isfinite(desc).all()
     # First two channels encode normalized pixel position.
     assert desc[0, 0, 0] == 0.0 and desc[0, w - 1, 0] == 1.0
     assert desc[0, 0, 1] == 0.0 and desc[h - 1, 0, 1] == 1.0
-    again = pixel_descriptors(small_scene, 0, noise_sigma=0.02, seed=1)
+    again = pixel_descriptors(small_scene, 0, noise_sigma=0.02)
     assert np.array_equal(desc, again)
 
 

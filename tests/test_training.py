@@ -13,7 +13,7 @@ from cnslab.ablation import _score_label_row
 from cnslab.errors import ValidationError
 from cnslab.nncore import (ModelConfig, class_logits, class_map, make_bundle,
                            mlp_forward, param_views)
-from cnslab.pseudolabel import IGNORE, PIXELS, LabelMap, transfer_labels
+from cnslab.pseudolabel import IGNORE, transfer_labels
 from cnslab.scenesynth import (ClipNoiseConfig, MaskFragConfig, SceneConfig,
                                generate_scene, mock_text_embeddings,
                                standard_oracle_outputs)
@@ -48,6 +48,8 @@ def _params_equal(a, b):
 def test_train_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(stage1_epochs=5, total_epochs=3).validate()
+    with pytest.raises(ValidationError, match="total_epochs"):
+        TrainConfig(stage1_epochs=0, total_epochs=0).validate()
     with pytest.raises(ValidationError):
         TrainConfig(lr=0.0).validate()
     with pytest.raises(ValidationError):
@@ -388,9 +390,8 @@ def test_compute_self_labels_caches_refined_predictions(small_scene,
     assert np.array_equal(state.labels2d[2],
                           self_pixel[corr.camera_index, corr.v, corr.u])
     assert np.array_equal(state.labels2d[3], self_point[corr.point_index])
-    carried = transfer_labels(corr, [LabelMap(view, PIXELS) for view in self_pixel],
-                              len(self_point))
-    assert np.array_equal(state.labels3d[2], carried.labels)
+    carried = transfer_labels(corr, self_pixel, len(self_point))
+    assert np.array_equal(state.labels3d[2], carried)
     assert np.array_equal(state.labels3d[3], self_point)
     # Without refinement the self-labels are the raw predictions.
     raw_state = init_state(small_scene, small_oracles,

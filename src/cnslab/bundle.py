@@ -220,8 +220,6 @@ def _read_cameras(path: Path) -> Tuple[List[CameraModel], List[int]]:
         except ValueError as exc:
             raise BundleFormatError(f"{path.name}:{lineno}: unparseable number") \
                 from exc
-        if not np.isfinite(floats).all():
-            raise BundleFormatError(f"{path.name}:{lineno}: non-finite number")
         fx, fy, cx, cy = floats[:4].tolist()
         rot, trans = floats[4:13].reshape(3, 3), floats[13:]
         cameras.append(CameraModel(fx, fy, cx, cy, rot, trans, width, height))
@@ -351,13 +349,8 @@ def read_bundle(path) -> Tuple[Scene, dict, Dict[str, str]]:
     if cloud.gt_labels is None or cloud.object_ids is None:
         raise BundleFormatError("points.bin lacks labels/object ids required "
                                 "for a scene bundle")
-    object_classes = np.zeros(object_count + 1, dtype=np.int32)
-    for inst in range(object_count + 1):
-        members = cloud.object_ids == inst
-        if members.any():
-            object_classes[inst] = cloud.gt_labels[members][0]
-    scene = Scene(cloud, cameras, num_classes, object_count, object_classes,
-                  man_value("seed"), man_value("room_size", float))
+    scene = Scene(cloud, cameras, num_classes, object_count, man_value("seed"),
+                  man_value("room_size", float))
     blind = scene.blind_camera()
     if blind is not None:
         raise BundleFormatError(f"cameras.txt:{camera_lines[blind]}: camera {blind} "

@@ -242,7 +242,7 @@ def cmd_refine(cfg: RunConfig, bundle_dir: str, out_dir: str) -> int:
 
 
 def _check_bundle_dims(cfg: RunConfig, oracles: dict):
-    embed_dim = oracles["embeddings"].vectors.shape[1]
+    embed_dim = oracles["embeddings"].shape[1]
     feat_dim = oracles["features"][0].features.shape[2]
     if embed_dim != cfg["embed_dim"]:
         raise ConfigError(f"bundle class embeddings have dim {embed_dim} but "

@@ -91,7 +91,8 @@ def parse_value(hint, text: str):
     """Inverse of format_value for a type hint; ValueError if text does not parse.
 
     Optional[X] also reads "none"; tuples read comma-separated items
-    (empty items skipped); bools also read 1/0, yes/no and on/off.
+    (empty items skipped); bools also read 1/0, yes/no and on/off.  Floats
+    must be finite: no file or flag has a use for nan or inf.
     """
     args = typing.get_args(hint)
     if typing.get_origin(hint) is Union:
@@ -104,7 +105,10 @@ def parse_value(hint, text: str):
         if lowered in ("1", "true", "yes", "on", "0", "false", "no", "off"):
             return lowered in ("1", "true", "yes", "on")
         raise ValueError(f"not a boolean: {text!r}")
-    return hint(text)
+    value = hint(text)
+    if hint is float and not np.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def csv_cell(value) -> str:

@@ -38,7 +38,6 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .evaluation import format_value, parse_value
 from .pseudolabel import IGNORE
-from .scenesynth import ClassEmbeddingTable
 from .seeding import TAG_MODEL, derive_rng
 
 _NORM_EPS = 1e-12
@@ -183,13 +182,24 @@ class ModelBundle:
     `params` holds every trainable parameter; `enc2d`, `enc3d` and the
     four heads ({"w": (D_h, D_out), "b": (D_out,)}) are views into it, so
     updating `params` in place updates them all.  The frozen `anchor_head`
-    (D_s, K_f) is a separate read-only array, like the class embedding
-    table.
+    (D_s, K_f) is a separate read-only array.  `embeddings` is the frozen
+    (L, embed_dim) float64 table of unit class embeddings; its checks live
+    here, so make_bundle and load_checkpoint both pass them.
     """
 
     def __init__(self, config: ModelConfig, params: np.ndarray,
-                 embeddings: ClassEmbeddingTable, seed: int,
-                 anchor_head: np.ndarray):
+                 embeddings: np.ndarray, seed: int, anchor_head: np.ndarray):
+        embeddings = np.asarray(embeddings, dtype=np.float64)
+        if embeddings.ndim != 2 or not len(embeddings):
+            raise ValidationError(
+                f"class embeddings must be (L, D) with L >= 1, got {embeddings.shape}")
+        if embeddings.shape[1] != config.embed_dim:
+            raise ValidationError(f"class embeddings have dim {embeddings.shape[1]} "
+                                  f"!= config embed_dim {config.embed_dim}")
+        if not np.isfinite(embeddings).all():
+            raise ValidationError("class embeddings must be finite")
+        if np.max(np.abs(np.linalg.norm(embeddings, axis=1) - 1.0)) >= 1e-9:
+            raise ValidationError("class embeddings must be unit vectors")
         self.config = config
         self.params = params
         self.embeddings = embeddings
@@ -213,7 +223,7 @@ class ModelBundle:
             raise ValidationError(f"unknown head {name!r}") from None
 
 
-def make_bundle(config: ModelConfig, embeddings: ClassEmbeddingTable,
+def make_bundle(config: ModelConfig, embeddings: np.ndarray,
                 seed: int) -> ModelBundle:
     """Seeded construction; the anchor head is drawn once and then frozen.
 
@@ -221,9 +231,6 @@ def make_bundle(config: ModelConfig, embeddings: ClassEmbeddingTable,
     scaled by 1/fan_in in the heads and the anchor; biases start at zero.
     """
     config.validate()
-    if embeddings.dim != config.embed_dim:
-        raise ValidationError(
-            f"embedding table dim {embeddings.dim} != config embed_dim {config.embed_dim}")
     rng = derive_rng(seed, TAG_MODEL)
 
     def draw(name, shape):
@@ -261,7 +268,7 @@ def class_map(bundle: ModelBundle, head: str) -> Tuple[np.ndarray, np.ndarray]:
     if head not in ("s2d", "s3d"):
         raise ValidationError(f"class_map expects a semantic head, got {head!r}")
     h = bundle.head(head)
-    scale = bundle.embeddings.vectors.T / bundle.config.temperature
+    scale = bundle.embeddings.T / bundle.config.temperature
     return h["w"] @ scale, h["b"] @ scale
 
 
@@ -426,7 +433,7 @@ def _unfold_grads(bundle: ModelBundle, views: Dict[str, np.ndarray], enc: str,
     for head, span in cols.items():
         d_w, d_b = d_a[:, span], s[span]
         if head in ("s2d", "s3d"):
-            emb = bundle.embeddings.vectors / bundle.config.temperature
+            emb = bundle.embeddings / bundle.config.temperature
             d_w, d_b = d_w @ emb, d_b @ emb
         views[f"head_{head}.w"] += d_w
         views[f"head_{head}.b"] += d_b
@@ -583,7 +590,7 @@ def save_checkpoint(bundle: ModelBundle, path, extra: Optional[dict] = None):
     cfg = bundle.config
     lines = [_CKPT_MAGIC]
     lines += [f"{f.name}={format_value(getattr(cfg, f.name))}" for f in fields(cfg)]
-    lines.append(f"num_classes={bundle.embeddings.num_classes}")
+    lines.append(f"num_classes={len(bundle.embeddings)}")
     lines.append(f"seed={bundle.seed}")
     lines.append(f"config_hash={config_hash(cfg)}")
     lines += [f"x_{key}={format_value(value)}"
@@ -592,7 +599,7 @@ def save_checkpoint(bundle: ModelBundle, path, extra: Optional[dict] = None):
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
-        for arr in (bundle.params, bundle.anchor_head, bundle.embeddings.vectors):
+        for arr in (bundle.params, bundle.anchor_head, bundle.embeddings):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     os.replace(tmp, str(path))
 
@@ -640,6 +647,10 @@ def load_checkpoint(path) -> Tuple[ModelBundle, dict]:
     frozen = payload[n_params:].astype(np.float64)
     anchor = frozen[:n_anchor].reshape(cfg.sam_dim, cfg.anchor_dim)
     emb = frozen[n_anchor:].reshape(num_classes, cfg.embed_dim)
-    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-    bundle = ModelBundle(cfg, params, ClassEmbeddingTable(emb), seed, anchor)
+    norms = np.linalg.norm(emb, axis=1, keepdims=True)
+    if not norms.all():
+        raise ValidationError(f"{path}: class embedding row "
+                              f"{int(np.argmin(norms))} has zero norm")
+    emb /= norms
+    bundle = ModelBundle(cfg, params, emb, seed, anchor)
     return bundle, meta

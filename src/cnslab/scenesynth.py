@@ -49,6 +49,10 @@ DESCRIPTOR_NOISE = 0.02
 _PALETTE_SALT = 0x5EED
 _PALETTE_MIN_DIST = 0.5
 _JITTER_CELL = 8
+# Largest room side.  Past about 1e16 a box corner plus a box size rounds
+# back to the corner, every face has zero area and sampling fails; at 1e6
+# float32 point positions still sit within 0.0625 of their draws.
+MAX_ROOM_SIZE = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +61,11 @@ _JITTER_CELL = 8
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Geometry of the synthetic room and its observers."""
+    """Geometry of the synthetic room and its observers.
+
+    room_size is at most MAX_ROOM_SIZE (1e6), so that every box face
+    keeps a non-zero area.
+    """
 
     room_size: float = 8.0
     object_count: int = 12
@@ -86,6 +94,9 @@ class SceneConfig:
             raise ValidationError("camera_count must be >= 1")
         if not (0 < self.min_box_size <= self.max_box_size < self.room_size):
             raise ValidationError("box sizes must satisfy 0 < min <= max < room_size")
+        if not self.room_size <= MAX_ROOM_SIZE:
+            raise ValidationError(
+                f"room_size must be <= {MAX_ROOM_SIZE:g}, got {self.room_size}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,6 @@ class Scene:
     cameras: list
     num_classes: int
     object_count: int
-    object_classes: np.ndarray  # (object_count + 1,) class id per instance
     seed: int
     room_size: float
     _corr: Optional[CorrespondenceSet] = field(default=None, repr=False, compare=False)
@@ -145,10 +155,10 @@ class Scene:
             raise ValidationError("gt_labels outside [0, num_classes)")
         if cloud.object_ids.min() < 0 or cloud.object_ids.max() > self.object_count:
             raise ValidationError("object_ids outside [0, object_count]")
-        # Every instance must map to exactly one class, consistent with the table.
+        # Every instance carries exactly one class.
         for inst in np.unique(cloud.object_ids):
             classes = np.unique(cloud.gt_labels[cloud.object_ids == inst])
-            if len(classes) != 1 or classes[0] != self.object_classes[inst]:
+            if len(classes) != 1:
                 raise ValidationError(f"instance {inst} has inconsistent classes {classes}")
         blind = self.blind_camera()
         if blind is not None:
@@ -177,18 +187,6 @@ class ScoreMap:
 
     scores: np.ndarray  # (H, W, L) float32
 
-    @property
-    def height(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.scores.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.scores.shape[2]
-
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float32)
         if self.scores.ndim != 3:
@@ -202,10 +200,6 @@ class MaskMap:
     """Per-pixel mask ids of one view (mock SAM output), contiguous from 0."""
 
     mask_ids: np.ndarray  # (H, W) int32
-
-    @property
-    def mask_count(self) -> int:
-        return int(self.mask_ids.max()) + 1
 
     def __post_init__(self):
         self.mask_ids = np.asarray(self.mask_ids, dtype=np.int32)
@@ -224,43 +218,12 @@ class FeatureMap:
 
     features: np.ndarray  # (H, W, D) float32
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[2]
-
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float32)
         if self.features.ndim != 3:
             raise ValidationError(f"features must be (H, W, D), got {self.features.shape}")
         if not np.isfinite(self.features).all():
             raise ValidationError("features must be finite")
-
-
-@dataclass
-class ClassEmbeddingTable:
-    """Frozen unit text embedding per class."""
-
-    vectors: np.ndarray  # (L, D) float64
-
-    @property
-    def num_classes(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.vectors.ndim != 2:
-            raise ValidationError(f"vectors must be (L, D), got {self.vectors.shape}")
-        if not len(self.vectors):
-            raise ValidationError("class embedding table has no classes")
-        if not np.isfinite(self.vectors).all():
-            raise ValidationError("class embeddings must be finite")
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if np.max(np.abs(norms - 1.0)) >= 1e-9:
-            raise ValidationError("class embeddings must be unit vectors")
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +312,6 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
     rng, boxes = _box_layout(cfg, seed)
 
     perm = rng.permutation(cfg.num_classes - 1) + 1
-    object_classes = np.zeros(cfg.object_count + 1, dtype=np.int32)
-    for i in range(cfg.object_count):
-        object_classes[i + 1] = perm[i % (cfg.num_classes - 1)]
 
     positions = [np.stack([rng.uniform(0, cfg.room_size, cfg.background_points),
                            rng.uniform(0, cfg.room_size, cfg.background_points),
@@ -360,7 +320,7 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
     instances = [np.full(cfg.background_points, BACKGROUND_INSTANCE, dtype=np.int32)]
     for i, box in enumerate(boxes):
         positions.append(_sample_box_surface(box, cfg.points_per_object, rng))
-        labels.append(np.full(cfg.points_per_object, object_classes[i + 1], dtype=np.int32))
+        labels.append(np.full(cfg.points_per_object, perm[i % len(perm)], dtype=np.int32))
         instances.append(np.full(cfg.points_per_object, i + 1, dtype=np.int32))
     cloud = PointCloud(np.concatenate(positions).astype(np.float32),
                        np.concatenate(labels), np.concatenate(instances))
@@ -378,8 +338,8 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
                                    cfg.image_width / 2.0, cfg.image_height / 2.0,
                                    rot, trans, cfg.image_width, cfg.image_height))
 
-    scene = Scene(cloud, cameras, cfg.num_classes, cfg.object_count,
-                  object_classes, int(seed), cfg.room_size)
+    scene = Scene(cloud, cameras, cfg.num_classes, cfg.object_count, int(seed),
+                  cfg.room_size)
     scene.validate()
     return scene
 
@@ -594,7 +554,7 @@ def mask_purity(masks: MaskMap, labels: np.ndarray) -> float:
     flat_mask = masks.mask_ids.ravel()
     flat_label = labels.ravel()
     pure = 0
-    for m in range(masks.mask_count):
+    for m in range(int(flat_mask.max()) + 1):
         votes = flat_label[flat_mask == m]
         pure += int(np.bincount(votes).max())
     return pure / flat_label.size
@@ -634,8 +594,8 @@ _MAX_COHERENCE = 0.3
 _COHERENCE_ATTEMPTS = 1000
 
 
-def mock_text_embeddings(num_classes: int, dim: int, seed: int) -> ClassEmbeddingTable:
-    """Random unit class embeddings with pairwise |cosine| <= 0.3."""
+def mock_text_embeddings(num_classes: int, dim: int, seed: int) -> np.ndarray:
+    """Random unit class embeddings (num_classes, dim) with pairwise |cosine| <= 0.3."""
     if num_classes < 1 or dim < 1:
         raise ValidationError("num_classes and dim must be >= 1")
     if dim < num_classes:
@@ -648,10 +608,10 @@ def mock_text_embeddings(num_classes: int, dim: int, seed: int) -> ClassEmbeddin
         gram = vectors @ vectors.T
         np.fill_diagonal(gram, 0.0)
         if np.max(np.abs(gram)) <= _MAX_COHERENCE:
-            return ClassEmbeddingTable(vectors)
+            return vectors
     raise ValidationError(
-        f"could not reach coherence <= {_MAX_COHERENCE} for {num_classes} classes "
-        f"in {dim} dims after {_COHERENCE_ATTEMPTS} attempts")
+        f"could not reach coherence <= {_MAX_COHERENCE} for num_classes={num_classes} "
+        f"in embed_dim={dim} after {_COHERENCE_ATTEMPTS} attempts; raise embed_dim")
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +704,7 @@ def standard_oracle_outputs(scene: Scene, clip_noise: ClipNoiseConfig,
     """Generate every oracle product for a scene in one sweep.
 
     Returns a dict with per-view lists under "scores", "masks", and
-    "features", the class embedding table under "embeddings", and the
+    "features", the (L, D) class embeddings under "embeddings", and the
     generation parameters under "meta" (echoed into bundle manifests so
     a reader can regenerate the frozen embeddings).
     """

@@ -82,7 +82,7 @@ class TrainConfig:
             if arr.shape != (4,) or (arr < 0).any():
                 raise ValidationError(f"{name} must be 4 non-negative values")
             if abs(arr.sum() - 1.0) >= 1e-9:
-                raise ValidationError(f"{name} must sum to 1, got {arr.sum()!r}")
+                raise ValidationError(f"{name} must sum to 1, got {float(arr.sum())!r}")
         if self.refine3d_mode not in (REFINE3D_TRANSFER_MASKS, REFINE3D_REPROJECT):
             raise ValidationError(f"unknown refine3d_mode {self.refine3d_mode!r}")
         if self.latent_loss_weight < 0:
@@ -148,15 +148,15 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
     anchors = np.stack([fm.features for fm in oracles["features"]])[entries]
     masks = oracles["masks"]
     embeddings = oracles["embeddings"]
-    if embeddings.num_classes != scene.num_classes:
+    if len(embeddings) != scene.num_classes:
         raise ValidationError(
-            f"embedding table has {embeddings.num_classes} classes, "
-            f"scene has {scene.num_classes}")
+            f"class embeddings have {len(embeddings)} rows, "
+            f"scene has {scene.num_classes} classes")
 
     if model_config is None:
         model_config = ModelConfig(input2d_dim=desc2d.shape[-1],
                                    input3d_dim=desc3d.shape[-1],
-                                   embed_dim=embeddings.dim,
+                                   embed_dim=embeddings.shape[1],
                                    sam_dim=anchors.shape[-1])
     if model_config.input2d_dim != desc2d.shape[-1] or \
             model_config.input3d_dim != desc3d.shape[-1]:

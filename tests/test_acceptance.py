@@ -315,15 +315,13 @@ def test_ac8_determinism(tmp_path):
                                scene.cloud.positions.astype("<f4"))
                 and np.array_equal(loaded.cloud.gt_labels, scene.cloud.gt_labels)
                 and np.array_equal(loaded.cloud.object_ids, scene.cloud.object_ids)
-                and np.array_equal(loaded.object_classes, scene.object_classes)
                 and all(np.array_equal(a.scores, b.scores) for a, b in
                         zip(oracles2["scores"], oracles["scores"]))
                 and all(np.array_equal(a.mask_ids, b.mask_ids) for a, b in
                         zip(oracles2["masks"], oracles["masks"]))
                 and all(np.array_equal(a.features, b.features) for a, b in
                         zip(oracles2["features"], oracles["features"]))
-                and np.array_equal(oracles2["embeddings"].vectors,
-                                   oracles["embeddings"].vectors))
+                and np.array_equal(oracles2["embeddings"], oracles["embeddings"]))
         if labels is not None:
             same &= all(np.array_equal(a, b)
                         for a, b in zip(oracles2["labels"], labels))

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import typing
 import warnings
 from pathlib import Path
 
@@ -199,6 +200,35 @@ def test_bad_value_is_rejected(tmp_path, capsys):
                      "--object_count", "many"])
     assert code == 1
     assert "bad value" in capsys.readouterr().err
+
+
+def _holds_float(hint):
+    return hint is float or any(_holds_float(arg) for arg in typing.get_args(hint))
+
+
+FLOAT_KEYS = [key for key, entry in cli.SCHEMA.items() if _holds_float(entry.hint)]
+
+
+def test_float_keys_cover_plain_optional_and_tuple_hints():
+    assert {"room_size", "camera_radius", "switch_probs",
+            "switch_probs_2d"} <= set(FLOAT_KEYS)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_is_rejected(tmp_path, capsys, key, text):
+    code = cli.main(["synth", "--out", str(tmp_path / "x"), f"--{key}", text])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_room_too_large_to_sample_is_rejected(tmp_path, capsys):
+    code = cli.main(["synth", "--out", str(tmp_path / "x"), "--room_size", "1e300"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "room_size" in err
 
 
 def test_missing_override_value(tmp_path, capsys):

@@ -164,6 +164,38 @@ def test_make_bundle_rejects_dim_mismatch():
         ModelConfig(input2d_dim=5, input3d_dim=6, temperature=0.0).validate()
 
 
+# The class embedding table is checked where every bundle is built.
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bundle_rejects_non_finite_embeddings(bad):
+    cfg = tiny_bundle().config
+    emb = mock_text_embeddings(5, 9, seed=1)
+    emb[1, 2] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        make_bundle(cfg, emb, seed=0)
+    with pytest.raises(ValidationError, match="finite"):
+        make_bundle(cfg, np.full((2, 9), bad), seed=0)
+
+
+def test_bundle_rejects_embeddings_without_rows():
+    with pytest.raises(ValidationError, match=r"\(L, D\) with L >= 1"):
+        make_bundle(tiny_bundle().config, np.zeros((0, 9)), seed=0)
+
+
+def test_bundle_rejects_one_dimensional_embeddings():
+    row = mock_text_embeddings(1, 9, seed=1)[0]
+    with pytest.raises(ValidationError, match=r"\(L, D\)"):
+        make_bundle(tiny_bundle().config, row, seed=0)
+
+
+def test_bundle_rejects_non_unit_embeddings():
+    cfg = tiny_bundle().config
+    emb = mock_text_embeddings(5, 9, seed=1)
+    make_bundle(cfg, emb * (1 + 1e-11), seed=0)  # within 1e-9 of unit
+    with pytest.raises(ValidationError, match="unit"):
+        make_bundle(cfg, emb * (1 + 1e-8), seed=0)
+
+
 # ---------------------------------------------------------------------------
 # cross-entropy
 
@@ -269,7 +301,7 @@ def _unfolded_ce(bundle, feats, head, y):
     Returns the loss and its gradient w.r.t. z.
     """
     h = bundle.head(head)
-    emb = bundle.embeddings.vectors
+    emb = bundle.embeddings
     keep = y != IGNORE
     n = int(keep.sum())
     z = feats @ h["w"] + h["b"]
@@ -315,7 +347,7 @@ def test_class_logits_formula(rng):
             h = bundle.head(head)
             logits = class_logits(feats, class_map(bundle, head))
             z = feats @ h["w"] + h["b"]
-            expected = (z @ bundle.embeddings.vectors.T) / temperature
+            expected = (z @ bundle.embeddings.T) / temperature
             np.testing.assert_allclose(logits, expected, rtol=1e-12, atol=0)
             assert np.array_equal(logits.argmax(axis=1), expected.argmax(axis=1))
 
@@ -702,9 +734,9 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.allclose(loaded.anchor_head, bundle.anchor_head, atol=1e-6)
     assert not loaded.anchor_head.flags.writeable
     # Embeddings come back unit-normalized.
-    norms = np.linalg.norm(loaded.embeddings.vectors, axis=1)
+    norms = np.linalg.norm(loaded.embeddings, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
-    assert np.allclose(loaded.embeddings.vectors, bundle.embeddings.vectors,
+    assert np.allclose(loaded.embeddings, bundle.embeddings,
                        atol=1e-6)
 
 
@@ -763,6 +795,21 @@ def test_checkpoint_rejects_signalling_nan_without_a_warning(tmp_path):
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="non-finite"):
                 load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_zero_embedding_row_without_a_warning(tmp_path):
+    bundle = tiny_bundle()
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(bundle, good)
+    blob = good.read_bytes()
+    row = 4 * bundle.config.embed_dim  # the last class's row ends the payload
+    bad = tmp_path / "zero.ckpt"
+    bad.write_bytes(blob[:-row] + bytes(row))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match=r"zero\.ckpt: class embedding row 4 has zero norm"):
+            load_checkpoint(bad)
 
 
 @pytest.fixture(scope="module")

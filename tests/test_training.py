@@ -352,11 +352,11 @@ def test_frozen_components_survive_training(small_scene, small_oracles):
     state = init_state(small_scene, small_oracles,
                        short_config(stage1_epochs=1, total_epochs=2))
     anchor = state.bundle.anchor_head.copy()
-    embeddings = state.bundle.embeddings.vectors.copy()
+    embeddings = state.bundle.embeddings.copy()
     run_stage1(state)
     run_stage2(state)
     assert np.array_equal(state.bundle.anchor_head, anchor)
-    assert np.array_equal(state.bundle.embeddings.vectors, embeddings)
+    assert np.array_equal(state.bundle.embeddings, embeddings)
 
 
 def test_stage2_improves_3d_over_stage1_only():

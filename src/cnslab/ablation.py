@@ -70,6 +70,8 @@ class SuiteConfig:
         self.frag.validate()
         self.train.validate()
         self.model_config().validate()
+        if not self.feat_sigma >= 0:
+            raise ConfigError(f"feat_sigma must be >= 0, got {self.feat_sigma}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         for seed in self.seeds:

@@ -141,8 +141,8 @@ class ModelConfig:
         if min(self.input2d_dim, self.input3d_dim, self.latent_dim,
                self.embed_dim, self.anchor_dim, self.sam_dim, *self.hidden) < 1:
             raise ValidationError("all model dimensions must be >= 1")
-        if self.temperature <= 0:
-            raise ValidationError("temperature must be > 0")
+        if not self.temperature > 0:
+            raise ValidationError(f"temperature must be > 0, got {self.temperature}")
 
 
 _HEAD_NAMES = ("head_s2d", "head_s3d", "head_f2d", "head_f3d")

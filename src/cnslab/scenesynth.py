@@ -93,10 +93,31 @@ class SceneConfig:
         if self.camera_count < 1:
             raise ValidationError("camera_count must be >= 1")
         if not (0 < self.min_box_size <= self.max_box_size < self.room_size):
-            raise ValidationError("box sizes must satisfy 0 < min <= max < room_size")
+            raise ValidationError(
+                "box sizes must satisfy 0 < min_box_size <= max_box_size < room_size, "
+                f"got {self.min_box_size}, {self.max_box_size}, {self.room_size}")
         if not self.room_size <= MAX_ROOM_SIZE:
             raise ValidationError(
                 f"room_size must be <= {MAX_ROOM_SIZE:g}, got {self.room_size}")
+        # Every box face needs a non-zero area: the smallest side must be at
+        # least one float step at the far wall, and its square must not
+        # underflow.
+        if not (self.min_box_size >= np.spacing(self.room_size)
+                and (self.min_box_size / 2) ** 2 > 0):
+            raise ValidationError(
+                f"min_box_size {self.min_box_size!r} is too small for room_size "
+                f"{self.room_size!r}: its box faces would have zero area")
+        if not self.focal > 0:
+            raise ValidationError(f"focal must be > 0, got {self.focal}")
+        if not self.placement_margin >= 0:
+            raise ValidationError(
+                f"placement_margin must be >= 0, got {self.placement_margin}")
+        if self.camera_radius is not None and not 0 < self.camera_radius < np.inf:
+            raise ValidationError(
+                f"camera_radius must be > 0 and finite, got {self.camera_radius}")
+        if self.camera_height is not None and not np.isfinite(self.camera_height):
+            raise ValidationError(
+                f"camera_height must be finite, got {self.camera_height}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +133,7 @@ class ClipNoiseConfig:
             raise ValidationError(f"eps must be in [0, 1], got {self.eps}")
         if self.block < 1:
             raise ValidationError(f"block must be >= 1, got {self.block}")
-        if self.margin <= 0:
+        if not self.margin > 0:
             raise ValidationError(f"margin must be > 0, got {self.margin}")
 
 
@@ -452,63 +473,117 @@ def _label_components(mask: np.ndarray) -> Tuple[np.ndarray, int]:
     return labels, int(first.sum())
 
 
-def _geodesic_distance(mask: np.ndarray, seeds: list) -> np.ndarray:
-    """4-connected geodesic distance inside `mask` from a seed set."""
+def _geodesic_distance(mask: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Geodesic distance inside each region of a stack from its seeds.
+
+    mask is an (R, h, w) stack of regions and seeds an (R, S) array of
+    flat pixel indices into each h x w slice.  A round shifts values one
+    row down, one row up, one column right and one column left, then sets
+    off-mask pixels back to inf; rounds repeat until nothing changes.  So
+    a step may cut a corner through one off-mask pixel at cost 2: this is
+    not a 4-connected distance but a shortest path over 8-connected mask
+    pixels, 1 per side step and 2 per diagonal step.  [[1, 0], [0, 1]]
+    seeded at (0, 0) reads 2 at (1, 1).  Pixels with no such path read
+    inf.  Paths visit mask pixels only and the stack axis carries nothing,
+    so a crop holding the whole region gives the same distances.
+    """
     dist = np.full(mask.shape, np.inf)
-    for y, x in seeds:
-        dist[y, x] = 0.0
+    dist.reshape(len(mask), -1)[np.arange(len(mask))[:, None], seeds] = 0.0
     while True:
         prev = dist
         d = dist.copy()
-        d[1:, :] = np.minimum(d[1:, :], d[:-1, :] + 1)
-        d[:-1, :] = np.minimum(d[:-1, :], d[1:, :] + 1)
-        d[:, 1:] = np.minimum(d[:, 1:], d[:, :-1] + 1)
-        d[:, :-1] = np.minimum(d[:, :-1], d[:, 1:] + 1)
+        d[..., 1:, :] = np.minimum(d[..., 1:, :], d[..., :-1, :] + 1)
+        d[..., :-1, :] = np.minimum(d[..., :-1, :], d[..., 1:, :] + 1)
+        d[..., :, 1:] = np.minimum(d[..., :, 1:], d[..., :, :-1] + 1)
+        d[..., :, :-1] = np.minimum(d[..., :, :-1], d[..., :, 1:] + 1)
         d[~mask] = np.inf
         dist = d
         if np.array_equal(dist, prev):
             return dist
 
 
-def _farthest_seeds(mask: np.ndarray, count: int, rng) -> list:
-    """Geodesic farthest-point sample of `count` seed pixels inside `mask`."""
-    ys, xs = np.nonzero(mask)
-    first = int(rng.integers(len(ys)))
-    seeds = [(int(ys[first]), int(xs[first]))]
-    while len(seeds) < count:
-        dist = _geodesic_distance(mask, seeds)
-        inside = dist[ys, xs]
-        nxt = int(np.argmax(inside))  # unreached components sort as +inf
-        seeds.append((int(ys[nxt]), int(xs[nxt])))
+def _farthest_seeds(mask: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
+    """Geodesic farthest-point seeds of each region of an (R, h, w) stack.
+
+    Region r gets counts[r] seeds.  Its first seed is drawn from `rng`,
+    region by region in stack order; each further seed is the first pixel
+    in raster order at the largest distance from the seeds so far.
+    Returns (R, max(counts)) flat pixel indices, -1 past a region's count.
+    """
+    flat = mask.reshape(len(mask), -1)
+    seeds = np.full((len(mask), counts.max()), -1, dtype=np.int64)
+    for r, row in enumerate(flat):
+        inside = np.flatnonzero(row)
+        seeds[r, 0] = inside[int(rng.integers(len(inside)))]
+    for j in range(1, seeds.shape[1]):
+        active = np.flatnonzero(counts > j)
+        dist = _geodesic_distance(mask[active], seeds[active, :j])
+        # Off-mask pixels never win; unreached mask pixels sort as +inf.
+        dist[~mask[active]] = -np.inf
+        seeds[active, j] = np.argmax(dist.reshape(len(active), -1), axis=1)
     return seeds
 
 
-def _partition_region(mask: np.ndarray, seeds: list) -> np.ndarray:
-    """Label mask pixels by the seed that reaches them first (synchronous
-    BFS rounds; equidistant ties go to the lowest seed index)."""
+def _partition_region(mask: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Label the pixels of each region of an (R, h, w) stack by the seed
+    that reaches them first (synchronous 4-connected BFS rounds;
+    equidistant ties go to the lowest seed index).  seeds is as
+    _farthest_seeds returns it; off-mask pixels read -1."""
     lab = np.full(mask.shape, -1, dtype=np.int64)
-    for i, (y, x) in enumerate(seeds):
-        lab[y, x] = i
+    region, index = np.nonzero(seeds >= 0)
+    lab.reshape(len(mask), -1)[region, seeds[region, index]] = index
     while True:
         cand = np.where(lab >= 0, lab, _BIG)
         best = np.full(mask.shape, _BIG, dtype=np.int64)
-        best[1:, :] = np.minimum(best[1:, :], cand[:-1, :])
-        best[:-1, :] = np.minimum(best[:-1, :], cand[1:, :])
-        best[:, 1:] = np.minimum(best[:, 1:], cand[:, :-1])
-        best[:, :-1] = np.minimum(best[:, :-1], cand[:, 1:])
+        best[..., 1:, :] = np.minimum(best[..., 1:, :], cand[..., :-1, :])
+        best[..., :-1, :] = np.minimum(best[..., :-1, :], cand[..., 1:, :])
+        best[..., :, 1:] = np.minimum(best[..., :, 1:], cand[..., :, :-1])
+        best[..., :, :-1] = np.minimum(best[..., :, :-1], cand[..., :, 1:])
         newly = mask & (lab < 0) & (best < _BIG)
         if not newly.any():
             break
         lab[newly] = best[newly]
     left = mask & (lab < 0)
-    if left.any():
+    for r in np.flatnonzero(left.any(axis=(1, 2))):
         # Disconnected leftovers with no seed: nearest seed by Euclidean distance.
-        ys, xs = np.nonzero(left)
-        sy = np.array([s[0] for s in seeds])
-        sx = np.array([s[1] for s in seeds])
+        ys, xs = np.nonzero(left[r])
+        sy, sx = np.divmod(seeds[r][seeds[r] >= 0], mask.shape[2])
         d2 = (ys[:, None] - sy[None, :]) ** 2 + (xs[:, None] - sx[None, :]) ** 2
-        lab[ys, xs] = np.argmin(d2, axis=1)
+        lab[r, ys, xs] = np.argmin(d2, axis=1)
     return lab
+
+
+def _split_objects(object_id: np.ndarray, splits: int, rng) -> np.ndarray:
+    """Split each object region of an (H, W) instance raster into
+    min(splits, pixel count) fragments.
+
+    Returns (H, W) int32 fragment ids, numbered from 0 object by object
+    in id order, and -1 on the background.  The R regions are cropped to
+    their bounding boxes and split together as one (R, h_max, w_max)
+    stack padded off-mask, so each sweep holds R * h_max * w_max <=
+    R * H * W pixels.
+    """
+    frags = np.full(object_id.shape, -1, dtype=np.int32)
+    boxes = []
+    for obj in np.unique(object_id):
+        if obj == BACKGROUND_INSTANCE:
+            continue
+        ys, xs = np.nonzero(object_id == obj)
+        rows, cols = slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1)
+        boxes.append((rows, cols, object_id[rows, cols] == obj))
+    if not boxes:
+        return frags
+    h_max, w_max = np.max([crop.shape for *_, crop in boxes], axis=0)
+    region = np.zeros((len(boxes), h_max, w_max), dtype=bool)
+    for r, (*_, crop) in enumerate(boxes):
+        region[r, :crop.shape[0], :crop.shape[1]] = crop
+    counts = np.minimum(splits, region.sum(axis=(1, 2)))
+    lab = _partition_region(region, _farthest_seeds(region, counts, rng))
+    first_ids = np.cumsum(counts) - counts
+    for r, (rows, cols, crop) in enumerate(boxes):
+        h, w = crop.shape
+        frags[rows, cols][crop] = first_ids[r] + lab[r, :h, :w][crop]
+    return frags
 
 
 def mock_sam_masks(scene: Scene, camera_index: int, frag: MaskFragConfig,
@@ -524,17 +599,10 @@ def mock_sam_masks(scene: Scene, camera_index: int, frag: MaskFragConfig,
     frag.validate()
     render = render_view(scene, camera_index)
     rng = derive_rng(seed, TAG_MASKS, camera_index)
-    comps, next_id = _label_components(render.object_id == BACKGROUND_INSTANCE)
-    mask_ids = comps - 1  # background components first; -1 elsewhere
-    for obj in np.unique(render.object_id):
-        if obj == BACKGROUND_INSTANCE:
-            continue
-        region = render.object_id == obj
-        k = min(frag.splits_per_object, int(region.sum()))
-        seeds = _farthest_seeds(region, k, rng)
-        lab = _partition_region(region, seeds)
-        mask_ids[region] = next_id + lab[region].astype(np.int32)
-        next_id += k
+    comps, count = _label_components(render.object_id == BACKGROUND_INSTANCE)
+    frags = _split_objects(render.object_id, frag.splits_per_object, rng)
+    # Background components first, then each object's fragments.
+    mask_ids = np.where(frags < 0, comps - 1, count + frags)
     if frag.boundary_jitter_px > 0:
         h, w = mask_ids.shape
         j = frag.boundary_jitter_px

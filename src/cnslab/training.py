@@ -69,7 +69,7 @@ class TrainConfig:
             raise ValidationError(f"total_epochs must be >= 1, got {self.total_epochs}")
         if not 0 <= self.stage1_epochs <= self.total_epochs:
             raise ValidationError("need 0 <= stage1_epochs <= total_epochs")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValidationError(f"lr must be > 0, got {self.lr}")
         if min(self.batch_pixels, self.batch_points) < 1:
             raise ValidationError("batch sizes must be >= 1")
@@ -79,14 +79,18 @@ class TrainConfig:
             if probs is None:
                 continue
             arr = np.asarray(probs, dtype=np.float64)
-            if arr.shape != (4,) or (arr < 0).any():
+            if arr.shape != (4,) or not (arr >= 0).all():
                 raise ValidationError(f"{name} must be 4 non-negative values")
-            if abs(arr.sum() - 1.0) >= 1e-9:
+            if not abs(arr.sum() - 1.0) < 1e-9:
                 raise ValidationError(f"{name} must sum to 1, got {float(arr.sum())!r}")
         if self.refine3d_mode not in (REFINE3D_TRANSFER_MASKS, REFINE3D_REPROJECT):
             raise ValidationError(f"unknown refine3d_mode {self.refine3d_mode!r}")
-        if self.latent_loss_weight < 0:
-            raise ValidationError("latent_loss_weight must be >= 0")
+        if not self.latent_loss_weight >= 0:
+            raise ValidationError(
+                f"latent_loss_weight must be >= 0, got {self.latent_loss_weight}")
+        if not self.descriptor_noise >= 0:
+            raise ValidationError(
+                f"descriptor_noise must be >= 0, got {self.descriptor_noise}")
         if not 0 <= self.seed < SEED_BOUND:
             raise ValidationError(f"seed must be in [0, 2**32), got {self.seed}")
 

@@ -5,6 +5,8 @@ acceptance tests; here a miniature campaign checks row wiring, report
 determinism, error capture, and the pre-generated-scene path.
 """
 
+import dataclasses
+import typing
 import warnings
 
 import numpy as np
@@ -13,9 +15,11 @@ import pytest
 from cnslab.ablation import (ROW_ORDER, SuiteConfig, row_train_config,
                              run_ablation, sanity_suite, standard_suite,
                              write_report_csv, write_report_text)
-from cnslab.errors import ConfigError
-from cnslab.scenesynth import (ClipNoiseConfig, MaskFragConfig, SceneConfig,
-                               generate_scene, standard_oracle_outputs)
+from cnslab.errors import ConfigError, ValidationError
+from cnslab.nncore import ModelConfig
+from cnslab.scenesynth import (PIXEL_DESC_DIM, POINT_DESC_DIM, ClipNoiseConfig,
+                               MaskFragConfig, SceneConfig, generate_scene,
+                               standard_oracle_outputs)
 from cnslab.training import TrainConfig
 
 TINY_SCENE = SceneConfig(object_count=4, points_per_object=120,
@@ -67,6 +71,38 @@ def test_suite_config_validation():
             tiny_suite(seeds=(0, seed)).validate()
     tiny_suite().validate()
     tiny_suite(seeds=(2 ** 32 - 1,)).validate()
+
+
+# A valid instance of every config dataclass that has a validate().
+_VALID_CONFIGS = [SceneConfig(), ClipNoiseConfig(), MaskFragConfig(), TrainConfig(),
+                  ModelConfig(PIXEL_DESC_DIM, POINT_DESC_DIM), SuiteConfig()]
+NAN_CASES = [(config, f.name) for config in _VALID_CONFIGS
+             for f in dataclasses.fields(config)
+             if typing.get_type_hints(type(config))[f.name] in (float, typing.Optional[float])]
+
+
+def test_nan_cases_cover_every_float_field():
+    assert {(type(config).__name__, name) for config, name in NAN_CASES} >= {
+        ("SceneConfig", "focal"), ("SceneConfig", "placement_margin"),
+        ("SceneConfig", "camera_radius"), ("SceneConfig", "camera_height"),
+        ("ClipNoiseConfig", "margin"), ("TrainConfig", "lr"),
+        ("TrainConfig", "latent_loss_weight"), ("TrainConfig", "descriptor_noise"),
+        ("ModelConfig", "temperature"), ("SuiteConfig", "feat_sigma"),
+        ("SuiteConfig", "temperature")}
+
+
+@pytest.mark.parametrize("config, name", NAN_CASES,
+                         ids=[f"{type(c).__name__}.{n}" for c, n in NAN_CASES])
+def test_nan_float_field_fails_validate(config, name):
+    config.validate()
+    with pytest.raises(ValidationError, match=name):
+        dataclasses.replace(config, **{name: float("nan")}).validate()
+
+
+@pytest.mark.parametrize("name", ["switch_probs", "switch_probs_2d", "switch_probs_3d"])
+def test_nan_switch_probs_fail_validate(name):
+    with pytest.raises(ValidationError, match=name):
+        TrainConfig(**{name: (float("nan"), 0.25, 0.25, 0.5)}).validate()
 
 
 def test_standard_and_sanity_presets():

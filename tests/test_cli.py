@@ -231,6 +231,28 @@ def test_room_too_large_to_sample_is_rejected(tmp_path, capsys):
     assert err.startswith("error:") and "room_size" in err
 
 
+@pytest.mark.parametrize("size", ["1e-300", "1e-20"])
+def test_box_too_small_for_its_faces_is_rejected(tmp_path, capsys, size):
+    code = cli.main(["synth", "--out", str(tmp_path / "x"),
+                     "--min_box_size", size, "--max_box_size", size])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "min_box_size" in err
+
+
+def test_negative_descriptor_noise_is_rejected(pipeline, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
+    bundle_dir = str(pipeline / "synth" / "bundle")
+    ckpt = str(pipeline / "train" / "checkpoint.ckpt")
+    for command in (["train", bundle_dir], ["eval", bundle_dir, ckpt]):
+        code = cli.main([*command, "--config", str(cfg), "--out", str(tmp_path / "x"),
+                         "--descriptor_noise", "-1"])
+        assert code == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "descriptor_noise" in err
+        assert not (tmp_path / "x").exists()
+
+
 def test_missing_override_value(tmp_path, capsys):
     assert cli.main(["synth", "--out", str(tmp_path / "x"), "--seed"]) == 1
     assert "missing value" in capsys.readouterr().err

@@ -22,7 +22,10 @@ from cnslab.scenesynth import (APPEARANCE_DIM, BACKGROUND_CLASS,
                                mock_sam_masks, mock_text_embeddings,
                                pixel_descriptors, point_descriptors,
                                render_view, standard_oracle_outputs,
-                               _label_components)
+                               _geodesic_distance, _JITTER_CELL,
+                               _label_components, _split_objects,
+                               _upsample_blocks)
+from cnslab.seeding import TAG_MASKS, derive_rng
 
 from conftest import SMALL_SCENE
 
@@ -109,6 +112,17 @@ def test_scene_config_validation():
         SceneConfig(min_box_size=2.5, max_box_size=2.0).validate()
     with pytest.raises(ValidationError):
         SceneConfig(room_size=2.0, max_box_size=2.2).validate()
+
+
+def test_box_faces_must_keep_a_non_zero_area():
+    # 1e-301 is many float steps of a 1e-300 room, but its square is 0.
+    # (`test_cli` covers sizes below one float step of the 8 m room.)
+    with pytest.raises(ValidationError, match="min_box_size"):
+        SceneConfig(room_size=1e-300, min_box_size=1e-301,
+                    max_box_size=1e-301).validate()
+    # 1e-14 is about six float steps at the far wall: its faces sample.
+    cfg = SceneConfig(min_box_size=1e-14, max_box_size=1e-14, object_count=3)
+    assert len(generate_scene(cfg, seed=0).cloud) == 3 * 600 + 2400
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +307,157 @@ def test_masks_deterministic(small_scene):
     a = mock_sam_masks(small_scene, 1, frag, seed=4)
     b = mock_sam_masks(small_scene, 1, frag, seed=4)
     assert np.array_equal(a.mask_ids, b.mask_ids)
+
+
+# The per-region mask oracle that the stacked one replaced: each object
+# region is seeded and partitioned on its own, over the whole view.
+
+
+def _reference_geodesic_distance(mask, seeds):
+    dist = np.full(mask.shape, np.inf)
+    for y, x in seeds:
+        dist[y, x] = 0.0
+    while True:
+        prev = dist
+        d = dist.copy()
+        d[1:, :] = np.minimum(d[1:, :], d[:-1, :] + 1)
+        d[:-1, :] = np.minimum(d[:-1, :], d[1:, :] + 1)
+        d[:, 1:] = np.minimum(d[:, 1:], d[:, :-1] + 1)
+        d[:, :-1] = np.minimum(d[:, :-1], d[:, 1:] + 1)
+        d[~mask] = np.inf
+        dist = d
+        if np.array_equal(dist, prev):
+            return dist
+
+
+def _reference_farthest_seeds(mask, count, rng):
+    ys, xs = np.nonzero(mask)
+    first = int(rng.integers(len(ys)))
+    seeds = [(int(ys[first]), int(xs[first]))]
+    while len(seeds) < count:
+        inside = _reference_geodesic_distance(mask, seeds)[ys, xs]
+        nxt = int(np.argmax(inside))
+        seeds.append((int(ys[nxt]), int(xs[nxt])))
+    return seeds
+
+
+def _reference_partition_region(mask, seeds):
+    big = np.iinfo(np.int32).max
+    lab = np.full(mask.shape, -1, dtype=np.int64)
+    for i, (y, x) in enumerate(seeds):
+        lab[y, x] = i
+    while True:
+        cand = np.where(lab >= 0, lab, big)
+        best = np.full(mask.shape, big, dtype=np.int64)
+        best[1:, :] = np.minimum(best[1:, :], cand[:-1, :])
+        best[:-1, :] = np.minimum(best[:-1, :], cand[1:, :])
+        best[:, 1:] = np.minimum(best[:, 1:], cand[:, :-1])
+        best[:, :-1] = np.minimum(best[:, :-1], cand[:, 1:])
+        newly = mask & (lab < 0) & (best < big)
+        if not newly.any():
+            break
+        lab[newly] = best[newly]
+    left = mask & (lab < 0)
+    if left.any():
+        ys, xs = np.nonzero(left)
+        sy = np.array([s[0] for s in seeds])
+        sx = np.array([s[1] for s in seeds])
+        d2 = (ys[:, None] - sy[None, :]) ** 2 + (xs[:, None] - sx[None, :]) ** 2
+        lab[ys, xs] = np.argmin(d2, axis=1)
+    return lab
+
+
+def _reference_split_objects(object_id, splits, rng):
+    frags = np.full(object_id.shape, -1, dtype=np.int32)
+    next_id = 0
+    for obj in np.unique(object_id):
+        if obj == BACKGROUND_INSTANCE:
+            continue
+        region = object_id == obj
+        k = min(splits, int(region.sum()))
+        lab = _reference_partition_region(region,
+                                          _reference_farthest_seeds(region, k, rng))
+        frags[region] = next_id + lab[region]
+        next_id += k
+    return frags
+
+
+def _reference_mask_ids(scene, k, frag, seed):
+    render = render_view(scene, k)
+    rng = derive_rng(seed, TAG_MASKS, k)
+    comps, count = _label_components(render.object_id == BACKGROUND_INSTANCE)
+    frags = _reference_split_objects(render.object_id, frag.splits_per_object, rng)
+    mask_ids = np.where(frags < 0, comps - 1, count + frags)
+    if frag.boundary_jitter_px > 0:
+        h, w = mask_ids.shape
+        j = frag.boundary_jitter_px
+        hb, wb = -(-h // _JITTER_CELL), -(-w // _JITTER_CELL)
+        off_y = _upsample_blocks(rng.integers(-j, j + 1, (hb, wb)), _JITTER_CELL, h, w)
+        off_x = _upsample_blocks(rng.integers(-j, j + 1, (hb, wb)), _JITTER_CELL, h, w)
+        yy, xx = np.mgrid[0:h, 0:w]
+        mask_ids = mask_ids[np.clip(yy + off_y, 0, h - 1), np.clip(xx + off_x, 0, w - 1)]
+        mask_ids = np.searchsorted(np.unique(mask_ids), mask_ids)
+    return mask_ids
+
+
+def _assert_masks_match_reference(scene, frags, seed):
+    for k in range(len(scene.cameras)):
+        for splits, jitter in frags:
+            frag = MaskFragConfig(splits, jitter)
+            np.testing.assert_array_equal(mock_sam_masks(scene, k, frag, seed).mask_ids,
+                                          _reference_mask_ids(scene, k, frag, seed),
+                                          err_msg=f"view {k}, {frag}")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_stacked_masks_match_per_region_reference(seed):
+    scene = generate_scene(SceneConfig(), seed)
+    _assert_masks_match_reference(scene, [(3, 1), (1, 0), (7, 0), (12, 1)], seed)
+
+
+@pytest.mark.parametrize("cfg", [
+    SceneConfig(image_width=48, image_height=40),
+    SceneConfig(object_count=30, room_size=14.0),
+], ids=["48x40", "30_objects"])
+def test_stacked_masks_match_reference_on_other_scenes(cfg):
+    _assert_masks_match_reference(generate_scene(cfg, 3), [(3, 1), (12, 0)], 3)
+
+
+def test_split_objects_matches_reference_on_hand_built_regions():
+    object_id = np.zeros((12, 14), dtype=np.int32)
+    object_id[0, 13] = 1  # one pixel in a corner, fewer than `splits`
+    object_id[11, 0:2] = 2  # two pixels on the bottom edge
+    # Four 2x2 blocks touching only at corners: the BFS from two seeds
+    # cannot reach every block, so the Euclidean fallback labels the rest.
+    for i in range(4):
+        object_id[1 + 2 * i:3 + 2 * i, 1 + 2 * i:3 + 2 * i] = 3
+    object_id[1:4, 10:12] = 4  # two pieces with a gap: unreached pixels
+    object_id[6:8, 10:13] = 4
+    corners = object_id == 3
+    assert _label_components(corners)[1] == 4
+    for splits in (1, 2, 3, 5):
+        for seed in range(8):
+            expected = _reference_split_objects(object_id, splits,
+                                                np.random.default_rng(seed))
+            np.testing.assert_array_equal(
+                _split_objects(object_id, splits, np.random.default_rng(seed)),
+                expected)
+    # The first region keeps its one pixel as one fragment.
+    assert expected[0, 13] == 0 and (expected == 0).sum() == 1
+
+
+def test_split_objects_of_an_empty_view():
+    frags = _split_objects(np.zeros((5, 7), dtype=np.int32), 3, np.random.default_rng(0))
+    assert frags.shape == (5, 7) and (frags == -1).all()
+
+
+def test_geodesic_distance_cuts_corners_at_cost_two():
+    mask = np.array([[[1, 0], [0, 1]]], dtype=bool)
+    dist = _geodesic_distance(mask, np.array([[0]]))
+    np.testing.assert_array_equal(dist[0], [[0.0, np.inf], [np.inf, 2.0]])
+    # Two off-mask pixels in a row stop it.
+    dist = _geodesic_distance(np.array([[[1, 0, 0, 1]]], dtype=bool), np.array([[0]]))
+    np.testing.assert_array_equal(dist[0], [[0.0, np.inf, np.inf, np.inf]])
 
 
 def _assert_labels_like_scipy(mask):

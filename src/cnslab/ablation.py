@@ -30,11 +30,11 @@ from .errors import CnsError, ConfigError
 from .evaluation import confusion, coverage, csv_cell, label_error_rate, miou
 from .nncore import ModelConfig, config_hash
 from .pseudolabel import derive_clip_labels
-from .scenesynth import (PIXEL_DESC_DIM, POINT_DESC_DIM, ClipNoiseConfig,
-                         MaskFragConfig, Scene, SceneConfig, generate_scene,
-                         gt_pixel_stack, standard_oracle_outputs)
+from .scenesynth import (MAX_FEAT_SIGMA, PIXEL_DESC_DIM, POINT_DESC_DIM,
+                         ClipNoiseConfig, MaskFragConfig, Scene, SceneConfig,
+                         generate_scene, gt_pixel_stack, standard_oracle_outputs)
 from .seeding import SEED_BOUND
-from .training import TrainConfig, predictions, train
+from .training import TrainConfig, predictions, scene_descriptors, train
 
 logger = logging.getLogger(__name__)
 
@@ -70,8 +70,10 @@ class SuiteConfig:
         self.frag.validate()
         self.train.validate()
         self.model_config().validate()
-        if not self.feat_sigma >= 0:
-            raise ConfigError(f"feat_sigma must be >= 0, got {self.feat_sigma}")
+        if not 0 <= self.feat_sigma <= MAX_FEAT_SIGMA:
+            raise ConfigError(
+                f"feat_sigma must be >= 0 and <= {MAX_FEAT_SIGMA:g}, "
+                f"got {self.feat_sigma}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         for seed in self.seeds:
@@ -189,6 +191,8 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
         labels = derive_clip_labels(corr, oracles["scores"], oracles["masks"],
                                     len(scene.cloud), suite.train.refine3d_mode,
                                     suite.train.multiview)
+        # Built on the first trained row; no row changes descriptor_noise.
+        descriptors = None
         for row in suite.rows:
             entry = {"row": row, "seed": seed}
             try:
@@ -199,7 +203,11 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
                     pred_point = labels[f"point_{key}"]
                     hashed = (row, suite.clip_noise, suite.frag)
                 else:
-                    state = train(scene, oracles, cfg, suite.model_config())
+                    if descriptors is None:
+                        descriptors = scene_descriptors(
+                            scene, suite.train.descriptor_noise)
+                    state = train(scene, oracles, cfg, suite.model_config(),
+                                  descriptors)
                     pred_pixel, pred_point = predictions(state)
                     hashed = replace(cfg, seed=0)
                 scored = _score_label_row(scene, pred_pixel, pred_point,

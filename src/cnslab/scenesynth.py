@@ -15,11 +15,12 @@ replace the foundation models with controllable-noise stand-ins:
 labeler scores against.  Everything is a pure function of (config,
 seed), so downstream claims can be checked against known ground truth.
 
-The scene and the oracles need numpy alone; background masks come from
-a numpy 4-connected component labeller.  Only the network descriptors
-(``point_descriptors``, ``pixel_descriptors``) use scipy, imported where
-they are built, so that ``cnslab synth`` and ``cnslab refine`` start
-without it.
+Everything here needs numpy alone.  Background masks come from a numpy
+4-connected component labeller; the network descriptors
+(``point_descriptors``, ``pixel_descriptors``) take their neighbourhood
+statistics from an exact grid k-NN and a 3x3 box mean.  Each equals its
+scipy counterpart (``ndimage.label``, ``cKDTree.query``,
+``ndimage.uniform_filter``) to the bit, and the tests check it so.
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ _JITTER_CELL = 8
 # back to the corner, every face has zero area and sampling fails; at 1e6
 # float32 point positions still sit within 0.0625 of their draws.
 MAX_ROOM_SIZE = 1e6
+# Farthest camera_radius and |camera_height|: 100 sides of the largest room.
+# Past about 1e154 the camera's distance to the room centre overflows.
+MAX_CAMERA_DISTANCE = 100 * MAX_ROOM_SIZE
+# Largest CLIP margin.  Scores are float32, which overflow past 3.4e38, and
+# only their argmax is read, so no larger margin changes a label.
+MAX_CLIP_MARGIN = 1e6
+# Largest feat_sigma.  Past about 1e153 a noisy feature's norm overflows
+# and the unit features read 0; at 1e6 the noise swamps the unit anchors.
+MAX_FEAT_SIGMA = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +122,16 @@ class SceneConfig:
         if not self.placement_margin >= 0:
             raise ValidationError(
                 f"placement_margin must be >= 0, got {self.placement_margin}")
-        if self.camera_radius is not None and not 0 < self.camera_radius < np.inf:
+        if (self.camera_radius is not None
+                and not 0 < self.camera_radius <= MAX_CAMERA_DISTANCE):
             raise ValidationError(
-                f"camera_radius must be > 0 and finite, got {self.camera_radius}")
-        if self.camera_height is not None and not np.isfinite(self.camera_height):
+                f"camera_radius must be > 0 and <= {MAX_CAMERA_DISTANCE:g}, "
+                f"got {self.camera_radius}")
+        if (self.camera_height is not None
+                and not abs(self.camera_height) <= MAX_CAMERA_DISTANCE):
             raise ValidationError(
-                f"camera_height must be finite, got {self.camera_height}")
+                f"camera_height must be within +-{MAX_CAMERA_DISTANCE:g}, "
+                f"got {self.camera_height}")
 
 
 @dataclass(frozen=True)
@@ -133,8 +147,9 @@ class ClipNoiseConfig:
             raise ValidationError(f"eps must be in [0, 1], got {self.eps}")
         if self.block < 1:
             raise ValidationError(f"block must be >= 1, got {self.block}")
-        if not self.margin > 0:
-            raise ValidationError(f"margin must be > 0, got {self.margin}")
+        if not 0 < self.margin <= MAX_CLIP_MARGIN:
+            raise ValidationError(
+                f"margin must be > 0 and <= {MAX_CLIP_MARGIN:g}, got {self.margin}")
 
 
 @dataclass(frozen=True)
@@ -719,14 +734,172 @@ def point_appearance(scene: Scene, noise_sigma: float) -> np.ndarray:
     return app.astype(np.float32)
 
 
+# Query-candidate slots of one k-NN block: 256 KiB per float64 array.
+_KNN_BLOCK = 1 << 15
+
+
+def _concat_runs(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """``start[i] + arange(length[i])`` for every run i, concatenated."""
+    start, length = start.ravel(), length.ravel()
+    return (np.repeat(start - np.cumsum(length) + length, length)
+            + np.arange(length.sum()))
+
+
+def _cell_runs(cells: np.ndarray, dims: np.ndarray, key: np.ndarray,
+               reach: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Start and length in the sorted ``key`` of the points within `reach`
+    cells of each of `cells` (C, 3): one run per (x, y) column, (C, (2r+1)^2)."""
+    d = np.arange(-reach, reach + 1)
+    x = cells[:, 0, None, None] + d[:, None]
+    y = cells[:, 1, None, None] + d
+    column = ((x * dims[1] + y) * dims[2]).reshape(len(cells), -1)
+    z = cells[:, 2:]
+    start = np.searchsorted(key, column + np.maximum(z - reach, 0))
+    stop = np.searchsorted(key, column + np.minimum(z + reach, dims[2] - 1),
+                           side="right")
+    inside = ((x >= 0) & (x < dims[0]) & (y >= 0) & (y < dims[1]))
+    return start, np.where(inside.reshape(len(cells), -1), stop - start, 0)
+
+
+def _nearest_slots(coords: np.ndarray, index: np.ndarray, slots: np.ndarray,
+                   inv: np.ndarray, queries: np.ndarray, k: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """d^2 and indices (Q, k) of each query's k nearest candidates, ordered
+    by (d^2, index).
+
+    Row ``inv[i]`` of `slots` holds the sorted positions of query i's
+    candidates, padded with position n, whose coordinates are infinite.
+    """
+    d2 = 0.0
+    for axis in coords:  # (dx^2 + dy^2) + dz^2, as cKDTree sums
+        diff = axis[slots][inv] - axis[queries][:, None]
+        d2 = d2 + diff * diff
+    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    top = np.take_along_axis(d2, part, axis=1)
+    idx = index[slots[inv[:, None], part]]
+    # argpartition keeps any of the candidates tied at the k-th distance;
+    # such rows are ranked in full.
+    tie = (d2 <= top.max(axis=1, keepdims=True)).sum(axis=1) > k
+    if tie.any():
+        full = index[slots[inv[tie]]]
+        ranked = np.lexsort((full, d2[tie]), axis=1)[:, :k]
+        top[tie] = np.take_along_axis(d2[tie], ranked, axis=1)
+        idx[tie] = np.take_along_axis(full, ranked, axis=1)
+    ranked = np.lexsort((idx, top), axis=1)
+    return (np.take_along_axis(top, ranked, axis=1),
+            np.take_along_axis(idx, ranked, axis=1))
+
+
+def _nearest_neighbors(pos: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Distances and indices (N, min(k, N)) of each point's nearest points,
+    itself included.
+
+    Exact: for 1 < k <= N the arrays equal those of
+    ``scipy.spatial.cKDTree(pos).query(pos, k)``.  d^2 is summed as
+    (dx^2 + dy^2) + dz^2 in float64, cKDTree's order, so the square roots
+    agree to the bit.  Neighbours are ordered by (d^2, index); cKDTree
+    leaves the order among exact ties unspecified.
+
+    The points are sorted into cubic cells, z fastest, so the cells of one
+    (x, y) column within a z range are one run of the sorted array.  A
+    query first searches the cells within reach 1 of its own.  Its k
+    nearest are certain once the k-th distance is below the gap from the
+    query to the nearest cell not searched; else reach 2, then 3, and a
+    query still uncertain is compared with every point.
+    """
+    n = len(pos)
+    k = min(k, n)
+    lo = pos.min(axis=0)
+    ext = pos.max(axis=0) - lo
+    area = 2 * (ext[0] * ext[1] + ext[1] * ext[2] + ext[2] * ext[0])
+    # About k/2 points per cell face of a surface, or per cell edge of a line.
+    c = max(np.sqrt(area * k / (2 * n)), ext.max() * k / (2 * n))
+    c = c if c > 0 else 1.0  # coincident points
+    f = (pos - lo) / c
+    cell = f.astype(np.int64)
+    dims = cell.max(axis=0) + 1
+    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    order = np.argsort(key, kind="stable")
+    key, cell = key[order], cell[order]
+    frac = f[order] - cell
+    # Sorted coordinates by axis; slot n, at infinity, pads short rows.
+    coords = np.append(pos[order].T, np.full((3, 1), np.inf), axis=1)
+    index = np.append(order, n)
+    # Rounding moves a cell coordinate by far less than this many cells.
+    slack = 1e-9 * (1 + dims.max())
+    dist2 = np.empty((n, k))
+    nbr = np.empty((n, k), dtype=np.int64)
+    todo = np.arange(n)  # sorted positions of the queries left, ascending
+    for reach in (1, 2, 3, None):
+        if reach is None:
+            qcell = np.arange(len(todo))
+            start = np.zeros((len(todo), 1), dtype=np.int64)
+            length = np.full((len(todo), 1), n)
+            limit = np.full(len(todo), np.inf)
+        else:
+            new = np.r_[True, np.diff(key[todo]) != 0]
+            qcell = np.cumsum(new) - 1
+            start, length = _cell_runs(cell[todo[new]], dims, key, reach)
+            # No point lies past the grid's outer cells.
+            cq, fq = cell[todo], frac[todo]
+            below = np.where(cq > reach, fq + reach, np.inf)
+            above = np.where(cq + reach < dims - 1, 1 - fq + reach, np.inf)
+            gap = np.minimum(below, above).min(axis=1) - slack
+            limit = np.square(np.maximum(gap, 0) * c)
+        # Queries by width; a block is the next rows whose number times the
+        # last (widest) one's width fits _KNN_BLOCK, and at least one row.
+        width = np.maximum(length.sum(axis=1), k)[qcell]
+        by = np.argsort(width, kind="stable")
+        left = []
+        a = 0
+        while a < len(by):
+            w = width[by[a:a + _KNN_BLOCK // k]]
+            b = a + max(1, np.count_nonzero(np.arange(1, len(w) + 1) * w
+                                            <= _KNN_BLOCK))
+            rows, a = by[a:b], b
+            cells, inv = np.unique(qcell[rows], return_inverse=True)
+            count = length[cells].sum(axis=1)
+            slots = np.full((len(cells), width[rows[-1]]), n)
+            slots[np.repeat(np.arange(len(cells)), count),
+                  _concat_runs(np.zeros_like(count), count)] = \
+                _concat_runs(start[cells], length[cells])
+            q = todo[rows]
+            top, idx = _nearest_slots(coords, index, slots, inv, q, k)
+            sure = top[:, -1] < limit[rows]
+            left.append(q[~sure])
+            dest = order[q[sure]]
+            dist2[dest], nbr[dest] = top[sure], idx[sure]
+        todo = np.sort(np.concatenate(left))
+        if not len(todo):
+            break
+    return np.sqrt(dist2), nbr
+
+
+def _box_mean3(x: np.ndarray) -> np.ndarray:
+    """Mean of each 3x3 window over the first two axes, edges repeated.
+
+    Bit-identical to ``scipy.ndimage.uniform_filter(x, size=(3, 3, 1),
+    mode="nearest")`` on float64, whose arithmetic it replays: along axis
+    0, then axis 1, a running sum seeded with ((0 + x[0]) + x[0]) + x[1]
+    and moved by ``x[i + 1] - x[i - 2]`` (indices clamped), each output
+    the sum / 3.
+    """
+    for axis in (0, 1):
+        x = np.moveaxis(x, axis, 0)
+        n = len(x)
+        i = np.arange(n)
+        steps = x[np.minimum(i + 1, n - 1)] - x[np.maximum(i - 2, 0)]
+        steps[0] = ((0.0 + x[0]) + x[0]) + x[min(1, n - 1)]
+        x = np.moveaxis(np.cumsum(steps, axis=0) / 3, 0, axis)
+    return x
+
+
 def point_descriptors(scene: Scene, noise_sigma: float = DESCRIPTOR_NOISE) -> np.ndarray:
     """3D network inputs: coordinates, appearance, neighborhood statistics."""
     pos = scene.cloud.positions.astype(np.float64)
     app = point_appearance(scene, noise_sigma).astype(np.float64)
-    k = min(9, len(pos))
-    from scipy.spatial import cKDTree  # local: synth and refine start without scipy
-    dist, idx = cKDTree(pos).query(pos, k=k)
-    if k > 1:
+    dist, idx = _nearest_neighbors(pos, 9)
+    if idx.shape[1] > 1:
         mean_dist = dist[:, 1:].mean(axis=1, keepdims=True) / scene.room_size
         neighbor_app = app[idx[:, 1:]].mean(axis=1)
     else:
@@ -751,8 +924,7 @@ def pixel_descriptors(scene: Scene, camera_index: int,
     empty_noise = rng.standard_normal((h, w, APPEARANCE_DIM))
     empty_app = palette[BACKGROUND_INSTANCE][None, None, :] + noise_sigma * empty_noise
     app[~visible] = empty_app[~visible]
-    from scipy import ndimage  # local: synth and refine start without scipy
-    local = ndimage.uniform_filter(app, size=(3, 3, 1), mode="nearest")
+    local = _box_mean3(app)
     yy, xx = np.mgrid[0:h, 0:w]
     u_norm = xx / max(w - 1, 1)
     v_norm = yy / max(h - 1, 1)

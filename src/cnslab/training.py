@@ -139,15 +139,24 @@ def scene_descriptors(scene: Scene,
 
 
 def init_state(scene: Scene, oracles: dict, config: TrainConfig,
-               model_config: Optional[ModelConfig] = None) -> TrainState:
-    """Precompute descriptors, oracle labels, and unit anchors; build the model."""
+               model_config: Optional[ModelConfig] = None,
+               descriptors: Optional[Tuple[np.ndarray, np.ndarray]] = None
+               ) -> TrainState:
+    """Precompute descriptors, oracle labels, and unit anchors; build the model.
+
+    `descriptors` may carry the scene_descriptors(scene,
+    config.descriptor_noise) pair built by the caller, so that runs on one
+    scene share it.
+    """
     config.validate()
     corr = scene.correspondences()
     if corr.count == 0:
         raise ValidationError("scene has no pixel-point correspondences to train on")
     num_points = len(scene.cloud)
 
-    desc2d, desc3d = scene_descriptors(scene, config.descriptor_noise)
+    if descriptors is None:
+        descriptors = scene_descriptors(scene, config.descriptor_noise)
+    desc2d, desc3d = descriptors
     entries = (corr.camera_index, corr.v, corr.u)
     anchors = np.stack([fm.features for fm in oracles["features"]])[entries]
     masks = oracles["masks"]
@@ -391,9 +400,11 @@ def run_stage2(state: TrainState) -> TrainState:
 
 
 def train(scene: Scene, oracles: dict, config: TrainConfig,
-          model_config: Optional[ModelConfig] = None) -> TrainState:
+          model_config: Optional[ModelConfig] = None,
+          descriptors: Optional[Tuple[np.ndarray, np.ndarray]] = None
+          ) -> TrainState:
     """Run both stages seamlessly and return the final state."""
-    state = init_state(scene, oracles, config, model_config)
+    state = init_state(scene, oracles, config, model_config, descriptors)
     run_stage1(state)
     run_stage2(state)
     return state

@@ -6,12 +6,14 @@ determinism, error capture, and the pre-generated-scene path.
 """
 
 import dataclasses
+import hashlib
 import typing
 import warnings
 
 import numpy as np
 import pytest
 
+from cnslab import ablation
 from cnslab.ablation import (ROW_ORDER, SuiteConfig, row_train_config,
                              run_ablation, sanity_suite, standard_suite,
                              write_report_csv, write_report_text)
@@ -20,7 +22,7 @@ from cnslab.nncore import ModelConfig
 from cnslab.scenesynth import (PIXEL_DESC_DIM, POINT_DESC_DIM, ClipNoiseConfig,
                                MaskFragConfig, SceneConfig, generate_scene,
                                standard_oracle_outputs)
-from cnslab.training import TrainConfig
+from cnslab.training import TrainConfig, scene_descriptors, train
 
 TINY_SCENE = SceneConfig(object_count=4, points_per_object=120,
                          background_points=500, num_classes=5, camera_count=3,
@@ -215,3 +217,55 @@ def test_median_over_seeds():
     report = run_ablation(suite)
     vals = [e["miou3d"] for e in report.rows]
     assert report.medians["baseline"]["miou3d"] == pytest.approx(np.median(vals))
+
+
+# ---------------------------------------------------------------------------
+# descriptors shared by the trained rows of a seed
+
+# report.csv of shared_suite(), recorded when every trained row built its
+# own descriptors.
+SHARED_REPORT_SHA256 = \
+    "3a01113652f4f5852b25c6841ad0cf5c050e2b66ef702a479ceed0496167e33f"
+
+
+def shared_suite(**overrides):
+    return tiny_suite(**{"rows": ("baseline", "wo_refine", "wo_clip", "full"),
+                         "seeds": (0, 1),
+                         "train": TrainConfig(stage1_epochs=2, total_epochs=6,
+                                              lr=0.3), **overrides})
+
+
+@pytest.fixture()
+def descriptor_builds(monkeypatch):
+    builds = []
+
+    def counting(scene, noise):
+        builds.append(scene.seed)
+        return scene_descriptors(scene, noise)
+
+    monkeypatch.setattr(ablation, "scene_descriptors", counting)
+    return builds
+
+
+def test_trained_rows_share_one_descriptor_build_per_seed(descriptor_builds,
+                                                          tmp_path):
+    report = run_ablation(shared_suite())
+    assert descriptor_builds == [0, 1]
+    assert not any("error" in entry for entry in report.rows)
+    write_report_csv(report, tmp_path / "report.csv")
+    digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+    assert digest == SHARED_REPORT_SHA256
+
+
+def test_label_only_rows_build_no_descriptors(descriptor_builds):
+    run_ablation(shared_suite(rows=("baseline", "wo_cns")))
+    assert descriptor_builds == []
+
+
+def test_shared_descriptors_train_the_same_parameters(small_scene, small_oracles):
+    config = TrainConfig(stage1_epochs=1, total_epochs=3)
+    own = train(small_scene, small_oracles, config)
+    descriptors = scene_descriptors(small_scene, config.descriptor_noise)
+    shared = train(small_scene, small_oracles, config, descriptors=descriptors)
+    assert own.bundle.params.tobytes() == shared.bundle.params.tobytes()
+    assert own.history == shared.history

@@ -1,0 +1,44 @@
+"""Tests for scripts/bench_record.py, on canned benchmark output."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+_SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
+
+PROVENANCE = {"git_sha": "abc123", "python": "3.11.7", "seed": 1,
+              "src_cnslab_lines": 3700}
+FINGERPRINTS = {"train1": {"eval.csv": "9f2c"}}
+FINAL = {"correct": True, "attempted": 12, "failed": 0,
+         "metrics": {"wall_s": {"value": 1.93, "unit": "s"},
+                     "peak_rss_mb": {"value": 57.2, "unit": "MB"},
+                     "ok_frac": {"value": 1.0, "unit": "1"}}}
+CANNED = "\n".join([
+    "perfbench provenance: " + json.dumps(PROVENANCE),
+    "perfbench fingerprints: " + json.dumps(FINGERPRINTS),
+    'perfbench samples: {"setup_s": [0.4], "untraced": [1.9], "traced": []}',
+    "perfbench failures: []",
+    json.dumps(FINAL),
+]) + "\n"
+
+
+def test_assemble_reads_metrics_provenance_and_fingerprints():
+    assert bench_record.assemble(CANNED) == {
+        "correct": True, "attempted": 12, "failed": 0,
+        "metrics": {"wall_s": 1.93, "peak_rss_mb": 57.2, "ok_frac": 1.0},
+        "provenance": PROVENANCE, "fingerprints": FINGERPRINTS}
+
+
+def test_assemble_rejects_output_without_provenance():
+    lines = CANNED.splitlines()
+    with pytest.raises(ValueError, match="provenance"):
+        bench_record.assemble("\n".join(lines[1:]))
+
+
+def test_held_out_seed_is_never_recorded():
+    assert 7919 not in bench_record.SEEDS

@@ -110,7 +110,7 @@ def test_ablation_trains_at_the_configured_temperature(monkeypatch, small_scene,
                                                       small_oracles):
     seen = []
 
-    def fake_train(scene, oracles, config, model_config):
+    def fake_train(scene, oracles, config, model_config, descriptors):
         seen.append(model_config)
         raise ValidationError("stop after recording the model config")
 
@@ -221,6 +221,28 @@ def test_non_finite_float_is_rejected(tmp_path, capsys, key, text):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text", ["0", "-1", "1e300"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_edge_float_ends_in_an_exit_code(tmp_path, key, text):
+    value = ",".join([text] * 4) if key.startswith("switch_probs") else text
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["synth", "--out", str(tmp_path / "x"), f"--{key}", value])
+    assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("key", ["camera_radius", "camera_height", "margin",
+                                 "feat_sigma"])
+def test_float_too_large_for_its_arithmetic_is_rejected(tmp_path, capsys, key):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["synth", "--out", str(tmp_path / "x"), f"--{key}", "1e300"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
     assert not (tmp_path / "x").exists()
 
 
@@ -591,15 +613,22 @@ def test_noise_sweep_script(tmp_path):
     assert pixel_refined <= pixel_raw and point_refined <= point_raw
 
 
-def test_synth_refine_and_help_never_import_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     # A fresh interpreter: this one has imported scipy already.
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
     script = textwrap.dedent("""
         import sys
         import cnslab, cnslab.cli
-        out = sys.argv[1]
-        assert cnslab.cli.main(["synth", "--out", out + "/synth"]) == 0
-        assert cnslab.cli.main(["refine", out + "/synth/bundle",
-                                "--out", out + "/refine"]) == 0
+        out, cfg = sys.argv[1], ["--config", sys.argv[2]]
+        bundle = out + "/synth/bundle"
+        for argv in (["synth", "--out", out + "/synth"],
+                     ["refine", bundle, "--out", out + "/refine"],
+                     ["train", bundle, "--out", out + "/train"],
+                     ["eval", bundle, out + "/train/checkpoint.ckpt",
+                      "--out", out + "/eval"],
+                     ["ablate", "--out", out + "/ablate"],
+                     ["gradcheck"]):
+            assert cnslab.cli.main(argv + cfg) == 0, argv
         try:
             cnslab.cli.main(["--help"])
         except SystemExit:
@@ -609,7 +638,7 @@ def test_synth_refine_and_help_never_import_scipy(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, CNS_LOG="WARNING",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"

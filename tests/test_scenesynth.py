@@ -5,16 +5,20 @@ Expected values are either derived in the test by an independent method
 from the documented contract of the function under test.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from cnslab.errors import PlacementError, ValidationError
 from cnslab.geometry import CameraModel, PointCloud, look_at, project_point
 from cnslab.scenesynth import (APPEARANCE_DIM, BACKGROUND_CLASS,
-                               BACKGROUND_INSTANCE, PIXEL_DESC_DIM,
+                               BACKGROUND_INSTANCE, MAX_ROOM_SIZE,
+                               PIXEL_DESC_DIM,
                                POINT_DESC_DIM, ClipNoiseConfig, MaskFragConfig,
                                MaskMap, Scene, SceneConfig, generate_scene,
                                instance_anchors, instance_palette, mask_purity,
@@ -22,9 +26,9 @@ from cnslab.scenesynth import (APPEARANCE_DIM, BACKGROUND_CLASS,
                                mock_sam_masks, mock_text_embeddings,
                                pixel_descriptors, point_descriptors,
                                render_view, standard_oracle_outputs,
-                               _geodesic_distance, _JITTER_CELL,
-                               _label_components, _split_objects,
-                               _upsample_blocks)
+                               _box_mean3, _geodesic_distance, _JITTER_CELL,
+                               _label_components, _nearest_neighbors,
+                               _split_objects, _upsample_blocks)
 from cnslab.seeding import TAG_MASKS, derive_rng
 
 from conftest import SMALL_SCENE
@@ -659,6 +663,118 @@ def test_pixel_descriptors_shape_and_position(small_scene):
     assert desc[0, 0, 1] == 0.0 and desc[h - 1, 0, 1] == 1.0
     again = pixel_descriptors(small_scene, 0, noise_sigma=0.02)
     assert np.array_equal(desc, again)
+
+
+# sha256 of the default scene's float32 descriptors (point, then the stacked
+# views), recorded when scipy's cKDTree and uniform_filter built them.
+DESCRIPTOR_SHA256 = {
+    0: ("b2129c96d9fa41310adfb480aa01f5e345baa0f999727b3b81d99caa18e00c31",
+        "4547c33f84e80ba155d453f66e99176327c10c73f3870e41238bd9dcb650fb11"),
+    1: ("6b3d34329be043286bd532633052980f60887749cfd8a59e78578797a73e79dd",
+        "e1f87ecb5e9b9e9e8eb217e8a63742f188ebc1291f5404f940a878e0a9ab062a"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DESCRIPTOR_SHA256))
+def test_descriptor_bytes_are_pinned(seed):
+    scene = generate_scene(SceneConfig(), seed)
+    point = point_descriptors(scene)
+    pixel = np.stack([pixel_descriptors(scene, k) for k in range(len(scene.cameras))])
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (point, pixel))
+    assert digests == DESCRIPTOR_SHA256[seed]
+
+
+def _knn_by_index_ties(pos, k):
+    """Brute-force k nearest, summed as cKDTree sums, ties by index."""
+    diff = pos[:, None, :] - pos[None, :, :]
+    sq = diff * diff
+    d2 = (sq[..., 0] + sq[..., 1]) + sq[..., 2]
+    index = np.broadcast_to(np.arange(len(pos)), d2.shape)
+    nearest = np.lexsort((index, d2), axis=1)[:, :min(k, len(pos))]
+    return np.sqrt(np.take_along_axis(d2, nearest, axis=1)), nearest
+
+
+def _ckdtree_knn(pos, k):
+    # A list of ranks keeps the (N, k) shape when k is 1.
+    return cKDTree(pos).query(pos, k=list(range(1, min(k, len(pos)) + 1)))
+
+
+KNN_SCENES = ([(SceneConfig(), seed) for seed in range(10)]
+              + [(cfg, seed) for cfg in (
+                  SceneConfig(object_count=30, room_size=14),
+                  SceneConfig(points_per_object=50, background_points=30),
+                  SceneConfig(room_size=3, object_count=2),
+                  SceneConfig(object_count=1, points_per_object=4,
+                              background_points=4))
+                 for seed in range(3)])
+
+
+@pytest.mark.parametrize("cfg, seed", KNN_SCENES)
+def test_nearest_neighbors_equal_ckdtree_on_scenes(cfg, seed):
+    pos = generate_scene(cfg, seed).cloud.positions.astype(np.float64)
+    dist, idx = _nearest_neighbors(pos, 9)
+    want_dist, want_idx = _ckdtree_knn(pos, 9)
+    assert dist.shape == want_dist.shape == (len(pos), min(9, len(pos)))
+    assert dist.tobytes() == want_dist.tobytes()
+    assert np.array_equal(idx, want_idx)
+
+
+def _knn_edge_cases():
+    rng = np.random.default_rng(7)
+    plane = rng.random((400, 3))
+    plane[:, 2] = 0.5
+    line = np.zeros((300, 3))
+    line[:, 0] = rng.random(300)
+    far = (MAX_ROOM_SIZE - 8 * rng.random((500, 3))).astype(np.float32)
+    return {
+        "single point": np.full((1, 3), 2.5),
+        "k above n": rng.random((5, 3)),
+        "coincident": np.full((20, 3), 3.0),
+        "coplanar": plane,
+        "collinear": line,
+        "duplicated": np.repeat(rng.random((100, 3)), 3, axis=0),
+        "lattice": rng.integers(0, 4, (300, 3)).astype(np.float64),
+        "near max room": far.astype(np.float64),
+        "across max room": MAX_ROOM_SIZE * rng.random((500, 3)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_knn_edge_cases()))
+def test_nearest_neighbors_edge_cases(name):
+    pos = _knn_edge_cases()[name]
+    dist, idx = _nearest_neighbors(pos, 9)
+    # Distances equal cKDTree's to the bit; its order among exact ties is
+    # unspecified, so neighbours are checked against the (d^2, index) rule.
+    assert dist.tobytes() == _ckdtree_knn(pos, 9)[0].tobytes()
+    want_dist, want_idx = _knn_by_index_ties(pos, 9)
+    assert dist.tobytes() == want_dist.tobytes()
+    assert np.array_equal(idx, want_idx)
+
+
+def _uniform_filter(x):
+    return ndimage.uniform_filter(x, size=(3, 3, 1), mode="nearest")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 17), (17, 1), (2, 2),
+                                   (2, 3), (3, 64), (64, 64)])
+def test_box_mean_equals_uniform_filter_on_edge_shapes(shape):
+    x = np.random.default_rng(3).random((*shape, APPEARANCE_DIM))
+    assert _box_mean3(x).tobytes() == _uniform_filter(x).tobytes()
+
+
+def test_box_mean_equals_uniform_filter_on_random_arrays():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        h, w = rng.integers(1, 70, size=2)
+        scale = rng.choice([1e-3, 1.0, 100.0])
+        x = scale * rng.standard_normal((h, w, APPEARANCE_DIM))
+        assert _box_mean3(x).tobytes() == _uniform_filter(x).tobytes()
+
+
+def test_box_mean_keeps_uniform_filter_signed_zeros():
+    x = np.full((4, 5, 2), -0.0)
+    x[1, 2, 1] = 0.0
+    assert _box_mean3(x).tobytes() == _uniform_filter(x).tobytes()
 
 
 def test_standard_oracle_outputs_structure(small_scene, small_oracles):

@@ -4,12 +4,12 @@ Each of the two workloads runs once per seed through
 ``perfbench/run.py --trace 0``.  The record keeps, per workload and seed,
 what the run's own output states: the end-to-end metrics of its final
 JSON line, its provenance and its fingerprints; and once, the line count
-of ``src/cnslab``.  The held-out seed 7919 is never run: it is kept for
-confirming a claim.
+of ``src/cnslab``.  Every run lasts ``run_seconds`` of BENCHMARK.json, so
+records stay comparable.  The held-out seed 7919 is never run: it is kept
+for confirming a claim.
 
 Usage, from anywhere:
     python3 scripts/bench_record.py --out BENCH_13.json
-    python3 scripts/bench_record.py --out BENCH_13.json --seconds 20
 """
 
 import argparse
@@ -27,8 +27,6 @@ def parse_args():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True,
                         help="where to write the JSON record")
-    parser.add_argument("--seconds", type=float, default=50.0,
-                        help="time budget of each run (default: 50, as BENCHMARK.json)")
     return parser.parse_args()
 
 
@@ -58,14 +56,20 @@ def source_lines() -> int:
                for path in sorted((ROOT / "src" / "cnslab").glob("*.py")))
 
 
+def run_seconds() -> float:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return float(benchmark["run_seconds"])
+
+
 def main():
     args = parse_args()
-    record = {"seconds": args.seconds, "src_cnslab_lines": source_lines(),
+    seconds = run_seconds()
+    record = {"seconds": seconds, "src_cnslab_lines": source_lines(),
               "workloads": {}}
     for workload in WORKLOADS:
         for seed in SEEDS:
             cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-                   "--seed", str(seed), "--seconds", str(args.seconds),
+                   "--seed", str(seed), "--seconds", str(seconds),
                    "--trace", "0"]
             done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
             if done.returncode != 0:

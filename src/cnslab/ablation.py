@@ -191,8 +191,8 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
         labels = derive_clip_labels(corr, oracles["scores"], oracles["masks"],
                                     len(scene.cloud), suite.train.refine3d_mode,
                                     suite.train.multiview)
-        # Built on the first trained row; no row changes descriptor_noise.
-        descriptors = None
+        # Built once per descriptor_noise a trained row of this seed asks for.
+        descriptors: Dict[float, tuple] = {}
         for row in suite.rows:
             entry = {"row": row, "seed": seed}
             try:
@@ -203,11 +203,11 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
                     pred_point = labels[f"point_{key}"]
                     hashed = (row, suite.clip_noise, suite.frag)
                 else:
-                    if descriptors is None:
-                        descriptors = scene_descriptors(
-                            scene, suite.train.descriptor_noise)
+                    noise = cfg.descriptor_noise
+                    if noise not in descriptors:
+                        descriptors[noise] = scene_descriptors(scene, noise)
                     state = train(scene, oracles, cfg, suite.model_config(),
-                                  descriptors)
+                                  descriptors[noise])
                     pred_pixel, pred_point = predictions(state)
                     hashed = replace(cfg, seed=0)
                 scored = _score_label_row(scene, pred_pixel, pred_point,

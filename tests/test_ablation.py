@@ -262,6 +262,36 @@ def test_label_only_rows_build_no_descriptors(descriptor_builds):
     assert descriptor_builds == []
 
 
+def test_a_row_with_its_own_descriptor_noise_trains_on_its_own_descriptors(
+        monkeypatch):
+    suite = shared_suite(seeds=(0,))
+    own_noise = suite.train.descriptor_noise + 0.01
+    built = {}
+
+    def building(scene, noise):
+        built[noise] = scene_descriptors(scene, noise)
+        return built[noise]
+
+    def row_config(row, base):
+        cfg = row_train_config(row, base)
+        if row == "full":
+            cfg = dataclasses.replace(cfg, descriptor_noise=own_noise)
+        return cfg
+
+    trained_on = []
+
+    def recording(scene, oracles, cfg, model_config, descriptors):
+        trained_on.append(descriptors is built[cfg.descriptor_noise])
+        return train(scene, oracles, cfg, model_config, descriptors)
+
+    monkeypatch.setattr(ablation, "scene_descriptors", building)
+    monkeypatch.setattr(ablation, "row_train_config", row_config)
+    monkeypatch.setattr(ablation, "train", recording)
+    run_ablation(suite)
+    assert sorted(built) == [suite.train.descriptor_noise, own_noise]
+    assert trained_on == [True, True, True]
+
+
 def test_shared_descriptors_train_the_same_parameters(small_scene, small_oracles):
     config = TrainConfig(stage1_epochs=1, total_epochs=3)
     own = train(small_scene, small_oracles, config)

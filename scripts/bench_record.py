@@ -4,16 +4,19 @@ Each of the two workloads runs once per seed through
 ``perfbench/run.py --trace 0``.  The record keeps, per workload and seed,
 what the run's own output states: the end-to-end metrics of its final
 JSON line, its provenance and its fingerprints; and once, the line count
-of ``src/cnslab``.  Every run lasts ``run_seconds`` of BENCHMARK.json, so
-records stay comparable.  The held-out seed 7919 is never run: it is kept
+of ``src/cnslab`` and the passed and failed counts and seconds of one
+Tier-1 run, as pytest prints them.  Every run lasts ``run_seconds`` of
+BENCHMARK.json, so records stay comparable.  The held-out seed 7919 is never run: it is kept
 for confirming a claim.
 
 Usage, from anywhere:
-    python3 scripts/bench_record.py --out BENCH_13.json
+    python3 scripts/bench_record.py --out BENCH_14.json
 """
 
 import argparse
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("train_default", "ablate_standard")
 SEEDS = (0, 1, 2)
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def parse_args():
@@ -51,6 +55,28 @@ def assemble(stdout: str) -> dict:
             "fingerprints": tagged["fingerprints"]}
 
 
+def tier1_summary(stdout: str) -> dict:
+    """Passed and failed counts and seconds of pytest's summary line."""
+    lines = [line for line in stdout.splitlines()
+             if re.search(r" in [0-9.]+s\b", line)]
+    if not lines:
+        raise ValueError("pytest output has no summary line")
+    summary = lines[-1]
+    counts = {word: int(n)
+              for n, word in re.findall(r"(\d+) (passed|failed)", summary)}
+    return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "seconds": float(re.search(r" in ([0-9.]+)s", summary).group(1))}
+
+
+def run_tier1() -> dict:
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    return tier1_summary(done.stdout)
+
+
 def source_lines() -> int:
     return sum(len(path.read_text().splitlines())
                for path in sorted((ROOT / "src" / "cnslab").glob("*.py")))
@@ -65,7 +91,8 @@ def main():
     args = parse_args()
     seconds = run_seconds()
     record = {"seconds": seconds, "src_cnslab_lines": source_lines(),
-              "workloads": {}}
+              "tier1": run_tier1(), "workloads": {}}
+    print(f"tier1: {record['tier1']}", file=sys.stderr)
     for workload in WORKLOADS:
         for seed in SEEDS:
             cmd = [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -8,8 +8,7 @@ root seed.
 """
 
 from .ablation import (ROW_ORDER, AblationReport, SuiteConfig, row_train_config,
-                       run_ablation, sanity_suite, standard_suite,
-                       write_report_csv, write_report_text)
+                       run_ablation, write_report_csv, write_report_text)
 from .bundle import (FORMAT_VERSION, read_bundle, read_manifest, read_raster,
                      write_bundle, write_raster)
 from .errors import (BundleFormatError, CnsError, ConfigError, NumericalError,
@@ -55,8 +54,8 @@ __all__ = [
     "project_points", "read_bundle", "read_manifest", "read_raster",
     "refine_by_masks", "refine_points_by_view_masks",
     "reproject_refine_points", "render_view", "row_train_config",
-    "run_ablation", "sanity_suite", "save_checkpoint", "sgd_step",
-    "standard_oracle_outputs", "standard_suite", "step", "train",
+    "run_ablation", "save_checkpoint", "sgd_step",
+    "standard_oracle_outputs", "step", "train",
     "transfer_labels", "transfer_masks", "write_bundle",
     "write_metrics_csv", "write_raster", "write_report_csv",
     "write_report_text",

@@ -91,32 +91,6 @@ class SuiteConfig:
                            sam_dim=self.feat_dim, temperature=self.temperature)
 
 
-def standard_suite(**overrides) -> SuiteConfig:
-    """The default noisy campaign (eps=0.4, block=4, splits=3, jitter=1).
-
-    The campaign warms up for a single epoch before co-training so that
-    stage-2 label-source dynamics — not the warm-up — decide where each
-    configuration lands.  A long warm-up would let the self-training-only
-    row coast on near-converged predictions and mask the co-corruption
-    failure mode this suite is built to expose.
-    """
-    cfg = SuiteConfig(train=TrainConfig(stage1_epochs=1))
-    return replace(cfg, **overrides)
-
-
-def sanity_suite(**overrides) -> SuiteConfig:
-    """Noiseless degenerate campaign: eps=0 and exact mask boundaries.
-
-    With perfect labels there is nothing for stage 2 to repair, so every
-    row should land within one mIoU point of every other.  The default
-    ten-epoch warm-up applies.
-    """
-    cfg = SuiteConfig(clip_noise=ClipNoiseConfig(eps=0.0, block=4),
-                      frag=MaskFragConfig(splits_per_object=3,
-                                          boundary_jitter_px=0))
-    return replace(cfg, **overrides)
-
-
 def row_train_config(row: str, base: TrainConfig) -> Optional[TrainConfig]:
     """Training configuration of a row; None for the untrained rows."""
     if row in ("baseline", "wo_cns"):
@@ -153,11 +127,10 @@ def _score_label_row(scene: Scene, pred_pixel: np.ndarray, pred_point: np.ndarra
                      gt_pixel: np.ndarray, gt_point: np.ndarray) -> dict:
     """Scores of one row's (V, H, W) pixel and (N,) point predictions."""
     num_classes = scene.num_classes
-    per2, miou2 = miou(confusion(pred_pixel, gt_pixel, num_classes))
-    per3, miou3 = miou(confusion(pred_point, gt_point, num_classes))
+    _, miou2 = miou(confusion(pred_pixel, gt_pixel, num_classes))
+    _, miou3 = miou(confusion(pred_point, gt_point, num_classes))
     return {
         "miou2d": miou2, "miou3d": miou3,
-        "per_class2d": per2, "per_class3d": per3,
         "err2d": label_error_rate(pred_pixel, gt_pixel),
         "err3d": label_error_rate(pred_point, gt_point),
         "coverage3d": coverage(pred_point),

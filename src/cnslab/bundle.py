@@ -39,11 +39,13 @@ _PTS_MAGIC = "CNSPTS v1"
 _RAS_MAGIC = "CNSRAS v1"
 _DTYPES = {"<f4": np.dtype("<f4"), "<i4": np.dtype("<i4")}
 
+# The oracle parameters a manifest records, from oracles["meta"].
+_ORACLE_KEYS = ("clip_eps", "clip_block", "clip_margin", "frag_splits",
+                "frag_jitter", "feat_dim", "feat_sigma", "embed_dim",
+                "oracle_seed")
 _MANIFEST_ORDER = (
     "format", "num_points", "num_views", "num_classes", "object_count",
-    "seed", "room_size", "config_hash",
-    "clip_eps", "clip_block", "clip_margin", "frag_splits", "frag_jitter",
-    "feat_dim", "feat_sigma", "embed_dim", "oracle_seed", "has_labels",
+    "seed", "room_size", "config_hash", *_ORACLE_KEYS, "has_labels",
 )
 
 
@@ -111,9 +113,7 @@ def write_bundle(scene: Scene, oracles: dict, path,
         "room_size": scene.room_size,
         "has_labels": int(labels is not None),
     }
-    for key in ("clip_eps", "clip_block", "clip_margin", "frag_splits",
-                "frag_jitter", "feat_dim", "feat_sigma", "embed_dim",
-                "oracle_seed"):
+    for key in _ORACLE_KEYS:
         manifest[key] = meta.get(key, "")
     manifest["config_hash"] = config_hash(
         tuple(sorted((k, format_value(v)) for k, v in manifest.items())))
@@ -358,10 +358,8 @@ def read_bundle(path) -> Tuple[Scene, dict, Dict[str, str]]:
     scene.validate()
 
     oracles = {"scores": scores, "masks": masks, "features": feats,
-               "meta": {key: manifest[key] for key in
-                        ("clip_eps", "clip_block", "clip_margin", "frag_splits",
-                         "frag_jitter", "feat_dim", "feat_sigma", "embed_dim",
-                         "oracle_seed") if key in manifest}}
+               "meta": {key: manifest[key] for key in _ORACLE_KEYS
+                        if key in manifest}}
     if manifest.get("embed_dim") and manifest.get("oracle_seed"):
         oracles["embeddings"] = mock_text_embeddings(
             num_classes, man_value("embed_dim"), man_value("oracle_seed"))

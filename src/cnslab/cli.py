@@ -34,7 +34,7 @@ import numpy as np
 
 from . import ablation, bundle, evaluation, nncore, pseudolabel, scenesynth, training
 from .errors import ConfigError, NumericalError, ValidationError
-from .evaluation import format_value, parse_value
+from .evaluation import csv_cell, format_value, parse_value
 from .seeding import TAG_GRADCHECK, derive_rng
 
 logger = logging.getLogger("cnslab")
@@ -232,7 +232,7 @@ def cmd_refine(cfg: RunConfig, bundle_dir: str, out_dir: str) -> int:
                         derived["point_refined"].reshape(-1, 1), "<i4")
 
     lines = ["scope,raw_error,refined_error,mask_purity"]
-    lines += [",".join([scope, *(evaluation.csv_cell(v) for v in values)])
+    lines += [",".join([scope, *(csv_cell(v) for v in values)])
               for scope, *values in rows]
     (out / "refine.csv").write_text("\n".join(lines) + "\n")
     for scope, raw_err, ref_err, purity in rows:
@@ -241,24 +241,12 @@ def cmd_refine(cfg: RunConfig, bundle_dir: str, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _check_bundle_dims(cfg: RunConfig, oracles: dict):
-    embed_dim = oracles["embeddings"].shape[1]
-    feat_dim = oracles["features"][0].features.shape[2]
-    if embed_dim != cfg["embed_dim"]:
-        raise ConfigError(f"bundle class embeddings have dim {embed_dim} but "
-                          f"config says embed_dim={cfg['embed_dim']}")
-    if feat_dim != cfg["feat_dim"]:
-        raise ConfigError(f"bundle features have dim {feat_dim} but config "
-                          f"says feat_dim={cfg['feat_dim']}")
-
-
 def cmd_train(cfg: RunConfig, bundle_dir: str, out_dir: str) -> int:
     """Train both networks on a bundle; write checkpoint and metrics."""
     out = _prepare_out(cfg, out_dir)
     scene, oracles, _ = _load_bundle(bundle_dir)
     if "embeddings" not in oracles:
         raise ValidationError("bundle lacks embedding metadata; cannot train")
-    _check_bundle_dims(cfg, oracles)
     suite = cfg.suite_config()
     tconf = suite.train
     state = training.train(scene, oracles, tconf, suite.model_config())
@@ -301,7 +289,7 @@ def cmd_eval(cfg: RunConfig, bundle_dir: str, checkpoint: str,
     miou2d = _miou_value(pred2d, scenesynth.gt_pixel_stack(scene), scene.num_classes)
     miou3d = _miou_value(pred3d, scene.cloud.gt_labels, scene.num_classes)
     (out / "eval.csv").write_text(
-        f"domain,miou\npixels,{miou2d!r}\npoints,{miou3d!r}\n")
+        f"domain,miou\npixels,{csv_cell(miou2d)}\npoints,{csv_cell(miou3d)}\n")
     print(f"miou2d={miou2d!r} miou3d={miou3d!r}")
     return EXIT_OK
 
@@ -392,8 +380,16 @@ def cmd_gradcheck(cfg: RunConfig, out_dir: Optional[str] = None) -> int:
 # argument parsing and dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1 through main, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cnslab",
         description="Cross-modality noisy-supervision lab: synthetic scenes, "
                     "label refinement, co-training, evaluation.")

@@ -376,6 +376,10 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
 
     scene = Scene(cloud, cameras, cfg.num_classes, cfg.object_count, int(seed),
                   cfg.room_size)
+    blind = scene.blind_camera()
+    if blind is not None:
+        raise ValidationError(f"camera {blind} sees no point; check focal, "
+                              f"camera_radius and camera_height")
     scene.validate()
     return scene
 

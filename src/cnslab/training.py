@@ -124,11 +124,6 @@ class TrainState:
     source_draws: np.ndarray = field(
         default_factory=lambda: np.zeros(2, dtype=np.int64))
 
-    def source_frequencies(self) -> np.ndarray:
-        """Empirical (network, source) draw frequencies."""
-        totals = np.maximum(self.source_draws, 1).astype(np.float64)
-        return self.source_counts / totals[:, None]
-
 
 def scene_descriptors(scene: Scene,
                       noise: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -176,8 +171,8 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
         raise ValidationError("model input dims do not match descriptor dims")
     if model_config.sam_dim != anchors.shape[-1]:
         raise ValidationError(
-            f"model sam_dim {model_config.sam_dim} != oracle feature dim "
-            f"{anchors.shape[-1]}")
+            f"model sam_dim (config feat_dim) {model_config.sam_dim} != "
+            f"oracle feature dim {anchors.shape[-1]}")
     bundle = make_bundle(model_config, embeddings, config.seed)
     source_cdf = np.stack([config.probs_for(net).cumsum() for net in (0, 1)])
 

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from cnslab import ablation
-from cnslab.ablation import (ROW_ORDER, SuiteConfig, row_train_config,
-                             run_ablation, sanity_suite, standard_suite,
+from cnslab.ablation import (SuiteConfig, row_train_config, run_ablation,
                              write_report_csv, write_report_text)
 from cnslab.errors import ConfigError, ValidationError
 from cnslab.nncore import ModelConfig
@@ -107,19 +106,6 @@ def test_nan_switch_probs_fail_validate(name):
         TrainConfig(**{name: (float("nan"), 0.25, 0.25, 0.5)}).validate()
 
 
-def test_standard_and_sanity_presets():
-    std = standard_suite()
-    assert std.train.stage1_epochs == 1
-    assert std.train.total_epochs == TrainConfig().total_epochs
-    assert std.clip_noise.eps == 0.4
-    assert std.rows == ROW_ORDER
-    assert standard_suite(seeds=(7,)).seeds == (7,)
-    sane = sanity_suite()
-    assert sane.clip_noise.eps == 0.0
-    assert sane.frag.boundary_jitter_px == 0
-    assert sane.train.stage1_epochs == TrainConfig().stage1_epochs
-
-
 # ---------------------------------------------------------------------------
 # running a miniature campaign
 
@@ -136,7 +122,6 @@ def test_report_structure(tiny_report):
         assert "error" not in entry
         assert 0.0 <= entry["miou2d"] <= 1.0
         assert 0.0 <= entry["miou3d"] <= 1.0
-        assert entry["per_class2d"].shape == (TINY_SCENE.num_classes,)
     assert set(tiny_report.medians) == {"baseline", "wo_cns", "full"}
     assert set(tiny_report.row_hashes) == {"baseline", "wo_cns", "full"}
     assert len(tiny_report.suite_hash) == 16

@@ -180,7 +180,8 @@ def test_ac4_loss_only_step_matches_the_full_step():
 
 @pytest.fixture(scope="module")
 def standard_report():
-    suite = ablation.standard_suite()
+    # One warm-up epoch, so stage-2 source dynamics, not the warm-up, decide each row.
+    suite = ablation.SuiteConfig(train=TrainConfig(stage1_epochs=1))
     start = time.perf_counter()
     report = ablation.run_ablation(suite)
     elapsed = time.perf_counter() - start
@@ -233,7 +234,7 @@ def _cosine_gap(features: np.ndarray, groups: np.ndarray, rng) -> float:
 
 
 def test_ac7_latent_anchoring():
-    suite = ablation.standard_suite()
+    suite = ablation.SuiteConfig(train=TrainConfig(stage1_epochs=1))
     model_cfg = ModelConfig(
         input2d_dim=PIXEL_DESC_DIM, input3d_dim=POINT_DESC_DIM,
         hidden=suite.hidden, latent_dim=suite.latent_dim,
@@ -348,8 +349,8 @@ def test_ac9_source_draw_frequencies(small_scene, small_oracles):
         latent_dim=12, embed_dim=16, anchor_dim=8, sam_dim=8)
     state = training.train(small_scene, small_oracles, config, model_cfg)
     draws = int(state.source_draws.min())
-    deviation = float(np.abs(state.source_frequencies()
-                             - np.array(probs)).max())
+    freq = state.source_counts / state.source_draws[:, None]
+    deviation = float(np.abs(freq - np.array(probs)).max())
     _report(9, f"stage-2 source frequencies within {deviation:.4f} of "
                f"configured probabilities over >= {draws} draws per network "
                f"(need <= 0.02 over >= 10000)",

@@ -40,5 +40,21 @@ def test_assemble_rejects_output_without_provenance():
         bench_record.assemble("\n".join(lines[1:]))
 
 
+@pytest.mark.parametrize("line, expected", [
+    ("497 passed in 101.37s (0:01:41)",
+     {"passed": 497, "failed": 0, "seconds": 101.37}),
+    ("2 failed, 494 passed, 1 skipped in 98.20s (0:01:38)",
+     {"passed": 494, "failed": 2, "seconds": 98.2}),
+])
+def test_tier1_summary_reads_the_last_pytest_line(line, expected):
+    stdout = "....F.. [ 99%]\n" + "=" * 5 + " FAILURES " + "=" * 5 + "\n" + line + "\n"
+    assert bench_record.tier1_summary(stdout) == expected
+
+
+def test_tier1_summary_rejects_output_without_a_summary():
+    with pytest.raises(ValueError, match="summary"):
+        bench_record.tier1_summary("ERROR: file or directory not found\n")
+
+
 def test_held_out_seed_is_never_recorded():
     assert 7919 not in bench_record.SEEDS

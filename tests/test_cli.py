@@ -195,6 +195,21 @@ def test_unknown_key_is_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["synth"], ["train", "--out", "x"]],
+                         ids=["no-command", "bogus-command", "synth-no-out",
+                              "train-no-bundle"])
+def test_usage_error_is_a_validation_exit(argv, capsys):
+    assert cli.main(argv) == 1
+    assert "error: cnslab" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: cnslab" in capsys.readouterr().out
+
+
 def test_bad_value_is_rejected(tmp_path, capsys):
     code = cli.main(["synth", "--out", str(tmp_path / "x"),
                      "--object_count", "many"])
@@ -244,6 +259,16 @@ def test_float_too_large_for_its_arithmetic_is_rejected(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not (tmp_path / "x").exists()
+
+
+def test_blind_generated_camera_names_its_keys(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["synth", "--out", str(tmp_path / "x"), "--focal", "1e300"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: camera 0 sees no point")
+    assert all(key in err for key in ("focal", "camera_radius", "camera_height"))
 
 
 def test_room_too_large_to_sample_is_rejected(tmp_path, capsys):
@@ -594,6 +619,20 @@ def test_refine_bytes_are_pinned(tmp_path):
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in out.iterdir() if path.name != "resolved.cfg"}
         assert digests == REFINE_SHA256[overrides], overrides
+
+
+# sha256 of the train and eval outputs of the `pipeline` fixture (TINY_CFG).
+TRAIN_SHA256 = {
+    "train/checkpoint.ckpt": "e38b98f895ac6cfd84f3ddaed24f2e59ce5c4cfb4db7e9543d933a3cdbdd0978",
+    "train/metrics.csv": "49badc13f61db0457409ad5e5e2aa4b62700f3bc796fd130fc8ca532be42420c",
+    "eval/eval.csv": "50fca71f67d5d6d0e6f006bba9cf48f776bc7cd959a8af1fad95a4b4c2fa29ed",
+}
+
+
+def test_train_and_eval_bytes_are_pinned(pipeline):
+    digests = {name: hashlib.sha256((pipeline / name).read_bytes()).hexdigest()
+               for name in TRAIN_SHA256}
+    assert digests == TRAIN_SHA256
 
 
 def test_noise_sweep_script(tmp_path):

@@ -34,7 +34,8 @@ from .scenesynth import (MAX_FEAT_SIGMA, PIXEL_DESC_DIM, POINT_DESC_DIM,
                          ClipNoiseConfig, MaskFragConfig, Scene, SceneConfig,
                          generate_scene, gt_pixel_stack, standard_oracle_outputs)
 from .seeding import SEED_BOUND
-from .training import TrainConfig, predictions, scene_descriptors, train
+from .training import (TrainConfig, Warmup, predictions, scene_descriptors, train,
+                       warmup_key)
 
 logger = logging.getLogger(__name__)
 
@@ -166,10 +167,20 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
                                     suite.train.multiview)
         # Built once per descriptor_noise a trained row of this seed asks for.
         descriptors: Dict[float, tuple] = {}
+        configs = {row: row_train_config(row, replace(suite.train, seed=seed))
+                   for row in suite.rows}
+        # Trained rows that agree up to stage 2 share one warm-up, as long as
+        # the group's shortest stage 1.
+        groups: Dict[TrainConfig, List[TrainConfig]] = {}
+        for cfg in configs.values():
+            if cfg is not None:
+                groups.setdefault(warmup_key(cfg), []).append(cfg)
+        warmups = {key: Warmup(min(cfg.stage1_epochs for cfg in group))
+                   for key, group in groups.items() if len(group) > 1}
         for row in suite.rows:
             entry = {"row": row, "seed": seed}
             try:
-                cfg = row_train_config(row, replace(suite.train, seed=seed))
+                cfg = configs[row]
                 if cfg is None:
                     key = "raw" if row == "baseline" else "refined"
                     pred_pixel = labels[f"pixel_{key}"]
@@ -180,7 +191,8 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
                     if noise not in descriptors:
                         descriptors[noise] = scene_descriptors(scene, noise)
                     state = train(scene, oracles, cfg, suite.model_config(),
-                                  descriptors[noise])
+                                  descriptors[noise],
+                                  warmup=warmups.get(warmup_key(cfg)))
                     pred_pixel, pred_point = predictions(state)
                     hashed = replace(cfg, seed=0)
                 scored = _score_label_row(scene, pred_pixel, pred_point,

@@ -121,7 +121,12 @@ def fold_output(mlp: Mlp, a: np.ndarray, bias: np.ndarray) -> Mlp:
     """
     b_last = mlp.biases[-1] @ a
     b_last += bias
-    return Mlp(mlp.weights[:-1] + [mlp.weights[-1] @ a], mlp.biases[:-1] + [b_last])
+    # Built without Mlp's shape checks: `mlp` passed them, and the products
+    # above fail on an `a` or `bias` that does not fit.
+    net = object.__new__(Mlp)
+    net.weights = mlp.weights[:-1] + [mlp.weights[-1] @ a]
+    net.biases = mlp.biases[:-1] + [b_last]
+    return net
 
 
 @dataclass(frozen=True)
@@ -185,6 +190,8 @@ class ModelBundle:
     (D_s, K_f) is a separate read-only array.  `embeddings` is the frozen
     (L, embed_dim) float64 table of unit class embeddings; its checks live
     here, so make_bundle and load_checkpoint both pass them.
+    `scaled_embeddings` is that table divided by the temperature, E / T,
+    which class_map and the training step's gradient read.
     """
 
     def __init__(self, config: ModelConfig, params: np.ndarray,
@@ -203,6 +210,7 @@ class ModelBundle:
         self.config = config
         self.params = params
         self.embeddings = embeddings
+        self.scaled_embeddings = embeddings / config.temperature
         self.seed = int(seed)
         views = param_views(config, params)
         layers = range(len(config.hidden) + 1)
@@ -268,7 +276,7 @@ def class_map(bundle: ModelBundle, head: str) -> Tuple[np.ndarray, np.ndarray]:
     if head not in ("s2d", "s3d"):
         raise ValidationError(f"class_map expects a semantic head, got {head!r}")
     h = bundle.head(head)
-    scale = bundle.embeddings.T / bundle.config.temperature
+    scale = bundle.scaled_embeddings.T
     return h["w"] @ scale, h["b"] @ scale
 
 
@@ -301,36 +309,25 @@ def ce_loss(logits: np.ndarray, target_labels: np.ndarray,
     if logits.ndim != 2 or len(targets) != len(logits):
         raise ValidationError(f"logits of shape {logits.shape} vs {len(targets)} targets")
     valid = targets != ignore
-    if not valid.any():
+    n = int(np.count_nonzero(valid))
+    if not n:
         return 0.0, np.zeros_like(logits) if grad else None
-    masked = not valid.all()
-    labels = (targets[valid] if masked else targets).astype(np.int64)
+    masked = n < len(targets)
+    labels = targets[valid] if masked else targets
     if labels.max() >= logits.shape[1] or labels.min() < 0:
         raise ValidationError("target labels outside [0, num_classes)")
     probs = softmax_rows(logits[valid] if masked else logits.copy())
-    n = len(labels)
-    loss = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-300)).mean())
+    rows = np.arange(n)
+    loss = float(-np.log(np.maximum(probs[rows, labels], 1e-300)).mean())
     if not grad:
         return loss, None
     d_logits = probs  # probs is not read again; its buffer is reused
-    d_logits[np.arange(n), labels] -= 1.0
+    d_logits[rows, labels] -= 1.0
     d_logits /= n
     if masked:
         d_logits, d_kept = np.zeros_like(logits), d_logits
         d_logits[valid] = d_kept
     return loss, d_logits
-
-
-def _normalize_rows(vectors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Scale rows to unit norm in place; ~zero-norm rows become zero rows.
-
-    Returns (norms, degenerate mask).
-    """
-    norms = np.linalg.norm(vectors, axis=1)
-    degenerate = norms < _NORM_EPS
-    vectors /= np.where(degenerate, 1.0, norms)[:, None]
-    vectors[degenerate] = 0.0
-    return norms, degenerate
 
 
 def anchor_units(bundle: ModelBundle, oracle_feats: np.ndarray) -> np.ndarray:
@@ -341,7 +338,10 @@ def anchor_units(bundle: ModelBundle, oracle_feats: np.ndarray) -> np.ndarray:
     trains, so a training run computes these once.
     """
     units = np.asarray(oracle_feats, dtype=np.float64) @ bundle.anchor_head
-    _normalize_rows(units)
+    norms = np.linalg.norm(units, axis=1)
+    degenerate = norms < _NORM_EPS
+    units /= np.where(degenerate, 1.0, norms)[:, None]
+    units[degenerate] = 0.0
     return units
 
 
@@ -376,24 +376,30 @@ def cosine_align_loss(x_out: np.ndarray, p_out: np.ndarray, anchors: np.ndarray,
 
     def side(out):
         nonlocal total, zero_count
-        unit = out.copy()
-        norms, degen = _normalize_rows(unit)
-        cos = np.einsum("ij,ij->i", unit, a_unit)
+        # The arithmetic of np.linalg.norm, without its conj copy.
+        norms = np.sqrt(np.add.reduce(out * out, axis=1))
+        degen = norms < _NORM_EPS
+        divisor = np.where(degen, 1.0, norms)[:, None]
+        unit = out / divisor
         dead = degen | a_degen
         masked = dead.any()
-        # With every row live, `live` is a full slice: no gather, no scatter.
-        live = ~dead if masked else slice(None)
+        if masked:
+            unit[degen] = 0.0
+        cos = np.einsum("ij,ij->i", unit, a_unit)
         if masked:
             cos[dead] = 0.0
         zero_count += int(degen.sum())
         total += float(np.sum(1.0 - cos))
         if not grad:
             return None
-        # d(cos)/d(out) = (a_unit - cos * unit) / norm; zero for degenerate rows.
-        d_out = -(a_unit[live] - cos[live, None] * unit[live]) / norms[live, None] / n
+        # d(cos)/d(out) = (a_unit - cos * unit) / norm and the loss holds
+        # -cos / n, so the sign goes into the divisor; zero for dead rows.
+        d_out = cos[:, None] * unit
+        np.subtract(a_unit, d_out, out=d_out)
+        d_out /= -divisor
+        d_out /= n
         if masked:
-            d_out, d_live = np.zeros_like(unit), d_out
-            d_out[live] = d_live
+            d_out[dead] = 0.0
         return d_out
 
     d_x = side(x_out)
@@ -433,7 +439,7 @@ def _unfold_grads(bundle: ModelBundle, views: Dict[str, np.ndarray], enc: str,
     for head, span in cols.items():
         d_w, d_b = d_a[:, span], s[span]
         if head in ("s2d", "s3d"):
-            emb = bundle.embeddings / bundle.config.temperature
+            emb = bundle.scaled_embeddings
             d_w, d_b = d_w @ emb, d_b @ emb
         views[f"head_{head}.w"] += d_w
         views[f"head_{head}.b"] += d_b

@@ -63,6 +63,10 @@ MAX_CLIP_MARGIN = 1e6
 # Largest feat_sigma.  Past about 1e153 a noisy feature's norm overflows
 # and the unit features read 0; at 1e6 the noise swamps the unit anchors.
 MAX_FEAT_SIGMA = 1e6
+# Largest descriptor_noise.  Past about 3e37 the float32 descriptors
+# overflow; far below that (about 1e2 at the default lr) training already
+# ends in a numerical abort, and at 1e6 the noise swamps the unit palette.
+MAX_DESCRIPTOR_NOISE = 1e6
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ order, source draws, and the final parameters.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CnsError, ValidationError
 from .evaluation import confusion, csv_cell, miou
 from .nncore import (Mlp, ModelBundle, ModelConfig, anchor_units, class_logits,
                      class_map, fold_output, make_bundle, mlp_forward, sgd_step,
@@ -30,7 +31,8 @@ from .pseudolabel import (IGNORE, REFINE3D_REPROJECT, REFINE3D_TRANSFER_MASKS,
                           derive_clip_labels, refine_points_by_view_masks,
                           refine_views, reproject_refine_points,
                           transfer_labels, transfer_masks)
-from .scenesynth import (Scene, gt_pixel_stack, pixel_descriptors,
+from .scenesynth import (MAX_DESCRIPTOR_NOISE, PIXEL_DESC_DIM, POINT_DESC_DIM,
+                         Scene, gt_pixel_stack, pixel_descriptors,
                          point_descriptors)
 from .seeding import SEED_BOUND, TAG_SHUFFLE, TAG_SOURCE, derive_rng
 
@@ -64,6 +66,12 @@ class TrainConfig:
                            dtype=np.float64)
         return probs / probs.sum()
 
+    def source_cdf(self) -> np.ndarray:
+        """Each network's cumulative source probabilities (2, 4); see
+        _draw_sources."""
+        cdf = np.stack([self.probs_for(net).cumsum() for net in (0, 1)])
+        return cdf / cdf[:, -1:]
+
     def validate(self):
         if self.total_epochs < 1:
             raise ValidationError(f"total_epochs must be >= 1, got {self.total_epochs}")
@@ -88,9 +96,10 @@ class TrainConfig:
         if not self.latent_loss_weight >= 0:
             raise ValidationError(
                 f"latent_loss_weight must be >= 0, got {self.latent_loss_weight}")
-        if not self.descriptor_noise >= 0:
+        if not 0 <= self.descriptor_noise <= MAX_DESCRIPTOR_NOISE:
             raise ValidationError(
-                f"descriptor_noise must be >= 0, got {self.descriptor_noise}")
+                f"descriptor_noise must be >= 0 and <= {MAX_DESCRIPTOR_NOISE:g}, "
+                f"got {self.descriptor_noise}")
         if not 0 <= self.seed < SEED_BOUND:
             raise ValidationError(f"seed must be in [0, 2**32), got {self.seed}")
 
@@ -111,8 +120,7 @@ class TrainState:
     labels3d: np.ndarray
     shuffle_rng: np.random.Generator
     source_rng: np.random.Generator
-    # Each network's cumulative source probabilities (2, 4), built once
-    # from TrainConfig.probs_for; see _draw_sources.
+    # TrainConfig.source_cdf, built once per run.
     source_cdf: np.ndarray
     epoch: int = 0
     # Argmax (pixel, point) predictions of the current parameters; filled
@@ -141,7 +149,8 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
 
     `descriptors` may carry the scene_descriptors(scene,
     config.descriptor_noise) pair built by the caller, so that runs on one
-    scene share it.
+    scene share it.  Every dimension check runs before the descriptors are
+    built.
     """
     config.validate()
     corr = scene.correspondences()
@@ -149,11 +158,6 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
         raise ValidationError("scene has no pixel-point correspondences to train on")
     num_points = len(scene.cloud)
 
-    if descriptors is None:
-        descriptors = scene_descriptors(scene, config.descriptor_noise)
-    desc2d, desc3d = descriptors
-    entries = (corr.camera_index, corr.v, corr.u)
-    anchors = np.stack([fm.features for fm in oracles["features"]])[entries]
     masks = oracles["masks"]
     embeddings = oracles["embeddings"]
     if len(embeddings) != scene.num_classes:
@@ -161,20 +165,26 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
             f"class embeddings have {len(embeddings)} rows, "
             f"scene has {scene.num_classes} classes")
 
+    feat_dim = oracles["features"][0].features.shape[-1]
     if model_config is None:
-        model_config = ModelConfig(input2d_dim=desc2d.shape[-1],
-                                   input3d_dim=desc3d.shape[-1],
+        model_config = ModelConfig(input2d_dim=PIXEL_DESC_DIM,
+                                   input3d_dim=POINT_DESC_DIM,
                                    embed_dim=embeddings.shape[1],
-                                   sam_dim=anchors.shape[-1])
-    if model_config.input2d_dim != desc2d.shape[-1] or \
-            model_config.input3d_dim != desc3d.shape[-1]:
-        raise ValidationError("model input dims do not match descriptor dims")
-    if model_config.sam_dim != anchors.shape[-1]:
+                                   sam_dim=feat_dim)
+    if model_config.sam_dim != feat_dim:
         raise ValidationError(
             f"model sam_dim (config feat_dim) {model_config.sam_dim} != "
-            f"oracle feature dim {anchors.shape[-1]}")
+            f"oracle feature dim {feat_dim}")
+    input_dims = ((PIXEL_DESC_DIM, POINT_DESC_DIM) if descriptors is None
+                  else (descriptors[0].shape[-1], descriptors[1].shape[-1]))
+    if (model_config.input2d_dim, model_config.input3d_dim) != input_dims:
+        raise ValidationError("model input dims do not match descriptor dims")
     bundle = make_bundle(model_config, embeddings, config.seed)
-    source_cdf = np.stack([config.probs_for(net).cumsum() for net in (0, 1)])
+    if descriptors is None:
+        descriptors = scene_descriptors(scene, config.descriptor_noise)
+    desc2d, desc3d = descriptors
+    entries = (corr.camera_index, corr.v, corr.u)
+    anchors = np.stack([fm.features for fm in oracles["features"]])[entries]
 
     labels = derive_clip_labels(corr, oracles["scores"], masks, num_points,
                                 config.refine3d_mode, config.multiview)
@@ -195,7 +205,7 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
         labels3d=np.full((len(SOURCES), num_points), IGNORE, dtype=np.int32),
         shuffle_rng=derive_rng(config.seed, TAG_SHUFFLE),
         source_rng=derive_rng(config.seed, TAG_SOURCE),
-        source_cdf=source_cdf / source_cdf[:, -1:])
+        source_cdf=config.source_cdf())
     _set_sources(state, 0, labels[pixel_key], labels[point_key])
     return state
 
@@ -369,10 +379,11 @@ def _epoch_metrics(state: TrainState) -> dict:
 # stages
 
 
-def run_stage1(state: TrainState) -> TrainState:
-    """Warm-up epochs on the mask-refined oracle labels."""
-    cfg = state.config
-    while state.epoch < cfg.stage1_epochs:
+def run_stage1(state: TrainState, until: Optional[int] = None) -> TrainState:
+    """Warm-up epochs on the mask-refined oracle labels, up to epoch `until`
+    (default: the config's stage1_epochs)."""
+    stop = state.config.stage1_epochs if until is None else until
+    while state.epoch < stop:
         losses = _run_epoch(state, stage=1)
         row = {"epoch": state.epoch, "stage": 1, **losses, **_epoch_metrics(state)}
         state.history.append(row)
@@ -394,12 +405,88 @@ def run_stage2(state: TrainState) -> TrainState:
     return state
 
 
+def warmup_key(config: TrainConfig) -> TrainConfig:
+    """`config` with the fields that only stage 2 reads, and stage1_epochs,
+    reset: runs on one scene whose keys are equal agree on init_state and on
+    every stage-1 epoch that both run."""
+    return replace(config, stage1_epochs=0, switch_probs=TrainConfig.switch_probs,
+                   switch_probs_2d=None, switch_probs_3d=None,
+                   switch_per_element=False)
+
+
+def _fork(state: TrainState, config: TrainConfig) -> TrainState:
+    """An independent copy of `state` that goes on under `config`.
+
+    Parameters, label tables, generators, history and counters are copied;
+    the read-only data and predictions are shared.
+    """
+    old = state.bundle
+    bundle = ModelBundle(old.config, old.params.copy(), old.embeddings, old.seed,
+                         old.anchor_head)
+    return replace(state, bundle=bundle, config=config,
+                   labels2d=state.labels2d.copy(), labels3d=state.labels3d.copy(),
+                   shuffle_rng=copy.deepcopy(state.shuffle_rng),
+                   source_rng=copy.deepcopy(state.source_rng),
+                   source_cdf=config.source_cdf(),
+                   history=[dict(row) for row in state.history],
+                   source_counts=state.source_counts.copy(),
+                   source_draws=state.source_draws.copy())
+
+
+class Warmup:
+    """init_state and the first `epochs` stage-1 epochs, shared by the runs
+    of one scene whose configs have one warmup_key.
+
+    The first run to start from it builds that state, keeps an independent
+    copy and goes on with the original; every later run goes on from a
+    fresh copy.  An error raised while building it is raised again for
+    every later run.  `epochs` must not exceed any sharing run's
+    stage1_epochs.
+    """
+
+    def __init__(self, epochs: int):
+        self.epochs = epochs
+        self._key: Optional[TrainConfig] = None
+        self._state: Optional[TrainState] = None
+        self._error: Optional[CnsError] = None
+
+    def start(self, scene: Scene, oracles: dict, config: TrainConfig,
+              model_config: Optional[ModelConfig] = None,
+              descriptors: Optional[Tuple[np.ndarray, np.ndarray]] = None
+              ) -> TrainState:
+        config.validate()
+        key = warmup_key(config)
+        self._key = self._key or key
+        if key != self._key or self.epochs > config.stage1_epochs:
+            raise ValidationError("training config does not share this warm-up")
+        if self._error is not None:
+            raise self._error
+        if self._state is not None:
+            return _fork(self._state, config)
+        try:
+            state = init_state(scene, oracles, config, model_config, descriptors)
+            run_stage1(state, self.epochs)
+        except CnsError as exc:
+            self._error = exc
+            raise
+        self._state = _fork(state, config)
+        return state
+
+
 def train(scene: Scene, oracles: dict, config: TrainConfig,
           model_config: Optional[ModelConfig] = None,
-          descriptors: Optional[Tuple[np.ndarray, np.ndarray]] = None
-          ) -> TrainState:
-    """Run both stages seamlessly and return the final state."""
-    state = init_state(scene, oracles, config, model_config, descriptors)
+          descriptors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+          warmup: Optional[Warmup] = None) -> TrainState:
+    """Run both stages seamlessly and return the final state.
+
+    With `warmup` the run starts from that shared warm-up (see Warmup)
+    instead of from its own init_state; the final state is the same to
+    the bit.
+    """
+    if warmup is None:
+        state = init_state(scene, oracles, config, model_config, descriptors)
+    else:
+        state = warmup.start(scene, oracles, config, model_config, descriptors)
     run_stage1(state)
     run_stage2(state)
     return state

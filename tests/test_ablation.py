@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cnslab import ablation
+from cnslab import ablation, training
 from cnslab.ablation import (SuiteConfig, row_train_config, run_ablation,
                              write_report_csv, write_report_text)
 from cnslab.errors import ConfigError, ValidationError
@@ -265,9 +265,9 @@ def test_a_row_with_its_own_descriptor_noise_trains_on_its_own_descriptors(
 
     trained_on = []
 
-    def recording(scene, oracles, cfg, model_config, descriptors):
+    def recording(scene, oracles, cfg, model_config, descriptors, warmup):
         trained_on.append(descriptors is built[cfg.descriptor_noise])
-        return train(scene, oracles, cfg, model_config, descriptors)
+        return train(scene, oracles, cfg, model_config, descriptors, warmup=warmup)
 
     monkeypatch.setattr(ablation, "scene_descriptors", building)
     monkeypatch.setattr(ablation, "row_train_config", row_config)
@@ -284,3 +284,80 @@ def test_shared_descriptors_train_the_same_parameters(small_scene, small_oracles
     shared = train(small_scene, small_oracles, config, descriptors=descriptors)
     assert own.bundle.params.tobytes() == shared.bundle.params.tobytes()
     assert own.history == shared.history
+
+
+# ---------------------------------------------------------------------------
+# warm-ups shared by the trained rows of a seed
+
+WARMUP_ROWS = ("full", "wo_ct", "wo_clip", "wo_sct", "wo_latent")
+
+
+def warmup_suite():
+    return tiny_suite(rows=WARMUP_ROWS,
+                      train=TrainConfig(stage1_epochs=2, total_epochs=5))
+
+
+def test_rows_sharing_a_warm_up_end_like_standalone_runs(monkeypatch, small_scene,
+                                                         small_oracles):
+    suite = warmup_suite()
+    finished = {}
+    inits, stage1_epochs = [], []
+    init_state, run_epoch = training.init_state, training._run_epoch
+
+    def recording(scene, oracles, cfg, model_config, descriptors, warmup):
+        state = train(scene, oracles, cfg, model_config, descriptors, warmup=warmup)
+        finished[cfg] = state
+        return state
+
+    def counting_init(*args, **kwargs):
+        inits.append(args[2])
+        return init_state(*args, **kwargs)
+
+    def counting_epoch(state, stage):
+        if stage == 1:
+            stage1_epochs.append(state.epoch)
+        return run_epoch(state, stage)
+
+    monkeypatch.setattr(ablation, "train", recording)
+    monkeypatch.setattr(training, "init_state", counting_init)
+    monkeypatch.setattr(training, "_run_epoch", counting_epoch)
+    report = run_ablation(suite, {0: (small_scene, small_oracles)})
+    assert not any("error" in entry for entry in report.rows)
+    # full, wo_ct, wo_clip and wo_sct share one init and two stage-1
+    # epochs; wo_sct then runs its other three, and wo_latent shares nothing.
+    assert len(inits) == 2
+    assert sorted(stage1_epochs) == [0, 0, 1, 1, 2, 3, 4]
+    monkeypatch.undo()
+    assert len(finished) == len(WARMUP_ROWS)
+    for cfg, state in finished.items():
+        alone = train(small_scene, small_oracles, cfg, suite.model_config())
+        assert state.config == cfg
+        assert state.bundle.params.tobytes() == alone.bundle.params.tobytes()
+        assert state.history == alone.history
+        assert np.array_equal(state.source_counts, alone.source_counts)
+        assert np.array_equal(state.source_draws, alone.source_draws)
+
+
+def test_a_failed_warm_up_fails_every_row_of_its_group(monkeypatch):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args[2])
+        raise ValidationError(f"warm-up failure {len(calls)}")
+
+    monkeypatch.setattr(training, "init_state", failing)
+    report = run_ablation(warmup_suite())
+    errors = {entry["row"]: entry["error"] for entry in report.rows}
+    assert len(calls) == 2
+    shared = {row: "warm-up failure 1" for row in WARMUP_ROWS if row != "wo_latent"}
+    assert errors == {**shared, "wo_latent": "warm-up failure 2"}
+
+
+def test_a_warm_up_refuses_a_config_it_does_not_fit(small_scene, small_oracles):
+    base = TrainConfig(stage1_epochs=1, total_epochs=2)
+    warmup = training.Warmup(1)
+    train(small_scene, small_oracles, base, warmup=warmup)
+    for other in (dataclasses.replace(base, lr=0.2),
+                  dataclasses.replace(base, stage1_epochs=0)):
+        with pytest.raises(ValidationError, match="does not share"):
+            train(small_scene, small_oracles, other, warmup=warmup)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnslab import ablation, cli, nncore
+from cnslab import ablation, cli, nncore, training
 from cnslab.bundle import read_manifest, read_raster, write_raster
 from cnslab.errors import ValidationError
 from cnslab.scenesynth import mock_text_embeddings
@@ -110,7 +110,7 @@ def test_ablation_trains_at_the_configured_temperature(monkeypatch, small_scene,
                                                       small_oracles):
     seen = []
 
-    def fake_train(scene, oracles, config, model_config, descriptors):
+    def fake_train(scene, oracles, config, model_config, descriptors, warmup):
         seen.append(model_config)
         raise ValidationError("stop after recording the model config")
 
@@ -300,6 +300,20 @@ def test_negative_descriptor_noise_is_rejected(pipeline, tmp_path, capsys):
         assert not (tmp_path / "x").exists()
 
 
+def test_descriptor_noise_too_large_for_float32_is_rejected(pipeline, tmp_path,
+                                                           capsys):
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["train", str(pipeline / "synth" / "bundle"),
+                         "--config", str(cfg), "--out", str(tmp_path / "x"),
+                         "--descriptor_noise", "1e30"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "descriptor_noise" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_override_value(tmp_path, capsys):
     assert cli.main(["synth", "--out", str(tmp_path / "x"), "--seed"]) == 1
     assert "missing value" in capsys.readouterr().err
@@ -464,6 +478,20 @@ def test_train_rejects_dim_mismatch(pipeline, tmp_path, capsys):
                      "--feat_dim", "32"])
     assert code == 1
     assert "feat_dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [["--feat_dim", "16"], ["--embed_dim", "32"]])
+def test_dim_mismatch_fails_before_the_descriptor_build(pipeline, tmp_path, capsys,
+                                                        monkeypatch, override):
+    built = []
+    monkeypatch.setattr(training, "scene_descriptors",
+                        lambda *args: built.append(args))
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
+    code = cli.main(["train", str(pipeline / "synth" / "bundle"),
+                     "--config", str(cfg), "--out", str(tmp_path / "x"), *override])
+    assert code == 1
+    assert override[0][2:] in capsys.readouterr().err
+    assert built == []
 
 
 def test_eval_rejects_class_count_mismatch(pipeline, tmp_path, capsys):

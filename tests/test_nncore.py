@@ -510,6 +510,97 @@ def test_align_loss_empty_batch():
 
 
 # ---------------------------------------------------------------------------
+# the losses against their plain formulas, bit for bit
+
+
+def reference_ce_loss(logits, targets):
+    """Mean cross-entropy and its logit gradient, in the plain formulation:
+    int64 labels, and the kept rows gathered and scattered back."""
+    targets = np.asarray(targets).ravel()
+    valid = targets != IGNORE
+    if not valid.any():
+        return 0.0, np.zeros_like(logits)
+    masked = not valid.all()
+    labels = (targets[valid] if masked else targets).astype(np.int64)
+    probs = softmax_rows(logits[valid] if masked else logits.copy())
+    n = len(labels)
+    loss = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-300)).mean())
+    probs[np.arange(n), labels] -= 1.0
+    probs /= n
+    if masked:
+        d_logits, d_kept = np.zeros_like(logits), probs
+        d_logits[valid] = d_kept
+        return loss, d_logits
+    return loss, probs
+
+
+def reference_align_loss(x_out, p_out, a_unit):
+    """cosine_align_loss in the plain formulation: np.linalg.norm on a copy,
+    live rows gathered, the gradient negated in its own pass."""
+    n = len(x_out)
+    a_degen = ~a_unit.any(axis=1)
+    total, zero_count, grads = 0.0, int(a_degen.sum()), []
+    for out in (x_out, p_out):
+        unit = out.copy()
+        norms = np.linalg.norm(unit, axis=1)
+        degen = norms < 1e-12
+        unit /= np.where(degen, 1.0, norms)[:, None]
+        unit[degen] = 0.0
+        cos = np.einsum("ij,ij->i", unit, a_unit)
+        dead = degen | a_degen
+        live = ~dead
+        cos[dead] = 0.0
+        zero_count += int(degen.sum())
+        total += float(np.sum(1.0 - cos))
+        d_out = np.zeros_like(unit)
+        d_out[live] = -(a_unit[live] - cos[live, None] * unit[live]) / norms[live, None] / n
+        grads.append(d_out)
+    return total / n, grads[0], grads[1], zero_count
+
+
+@pytest.mark.parametrize("trial", range(8))
+def test_ce_loss_matches_the_plain_formula_bit_for_bit(trial):
+    rng = np.random.default_rng(trial)
+    n, classes = int(rng.integers(1, 40)), int(rng.integers(2, 9))
+    # A column view of a wider array, as the training step passes it.
+    wide = rng.standard_normal((n, classes + 5)) * 10.0 ** rng.uniform(-3, 3)
+    logits = wide[:, 2:2 + classes]
+    targets = rng.integers(0, classes, size=n).astype(np.int32)
+    if trial % 4:
+        targets[rng.random(n) < 0.3 * (trial % 4)] = IGNORE
+    loss, d_logits = ce_loss(logits, targets)
+    ref_loss, ref_d = reference_ce_loss(logits, targets)
+    assert loss == ref_loss
+    assert d_logits.tobytes() == ref_d.tobytes()
+    assert ce_loss(logits, targets, grad=False)[0] == ref_loss
+
+
+@pytest.mark.parametrize("trial", range(8))
+def test_align_loss_matches_the_plain_formula_bit_for_bit(trial):
+    rng = np.random.default_rng(100 + trial)
+    n, k = int(rng.integers(1, 40)), int(rng.integers(1, 17))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    # The x and p outputs are column views of wider forward outputs.
+    x_wide = rng.standard_normal((n, k + 3)) * scale
+    p_wide = rng.standard_normal((n, 2 * k)) * scale
+    x_out, p_out = x_wide[:, 3:], p_wide[:, k:]
+    anchors = rng.standard_normal((n, k))
+    anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
+    if trial % 2:
+        x_out[rng.random(n) < 0.2] = 0.0
+        p_out[rng.random(n) < 0.2] = 0.0
+        anchors[rng.random(n) < 0.2] = 0.0
+    if trial == 7:
+        x_out[0] = 1e-13  # below the norm floor, but not zero
+    got = cosine_align_loss(x_out, p_out, anchors)
+    ref = reference_align_loss(x_out, p_out, anchors)
+    assert got[0] == ref[0] and got[3] == ref[3]
+    assert got[1].tobytes() == ref[1].tobytes()
+    assert got[2].tobytes() == ref[2].tobytes()
+    assert cosine_align_loss(x_out, p_out, anchors, grad=False)[0] == ref[0]
+
+
+# ---------------------------------------------------------------------------
 # SGD and the gradient checker
 
 

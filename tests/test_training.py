@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from cnslab import training
-from cnslab.ablation import _score_label_row
+from cnslab.ablation import SuiteConfig, _score_label_row
 from cnslab.errors import ValidationError
 from cnslab.nncore import (ModelConfig, class_logits, class_map, make_bundle,
-                           mlp_forward, param_views)
+                           mlp_forward, param_views, step)
 from cnslab.pseudolabel import IGNORE, transfer_labels
 from cnslab.scenesynth import (ClipNoiseConfig, MaskFragConfig, SceneConfig,
                                generate_scene, mock_text_embeddings,
@@ -457,3 +457,91 @@ def test_write_metrics_csv(tmp_path, small_scene, small_oracles):
                         "l_latent": 0.0, "miou2d": None, "miou3d": None}],
                       path)
     assert path.read_text().splitlines()[1].endswith("absent,absent")
+
+
+# ---------------------------------------------------------------------------
+# directional gradient check at the shipped model size
+
+
+@pytest.fixture(scope="module")
+def default_scene_inputs():
+    """The default suite with its scene (seed 0), oracles and descriptors."""
+    suite = SuiteConfig()
+    scene = generate_scene(suite.scene, 0)
+    oracles = standard_oracle_outputs(scene, suite.clip_noise, suite.frag,
+                                      suite.feat_dim, suite.feat_sigma,
+                                      suite.embed_dim)
+    return suite, scene, oracles, training.scene_descriptors(
+        scene, suite.train.descriptor_noise)
+
+
+def _stage1_batch(state, rng, rows=256):
+    """A stage-1-shaped batch: oracle labels of both networks, latent term."""
+    data = state.data
+    ents = rng.choice(state.labels2d.shape[1], rows, replace=False)
+    pts = rng.choice(state.labels3d.shape[1], rows, replace=False)
+    return {"x2d": data["x2d"][ents], "y2d": state.labels2d[0, ents],
+            "x3d": data["desc3d"][pts], "y3d": state.labels3d[1, pts],
+            "pair3d": data["desc3d"][data["ent_point"][ents]],
+            "anchors": data["anchors"][ents],
+            "latent_weight": state.config.latent_loss_weight}
+
+
+def _active_units(bundle, batch):
+    """Which hidden units are active, per row, in each encoder pass of step."""
+    return np.concatenate([
+        (h > 0).ravel()
+        for mlp, rows in ((bundle.enc2d, "x2d"), (bundle.enc3d, "x3d"),
+                          (bundle.enc3d, "pair3d"))
+        for h in mlp_forward(mlp, batch[rows], hidden_only=True)[1][1:]])
+
+
+def _directional_error(bundle, batch, rng, directions=6, eps=1e-5):
+    """Worst relative error of grad . v against the central difference of the
+    loss along v, over random unit directions v inside each parameter block.
+
+    A direction whose two probes leave some hidden unit on different sides
+    of the ReLU kink is drawn again: there the central difference averages
+    two slopes and measures neither.
+    """
+    _, grad = step(bundle, batch)
+    grads = param_views(bundle.config, grad)
+    worst = 0.0
+    for name, block in param_views(bundle.config, bundle.params).items():
+        saved = block.copy()
+        checked = 0
+        for _ in range(5 * directions):
+            v = rng.standard_normal(block.shape)
+            v /= np.linalg.norm(v)
+            block[...] = saved + eps * v
+            hi = step(bundle, batch, grad=False)[0]["loss"]
+            active = _active_units(bundle, batch)
+            block[...] = saved - eps * v
+            lo = step(bundle, batch, grad=False)[0]["loss"]
+            straddles = not np.array_equal(active, _active_units(bundle, batch))
+            block[...] = saved
+            if straddles:
+                continue
+            numeric = (hi - lo) / (2 * eps)
+            analytic = float(np.sum(grads[name] * v))
+            worst = max(worst, abs(analytic - numeric)
+                        / max(abs(analytic), abs(numeric), 1e-8))
+            checked += 1
+            if checked == directions:
+                break
+        assert checked == directions, name
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_directional_gradient_check_at_the_shipped_size(default_scene_inputs, seed):
+    suite, scene, oracles, descriptors = default_scene_inputs
+    config = TrainConfig(stage1_epochs=3, total_epochs=3, seed=seed)
+    state = init_state(scene, oracles, config, suite.model_config(), descriptors)
+    assert state.bundle.params.size == 16192
+    rng = np.random.default_rng(seed)
+    for when in ("init", "after 3 epochs"):
+        if when != "init":
+            run_stage1(state)
+        batch = _stage1_batch(state, rng)
+        assert _directional_error(state.bundle, batch, rng) < 1e-4, when

@@ -15,8 +15,7 @@ from .errors import (BundleFormatError, CnsError, ConfigError, NumericalError,
                      PlacementError, ValidationError)
 from .evaluation import confusion, coverage, label_error_rate, miou
 from .geometry import (CameraModel, CorrespondenceSet, PointCloud,
-                       build_correspondences, look_at, project_point,
-                       project_points)
+                       build_correspondences, look_at, project_points)
 from .nncore import (ModelBundle, ModelConfig, anchor_units, ce_loss,
                      class_logits, class_map, config_hash, cosine_align_loss,
                      grad_check,
@@ -50,8 +49,8 @@ __all__ = [
     "derive_rng", "generate_scene", "grad_check", "label_error_rate",
     "load_checkpoint", "look_at", "make_bundle", "miou", "mock_clip_scores",
     "mock_sam_features", "mock_sam_masks", "mock_text_embeddings",
-    "pixel_descriptors", "point_descriptors", "project_point",
-    "project_points", "read_bundle", "read_manifest", "read_raster",
+    "pixel_descriptors", "point_descriptors", "project_points",
+    "read_bundle", "read_manifest", "read_raster",
     "refine_by_masks", "refine_points_by_view_masks",
     "reproject_refine_points", "render_view", "row_train_config",
     "run_ablation", "save_checkpoint", "sgd_step",

@@ -34,8 +34,8 @@ from .scenesynth import (MAX_FEAT_SIGMA, PIXEL_DESC_DIM, POINT_DESC_DIM,
                          ClipNoiseConfig, MaskFragConfig, Scene, SceneConfig,
                          generate_scene, gt_pixel_stack, standard_oracle_outputs)
 from .seeding import SEED_BOUND
-from .training import (TrainConfig, Warmup, predictions, scene_descriptors, train,
-                       warmup_key)
+from .training import (TrainConfig, TrainState, init_state, predictions,
+                       run_stage1, scene_descriptors, train, warmup_key)
 
 logger = logging.getLogger(__name__)
 
@@ -170,13 +170,12 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
         configs = {row: row_train_config(row, replace(suite.train, seed=seed))
                    for row in suite.rows}
         # Trained rows that agree up to stage 2 share one warm-up, as long as
-        # the group's shortest stage 1.
-        groups: Dict[TrainConfig, List[TrainConfig]] = {}
+        # the group's shortest stage 1, built at the group's first row.
+        groups: Dict[TrainConfig, List[int]] = {}
         for cfg in configs.values():
             if cfg is not None:
-                groups.setdefault(warmup_key(cfg), []).append(cfg)
-        warmups = {key: Warmup(min(cfg.stage1_epochs for cfg in group))
-                   for key, group in groups.items() if len(group) > 1}
+                groups.setdefault(warmup_key(cfg), []).append(cfg.stage1_epochs)
+        warmups: Dict[TrainConfig, TrainState] = {}
         for row in suite.rows:
             entry = {"row": row, "seed": seed}
             try:
@@ -190,9 +189,14 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
                     noise = cfg.descriptor_noise
                     if noise not in descriptors:
                         descriptors[noise] = scene_descriptors(scene, noise)
+                    group = warmup_key(cfg)
+                    if len(groups[group]) > 1 and group not in warmups:
+                        warmups[group] = run_stage1(
+                            init_state(scene, oracles, cfg, suite.model_config(),
+                                       descriptors[noise]),
+                            min(groups[group]))
                     state = train(scene, oracles, cfg, suite.model_config(),
-                                  descriptors[noise],
-                                  warmup=warmups.get(warmup_key(cfg)))
+                                  descriptors[noise], start=warmups.get(group))
                     pred_pixel, pred_point = predictions(state)
                     hashed = replace(cfg, seed=0)
                 scored = _score_label_row(scene, pred_pixel, pred_point,

@@ -84,22 +84,6 @@ def look_at(position, target, up=(0.0, 0.0, 1.0)) -> tuple[np.ndarray, np.ndarra
     return rot, trans
 
 
-def project_point(camera: CameraModel, point) -> Optional[tuple[int, int, float]]:
-    """Project one world point; None if behind the camera or off-image.
-
-    Returns (u, v, depth) with u, v already rounded to the nearest pixel.
-    """
-    p = np.asarray(point, dtype=np.float64)
-    x, y, z = camera.rotation @ p + camera.translation
-    if z <= DEPTH_MIN:
-        return None
-    u = int(np.floor(camera.fx * x / z + camera.cx + 0.5))
-    v = int(np.floor(camera.fy * y / z + camera.cy + 0.5))
-    if not (0 <= u < camera.width and 0 <= v < camera.height):
-        return None
-    return u, v, float(z)
-
-
 def project_points(camera: CameraModel, positions: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized projection of an (N, 3) array.

@@ -294,8 +294,7 @@ def class_logits(rows: np.ndarray,
     return logits
 
 
-def ce_loss(logits: np.ndarray, target_labels: np.ndarray,
-            ignore: int = IGNORE, grad: bool = True
+def ce_loss(logits: np.ndarray, target_labels: np.ndarray, grad: bool = True
             ) -> Tuple[float, Optional[np.ndarray]]:
     """Mean cross-entropy of class logits (N, C) against target labels.
 
@@ -308,7 +307,7 @@ def ce_loss(logits: np.ndarray, target_labels: np.ndarray,
     targets = np.asarray(target_labels).ravel()
     if logits.ndim != 2 or len(targets) != len(logits):
         raise ValidationError(f"logits of shape {logits.shape} vs {len(targets)} targets")
-    valid = targets != ignore
+    valid = targets != IGNORE
     n = int(np.count_nonzero(valid))
     if not n:
         return 0.0, np.zeros_like(logits) if grad else None

@@ -46,7 +46,6 @@ BACKGROUND_INSTANCE = 0
 
 # Appearance channels rendered per instance (see instance_palette).
 APPEARANCE_DIM = 6
-DESCRIPTOR_NOISE = 0.02
 _PALETTE_SALT = 0x5EED
 _PALETTE_MIN_DIST = 0.5
 _JITTER_CELL = 8
@@ -902,7 +901,7 @@ def _box_mean3(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def point_descriptors(scene: Scene, noise_sigma: float = DESCRIPTOR_NOISE) -> np.ndarray:
+def point_descriptors(scene: Scene, noise_sigma: float) -> np.ndarray:
     """3D network inputs: coordinates, appearance, neighborhood statistics."""
     pos = scene.cloud.positions.astype(np.float64)
     app = point_appearance(scene, noise_sigma).astype(np.float64)
@@ -918,7 +917,7 @@ def point_descriptors(scene: Scene, noise_sigma: float = DESCRIPTOR_NOISE) -> np
 
 
 def pixel_descriptors(scene: Scene, camera_index: int,
-                      noise_sigma: float = DESCRIPTOR_NOISE) -> np.ndarray:
+                      noise_sigma: float) -> np.ndarray:
     """2D network inputs: pixel position encoding, depth, and rendered
     appearance channels with their 3x3 local means."""
     render = render_view(scene, camera_index)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import CnsError, ValidationError
+from .errors import ValidationError
 from .evaluation import confusion, csv_cell, miou
 from .nncore import (Mlp, ModelBundle, ModelConfig, anchor_units, class_logits,
                      class_map, fold_output, make_bundle, mlp_forward, sgd_step,
@@ -433,60 +433,26 @@ def _fork(state: TrainState, config: TrainConfig) -> TrainState:
                    source_draws=state.source_draws.copy())
 
 
-class Warmup:
-    """init_state and the first `epochs` stage-1 epochs, shared by the runs
-    of one scene whose configs have one warmup_key.
-
-    The first run to start from it builds that state, keeps an independent
-    copy and goes on with the original; every later run goes on from a
-    fresh copy.  An error raised while building it is raised again for
-    every later run.  `epochs` must not exceed any sharing run's
-    stage1_epochs.
-    """
-
-    def __init__(self, epochs: int):
-        self.epochs = epochs
-        self._key: Optional[TrainConfig] = None
-        self._state: Optional[TrainState] = None
-        self._error: Optional[CnsError] = None
-
-    def start(self, scene: Scene, oracles: dict, config: TrainConfig,
-              model_config: Optional[ModelConfig] = None,
-              descriptors: Optional[Tuple[np.ndarray, np.ndarray]] = None
-              ) -> TrainState:
-        config.validate()
-        key = warmup_key(config)
-        self._key = self._key or key
-        if key != self._key or self.epochs > config.stage1_epochs:
-            raise ValidationError("training config does not share this warm-up")
-        if self._error is not None:
-            raise self._error
-        if self._state is not None:
-            return _fork(self._state, config)
-        try:
-            state = init_state(scene, oracles, config, model_config, descriptors)
-            run_stage1(state, self.epochs)
-        except CnsError as exc:
-            self._error = exc
-            raise
-        self._state = _fork(state, config)
-        return state
-
-
 def train(scene: Scene, oracles: dict, config: TrainConfig,
           model_config: Optional[ModelConfig] = None,
           descriptors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-          warmup: Optional[Warmup] = None) -> TrainState:
+          start: Optional[TrainState] = None) -> TrainState:
     """Run both stages seamlessly and return the final state.
 
-    With `warmup` the run starts from that shared warm-up (see Warmup)
-    instead of from its own init_state; the final state is the same to
-    the bit.
+    With `start`, a warm-up (init_state and the first stage-1 epochs) on
+    this scene under a config with the same warmup_key, the run goes on
+    from a copy of it instead of from its own init_state.  `start` is left
+    unchanged, and the final state is the one a run without it ends in,
+    to the bit.
     """
-    if warmup is None:
+    if start is None:
         state = init_state(scene, oracles, config, model_config, descriptors)
     else:
-        state = warmup.start(scene, oracles, config, model_config, descriptors)
+        config.validate()
+        if (warmup_key(start.config) != warmup_key(config)
+                or start.epoch > config.stage1_epochs):
+            raise ValidationError("training config does not share this warm-up")
+        state = _fork(start, config)
     run_stage1(state)
     run_stage2(state)
     return state

@@ -265,9 +265,9 @@ def test_a_row_with_its_own_descriptor_noise_trains_on_its_own_descriptors(
 
     trained_on = []
 
-    def recording(scene, oracles, cfg, model_config, descriptors, warmup):
+    def recording(scene, oracles, cfg, model_config, descriptors, start):
         trained_on.append(descriptors is built[cfg.descriptor_noise])
-        return train(scene, oracles, cfg, model_config, descriptors, warmup=warmup)
+        return train(scene, oracles, cfg, model_config, descriptors, start=start)
 
     monkeypatch.setattr(ablation, "scene_descriptors", building)
     monkeypatch.setattr(ablation, "row_train_config", row_config)
@@ -304,8 +304,8 @@ def test_rows_sharing_a_warm_up_end_like_standalone_runs(monkeypatch, small_scen
     inits, stage1_epochs = [], []
     init_state, run_epoch = training.init_state, training._run_epoch
 
-    def recording(scene, oracles, cfg, model_config, descriptors, warmup):
-        state = train(scene, oracles, cfg, model_config, descriptors, warmup=warmup)
+    def recording(scene, oracles, cfg, model_config, descriptors, start):
+        state = train(scene, oracles, cfg, model_config, descriptors, start=start)
         finished[cfg] = state
         return state
 
@@ -319,6 +319,7 @@ def test_rows_sharing_a_warm_up_end_like_standalone_runs(monkeypatch, small_scen
         return run_epoch(state, stage)
 
     monkeypatch.setattr(ablation, "train", recording)
+    monkeypatch.setattr(ablation, "init_state", counting_init)
     monkeypatch.setattr(training, "init_state", counting_init)
     monkeypatch.setattr(training, "_run_epoch", counting_epoch)
     report = run_ablation(suite, {0: (small_scene, small_oracles)})
@@ -339,25 +340,53 @@ def test_rows_sharing_a_warm_up_end_like_standalone_runs(monkeypatch, small_scen
 
 
 def test_a_failed_warm_up_fails_every_row_of_its_group(monkeypatch):
-    calls = []
+    # Every row but wo_latent trains with the latent loss and shares a warm-up.
+    init_state = training.init_state
 
-    def failing(*args, **kwargs):
-        calls.append(args[2])
-        raise ValidationError(f"warm-up failure {len(calls)}")
+    def failing(scene, oracles, cfg, *args):
+        if cfg.latent_loss_weight > 0:
+            raise ValidationError("warm-up failure")
+        return init_state(scene, oracles, cfg, *args)
 
+    monkeypatch.setattr(ablation, "init_state", failing)
     monkeypatch.setattr(training, "init_state", failing)
     report = run_ablation(warmup_suite())
-    errors = {entry["row"]: entry["error"] for entry in report.rows}
-    assert len(calls) == 2
-    shared = {row: "warm-up failure 1" for row in WARMUP_ROWS if row != "wo_latent"}
-    assert errors == {**shared, "wo_latent": "warm-up failure 2"}
+    errors = {entry["row"]: entry.get("error") for entry in report.rows}
+    assert errors == {row: None if row == "wo_latent" else "warm-up failure"
+                      for row in WARMUP_ROWS}
+
+
+def warmed_up(scene, oracles, config, epochs):
+    return training.run_stage1(training.init_state(scene, oracles, config), epochs)
 
 
 def test_a_warm_up_refuses_a_config_it_does_not_fit(small_scene, small_oracles):
     base = TrainConfig(stage1_epochs=1, total_epochs=2)
-    warmup = training.Warmup(1)
-    train(small_scene, small_oracles, base, warmup=warmup)
+    start = warmed_up(small_scene, small_oracles, base, 1)
+    train(small_scene, small_oracles, base, start=start)
     for other in (dataclasses.replace(base, lr=0.2),
                   dataclasses.replace(base, stage1_epochs=0)):
         with pytest.raises(ValidationError, match="does not share"):
-            train(small_scene, small_oracles, other, warmup=warmup)
+            train(small_scene, small_oracles, other, start=start)
+
+
+def _fingerprint(state):
+    """Bytes of everything a run changes on its state."""
+    return (state.bundle.params.tobytes(), state.epoch, repr(state.history),
+            state.labels2d.tobytes(), state.labels3d.tobytes(),
+            repr(state.shuffle_rng.bit_generator.state),
+            repr(state.source_rng.bit_generator.state),
+            state.source_counts.tobytes(), state.source_draws.tobytes())
+
+
+def test_a_run_from_a_warm_up_leaves_it_unchanged(small_scene, small_oracles):
+    config = TrainConfig(stage1_epochs=2, total_epochs=4)
+    start = warmed_up(small_scene, small_oracles, config, 1)
+    before = _fingerprint(start)
+    first = train(small_scene, small_oracles, config, start=start)
+    assert _fingerprint(start) == before
+    second = train(small_scene, small_oracles, config, start=start)
+    assert _fingerprint(start) == before
+    assert _fingerprint(first) == _fingerprint(second)
+    alone = train(small_scene, small_oracles, config)
+    assert _fingerprint(first) == _fingerprint(alone)

@@ -16,7 +16,7 @@ import pytest
 
 from cnslab import ablation, cli, evaluation, pseudolabel, training
 from cnslab.bundle import read_bundle, write_bundle
-from cnslab.geometry import build_correspondences, project_point
+from cnslab.geometry import build_correspondences
 from cnslab.nncore import ModelConfig, make_bundle, mlp_forward, param_views, step
 from cnslab.scenesynth import (PIXEL_DESC_DIM, POINT_DESC_DIM, ClipNoiseConfig,
                                MaskFragConfig, SceneConfig, generate_scene,
@@ -25,6 +25,8 @@ from cnslab.scenesynth import (PIXEL_DESC_DIM, POINT_DESC_DIM, ClipNoiseConfig,
                                point_descriptors, render_view,
                                standard_oracle_outputs)
 from cnslab.training import TrainConfig
+
+from conftest import project_point
 
 
 def _report(num: int, description: str, ok: bool):

@@ -110,7 +110,7 @@ def test_ablation_trains_at_the_configured_temperature(monkeypatch, small_scene,
                                                       small_oracles):
     seen = []
 
-    def fake_train(scene, oracles, config, model_config, descriptors, warmup):
+    def fake_train(scene, oracles, config, model_config, descriptors, start):
         seen.append(model_config)
         raise ValidationError("stop after recording the model config")
 

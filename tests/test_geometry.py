@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from cnslab.errors import ValidationError
 from cnslab.geometry import (DEPTH_MIN, CameraModel, CorrespondenceSet,
                              PointCloud, build_correspondences, look_at,
-                             project_point, project_points)
+                             project_points)
+
+from conftest import project_point
 
 
 def identity_camera(width=32, height=32, fx=16.0, fy=16.0, cx=None, cy=None):

@@ -15,7 +15,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from cnslab.errors import PlacementError, ValidationError
-from cnslab.geometry import CameraModel, PointCloud, look_at, project_point
+from cnslab.geometry import CameraModel, PointCloud, look_at
 from cnslab.scenesynth import (APPEARANCE_DIM, BACKGROUND_CLASS,
                                BACKGROUND_INSTANCE, MAX_ROOM_SIZE,
                                PIXEL_DESC_DIM,
@@ -30,8 +30,9 @@ from cnslab.scenesynth import (APPEARANCE_DIM, BACKGROUND_CLASS,
                                _label_components, _nearest_neighbors,
                                _split_objects, _upsample_blocks)
 from cnslab.seeding import TAG_MASKS, derive_rng
+from cnslab.training import TrainConfig
 
-from conftest import SMALL_SCENE
+from conftest import SMALL_SCENE, project_point
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +679,10 @@ DESCRIPTOR_SHA256 = {
 @pytest.mark.parametrize("seed", sorted(DESCRIPTOR_SHA256))
 def test_descriptor_bytes_are_pinned(seed):
     scene = generate_scene(SceneConfig(), seed)
-    point = point_descriptors(scene)
-    pixel = np.stack([pixel_descriptors(scene, k) for k in range(len(scene.cameras))])
+    noise = TrainConfig().descriptor_noise
+    point = point_descriptors(scene, noise)
+    pixel = np.stack([pixel_descriptors(scene, k, noise)
+                      for k in range(len(scene.cameras))])
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (point, pixel))
     assert digests == DESCRIPTOR_SHA256[seed]
 

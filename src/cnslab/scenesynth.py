@@ -6,8 +6,9 @@ replace the foundation models with controllable-noise stand-ins:
 
 * ``mock_clip_scores``  — per-pixel class scores with block-correlated
   label-flip noise (flip rate ``eps``, correlation block size ``block``);
-* ``mock_sam_masks``    — class-pure over-segmentation masks with
-  optional boundary jitter;
+* ``mock_sam_masks``    — over-segmentation masks, class-pure at zero
+  boundary jitter and connected unless an object region renders in more
+  pieces than it has fragments;
 * ``mock_sam_features`` — per-instance unit anchor embeddings with
   gaussian within-instance noise.
 
@@ -495,42 +496,51 @@ def _label_components(mask: np.ndarray) -> Tuple[np.ndarray, int]:
     return labels, int(first.sum())
 
 
-def _geodesic_distance(mask: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Geodesic distance inside each region of a stack from its seeds.
+def _grow(mask: np.ndarray, seeds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Synchronous 4-connected BFS from seeds inside each region of a stack.
 
     mask is an (R, h, w) stack of regions and seeds an (R, S) array of
-    flat pixel indices into each h x w slice.  A round shifts values one
-    row down, one row up, one column right and one column left, then sets
-    off-mask pixels back to inf; rounds repeat until nothing changes.  So
-    a step may cut a corner through one off-mask pixel at cost 2: this is
-    not a 4-connected distance but a shortest path over 8-connected mask
-    pixels, 1 per side step and 2 per diagonal step.  [[1, 0], [0, 1]]
-    seeded at (0, 0) reads 2 at (1, 1).  Pixels with no such path read
-    inf.  Paths visit mask pixels only and the stack axis carries nothing,
-    so a crop holding the whole region gives the same distances.
+    flat pixel indices into each h x w slice, -1 past a region's count.
+    Returns (rounds, owner), both (R, h, w) int32: the round at which
+    each pixel is reached and the index of the seed that reaches it
+    first, equidistant ties going to the lowest index.  Pixels no seed
+    reaches, off-mask pixels among them, read -1 in both.  Paths visit
+    mask pixels only, so a crop holding the whole region gives the same
+    result; over a full rectangle the rounds are city-block distances.
     """
-    dist = np.full(mask.shape, np.inf)
-    dist.reshape(len(mask), -1)[np.arange(len(mask))[:, None], seeds] = 0.0
+    owner = np.full(mask.shape, _BIG, dtype=np.int32)
+    region, index = np.nonzero(seeds >= 0)
+    owner.reshape(len(mask), -1)[region, seeds[region, index]] = index
+    rounds = np.where(owner < _BIG, 0, -1).astype(np.int32)
+    unreached = mask & (owner == _BIG)
+    best = np.empty_like(owner)
+    step = 0
     while True:
-        prev = dist
-        d = dist.copy()
-        d[..., 1:, :] = np.minimum(d[..., 1:, :], d[..., :-1, :] + 1)
-        d[..., :-1, :] = np.minimum(d[..., :-1, :], d[..., 1:, :] + 1)
-        d[..., :, 1:] = np.minimum(d[..., :, 1:], d[..., :, :-1] + 1)
-        d[..., :, :-1] = np.minimum(d[..., :, :-1], d[..., :, 1:] + 1)
-        d[~mask] = np.inf
-        dist = d
-        if np.array_equal(dist, prev):
-            return dist
+        best.fill(_BIG)
+        np.minimum(best[..., 1:, :], owner[..., :-1, :], out=best[..., 1:, :])
+        np.minimum(best[..., :-1, :], owner[..., 1:, :], out=best[..., :-1, :])
+        np.minimum(best[..., :, 1:], owner[..., :, :-1], out=best[..., :, 1:])
+        np.minimum(best[..., :, :-1], owner[..., :, 1:], out=best[..., :, :-1])
+        newly = unreached & (best < _BIG)
+        if not newly.any():
+            break
+        step += 1
+        np.copyto(owner, best, where=newly)
+        np.copyto(rounds, step, where=newly)
+        unreached ^= newly
+    owner[owner == _BIG] = -1
+    return rounds, owner
 
 
 def _farthest_seeds(mask: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
-    """Geodesic farthest-point seeds of each region of an (R, h, w) stack.
+    """Farthest-point seeds of each region of an (R, h, w) stack.
 
     Region r gets counts[r] seeds.  Its first seed is drawn from `rng`,
     region by region in stack order; each further seed is the first pixel
-    in raster order at the largest distance from the seeds so far.
-    Returns (R, max(counts)) flat pixel indices, -1 past a region's count.
+    in raster order with the most BFS rounds from the seeds so far.  Mask
+    pixels no seed reaches count as farthest, so each separate piece of a
+    region gets a seed while seeds remain.  Returns (R, max(counts)) flat
+    pixel indices, -1 past a region's count.
     """
     flat = mask.reshape(len(mask), -1)
     seeds = np.full((len(mask), counts.max()), -1, dtype=np.int64)
@@ -539,40 +549,11 @@ def _farthest_seeds(mask: np.ndarray, counts: np.ndarray, rng) -> np.ndarray:
         seeds[r, 0] = inside[int(rng.integers(len(inside)))]
     for j in range(1, seeds.shape[1]):
         active = np.flatnonzero(counts > j)
-        dist = _geodesic_distance(mask[active], seeds[active, :j])
-        # Off-mask pixels never win; unreached mask pixels sort as +inf.
-        dist[~mask[active]] = -np.inf
-        seeds[active, j] = np.argmax(dist.reshape(len(active), -1), axis=1)
+        rounds, _ = _grow(mask[active], seeds[active, :j])
+        # Unreached mask pixels are farthest; off-mask pixels never win.
+        rounds[mask[active] & (rounds < 0)] = _BIG
+        seeds[active, j] = np.argmax(rounds.reshape(len(active), -1), axis=1)
     return seeds
-
-
-def _partition_region(mask: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Label the pixels of each region of an (R, h, w) stack by the seed
-    that reaches them first (synchronous 4-connected BFS rounds;
-    equidistant ties go to the lowest seed index).  seeds is as
-    _farthest_seeds returns it; off-mask pixels read -1."""
-    lab = np.full(mask.shape, -1, dtype=np.int64)
-    region, index = np.nonzero(seeds >= 0)
-    lab.reshape(len(mask), -1)[region, seeds[region, index]] = index
-    while True:
-        cand = np.where(lab >= 0, lab, _BIG)
-        best = np.full(mask.shape, _BIG, dtype=np.int64)
-        best[..., 1:, :] = np.minimum(best[..., 1:, :], cand[..., :-1, :])
-        best[..., :-1, :] = np.minimum(best[..., :-1, :], cand[..., 1:, :])
-        best[..., :, 1:] = np.minimum(best[..., :, 1:], cand[..., :, :-1])
-        best[..., :, :-1] = np.minimum(best[..., :, :-1], cand[..., :, 1:])
-        newly = mask & (lab < 0) & (best < _BIG)
-        if not newly.any():
-            break
-        lab[newly] = best[newly]
-    left = mask & (lab < 0)
-    for r in np.flatnonzero(left.any(axis=(1, 2))):
-        # Disconnected leftovers with no seed: nearest seed by Euclidean distance.
-        ys, xs = np.nonzero(left[r])
-        sy, sx = np.divmod(seeds[r][seeds[r] >= 0], mask.shape[2])
-        d2 = (ys[:, None] - sy[None, :]) ** 2 + (xs[:, None] - sx[None, :]) ** 2
-        lab[r, ys, xs] = np.argmin(d2, axis=1)
-    return lab
 
 
 def _split_objects(object_id: np.ndarray, splits: int, rng) -> np.ndarray:
@@ -582,7 +563,7 @@ def _split_objects(object_id: np.ndarray, splits: int, rng) -> np.ndarray:
     Returns (H, W) int32 fragment ids, numbered from 0 object by object
     in id order, and -1 on the background.  The R regions are cropped to
     their bounding boxes and split together as one (R, h_max, w_max)
-    stack padded off-mask, so each sweep holds R * h_max * w_max <=
+    stack padded off-mask, so each BFS round holds R * h_max * w_max <=
     R * H * W pixels.
     """
     frags = np.full(object_id.shape, -1, dtype=np.int32)
@@ -600,7 +581,14 @@ def _split_objects(object_id: np.ndarray, splits: int, rng) -> np.ndarray:
     for r, (*_, crop) in enumerate(boxes):
         region[r, :crop.shape[0], :crop.shape[1]] = crop
     counts = np.minimum(splits, region.sum(axis=(1, 2)))
-    lab = _partition_region(region, _farthest_seeds(region, counts, rng))
+    seeds = _farthest_seeds(region, counts, rng)
+    _, lab = _grow(region, seeds)
+    left = region & (lab < 0)
+    stray = np.flatnonzero(left.any(axis=(1, 2)))
+    if len(stray):
+        # A piece no seed reaches joins the nearest seed in city-block distance.
+        _, near = _grow(np.ones_like(region[stray]), seeds[stray])
+        lab[stray] = np.where(left[stray], near, lab[stray])
     first_ids = np.cumsum(counts) - counts
     for r, (rows, cols, crop) in enumerate(boxes):
         h, w = crop.shape
@@ -610,13 +598,17 @@ def _split_objects(object_id: np.ndarray, splits: int, rng) -> np.ndarray:
 
 def mock_sam_masks(scene: Scene, camera_index: int, frag: MaskFragConfig,
                    seed: int) -> MaskMap:
-    """Over-segmentation of one view into connected, class-pure fragments.
+    """Over-segmentation of one view (mock SAM output).
 
-    The background region contributes one mask per connected component;
-    every rendered object region is split into splits_per_object
-    fragments (fewer if the region has fewer pixels).  boundary_jitter_px
-    displaces mask boundaries by up to that many pixels via a coarse
-    integer offset field; jitter 0 keeps masks exactly class-pure.
+    The background contributes one mask per 4-connected component; each
+    rendered object region is split into splits_per_object fragments
+    (fewer if it has fewer pixels), grown by BFS from farthest-point
+    seeds.  At boundary_jitter_px 0 every fragment is class-pure, and
+    connected unless its region renders in more 4-connected pieces than
+    splits_per_object; then each unseeded piece joins its nearest seed in
+    city-block distance.  boundary_jitter_px > 0 displaces mask
+    boundaries by up to that many pixels via a coarse integer offset
+    field.
     """
     frag.validate()
     render = render_view(scene, camera_index)

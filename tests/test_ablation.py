@@ -207,10 +207,10 @@ def test_median_over_seeds():
 # ---------------------------------------------------------------------------
 # descriptors shared by the trained rows of a seed
 
-# report.csv of shared_suite(), recorded when every trained row built its
-# own descriptors.
+# report.csv of shared_suite(), recorded from a run in which every trained
+# row built its own descriptors and ran its own stage 1.
 SHARED_REPORT_SHA256 = \
-    "3a01113652f4f5852b25c6841ad0cf5c050e2b66ef702a479ceed0496167e33f"
+    "89f85e213601e745129058fc621647c4b2db48410adac634908fabc1e76762e8"
 
 
 def shared_suite(**overrides):

@@ -573,16 +573,16 @@ SYNTH_SHA256 = {
         "manifest.txt": "844b5f7807feb85e949d0e4384de7f4039dad011f0baebb4d4e48b344e2e78b6",
         "points.bin": "3251d0bbc90e8070a0c9ca2ae311b5fd9f62b7b603bf611baebffae11ad1fecc",
         "view_0.feat.bin": "a6d2ebdf2d072e75c1f830ead65d72be78c8905a8e818ffdfc3db498cba0494c",
-        "view_0.masks.bin": "7b9e3da5fce5a43912578aa8058b1cf36c0e3a2ced1ad32bf3d8d0c8a45e6d25",
+        "view_0.masks.bin": "63ef44b3a467694d0aac652a9ac97df63ce864d6c492015b6159259c2a244335",
         "view_0.scores.bin": "66bd18335648743d9361ae3e7f4734814edcbdf3aa59ab0e88a6d2d0b39d9b51",
         "view_1.feat.bin": "bdf93443aa877f14c79724254edf70feb2139186a57cf8d22a4d177a474f2f7c",
-        "view_1.masks.bin": "78dc46ad7d3a2c4aad5a4b9eae983e35c2e3aab687bf88c5ff9619dc73cd2ace",
+        "view_1.masks.bin": "bc3bddbcd8644d046b124247b6d5676fd87679b92e3a2372d69624ed87a22374",
         "view_1.scores.bin": "6a78de8d30b01e48206cdc6f8e34b82f17befdc9246f92a75883b9104170410d",
         "view_2.feat.bin": "03cd638d8526017dea38e355383288d822facffbcbebc6b3c6fc49a7b2d94c7c",
-        "view_2.masks.bin": "903642bd08e2a94c91224caf3427414daa8140487e68b4a92b44e031920e47a4",
+        "view_2.masks.bin": "7eb3615bf70092b9759becbd42c528d4b07c023409701976610ca7d4545540cc",
         "view_2.scores.bin": "6f3343d065f586d9cb33b97520306807a626c3fceeae5c85ac57e614f2da9baa",
         "view_3.feat.bin": "18e66cd8282b55a5e74fb80818292ee44ebc976fe896df90f2b33a6fbd3c808d",
-        "view_3.masks.bin": "68d41a7b9de68c445278c4b327539bb7f14d455cf8060ec6bddde758f4242201",
+        "view_3.masks.bin": "e808704b0719210f1329797c6ee752d366afec58e5404712f1dfc8d93b30c37b",
         "view_3.scores.bin": "890398e6096ed338cf5a2e49348c48b7ec331faf0a7b0f65e5681e536bdb0ccb",
     },
     1: {
@@ -590,16 +590,16 @@ SYNTH_SHA256 = {
         "manifest.txt": "72ab9d8243442a2f5ebdf0b1c764e64f1b2dcfba739a4e1499c60f0b4c9a9201",
         "points.bin": "a2262e66c5c0ef28ca6d63e0eb3555829e6edadbf2e8fde5147072ef4c6dfb19",
         "view_0.feat.bin": "b21f7fb6ec9d8bec6c953c45fe12f227797373c0d6fcf3ea4d9585ec5f9a9999",
-        "view_0.masks.bin": "e07f2811cd3fe178e85a233c9fa4bc1bcbdf6830f4930be0c824c28426d2d91f",
+        "view_0.masks.bin": "d7d4071464b42a966ae1f8059363047277260a4b83c552cdbcbbe2ab07b6f755",
         "view_0.scores.bin": "61aa2847b5bceb96bdd591889c1db4d0531e13e771aeca7b459358240a64da25",
         "view_1.feat.bin": "20f66404aa4864b7c55de74e243413c22fbfe5a9191bffc2d7713b2804e8a502",
-        "view_1.masks.bin": "53a06599d74cb35bf760bfa8d5be4f4a3313eebf5a536cf831807f0f7c800b57",
+        "view_1.masks.bin": "23d356103315f74bba8dd3eb8218430f5a8545a4028847475f7e85ca756c845e",
         "view_1.scores.bin": "fe040b35dd4a7b6952c82f57d8d925d6dc87d4342b0b873de073f255845b331d",
         "view_2.feat.bin": "efc2fc3e9d63adb502be1c4fd6acb9ebe087b116b0c571923b0f356913fa993e",
-        "view_2.masks.bin": "484b32205ed6a263c4ca92b91f5bbb9c8983b601bdf9ae56d122113513ab4418",
+        "view_2.masks.bin": "765f924ea70eeb6e48a83c028af44afdb6cec0d6894b4dd028372f68c2e1b90c",
         "view_2.scores.bin": "012c370e95429f07b3faade3607310663d1fff6e0ff6839bbe75f4ff9cda12a1",
         "view_3.feat.bin": "8affcd6bbcbace5e3fc96a5f8243201d889125ed67b33b92ac7560584213e8ef",
-        "view_3.masks.bin": "28c302433c75b09345321be0d27d580ddec1a289dbce3332e6db1882cbbd1e9f",
+        "view_3.masks.bin": "bb87088b4d4a175105f2e72c4f79bd5b60c4bd3d459858b54500a988e510eba3",
         "view_3.scores.bin": "1d59da0bce80d55d17f2391da179c3daa56378f8fec7ba4d69775bcb5706f998",
     },
 }
@@ -619,20 +619,20 @@ def test_synth_bundle_bytes_are_pinned(tmp_path, seed):
 # text, so no BLAS or float rounding enters them.  The refined pixel
 # labels do not depend on how the point labels are refined.
 _REFINED_VIEWS_SHA256 = {
-    "view_0.labels.bin": "f42b9c0e679bc399b1da3498fe0768936d2d1cc49490237b35e03921aab3e62a",
-    "view_1.labels.bin": "a434efeff490461d16a48f77a2faff35507b0c340877b4b2a1d1b4447d558c98",
-    "view_2.labels.bin": "da0e6656a8755f3d65442610c63d3cc1ccd020ad7032d13af887f9b063a4d24a",
-    "view_3.labels.bin": "75574aa5a25ffa80770b5caabad973bdc478748c0c4881e81c0db8e8ce22fb43",
+    "view_0.labels.bin": "d0c91335ccacdf6e52b711e036e31a1e3ad94a52783a2e77e457aaa87155b209",
+    "view_1.labels.bin": "89e75751262ad4bab54364a8a4c0780e1f0a6b6ce8ac5118ad5047bc05edb8da",
+    "view_2.labels.bin": "413ca54ef978649779cd8cb867a8579bb22b10b1aeb3c9e66daed59cd25ac8d8",
+    "view_3.labels.bin": "329fb05fd53e225890a17814284d5164ab047427bd1eb653bbe5106a3c58a88b",
 }
 REFINE_SHA256 = {
     (): {
-        "refine.csv": "1d3d53df10c2e868c99ecfb5565589c5ad349c751a1057ce1ae0a57bb94d8bcb",
-        "point_labels.bin": "05ea123c0fc29c5009c45afc06cf3206d6ae3fd3f4de5c8e69ad04784fd9dcc1",
+        "refine.csv": "42995f479d7c3d08032b70d03cafe247df762de2f40ece4564ed9fa9e62b50c8",
+        "point_labels.bin": "b9f71a48567398f0d06e727548d0a1d2b965dd609b53626d9caa41f68dbcdf1d",
         **_REFINED_VIEWS_SHA256,
     },
     ("--refine3d_mode", "reproject", "--multiview", "vote"): {
-        "refine.csv": "fc73e0fde6f1095c9675ddd8b22558d6b369ecf1f7e396fd09d61968c63d0de8",
-        "point_labels.bin": "7b63726132fb4c87afb350cf57c0935879bef3c068bc769b97087054bee215f2",
+        "refine.csv": "6588509a6044ad21a403bd5b002a3627fe3b01119cf0a544f16f2bccafc621e9",
+        "point_labels.bin": "412a28fe0f97cc374a3c0363031e278a13941e9c103947063b7881375bcfd2de",
         **_REFINED_VIEWS_SHA256,
     },
 }
@@ -651,8 +651,8 @@ def test_refine_bytes_are_pinned(tmp_path):
 
 # sha256 of the train and eval outputs of the `pipeline` fixture (TINY_CFG).
 TRAIN_SHA256 = {
-    "train/checkpoint.ckpt": "e38b98f895ac6cfd84f3ddaed24f2e59ce5c4cfb4db7e9543d933a3cdbdd0978",
-    "train/metrics.csv": "49badc13f61db0457409ad5e5e2aa4b62700f3bc796fd130fc8ca532be42420c",
+    "train/checkpoint.ckpt": "bd87e8e84847c569ff2690192392179d5d65f86ecd7170cecf4357e8480b0da2",
+    "train/metrics.csv": "ab87286023cee4f3758f80799c0d7d9adf37a1f13321900046095d8499c49138",
     "eval/eval.csv": "50fca71f67d5d6d0e6f006bba9cf48f776bc7cd959a8af1fad95a4b4c2fa29ed",
 }
 

@@ -26,7 +26,7 @@ from cnslab.scenesynth import (APPEARANCE_DIM, BACKGROUND_CLASS,
                                mock_sam_masks, mock_text_embeddings,
                                pixel_descriptors, point_descriptors,
                                render_view, standard_oracle_outputs,
-                               _box_mean3, _geodesic_distance, _JITTER_CELL,
+                               _box_mean3, _grow, _JITTER_CELL,
                                _label_components, _nearest_neighbors,
                                _split_objects, _upsample_blocks)
 from cnslab.seeding import TAG_MASKS, derive_rng
@@ -315,60 +315,51 @@ def test_masks_deterministic(small_scene):
 
 
 # The per-region mask oracle that the stacked one replaced: each object
-# region is seeded and partitioned on its own, over the whole view.
+# region is seeded and partitioned on its own, over the whole view, from
+# one plain BFS distance field per seed.
 
 
-def _reference_geodesic_distance(mask, seeds):
+def _reference_bfs(mask, y, x):
+    """4-connected BFS rounds from (y, x) inside mask; inf where unreached."""
     dist = np.full(mask.shape, np.inf)
-    for y, x in seeds:
-        dist[y, x] = 0.0
-    while True:
-        prev = dist
-        d = dist.copy()
-        d[1:, :] = np.minimum(d[1:, :], d[:-1, :] + 1)
-        d[:-1, :] = np.minimum(d[:-1, :], d[1:, :] + 1)
-        d[:, 1:] = np.minimum(d[:, 1:], d[:, :-1] + 1)
-        d[:, :-1] = np.minimum(d[:, :-1], d[:, 1:] + 1)
-        d[~mask] = np.inf
-        dist = d
-        if np.array_equal(dist, prev):
-            return dist
+    dist[y, x] = 0
+    front = np.zeros(mask.shape, dtype=bool)
+    front[y, x] = True
+    step = 0
+    while front.any():
+        step += 1
+        grown = np.zeros_like(front)
+        grown[1:, :] |= front[:-1, :]
+        grown[:-1, :] |= front[1:, :]
+        grown[:, 1:] |= front[:, :-1]
+        grown[:, :-1] |= front[:, 1:]
+        front = grown & mask & np.isinf(dist)
+        dist[front] = step
+    return dist
 
 
 def _reference_farthest_seeds(mask, count, rng):
+    """Seeds and their distance fields; unreached pixels are farthest."""
     ys, xs = np.nonzero(mask)
     first = int(rng.integers(len(ys)))
     seeds = [(int(ys[first]), int(xs[first]))]
+    fields = [_reference_bfs(mask, *seeds[0])]
     while len(seeds) < count:
-        inside = _reference_geodesic_distance(mask, seeds)[ys, xs]
-        nxt = int(np.argmax(inside))
+        nxt = int(np.argmax(np.min(fields, axis=0)[ys, xs]))
         seeds.append((int(ys[nxt]), int(xs[nxt])))
-    return seeds
+        fields.append(_reference_bfs(mask, *seeds[-1]))
+    return seeds, np.array(fields)
 
 
-def _reference_partition_region(mask, seeds):
-    big = np.iinfo(np.int32).max
-    lab = np.full(mask.shape, -1, dtype=np.int64)
-    for i, (y, x) in enumerate(seeds):
-        lab[y, x] = i
-    while True:
-        cand = np.where(lab >= 0, lab, big)
-        best = np.full(mask.shape, big, dtype=np.int64)
-        best[1:, :] = np.minimum(best[1:, :], cand[:-1, :])
-        best[:-1, :] = np.minimum(best[:-1, :], cand[1:, :])
-        best[:, 1:] = np.minimum(best[:, 1:], cand[:, :-1])
-        best[:, :-1] = np.minimum(best[:, :-1], cand[:, 1:])
-        newly = mask & (lab < 0) & (best < big)
-        if not newly.any():
-            break
-        lab[newly] = best[newly]
-    left = mask & (lab < 0)
-    if left.any():
-        ys, xs = np.nonzero(left)
-        sy = np.array([s[0] for s in seeds])
-        sx = np.array([s[1] for s in seeds])
-        d2 = (ys[:, None] - sy[None, :]) ** 2 + (xs[:, None] - sx[None, :]) ** 2
-        lab[ys, xs] = np.argmin(d2, axis=1)
+def _reference_partition_region(mask, seeds, fields):
+    """Nearest seed by BFS rounds, else by city-block distance; ties to
+    the lowest seed index."""
+    lab = np.argmin(fields, axis=0)
+    left = mask & np.isinf(fields.min(axis=0))
+    ys, xs = np.nonzero(left)
+    sy, sx = np.array(seeds).T
+    city = np.abs(ys[:, None] - sy[None, :]) + np.abs(xs[:, None] - sx[None, :])
+    lab[ys, xs] = np.argmin(city, axis=1)
     return lab
 
 
@@ -381,7 +372,7 @@ def _reference_split_objects(object_id, splits, rng):
         region = object_id == obj
         k = min(splits, int(region.sum()))
         lab = _reference_partition_region(region,
-                                          _reference_farthest_seeds(region, k, rng))
+                                          *_reference_farthest_seeds(region, k, rng))
         frags[region] = next_id + lab[region]
         next_id += k
     return frags
@@ -432,8 +423,9 @@ def test_split_objects_matches_reference_on_hand_built_regions():
     object_id = np.zeros((12, 14), dtype=np.int32)
     object_id[0, 13] = 1  # one pixel in a corner, fewer than `splits`
     object_id[11, 0:2] = 2  # two pixels on the bottom edge
-    # Four 2x2 blocks touching only at corners: the BFS from two seeds
-    # cannot reach every block, so the Euclidean fallback labels the rest.
+    # Four 2x2 blocks touching only at corners: with fewer seeds than
+    # blocks, each unseeded block joins its nearest seed in city-block
+    # distance.
     for i in range(4):
         object_id[1 + 2 * i:3 + 2 * i, 1 + 2 * i:3 + 2 * i] = 3
     object_id[1:4, 10:12] = 4  # two pieces with a gap: unreached pixels
@@ -456,13 +448,47 @@ def test_split_objects_of_an_empty_view():
     assert frags.shape == (5, 7) and (frags == -1).all()
 
 
-def test_geodesic_distance_cuts_corners_at_cost_two():
-    mask = np.array([[[1, 0], [0, 1]]], dtype=bool)
-    dist = _geodesic_distance(mask, np.array([[0]]))
-    np.testing.assert_array_equal(dist[0], [[0.0, np.inf], [np.inf, 2.0]])
-    # Two off-mask pixels in a row stop it.
-    dist = _geodesic_distance(np.array([[[1, 0, 0, 1]]], dtype=bool), np.array([[0]]))
-    np.testing.assert_array_equal(dist[0], [[0.0, np.inf, np.inf, np.inf]])
+def test_grow_steps_along_edges_only():
+    # A diagonal neighbour is not reached.
+    rounds, owner = _grow(np.array([[[1, 0], [0, 1]]], dtype=bool), np.array([[0]]))
+    np.testing.assert_array_equal(rounds[0], [[0, -1], [-1, -1]])
+    np.testing.assert_array_equal(owner[0], [[0, -1], [-1, -1]])
+    rounds, owner = _grow(np.ones((1, 1, 4), dtype=bool), np.array([[0]]))
+    np.testing.assert_array_equal(rounds[0], [[0, 1, 2, 3]])
+    np.testing.assert_array_equal(owner[0], [[0, 0, 0, 0]])
+    # Seeds at both ends of a line; the middle tie goes to seed 0.
+    rounds, owner = _grow(np.ones((1, 1, 5), dtype=bool), np.array([[4, 0, -1]]))
+    np.testing.assert_array_equal(rounds[0], [[0, 1, 2, 1, 0]])
+    np.testing.assert_array_equal(owner[0], [[1, 1, 0, 0, 0]])
+
+
+def test_split_objects_seeds_each_piece_when_it_can():
+    # A 2x6 block and a 2x2 block touching only at a corner, split in two.
+    object_id = np.zeros((5, 9), dtype=np.int32)
+    object_id[0:2, 0:6] = 1
+    object_id[2:4, 6:8] = 1
+    for seed in range(8):
+        frags = _split_objects(object_id, 2, np.random.default_rng(seed))
+        big, small = frags[0:2, 0:6], frags[2:4, 6:8]
+        assert (big == big[0, 0]).all() and (small == small[0, 0]).all()
+        assert big[0, 0] != small[0, 0]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fragments_are_connected_where_the_region_allows(seed):
+    # Default scene and splits at jitter 0: every fragment of an object
+    # region in at most `splits` 4-connected pieces is 4-connected.
+    scene = generate_scene(SceneConfig(), seed)
+    splits = MaskFragConfig().splits_per_object
+    for k in range(len(scene.cameras)):
+        object_id = render_view(scene, k).object_id
+        mask_ids = mock_sam_masks(scene, k, MaskFragConfig(splits, 0), seed).mask_ids
+        for obj in np.unique(object_id[object_id != BACKGROUND_INSTANCE]):
+            region = object_id == obj
+            if ndimage.label(region)[1] > splits:
+                continue
+            for frag in np.unique(mask_ids[region]):
+                assert ndimage.label(mask_ids == frag)[1] == 1, (k, obj, frag)
 
 
 def _assert_labels_like_scipy(mask):

@@ -21,17 +21,20 @@ param_views.  All arithmetic is float64; gradients are written by hand.
 `step` computes the training objective and its gradient as one vector
 laid out like the parameters; training and grad_check (central finite
 differences) both call it, the checker's probes in its loss-only mode.
+What `step` reads of a model that no update changes (its passes, the
+heads' column spans, the gradient blocks) is set up once per ModelBundle.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import os
 import typing
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -86,11 +89,13 @@ def mlp_forward(mlp: Mlp, x: np.ndarray,
     return h, cache
 
 
-def mlp_backward(mlp: Mlp, cache: list, d_out: np.ndarray
+def mlp_backward(mlp: Mlp, cache: list, d_out: np.ndarray, out=None
                  ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Backward pass: (weight grads, bias grads).
 
-    The gradient w.r.t. the input is not formed: the inputs are data.
+    `out`, if given, holds per layer a (weight, bias) pair of arrays that
+    layer's gradients are written into, or None for fresh arrays.  The
+    gradient w.r.t. the input is not formed: the inputs are data.
     """
     d_w = [None] * len(mlp.weights)
     d_b = [None] * len(mlp.biases)
@@ -99,16 +104,12 @@ def mlp_backward(mlp: Mlp, cache: list, d_out: np.ndarray
     for i in range(last, -1, -1):
         if i < last:
             grad *= cache[i + 1] > 0
-        d_w[i] = cache[i].T @ grad
-        d_b[i] = grad.sum(axis=0)
+        w_out, b_out = (out[i] if out else None) or (None, None)
+        d_w[i] = np.matmul(cache[i].T, grad, out=w_out)
+        d_b[i] = grad.sum(axis=0, out=b_out)
         if i:
             grad = grad @ mlp.weights[i].T
     return d_w, d_b
-
-
-def _side_by_side(arrays: List[np.ndarray]) -> np.ndarray:
-    """Arrays joined along their last axis; a single array is returned as is."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
 
 
 def fold_output(mlp: Mlp, a: np.ndarray, bias: np.ndarray) -> Mlp:
@@ -191,7 +192,8 @@ class ModelBundle:
     (L, embed_dim) float64 table of unit class embeddings; its checks live
     here, so make_bundle and load_checkpoint both pass them.
     `scaled_embeddings` is that table divided by the temperature, E / T,
-    which class_map and the training step's gradient read.
+    which class_map and the training step's gradient read.  `step_plan`
+    is what `step` reads of the model that no update changes.
     """
 
     def __init__(self, config: ModelConfig, params: np.ndarray,
@@ -222,6 +224,7 @@ class ModelBundle:
             {"w": views[f"{head}.w"], "b": views[f"{head}.b"]} for head in _HEAD_NAMES)
         anchor_head.setflags(write=False)
         self.anchor_head = anchor_head
+        self.step_plan = _step_plan(self)
 
     def head(self, name: str) -> Dict[str, np.ndarray]:
         try:
@@ -259,7 +262,12 @@ def make_bundle(config: ModelConfig, embeddings: np.ndarray,
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Numerically stable row softmax, computed in place in `logits`."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    # The row max one column at a time: a reduction along a short last
+    # axis costs more per row than a pass per column.
+    top = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(top, logits[:, j], out=top)
+    logits -= top[:, None]
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
     return logits
@@ -317,11 +325,12 @@ def ce_loss(logits: np.ndarray, target_labels: np.ndarray, grad: bool = True
         raise ValidationError("target labels outside [0, num_classes)")
     probs = softmax_rows(logits[valid] if masked else logits.copy())
     rows = np.arange(n)
-    loss = float(-np.log(np.maximum(probs[rows, labels], 1e-300)).mean())
+    picked = probs[rows, labels]
+    loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
     if not grad:
         return loss, None
     d_logits = probs  # probs is not read again; its buffer is reused
-    d_logits[rows, labels] -= 1.0
+    d_logits[rows, labels] = picked - 1.0
     d_logits /= n
     if masked:
         d_logits, d_kept = np.zeros_like(logits), d_logits
@@ -410,38 +419,136 @@ def cosine_align_loss(x_out: np.ndarray, p_out: np.ndarray, anchors: np.ndarray,
 # the training step, SGD, and the gradient checker
 
 
-def _head_map(bundle: ModelBundle, head: str) -> Tuple[np.ndarray, np.ndarray]:
-    """The linear map (A, a) from latent rows to a head's outputs."""
-    if head in ("s2d", "s3d"):
-        return class_map(bundle, head)
-    h = bundle.head(head)
-    return h["w"], h["b"]
+class _Head(NamedTuple):
+    """A head folded into an encoder pass of `step`: its columns of the
+    pass output, the bundle's views of its (W, b), and their blocks of the
+    gradient vector as (slice, shape)."""
+
+    semantic: bool
+    cols: slice
+    w: np.ndarray
+    b: np.ndarray
+    grad_w: tuple
+    grad_b: tuple
 
 
-def _unfold_grads(bundle: ModelBundle, views: Dict[str, np.ndarray], enc: str,
-                  a: np.ndarray, cols: Dict[str, slice], g: np.ndarray, s: np.ndarray):
-    """Add the gradients behind one folded output layer to `views`.
+class _Pass(NamedTuple):
+    """An encoder pass of `step`: the encoder, the heads folded into its
+    output layer and their total width, the encoder's (W, b) gradient
+    blocks per layer, and whether an earlier pass of the step wrote those
+    blocks, so that this one adds to them."""
 
-    The encoder `enc`'s output layer (W_L, b_L) was folded into the map
-    (A, a) (fold_output), whose columns `cols` belong to each head, and
-    g = h.T @ D and s = D.sum(0) are the folded layer's weight and bias
-    gradients.  By the chain rule dW_L = g @ A.T, db_L = s @ A.T,
-    dA = W_L.T @ g + outer(b_L, s) and da = s.  A semantic head's
-    (M, c) = (W, b) @ E.T / T passes dA and da on through E / T.
+    mlp: Mlp
+    heads: Tuple[_Head, ...]
+    width: int
+    blocks: tuple
+    adds: bool
+
+
+class _StepPlan(NamedTuple):
+    """What `step` reads of a model that no parameter update changes.
+
+    `terms` maps which terms a batch holds, (y2d, y3d, anchors present),
+    to the passes over its x2d, x3d and pair3d rows, None where a pass
+    does not run.  `emb` is the scaled class embedding table E / T.
     """
-    mlp = getattr(bundle, enc)
-    last = len(mlp.weights) - 1
-    views[f"{enc}.w{last}"] += g @ a.T
-    views[f"{enc}.b{last}"] += s @ a.T
-    d_a = mlp.weights[-1].T @ g
-    d_a += np.outer(mlp.biases[-1], s)
-    for head, span in cols.items():
-        d_w, d_b = d_a[:, span], s[span]
-        if head in ("s2d", "s3d"):
-            emb = bundle.scaled_embeddings
-            d_w, d_b = d_w @ emb, d_b @ emb
-        views[f"head_{head}.w"] += d_w
-        views[f"head_{head}.b"] += d_b
+
+    size: int
+    num_classes: int
+    emb: np.ndarray
+    emb_t: np.ndarray
+    terms: Dict[Tuple[bool, bool, bool], tuple]
+
+
+def _step_plan(bundle: ModelBundle) -> _StepPlan:
+    config = bundle.config
+    blocks = {name: (slice(start, stop), shape)
+              for name, start, stop, shape in _layout(config)}
+    num_classes = len(bundle.embeddings)
+
+    def make_pass(enc, names, adds):
+        heads, lo = [], 0
+        for name in names:
+            semantic = name.startswith("s")
+            hi = lo + (num_classes if semantic else config.anchor_dim)
+            h = bundle.head(name)
+            heads.append(_Head(semantic, slice(lo, hi), h["w"], h["b"],
+                               blocks[f"head_{name}.w"], blocks[f"head_{name}.b"]))
+            lo = hi
+        return _Pass(getattr(bundle, enc), tuple(heads), lo,
+                     tuple((blocks[f"{enc}.w{i}"], blocks[f"{enc}.b{i}"])
+                           for i in range(len(config.hidden) + 1)), adds)
+
+    terms = {}
+    for ce2d, ce3d, latent in itertools.product((False, True), repeat=3):
+        heads2d = [name for name, used in (("s2d", ce2d), ("f2d", latent)) if used]
+        terms[ce2d, ce3d, latent] = (
+            make_pass("enc2d", heads2d, False) if heads2d else None,
+            make_pass("enc3d", ["s3d"], False) if ce3d else None,
+            make_pass("enc3d", ["f3d"], ce3d) if latent else None)
+    return _StepPlan(_param_count(config), num_classes, bundle.scaled_embeddings,
+                     bundle.scaled_embeddings.T, terms)
+
+
+def _block(vec: np.ndarray, block) -> np.ndarray:
+    sl, shape = block
+    return vec[sl].reshape(shape)
+
+
+def _fold_pass(plan: _StepPlan, p: _Pass, rows: np.ndarray):
+    """Fold `p`'s heads into its encoder's output layer and run `rows`.
+
+    Returns (output, (folded net, head map A, forward cache)).  A holds the
+    heads' maps from latent rows side by side: a feature head's (W, b), a
+    semantic head's class map (W, b) @ E.T / T (class_map).
+    """
+    a = np.empty((p.mlp.weights[-1].shape[1], p.width))
+    c = np.empty(p.width)
+    for head in p.heads:
+        if head.semantic:
+            np.matmul(head.w, plan.emb_t, out=a[:, head.cols])
+            np.matmul(head.b, plan.emb_t, out=c[head.cols])
+        else:
+            a[:, head.cols] = head.w
+            c[head.cols] = head.b
+    net = fold_output(p.mlp, a, c)
+    out, cache = mlp_forward(net, rows)
+    return out, (net, a, cache)
+
+
+def _backward(plan: _StepPlan, p: _Pass, run, d_out: np.ndarray, total: np.ndarray):
+    """Write (or add, when p.adds) the gradient of one folded pass into `total`.
+
+    The folded output layer's weight and bias gradients g = h.T @ D and
+    s = D.sum(0) are carried back through the fold (A, a) by the chain
+    rule: dW_L = g @ A.T, db_L = s @ A.T, dA = W_L.T @ g + b_L s^T and
+    da = s.  A semantic head's (M, c) = (W, b) @ E.T / T passes dA and da
+    on through E / T.
+    """
+    net, a, cache = run
+    views = [(_block(total, w), _block(total, b)) for w, b in p.blocks]
+    if p.adds:
+        d_w, d_b = mlp_backward(net, cache, d_out)
+        for (w, b), dw, db in zip(views[:-1], d_w, d_b):
+            w += dw
+            b += db
+        g, s = d_w[-1], d_b[-1]
+        views[-1][0][...] += g @ a.T
+        views[-1][1][...] += s @ a.T
+    else:
+        d_w, d_b = mlp_backward(net, cache, d_out, out=views[:-1] + [None])
+        g, s = d_w[-1], d_b[-1]
+        np.matmul(g, a.T, out=views[-1][0])
+        np.matmul(s, a.T, out=views[-1][1])
+    d_a = p.mlp.weights[-1].T @ g
+    d_a += p.mlp.biases[-1][:, None] * s
+    for head in p.heads:
+        if head.semantic:
+            np.matmul(d_a[:, head.cols], plan.emb, out=_block(total, head.grad_w))
+            np.matmul(s[head.cols], plan.emb, out=_block(total, head.grad_b))
+        else:
+            _block(total, head.grad_w)[...] = d_a[:, head.cols]
+            _block(total, head.grad_b)[...] = s[head.cols]
 
 
 def step(bundle: ModelBundle, batch: dict, grad: bool = True
@@ -459,60 +566,57 @@ def step(bundle: ModelBundle, batch: dict, grad: bool = True
 
     Returns ({"loss", "l_ce2d", "l_ce3d", "l_latent"}, gradient), where
     loss = l_ce2d + l_ce3d + w * l_latent and the gradient, laid out like
-    bundle.params, is its gradient.  Each of the three row sets makes one
-    pass through its encoder with the output layer folded into the heads
-    that read those rows (fold_output): the x2d rows into s2d and f2d, the
-    x3d rows into s3d, the pair3d rows into f3d.  w scales the latent
-    output gradients before they enter the folded layers.  With grad=False
-    every backward half is skipped and the gradient is None; the losses
-    are the same to the bit.
+    bundle.params, is its gradient: a fresh vector on every call.  Each of
+    the three row sets makes one pass through its encoder with the output
+    layer folded into the heads that read those rows (fold_output): the
+    x2d rows into s2d and f2d, the x3d rows into s3d, the pair3d rows into
+    f3d.  What the passes of each subset of terms are is worked out once
+    per model (bundle.step_plan).  w scales the latent output gradients
+    before they enter the folded layers.  With grad=False every backward
+    half is skipped and the gradient is None; the losses are the same to
+    the bit.
     """
-    latent = "anchors" in batch
+    plan = bundle.step_plan
+    ce2d, ce3d, latent = "y2d" in batch, "y3d" in batch, "anchors" in batch
     weight = batch["latent_weight"] if latent else 0.0
-    # (encoder, rows, the heads that read those rows' latent features)
-    plan = (("enc2d", "x2d", [h for h, used in (("s2d", "y2d" in batch), ("f2d", latent))
-                              if used]),
-            ("enc3d", "x3d", ["s3d"] if "y3d" in batch else []),
-            ("enc3d", "pair3d", ["f3d"] if latent else []))
-    passes, outs = [], {}
-    for enc, rows, heads in plan:
-        if not heads:
-            continue
-        maps = [_head_map(bundle, head) for head in heads]
-        a = _side_by_side([m for m, _ in maps])
-        net = fold_output(getattr(bundle, enc), a, _side_by_side([c for _, c in maps]))
-        out, cache = mlp_forward(net, batch[rows])
-        cols, lo = {}, 0
-        for head, (m, _) in zip(heads, maps):
-            cols[head] = slice(lo, lo + m.shape[1])
-            outs[head] = out[:, cols[head]]
-            lo += m.shape[1]
-        passes.append((enc, a, cols, net, cache))
-
-    losses = {"l_ce2d": 0.0, "l_ce3d": 0.0, "l_latent": 0.0}
-    d_outs = {}
-    for head, labels, key in (("s2d", "y2d", "l_ce2d"), ("s3d", "y3d", "l_ce3d")):
-        if head in outs:
-            losses[key], d_outs[head] = ce_loss(outs[head], batch[labels], grad=grad)
+    pass2d, pass3d, pair3d = plan.terms[ce2d, ce3d, latent]
+    if pass2d:
+        out2d, run2d = _fold_pass(plan, pass2d, batch["x2d"])
+    if ce3d:
+        out3d, run3d = _fold_pass(plan, pass3d, batch["x3d"])
     if latent:
-        losses["l_latent"], d_x, d_p, _ = cosine_align_loss(
-            outs["f2d"], outs["f3d"], batch["anchors"], grad=grad)
-        if grad:  # the gradients are fresh arrays, scaled in place
-            d_x *= weight
-            d_p *= weight
-            d_outs["f2d"], d_outs["f3d"] = d_x, d_p
-    losses["loss"] = losses["l_ce2d"] + losses["l_ce3d"] + weight * losses["l_latent"]
+        outp, runp = _fold_pass(plan, pair3d, batch["pair3d"])
+
+    l_ce2d = l_ce3d = l_latent = 0.0
+    if ce2d:
+        l_ce2d, d_s2d = ce_loss(out2d[:, :plan.num_classes], batch["y2d"], grad=grad)
+    if ce3d:
+        l_ce3d, d_s3d = ce_loss(out3d, batch["y3d"], grad=grad)
+    if latent:
+        l_latent, d_f2d, d_f3d, _ = cosine_align_loss(
+            out2d[:, pass2d.heads[-1].cols], outp, batch["anchors"], grad=grad)
+        if grad and weight != 1.0:  # the gradients are fresh arrays
+            d_f2d *= weight
+            d_f3d *= weight
+    losses = {"l_ce2d": l_ce2d, "l_ce3d": l_ce3d, "l_latent": l_latent,
+              "loss": l_ce2d + l_ce3d + weight * l_latent}
     if not grad:
         return losses, None
 
-    total = np.zeros_like(bundle.params)
-    views = param_views(bundle.config, total)
-    for enc, a, cols, net, cache in passes:
-        d_w, d_b = mlp_backward(net, cache, _side_by_side([d_outs[head] for head in cols]))
-        for i in range(len(d_w) - 1):
-            views[f"{enc}.w{i}"] += d_w[i]
-            views[f"{enc}.b{i}"] += d_b[i]
-        _unfold_grads(bundle, views, enc, a, cols, d_w[-1], d_b[-1])
+    # Every block is written below, except those of absent terms.
+    total = np.empty(plan.size) if ce2d and ce3d and latent else np.zeros(plan.size)
+    if pass2d:
+        if ce2d and latent:
+            d_out = np.empty((len(d_s2d), pass2d.width))
+            d_out[:, :plan.num_classes] = d_s2d
+            d_out[:, plan.num_classes:] = d_f2d
+        else:
+            d_out = d_s2d if ce2d else d_f2d
+        _backward(plan, pass2d, run2d, d_out, total)
+    if ce3d:
+        _backward(plan, pass3d, run3d, d_s3d, total)
+    if latent:
+        _backward(plan, pair3d, runp, d_f3d, total)
     return losses, total
 
 

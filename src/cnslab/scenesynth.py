@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -181,6 +181,9 @@ class Scene:
     seed: int
     room_size: float
     _corr: Optional[CorrespondenceSet] = field(default=None, repr=False, compare=False)
+    # point_appearance per noise sigma, read-only.
+    _appearance: Dict[float, np.ndarray] = field(default_factory=dict, init=False,
+                                                 repr=False, compare=False)
 
     def correspondences(self) -> CorrespondenceSet:
         if self._corr is None:
@@ -724,13 +727,21 @@ def instance_palette(max_instance_id: int) -> np.ndarray:
 
 
 def point_appearance(scene: Scene, noise_sigma: float) -> np.ndarray:
-    """Per-point appearance: instance palette plus gaussian channel noise."""
-    palette = instance_palette(scene.object_count)
-    rng = derive_rng(scene.seed, TAG_DESCRIPTOR, 0)
-    app = palette[scene.cloud.object_ids]
-    if noise_sigma > 0:
-        app = app + noise_sigma * rng.standard_normal(app.shape)
-    return app.astype(np.float32)
+    """Per-point appearance: instance palette plus gaussian channel noise.
+
+    Drawn once per scene and noise sigma; the read-only result is kept on
+    the scene.
+    """
+    app = scene._appearance.get(noise_sigma)
+    if app is None:
+        rng = derive_rng(scene.seed, TAG_DESCRIPTOR, 0)
+        app = instance_palette(scene.object_count)[scene.cloud.object_ids]
+        if noise_sigma > 0:
+            app = app + noise_sigma * rng.standard_normal(app.shape)
+        app = app.astype(np.float32)
+        app.setflags(write=False)
+        scene._appearance[noise_sigma] = app
+    return app
 
 
 # Query-candidate slots of one k-NN block: 256 KiB per float64 array.

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .evaluation import confusion, csv_cell, miou
 from .nncore import (Mlp, ModelBundle, ModelConfig, anchor_units, class_logits,
                      class_map, fold_output, make_bundle, mlp_forward, sgd_step,
@@ -302,24 +302,34 @@ def compute_self_labels(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:
 # one training epoch
 
 
-def _draw_sources(state: TrainState, count2d: int,
-                  count3d: int) -> Tuple[np.ndarray, np.ndarray]:
-    """One source draw per network (or per element when configured).
+def _draw_sources(state: TrainState, counts2d: np.ndarray, counts3d: np.ndarray
+                  ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """One epoch's source draws: per step, one per network (or one per
+    element of its batch when configured), the 2D network's first.
 
-    Each draw is ``source_rng.choice(4, size, p=probs_for(net))`` to the
-    bit, generator state included: numpy draws such a choice by searching
-    the normalised cumulative sum of ``p`` for uniform samples, and here
-    that sum is built once per run instead of once per draw.
+    Step t's draws are ``source_rng.choice(4, size, p=probs_for(net))`` to
+    the bit, generator state included, for size counts2d[t] and then
+    counts3d[t] (or 1 each): numpy draws such a choice by searching the
+    normalised cumulative sum of ``p`` for uniform samples, here that sum
+    is built once per run, and the epoch's uniforms come from one
+    ``random`` call, which yields the same doubles in the same order.
+    Returns each network's draws, one array per step.
     """
-    per_element = state.config.switch_per_element
-    draws = []
-    for net, count in enumerate((count2d, count3d)):
-        uniform = state.source_rng.random(count if per_element else 1)
-        draw = state.source_cdf[net].searchsorted(uniform, side="right")
-        state.source_counts[net] += np.bincount(draw, minlength=4)
-        state.source_draws[net] += len(draw)
-        draws.append(draw)
-    return draws[0], draws[1]
+    steps = len(counts2d)
+    if state.config.switch_per_element:
+        sizes = np.column_stack([counts2d, counts3d]).ravel()
+    else:
+        sizes = np.ones(2 * steps, dtype=np.int64)
+    uniform = state.source_rng.random(int(sizes.sum()))
+    net = np.repeat(np.tile([0, 1], steps), sizes)
+    draw = np.empty(len(uniform), dtype=np.intp)
+    for k in (0, 1):
+        mine = net == k
+        draw[mine] = state.source_cdf[k].searchsorted(uniform[mine], side="right")
+        state.source_counts[k] += np.bincount(draw[mine], minlength=4)
+        state.source_draws[k] += int(np.count_nonzero(mine))
+    per_step = np.split(draw, np.cumsum(sizes)[:-1])
+    return per_step[0::2], per_step[1::2]
 
 
 def _run_epoch(state: TrainState, stage: int) -> dict:
@@ -334,34 +344,40 @@ def _run_epoch(state: TrainState, stage: int) -> dict:
     steps = math.ceil(n_ent / cfg.batch_pixels)
     # Step t trains on entries order[t * batch_pixels:][:batch_pixels] and
     # on the next batch_points points of point_order, which wraps around.
-    # The epoch's rows and label columns are gathered once, in this order.
+    # The epoch's rows are gathered once, in this order; each step picks
+    # its labels from the drawn source rows, and a per-batch draw
+    # broadcasts over the batch.
     pts = point_order[np.arange(steps * cfg.batch_points) % num_points]
-    x2d, labels2d = data["x2d"][order], state.labels2d[:, order]
-    x3d, labels3d = data["desc3d"][pts], state.labels3d[:, pts]
+    x2d, x3d = data["x2d"][order], data["desc3d"][pts]
     use_latent = cfg.latent_loss_weight > 0
     if use_latent:
         pair3d = data["desc3d"][data["ent_point"][order]]
         anchors = data["anchors"][order]
-    # Positions in the gathered arrays; label columns are picked with these
-    # index arrays, so that a per-batch draw broadcasts over the batch.
-    at2d, at3d = np.arange(n_ent), np.arange(len(pts))
+    if stage == 1:  # each network's own-modality oracle labels
+        draws2d, draws3d = [0] * steps, [1] * steps
+    else:
+        counts2d = np.minimum(cfg.batch_pixels, n_ent - cfg.batch_pixels * np.arange(steps))
+        draws2d, draws3d = _draw_sources(state, counts2d,
+                                         np.full(steps, cfg.batch_points))
     sums = {"l_ce2d": 0.0, "l_ce3d": 0.0, "l_latent": 0.0}
     for t in range(steps):
         rows2d = slice(t * cfg.batch_pixels, (t + 1) * cfg.batch_pixels)
         rows3d = slice(t * cfg.batch_points, (t + 1) * cfg.batch_points)
-        ents, cols = at2d[rows2d], at3d[rows3d]
-        if stage == 1:  # each network's own-modality oracle labels
-            draw2d, draw3d = 0, 1
-        else:
-            draw2d, draw3d = _draw_sources(state, len(ents), len(cols))
-        batch = {"x2d": x2d[rows2d], "y2d": labels2d[draw2d, ents],
-                 "x3d": x3d[rows3d], "y3d": labels3d[draw3d, cols]}
+        batch = {"x2d": x2d[rows2d], "y2d": state.labels2d[draws2d[t], order[rows2d]],
+                 "x3d": x3d[rows3d], "y3d": state.labels3d[draws3d[t], pts[rows3d]]}
         if use_latent:
             batch["pair3d"] = pair3d[rows2d]
             batch["anchors"] = anchors[rows2d]
             batch["latent_weight"] = cfg.latent_loss_weight
         losses, grad = step(bundle, batch)
-        sgd_step(bundle, grad, cfg.lr)
+        try:
+            sgd_step(bundle, grad, cfg.lr)
+        except NumericalError as exc:
+            bad = [key for key in sums if not math.isfinite(losses[key])]
+            term = (f"first non-finite loss term {bad[0]}" if bad
+                    else "every loss term finite")
+            raise NumericalError(f"epoch {state.epoch} stage {stage} step {t}: "
+                                 f"{exc} ({term})") from exc
         for key in sums:
             sums[key] += losses[key]
     return {key: value / steps for key, value in sums.items()}

@@ -494,6 +494,22 @@ def test_dim_mismatch_fails_before_the_descriptor_build(pipeline, tmp_path, caps
     assert built == []
 
 
+def test_numerical_abort_names_where_it_happened(pipeline, tmp_path, capsys):
+    # At this learning rate the 2D logits overflow within the first epoch
+    # once the batches are small enough to take many steps.
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = cli.main(["train", str(pipeline / "synth" / "bundle"),
+                         "--config", str(cfg), "--out", str(tmp_path / "x"),
+                         "--lr", "1000", "--total_epochs", "2", "--stage1_epochs", "1",
+                         "--batch_pixels", "16", "--batch_points", "16"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("numerical abort: epoch 0 stage 1 step 33: non-finite gradient; "
+            "step aborted (first non-finite loss term l_ce2d)") in err
+
+
 def test_eval_rejects_class_count_mismatch(pipeline, tmp_path, capsys):
     config = nncore.ModelConfig(input2d_dim=15, input3d_dim=16, hidden=(8,),
                                 latent_dim=8, embed_dim=12, anchor_dim=8,

@@ -5,6 +5,7 @@ loss values are checked against closed-form cases (uniform softmax,
 perfectly aligned or anti-aligned features) worked out by hand.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -728,6 +729,194 @@ def test_step_matches_the_unfolded_reference(hidden, terms):
         # 1e-12 relative to the gradient's largest entry.
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12,
                                    atol=1e-12 * np.abs(ref_grad).max())
+
+
+# ---------------------------------------------------------------------------
+# the step against a frozen copy of its earlier per-call form, byte for byte
+#
+# _frozen_step and _frozen_unfold_grads are the step as it was before the
+# per-model plan, verbatim but for the names of what they call: the
+# plain-formula CE above, and the backward pass and head maps as they
+# were then.  Any change to the step must keep every loss and every
+# gradient byte equal to theirs.
+
+
+def _frozen_mlp_backward(mlp, cache, d_out):
+    d_w = [None] * len(mlp.weights)
+    d_b = [None] * len(mlp.biases)
+    grad = np.asarray(d_out, dtype=np.float64)
+    last = len(mlp.weights) - 1
+    for i in range(last, -1, -1):
+        if i < last:
+            grad *= cache[i + 1] > 0
+        d_w[i] = cache[i].T @ grad
+        d_b[i] = grad.sum(axis=0)
+        if i:
+            grad = grad @ mlp.weights[i].T
+    return d_w, d_b
+
+
+def _frozen_side_by_side(arrays):
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
+
+
+def _frozen_head_map(bundle, head):
+    if head in ("s2d", "s3d"):
+        return class_map(bundle, head)
+    h = bundle.head(head)
+    return h["w"], h["b"]
+
+
+def _frozen_ce_loss(logits, targets, grad=True):
+    loss, d_logits = reference_ce_loss(np.asarray(logits, dtype=np.float64), targets)
+    return loss, d_logits if grad else None
+
+
+def _frozen_unfold_grads(bundle, views, enc, a, cols, g, s):
+    mlp = getattr(bundle, enc)
+    last = len(mlp.weights) - 1
+    views[f"{enc}.w{last}"] += g @ a.T
+    views[f"{enc}.b{last}"] += s @ a.T
+    d_a = mlp.weights[-1].T @ g
+    d_a += np.outer(mlp.biases[-1], s)
+    for head, span in cols.items():
+        d_w, d_b = d_a[:, span], s[span]
+        if head in ("s2d", "s3d"):
+            emb = bundle.scaled_embeddings
+            d_w, d_b = d_w @ emb, d_b @ emb
+        views[f"head_{head}.w"] += d_w
+        views[f"head_{head}.b"] += d_b
+
+
+def _frozen_step(bundle, batch, grad=True):
+    latent = "anchors" in batch
+    weight = batch["latent_weight"] if latent else 0.0
+    # (encoder, rows, the heads that read those rows' latent features)
+    plan = (("enc2d", "x2d", [h for h, used in (("s2d", "y2d" in batch), ("f2d", latent))
+                              if used]),
+            ("enc3d", "x3d", ["s3d"] if "y3d" in batch else []),
+            ("enc3d", "pair3d", ["f3d"] if latent else []))
+    passes, outs = [], {}
+    for enc, rows, heads in plan:
+        if not heads:
+            continue
+        maps = [_frozen_head_map(bundle, head) for head in heads]
+        a = _frozen_side_by_side([m for m, _ in maps])
+        net = fold_output(getattr(bundle, enc), a, _frozen_side_by_side([c for _, c in maps]))
+        out, cache = mlp_forward(net, batch[rows])
+        cols, lo = {}, 0
+        for head, (m, _) in zip(heads, maps):
+            cols[head] = slice(lo, lo + m.shape[1])
+            outs[head] = out[:, cols[head]]
+            lo += m.shape[1]
+        passes.append((enc, a, cols, net, cache))
+
+    losses = {"l_ce2d": 0.0, "l_ce3d": 0.0, "l_latent": 0.0}
+    d_outs = {}
+    for head, labels, key in (("s2d", "y2d", "l_ce2d"), ("s3d", "y3d", "l_ce3d")):
+        if head in outs:
+            losses[key], d_outs[head] = _frozen_ce_loss(outs[head], batch[labels], grad=grad)
+    if latent:
+        losses["l_latent"], d_x, d_p, _ = cosine_align_loss(
+            outs["f2d"], outs["f3d"], batch["anchors"], grad=grad)
+        if grad:  # the gradients are fresh arrays, scaled in place
+            d_x *= weight
+            d_p *= weight
+            d_outs["f2d"], d_outs["f3d"] = d_x, d_p
+    losses["loss"] = losses["l_ce2d"] + losses["l_ce3d"] + weight * losses["l_latent"]
+    if not grad:
+        return losses, None
+
+    total = np.zeros_like(bundle.params)
+    views = param_views(bundle.config, total)
+    for enc, a, cols, net, cache in passes:
+        d_w, d_b = _frozen_mlp_backward(net, cache,
+                                        _frozen_side_by_side([d_outs[head] for head in cols]))
+        for i in range(len(d_w) - 1):
+            views[f"{enc}.w{i}"] += d_w[i]
+            views[f"{enc}.b{i}"] += d_b[i]
+        _frozen_unfold_grads(bundle, views, enc, a, cols, d_w[-1], d_b[-1])
+    return losses, total
+
+
+def _shipped_bundle(seed):
+    """A bundle of the shipped model dimensions (SuiteConfig defaults, 8 classes)."""
+    from cnslab.ablation import SuiteConfig
+
+    suite = SuiteConfig()
+    return make_bundle(suite.model_config(),
+                       mock_text_embeddings(8, suite.embed_dim, seed=seed), seed=seed)
+
+
+def _random_batch(bundle, rng, n, weight, case):
+    """All three terms on n rows; `case` plants IGNORE labels, zero head
+    outputs (all-zero input rows into a bundle with zero biases) or zero
+    anchor rows."""
+    cfg = bundle.config
+    classes = len(bundle.embeddings)
+    batch = {"x2d": rng.standard_normal((n, cfg.input2d_dim)).astype(np.float32),
+             "y2d": rng.integers(0, classes, size=n).astype(np.int32),
+             "x3d": rng.standard_normal((n, cfg.input3d_dim)),
+             "y3d": rng.integers(0, classes, size=n).astype(np.int32),
+             "pair3d": rng.standard_normal((n, cfg.input3d_dim)).astype(np.float32),
+             "anchors": anchor_units(bundle, rng.standard_normal((n, cfg.sam_dim))),
+             "latent_weight": weight}
+    some = rng.random(n) < 0.3
+    if case == "ignore":
+        batch["y2d"][some] = IGNORE
+        batch["y3d"][~some] = IGNORE
+    elif case == "all_ignore":
+        batch["y2d"][:] = IGNORE
+        batch["y3d"][:] = IGNORE
+    elif case == "zero_heads":
+        batch["x2d"][some] = 0.0
+        batch["pair3d"][~some] = 0.0
+    elif case == "zero_anchors":
+        batch["anchors"][some] = 0.0
+    return batch
+
+
+_TERM_KEYS = {"ce2d": ("x2d", "y2d"), "ce3d": ("x3d", "y3d"),
+              "latent": ("x2d", "pair3d", "anchors", "latent_weight")}
+
+
+@pytest.mark.parametrize("model", ["shipped", "hidden_10_7"])
+@pytest.mark.parametrize("case", ["plain", "ignore", "all_ignore", "zero_heads",
+                                  "zero_anchors"])
+def test_step_matches_its_frozen_form_byte_for_byte(model, case):
+    rng = np.random.default_rng(7 + len(case) + len(model))
+    if model == "shipped":
+        bundle = _shipped_bundle(seed=3)
+    else:
+        bundle = tiny_bundle(temperature=0.7, hidden=(10, 7))
+    if case != "zero_heads":  # trained-looking parameters, biases too
+        bundle.params[:] = 0.3 * rng.standard_normal(bundle.params.shape)
+    subsets = [terms for k in range(4)
+               for terms in itertools.combinations(("ce2d", "ce3d", "latent"), k)]
+    for n in (1, 5, 64):
+        for weight in (0.5, 1.0):
+            full = _random_batch(bundle, rng, n, weight, case)
+            for terms in subsets:
+                batch = {key: full[key] for term in terms for key in _TERM_KEYS[term]}
+                losses, grad = step(bundle, batch)
+                ref_losses, ref_grad = _frozen_step(bundle, batch)
+                assert losses == ref_losses, (terms, n, weight)
+                assert grad.tobytes() == ref_grad.tobytes(), (terms, n, weight)
+                assert step(bundle, batch, grad=False) == (ref_losses, None)
+
+
+def test_each_step_returns_a_fresh_gradient(rng):
+    bundle = tiny_bundle()
+    batch = _training_batch(bundle, rng)
+    _, first = step(bundle, batch)
+    kept = first.copy()
+    _, second = step(bundle, batch)
+    assert second is not first and not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes() == second.tobytes()
+    sgd_step(bundle, second, lr=0.1)
+    _, third = step(bundle, batch)
+    assert first.tobytes() == kept.tobytes()
+    assert not np.shares_memory(third, first) and not np.shares_memory(third, second)
 
 
 def test_grad_check_flags_wrong_latent_weight(rng):

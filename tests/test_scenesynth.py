@@ -24,12 +24,13 @@ from cnslab.scenesynth import (APPEARANCE_DIM, BACKGROUND_CLASS,
                                instance_anchors, instance_palette, mask_purity,
                                mock_clip_scores, mock_sam_features,
                                mock_sam_masks, mock_text_embeddings,
-                               pixel_descriptors, point_descriptors,
-                               render_view, standard_oracle_outputs,
+                               pixel_descriptors, point_appearance,
+                               point_descriptors, render_view, standard_oracle_outputs,
                                _box_mean3, _grow, _JITTER_CELL,
                                _label_components, _nearest_neighbors,
                                _split_objects, _upsample_blocks)
-from cnslab.seeding import TAG_MASKS, derive_rng
+from cnslab import scenesynth
+from cnslab.seeding import TAG_DESCRIPTOR, TAG_MASKS, derive_rng
 from cnslab.training import TrainConfig
 
 from conftest import SMALL_SCENE, project_point
@@ -690,6 +691,27 @@ def test_pixel_descriptors_shape_and_position(small_scene):
     assert desc[0, 0, 1] == 0.0 and desc[h - 1, 0, 1] == 1.0
     again = pixel_descriptors(small_scene, 0, noise_sigma=0.02)
     assert np.array_equal(desc, again)
+
+
+def test_point_appearance_is_drawn_once_per_scene_and_noise(small_scene, monkeypatch):
+    scene = Scene(small_scene.cloud, small_scene.cameras, small_scene.num_classes,
+                  small_scene.object_count, small_scene.seed, small_scene.room_size)
+    drawn = []
+    real = scenesynth.derive_rng
+    monkeypatch.setattr(scenesynth, "derive_rng",
+                        lambda *args: drawn.append(args) or real(*args))
+    point = point_descriptors(scene, 0.02)
+    pixel = [pixel_descriptors(scene, k, 0.02) for k in range(len(scene.cameras))]
+    app = point_appearance(scene, 0.02)
+    assert drawn.count((scene.seed, TAG_DESCRIPTOR, 0)) == 1
+    assert not app.flags.writeable
+    assert point_appearance(scene, 0.02) is app
+    assert not np.array_equal(point_appearance(scene, 0.05), app)
+    assert drawn.count((scene.seed, TAG_DESCRIPTOR, 0)) == 2
+    # Built from the kept draw, the descriptors are those built from a fresh one.
+    assert np.array_equal(point_descriptors(scene, 0.02), point)
+    assert all(np.array_equal(pixel_descriptors(scene, k, 0.02), p)
+               for k, p in enumerate(pixel))
 
 
 # sha256 of the default scene's float32 descriptors (point, then the stacked

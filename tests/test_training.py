@@ -313,8 +313,10 @@ def test_source_draws_equal_generator_choice(small_scene, small_oracles,
                           switch_per_element=per_element)
     state = init_state(small_scene, small_oracles, config)
     reference = derive_rng(config.seed, TAG_SOURCE)
-    for count2d, count3d in ((256, 256), (7, 1), (1, 7), (100, 256)):
-        draw2d, draw3d = training._draw_sources(state, count2d, count3d)
+    counts = ((256, 256), (7, 1), (1, 7), (100, 256))
+    draws2d, draws3d = training._draw_sources(
+        state, np.array([c[0] for c in counts]), np.array([c[1] for c in counts]))
+    for (count2d, count3d), draw2d, draw3d in zip(counts, draws2d, draws3d):
         size2d, size3d = (count2d, count3d) if per_element else (1, 1)
         np.testing.assert_array_equal(
             draw2d, reference.choice(4, size2d, p=config.probs_for(0)))

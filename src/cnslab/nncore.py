@@ -34,14 +34,14 @@ import math
 import os
 import typing
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .evaluation import format_value, parse_value
 from .pseudolabel import IGNORE
-from .seeding import TAG_MODEL, derive_rng
+from .seeding import TAG_GRADCHECK, TAG_MODEL, derive_rng
 
 _NORM_EPS = 1e-12
 
@@ -633,49 +633,98 @@ def sgd_step(bundle: ModelBundle, grad: np.ndarray, lr: float) -> ModelBundle:
     return bundle
 
 
-def grad_check(loss_op: Callable[[ModelBundle, bool],
-                                 Tuple[Dict[str, float], Optional[np.ndarray]]],
-               bundle: ModelBundle, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+_PROBE_ELEMENTS = 128
+_PROBE_DIRECTIONS = 8
+_MAX_SKIPPED = 0.1
 
-    `loss_op(bundle, grad)` returns (losses, gradient) like `step`:
-    losses["loss"] is the objective and, when grad is true, the gradient
-    its analytic gradient.  The probes call it with grad=False, which must
-    give the same objective to the bit.  Every element of bundle.params
-    is checked; relative error per element is |a - n| / max(|a|, |n|, 1e-8).
-    A parameter block whose joint +eps shift leaves the objective
-    bit-identical is not read by the loss: its numeric gradient is 0 and
-    it is checked without per-element probes.
+
+class GradCheck(NamedTuple):
+    """What grad_check found: the worst relative error of the scored probe
+    pairs, the pairs skipped for crossing a branch, and all probe pairs."""
+
+    error: float
+    skipped: int
+    pairs: int
+
+
+def _branch_pattern(bundle: ModelBundle, batch: dict) -> bytes:
+    """What picks the non-smooth branches of step(bundle, batch).
+
+    That is the sign of every hidden unit, per row, of every encoder pass,
+    and whether each feature-head output row has zero norm, which
+    cosine_align_loss answers with the same test.
     """
-    base, analytic = loss_op(bundle, True)
+    plan = bundle.step_plan
+    passes = plan.terms["y2d" in batch, "y3d" in batch, "anchors" in batch]
+    parts = []
+    for p, rows in zip(passes, ("x2d", "x3d", "pair3d")):
+        if p is None:
+            continue
+        out, (_, _, cache) = _fold_pass(plan, p, batch[rows])
+        parts += [h > 0 for h in cache[1:-1]]
+        feature = p.heads[-1]
+        if not feature.semantic:
+            f = out[:, feature.cols]
+            parts.append(np.sqrt(np.add.reduce(f * f, axis=1)) < _NORM_EPS)
+    return b"".join(part.tobytes() for part in parts)
 
-    def objective():
-        return loss_op(bundle, False)[0]["loss"]
 
-    flat = bundle.params
-    worst = 0.0
+def grad_check(bundle: ModelBundle, batch: dict, eps: float = 1e-5) -> GradCheck:
+    """Check the gradient of step(bundle, batch) by central differences.
+
+    Each parameter block is probed along unit vectors v: along every
+    element if the block has at most _PROBE_ELEMENTS of them, else along
+    _PROBE_DIRECTIONS random directions drawn from a stream of
+    bundle.seed, as in the fast mode of PyTorch's gradcheck.  A probe pair scores |a - n| / max(|a|, |n|, 1e-8), with
+    a = grad . v and n the central difference of step's loss-only mode
+    at +-eps v, which must give the full step's losses to the bit.  A
+    pair either of whose probes changes the batch's branch pattern
+    (_branch_pattern) straddles a ReLU kink or a zero-norm row, where n
+    averages two slopes; it is skipped and counted, not scored.  More
+    than _MAX_SKIPPED of the pairs skipped raises NumericalError, so that
+    skipping cannot hide a wrong gradient.  A block whose joint +eps
+    shift leaves the loss bit-identical is not read by the loss: its
+    numeric gradient is 0, and it is scored without probes.
+    """
+    base, analytic = step(bundle, batch)
+    pattern = _branch_pattern(bundle, batch)
+    rng = derive_rng(bundle.seed, TAG_GRADCHECK)
+    worst, skipped, pairs = 0.0, 0, 0
     for _, start, stop, _ in _layout(bundle.config):
-        block = flat[start:stop]
+        block = bundle.params[start:stop]
+        grad = analytic[start:stop]
         saved = block.copy()
         block += eps
-        unread = objective() == base["loss"]
+        unread = step(bundle, batch, grad=False)[0]["loss"] == base["loss"]
         block[...] = saved
         if unread:
-            a = np.abs(analytic[start:stop])
+            a = np.abs(grad)
             worst = max(worst, float(np.max(a / np.maximum(a, 1e-8))))
             continue
-        for j in range(start, stop):
-            orig = flat[j]
-            flat[j] = orig + eps
-            hi = objective()
-            flat[j] = orig - eps
-            lo = objective()
-            flat[j] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            a = analytic[j]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, rel)
-    return worst
+        if block.size <= _PROBE_ELEMENTS:
+            directions = np.eye(block.size)
+        else:
+            directions = rng.standard_normal((_PROBE_DIRECTIONS, block.size))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        for v in directions:
+            losses, crossed = [], False
+            for shift in (eps, -eps):
+                block[...] = saved + shift * v
+                losses.append(step(bundle, batch, grad=False)[0]["loss"])
+                crossed = crossed or _branch_pattern(bundle, batch) != pattern
+            block[...] = saved
+            pairs += 1
+            if crossed:
+                skipped += 1
+                continue
+            numeric = (losses[0] - losses[1]) / (2.0 * eps)
+            a = float(grad @ v)
+            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
+    if skipped > _MAX_SKIPPED * pairs:
+        raise NumericalError(
+            f"gradient check skipped {skipped} of {pairs} probe pairs, more than "
+            f"{_MAX_SKIPPED:.0%}: too many of them cross a branch to be scored")
+    return GradCheck(worst, skipped, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +743,14 @@ def save_checkpoint(bundle: ModelBundle, path, extra: Optional[dict] = None):
 
     The header names every ModelConfig field; the payload holds the
     parameter vector, then the frozen anchor head and the class embedding
-    table.
+    table.  A value that is not finite in float32 raises NumericalError
+    before anything is written.
     """
+    with np.errstate(over="ignore"):  # the check below reports an overflow
+        payload = np.concatenate([bundle.params, bundle.anchor_head.ravel(),
+                                  bundle.embeddings.ravel()]).astype("<f4")
+    if not np.isfinite(payload).all():
+        raise NumericalError(f"{path}: values not finite in float32; nothing written")
     cfg = bundle.config
     lines = [_CKPT_MAGIC]
     lines += [f"{f.name}={format_value(getattr(cfg, f.name))}" for f in fields(cfg)]
@@ -708,8 +763,7 @@ def save_checkpoint(bundle: ModelBundle, path, extra: Optional[dict] = None):
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
-        for arr in (bundle.params, bundle.anchor_head, bundle.embeddings):
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(payload.tobytes())
     os.replace(tmp, str(path))
 
 

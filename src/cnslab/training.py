@@ -127,10 +127,10 @@ class TrainState:
     # by predictions() and cleared by _run_epoch, which changes them.
     predictions: Optional[Tuple[np.ndarray, np.ndarray]] = None
     history: List[dict] = field(default_factory=list)
+    # Label-source draws per network and source; a row's sum is that
+    # network's draws.
     source_counts: np.ndarray = field(
         default_factory=lambda: np.zeros((2, 4), dtype=np.int64))
-    source_draws: np.ndarray = field(
-        default_factory=lambda: np.zeros(2, dtype=np.int64))
 
 
 def scene_descriptors(scene: Scene,
@@ -327,7 +327,6 @@ def _draw_sources(state: TrainState, counts2d: np.ndarray, counts3d: np.ndarray
         mine = net == k
         draw[mine] = state.source_cdf[k].searchsorted(uniform[mine], side="right")
         state.source_counts[k] += np.bincount(draw[mine], minlength=4)
-        state.source_draws[k] += int(np.count_nonzero(mine))
     per_step = np.split(draw, np.cumsum(sizes)[:-1])
     return per_step[0::2], per_step[1::2]
 
@@ -445,8 +444,7 @@ def _fork(state: TrainState, config: TrainConfig) -> TrainState:
                    source_rng=copy.deepcopy(state.source_rng),
                    source_cdf=config.source_cdf(),
                    history=[dict(row) for row in state.history],
-                   source_counts=state.source_counts.copy(),
-                   source_draws=state.source_draws.copy())
+                   source_counts=state.source_counts.copy())
 
 
 def train(scene: Scene, oracles: dict, config: TrainConfig,

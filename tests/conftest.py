@@ -1,7 +1,9 @@
 """Shared fixtures: one small scene with oracle outputs, reused read-only;
-and project_point, the one-point projection the geometry tests check
-cnslab's vectorized code against."""
+project_point, the one-point projection the geometry tests check
+cnslab's vectorized code against; and mutate, which swaps in a function
+with one line of its source edited, for the gradient checker's mutants."""
 
+import inspect
 import os
 
 # One BLAS thread, set before numpy is first imported: the suite's arrays
@@ -40,6 +42,19 @@ def project_point(camera: CameraModel, point):
     if not (0 <= u < camera.width and 0 <= v < camera.height):
         return None
     return u, v, float(z)
+
+
+def mutate(monkeypatch, module, name: str, old: str, new: str):
+    """Patch module.name with a copy whose source has `old` replaced by `new`.
+
+    The copy runs in a copy of the module's namespace; callers inside the
+    module reach it through the patched global.
+    """
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, f"{old!r} is not one line of {name}"
+    scope = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), scope)
+    monkeypatch.setattr(module, name, scope[name])
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ scene; individual tests then inspect each stage's outputs.
 
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -173,14 +174,19 @@ def test_ablate_outputs(pipeline):
 
 def test_gradcheck_passes(capsys):
     assert cli.main(["gradcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "gradcheck passed" in out
-    assert "identically zero" in out
-    assert "step: max relative error" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert "gradcheck passed (tolerance 0.0001)" in lines
+    assert "anchor head gradient: identically zero (frozen)" in lines
+    # Each line is the check of its kind with the worst error; the full
+    # step reads every parameter of GRADCHECK_MODEL and probes each one.
+    for kind, line in zip(("ce2d", "ce3d", "latent", "step"), lines):
+        assert re.fullmatch(rf"{kind}: max relative error \S+ "
+                            rf"\(skipped \d+ of \d+ probe pairs\)", line), line
+    assert re.fullmatch(r"step: .* \(skipped 0 of 748 probe pairs\)", lines[3])
 
 
 def test_gradcheck_failure_is_numerical_exit(monkeypatch, capsys):
-    monkeypatch.setattr(nncore, "grad_check", lambda *a, **k: 1.0)
+    monkeypatch.setattr(nncore, "grad_check", lambda *a, **k: nncore.GradCheck(1.0, 0, 1))
     assert cli.main(["gradcheck"]) == 2
     assert "numerical abort" in capsys.readouterr().err
 
@@ -508,6 +514,20 @@ def test_numerical_abort_names_where_it_happened(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert ("numerical abort: epoch 0 stage 1 step 33: non-finite gradient; "
             "step aborted (first non-finite loss term l_ce2d)") in err
+
+
+def test_train_refuses_a_checkpoint_that_overflows_float32(pipeline, tmp_path, capsys):
+    # At this learning rate the parameters stay finite in float64 but not
+    # in the checkpoint's float32: train must abort and write no file.
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
+    out = tmp_path / "x"
+    code = cli.main(["train", str(pipeline / "synth" / "bundle"), "--config", str(cfg),
+                     "--out", str(out), "--hidden", "64", "--latent_dim", "48",
+                     "--anchor_dim", "16", "--lr", "1e5"])
+    assert code == 2
+    assert "values not finite in float32; nothing written" in capsys.readouterr().err
+    assert not (out / "checkpoint.ckpt").exists()
+    assert not (out / "checkpoint.ckpt.tmp").exists()
 
 
 def test_eval_rejects_class_count_mismatch(pipeline, tmp_path, capsys):

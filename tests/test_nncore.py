@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cnslab import cli, nncore
 from cnslab.errors import NumericalError, ValidationError
 from cnslab.nncore import (Mlp, ModelConfig, anchor_units, ce_loss, class_logits,
                            class_map, cosine_align_loss, fold_output, grad_check,
@@ -19,6 +20,8 @@ from cnslab.nncore import (Mlp, ModelConfig, anchor_units, ce_loss, class_logits
                            param_views, save_checkpoint, sgd_step, softmax_rows, step)
 from cnslab.pseudolabel import IGNORE
 from cnslab.scenesynth import mock_text_embeddings
+
+from conftest import mutate
 
 
 def tiny_bundle(temperature=1.0, seed=5, hidden=(8,)):
@@ -263,8 +266,7 @@ def test_ce_loss_gradients_match_finite_difference(rng):
     batch = {"x2d": rng.standard_normal((6, 5)), "y2d": y}
     views = param_views(bundle.config, step(bundle, batch)[1])
     assert views["head_s2d.w"].any() and views["enc2d.w0"].any()
-    err = grad_check(lambda b, grad: step(b, batch, grad), bundle, eps=1e-5)
-    assert err < 1e-4
+    assert grad_check(bundle, batch, eps=1e-5).error < 1e-4
 
 
 def test_ce_loss_logit_gradient_matches_finite_difference(rng):
@@ -292,8 +294,7 @@ def test_ce_loss_end_to_end_gradients(rng):
     _, grad = step(bundle, batch)
     views = param_views(bundle.config, grad)
     assert views["enc2d.w0"].any() and not views["enc3d.w0"].any()
-    err = grad_check(lambda b, grad: step(b, batch, grad), bundle)
-    assert err < 1e-4
+    assert grad_check(bundle, batch).error < 1e-4
 
 
 def _unfolded_ce(bundle, feats, head, y):
@@ -480,7 +481,7 @@ def test_align_loss_gradients_match_finite_difference(rng):
              "anchors": s, "latent_weight": 0.5}
     views = param_views(bundle.config, step(bundle, batch)[1])
     assert views["head_f2d.w"].any() and views["head_f3d.w"].any()
-    assert grad_check(lambda b, grad: step(b, batch, grad), bundle) < 1e-4
+    assert grad_check(bundle, batch).error < 1e-4
 
 
 def test_align_loss_end_to_end_gradients(rng):
@@ -492,8 +493,7 @@ def test_align_loss_end_to_end_gradients(rng):
     _, grad = step(bundle, batch)
     views = param_views(bundle.config, grad)
     assert views["enc2d.w0"].any() and views["enc3d.w0"].any()
-    err = grad_check(lambda b, grad: step(b, batch, grad), bundle)
-    assert err < 1e-4
+    assert grad_check(bundle, batch).error < 1e-4
 
 
 def test_align_loss_validates_lengths(rng):
@@ -919,15 +919,16 @@ def test_each_step_returns_a_fresh_gradient(rng):
     assert not np.shares_memory(third, first) and not np.shares_memory(third, second)
 
 
-def test_grad_check_flags_wrong_latent_weight(rng):
+def test_grad_check_flags_wrong_latent_weight(monkeypatch, rng):
     bundle = tiny_bundle()
     batch = _training_batch(bundle, rng, weight=0.5)
 
-    def wrong(b, grad):
-        losses, _ = step(b, {**batch, "latent_weight": 1.0}, grad=False)
-        return losses, step(b, batch)[1]
+    def wrong(b, probed, grad=True):
+        losses, _ = step(b, {**probed, "latent_weight": 1.0}, grad=False)
+        return losses, step(b, probed)[1] if grad else None
 
-    assert grad_check(wrong, bundle) > 1e-2
+    monkeypatch.setattr(nncore, "step", wrong)
+    assert grad_check(bundle, batch).error > 1e-2
 
 
 def test_sgd_step_hand_example():
@@ -971,27 +972,89 @@ def test_sgd_never_touches_frozen_anchor(rng):
     assert np.array_equal(bundle.anchor_head, frozen)
 
 
-def _linear_loss(direction):
-    """Loss b·direction over head_s2d.b, with a chosen analytic gradient."""
-    def op(bundle, claimed):
-        grad = np.zeros_like(bundle.params)
-        param_views(bundle.config, grad)["head_s2d.b"][:] = claimed
-        return {"loss": float(bundle.head_s2d["b"] @ direction)}, grad
-    return op
+def _linear_step(monkeypatch, direction, claimed):
+    """Patch step to the loss b . direction over head_s2d.b, with a chosen
+    analytic gradient."""
+    def fake(bundle, batch, grad=True):
+        g = np.zeros_like(bundle.params)
+        param_views(bundle.config, g)["head_s2d.b"][:] = claimed
+        return {"loss": float(bundle.head_s2d["b"] @ direction)}, g if grad else None
+    monkeypatch.setattr(nncore, "step", fake)
 
 
-def test_grad_check_exact_for_linear_loss():
+def test_grad_check_exact_for_linear_loss(monkeypatch):
     bundle = tiny_bundle()
     direction = np.arange(9, dtype=np.float64) / 3.0
-    op = _linear_loss(direction)
-    assert grad_check(lambda b, grad: op(b, direction), bundle) < 1e-10
+    _linear_step(monkeypatch, direction, direction)
+    assert grad_check(bundle, {}) == (pytest.approx(0.0, abs=1e-10), 0, 9)
 
 
-def test_grad_check_flags_wrong_gradient():
+def test_grad_check_flags_wrong_gradient(monkeypatch):
     bundle = tiny_bundle()
     direction = np.ones(9)
-    op = _linear_loss(direction)
-    assert grad_check(lambda b, grad: op(b, 2.0 * direction), bundle) > 0.4
+    _linear_step(monkeypatch, direction, 2.0 * direction)
+    assert grad_check(bundle, {}).error > 0.4
+
+
+def test_grad_check_skips_and_counts_a_relu_kink(monkeypatch, rng):
+    bundle = tiny_bundle()
+    x = rng.standard_normal((1, 5))
+    batch = {"x2d": x, "y2d": np.array([2])}
+    # Hidden unit 0 of the one row sits eps / 2 above its kink, so the -eps
+    # probe of its bias crosses it, and so does that of each of its
+    # weights whose input exceeds 1/2.  The central difference of a
+    # crossing pair averages two slopes: a quarter off for the bias.
+    bundle.enc2d.biases[0][0] = 0.5e-5 - x[0] @ bundle.enc2d.weights[0][:, 0]
+    result = grad_check(bundle, batch)
+    assert result.skipped == 1 + np.count_nonzero(np.abs(x[0]) > 0.5)
+    assert result.error < 1e-4
+    monkeypatch.setattr(nncore, "_branch_pattern", lambda *args: b"")
+    assert grad_check(bundle, batch).error > 0.2
+
+
+def _zero_row_batch(bundle, rng, n=4):
+    """A latent batch whose pair3d row 1 is zero: without a hidden layer and
+    with zero biases its f3d output row is zero, and every bias probe of
+    enc3d or head_f3d gives it a direction."""
+    pair3d = rng.standard_normal((n, bundle.config.input3d_dim))
+    pair3d[1] = 0.0
+    return {"x2d": rng.standard_normal((n, bundle.config.input2d_dim)),
+            "pair3d": pair3d,
+            "anchors": anchor_units(bundle, rng.standard_normal((n, 3))),
+            "latent_weight": 1.0}
+
+
+def test_grad_check_skips_and_counts_a_zero_feature_row(monkeypatch, rng):
+    bundle = tiny_bundle(hidden=())
+    batch = _zero_row_batch(bundle, rng)
+    f3d = batch["pair3d"] @ bundle.enc3d.weights[0] @ bundle.head_f3d["w"]
+    assert not f3d[1].any() and f3d[0].any()
+    result = grad_check(bundle, batch)
+    assert result.skipped == 7 + 7  # enc3d.b0 and head_f3d.b
+    assert result.error < 1e-4
+    # Scored, such a pair measures the jump of the row's cosine, not a slope.
+    monkeypatch.setattr(nncore, "_branch_pattern", lambda *args: b"")
+    assert grad_check(bundle, batch).error > 0.5
+
+
+def test_grad_check_fails_past_its_skip_cap(rng):
+    # The zero row's 4 bias probes are 4 of 20 probe pairs here, over 10%.
+    config = ModelConfig(input2d_dim=1, input3d_dim=1, hidden=(), latent_dim=2,
+                         embed_dim=9, anchor_dim=2, sam_dim=3)
+    bundle = make_bundle(config, mock_text_embeddings(5, 9, seed=1), seed=5)
+    with pytest.raises(NumericalError, match="skipped 4 of 20 probe pairs"):
+        grad_check(bundle, _zero_row_batch(bundle, rng))
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("cosine_align_loss", "d_out /= -divisor", "d_out /= divisor"),
+    ("ce_loss", "    d_logits /= n\n", ""),
+], ids=["cosine-sign-flipped", "ce-not-averaged"])
+def test_grad_check_fails_a_wrong_loss_gradient_on_one_ac4_trial(monkeypatch, name,
+                                                                 old, new):
+    mutate(monkeypatch, nncore, name, old, new)
+    first_trial = itertools.islice(cli.gradient_trials(7, 1000), 5)
+    assert max(grad_check(model, batch).error for _, model, batch in first_trial) > 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -1060,6 +1123,15 @@ def test_checkpoint_rejects_garbage(tmp_path):
         broken.write_bytes(blob.replace(old, new, 1))
         with pytest.raises(ValidationError, match="broken.ckpt"):
             load_checkpoint(broken)
+
+
+@pytest.mark.parametrize("value", [1e39, np.nan])
+def test_checkpoint_save_refuses_values_not_finite_in_float32(tmp_path, value):
+    bundle = tiny_bundle()
+    bundle.params[3] = value  # finite in float64, or not at all
+    with pytest.raises(NumericalError, match="not finite in float32"):
+        save_checkpoint(bundle, tmp_path / "model.ckpt")
+    assert not list(tmp_path.iterdir())
 
 
 def test_checkpoint_rejects_signalling_nan_without_a_warning(tmp_path):

@@ -4,9 +4,12 @@ Each of the two workloads runs once per seed through
 ``perfbench/run.py --trace 0``.  The record keeps, per workload and seed,
 what the run's own output states: the end-to-end metrics of its final
 JSON line, its provenance and its fingerprints; and once, the line count
-of ``src/cnslab`` and the passed and failed counts and seconds of one
-Tier-1 run, as pytest prints them.  Every run lasts ``run_seconds`` of
-BENCHMARK.json, so records stay comparable.  The held-out seed 7919 is never run: it is kept
+and a sha256 digest of ``src/cnslab`` and the passed and failed counts
+and seconds of one Tier-1 run, as pytest prints them.  The provenance's
+``git_sha`` is the commit checked out, which is the parent of a change
+recorded before it is committed; the digest names the code measured.
+Every run lasts ``run_seconds`` of BENCHMARK.json, so records stay
+comparable.  The held-out seed 7919 is never run: it is kept
 for confirming a claim.
 
 Usage, from anywhere:
@@ -14,6 +17,7 @@ Usage, from anywhere:
 """
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -77,9 +81,21 @@ def run_tier1() -> dict:
     return tier1_summary(done.stdout)
 
 
+def source_files() -> list:
+    return sorted((ROOT / "src" / "cnslab").glob("*.py"))
+
+
 def source_lines() -> int:
-    return sum(len(path.read_text().splitlines())
-               for path in sorted((ROOT / "src" / "cnslab").glob("*.py")))
+    return sum(len(path.read_text().splitlines()) for path in source_files())
+
+
+def source_sha256() -> str:
+    """sha256 of the ``sha256sum`` listing of the ``src/cnslab/*.py`` files,
+    in sorted name order: ``cd src/cnslab && sha256sum *.py | sha256sum``
+    under the C locale."""
+    listing = "".join(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+                      for path in source_files())
+    return hashlib.sha256(listing.encode()).hexdigest()
 
 
 def run_seconds() -> float:
@@ -91,6 +107,7 @@ def main():
     args = parse_args()
     seconds = run_seconds()
     record = {"seconds": seconds, "src_cnslab_lines": source_lines(),
+              "src_cnslab_sha256": source_sha256(),
               "tier1": run_tier1(), "workloads": {}}
     print(f"tier1: {record['tier1']}", file=sys.stderr)
     for workload in WORKLOADS:

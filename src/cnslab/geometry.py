@@ -195,11 +195,7 @@ def build_correspondences(cameras: Sequence[CameraModel],
         ds_all.append(d[win])
     if not pts_all:
         return CorrespondenceSet()
-    point_index = np.concatenate(pts_all)
-    camera_index = np.concatenate(cams_all)
-    u = np.concatenate(us_all)
-    v = np.concatenate(vs_all)
-    d = np.concatenate(ds_all)
-    order = np.lexsort((u, v, camera_index))
-    return CorrespondenceSet(point_index[order], camera_index[order],
-                             u[order], v[order], d[order])
+    # Cameras come in index order and each one's winners in cell order
+    # v * width + u, so the concatenation is already canonical.
+    return CorrespondenceSet(*(np.concatenate(parts) for parts in
+                               (pts_all, cams_all, us_all, vs_all, ds_all)))

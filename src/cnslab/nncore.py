@@ -20,7 +20,8 @@ Every trainable parameter lives in one float64 vector, laid out by
 param_views.  All arithmetic is float64; gradients are written by hand.
 `step` computes the training objective and its gradient as one vector
 laid out like the parameters; training and grad_check (central finite
-differences) both call it, the checker's probes in its loss-only mode.
+differences) both call it, the checker's probes in its loss-only mode,
+which returns the branch pattern of its passes in place of the gradient.
 What `step` reads of a model that no update changes (its passes, the
 heads' column spans, the gradient blocks) is set up once per ModelBundle.
 """
@@ -34,7 +35,7 @@ import math
 import os
 import typing
 from dataclasses import dataclass, fields
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -551,8 +552,29 @@ def _backward(plan: _StepPlan, p: _Pass, run, d_out: np.ndarray, total: np.ndarr
             _block(total, head.grad_b)[...] = s[head.cols]
 
 
+def _branch_pattern(passes, runs) -> bytes:
+    """What picks the non-smooth branches of a step, read off its passes.
+
+    `passes` are step's three passes, None where one did not run, and
+    `runs` what _fold_pass returned for each: (output, (net, A, forward
+    cache)).  The pattern is the sign of every hidden unit, per row, of
+    every pass that ran, and whether each feature-head output row has zero
+    norm, which cosine_align_loss answers with the same test.
+    """
+    parts = []
+    for p, (out, run) in zip(passes, runs):
+        if p is None:
+            continue
+        parts += [h > 0 for h in run[2][1:-1]]
+        feature = p.heads[-1]
+        if not feature.semantic:
+            f = out[:, feature.cols]
+            parts.append(np.sqrt(np.add.reduce(f * f, axis=1)) < _NORM_EPS)
+    return b"".join(part.tobytes() for part in parts)
+
+
 def step(bundle: ModelBundle, batch: dict, grad: bool = True
-         ) -> Tuple[Dict[str, float], Optional[np.ndarray]]:
+         ) -> Tuple[Dict[str, float], Union[np.ndarray, bytes]]:
     """Losses of one training batch and the gradient of their weighted sum.
 
     `batch` holds up to three terms; a term whose keys are absent is
@@ -573,19 +595,17 @@ def step(bundle: ModelBundle, batch: dict, grad: bool = True
     f3d.  What the passes of each subset of terms are is worked out once
     per model (bundle.step_plan).  w scales the latent output gradients
     before they enter the folded layers.  With grad=False every backward
-    half is skipped and the gradient is None; the losses are the same to
-    the bit.
+    half is skipped, the losses are the same to the bit, and in place of
+    the gradient comes the branch pattern of the passes just run
+    (_branch_pattern), which grad_check compares between its probes.
     """
     plan = bundle.step_plan
     ce2d, ce3d, latent = "y2d" in batch, "y3d" in batch, "anchors" in batch
     weight = batch["latent_weight"] if latent else 0.0
-    pass2d, pass3d, pair3d = plan.terms[ce2d, ce3d, latent]
-    if pass2d:
-        out2d, run2d = _fold_pass(plan, pass2d, batch["x2d"])
-    if ce3d:
-        out3d, run3d = _fold_pass(plan, pass3d, batch["x3d"])
-    if latent:
-        outp, runp = _fold_pass(plan, pair3d, batch["pair3d"])
+    pass2d, pass3d, pair3d = passes = plan.terms[ce2d, ce3d, latent]
+    runs = [_fold_pass(plan, p, batch[rows]) if p else (None, None)
+            for p, rows in zip(passes, ("x2d", "x3d", "pair3d"))]
+    (out2d, run2d), (out3d, run3d), (outp, runp) = runs
 
     l_ce2d = l_ce3d = l_latent = 0.0
     if ce2d:
@@ -601,7 +621,7 @@ def step(bundle: ModelBundle, batch: dict, grad: bool = True
     losses = {"l_ce2d": l_ce2d, "l_ce3d": l_ce3d, "l_latent": l_latent,
               "loss": l_ce2d + l_ce3d + weight * l_latent}
     if not grad:
-        return losses, None
+        return losses, _branch_pattern(passes, runs)
 
     # Every block is written below, except those of absent terms.
     total = np.empty(plan.size) if ce2d and ce3d and latent else np.zeros(plan.size)
@@ -647,47 +667,27 @@ class GradCheck(NamedTuple):
     pairs: int
 
 
-def _branch_pattern(bundle: ModelBundle, batch: dict) -> bytes:
-    """What picks the non-smooth branches of step(bundle, batch).
-
-    That is the sign of every hidden unit, per row, of every encoder pass,
-    and whether each feature-head output row has zero norm, which
-    cosine_align_loss answers with the same test.
-    """
-    plan = bundle.step_plan
-    passes = plan.terms["y2d" in batch, "y3d" in batch, "anchors" in batch]
-    parts = []
-    for p, rows in zip(passes, ("x2d", "x3d", "pair3d")):
-        if p is None:
-            continue
-        out, (_, _, cache) = _fold_pass(plan, p, batch[rows])
-        parts += [h > 0 for h in cache[1:-1]]
-        feature = p.heads[-1]
-        if not feature.semantic:
-            f = out[:, feature.cols]
-            parts.append(np.sqrt(np.add.reduce(f * f, axis=1)) < _NORM_EPS)
-    return b"".join(part.tobytes() for part in parts)
-
-
 def grad_check(bundle: ModelBundle, batch: dict, eps: float = 1e-5) -> GradCheck:
     """Check the gradient of step(bundle, batch) by central differences.
 
     Each parameter block is probed along unit vectors v: along every
     element if the block has at most _PROBE_ELEMENTS of them, else along
     _PROBE_DIRECTIONS random directions drawn from a stream of
-    bundle.seed, as in the fast mode of PyTorch's gradcheck.  A probe pair scores |a - n| / max(|a|, |n|, 1e-8), with
-    a = grad . v and n the central difference of step's loss-only mode
-    at +-eps v, which must give the full step's losses to the bit.  A
-    pair either of whose probes changes the batch's branch pattern
-    (_branch_pattern) straddles a ReLU kink or a zero-norm row, where n
-    averages two slopes; it is skipped and counted, not scored.  More
-    than _MAX_SKIPPED of the pairs skipped raises NumericalError, so that
+    bundle.seed, as in the fast mode of PyTorch's gradcheck.  A probe pair
+    scores |a - n| / max(|a|, |n|, 1e-8), with a = grad . v and n the
+    central difference of step's loss-only mode at +-eps v, which must
+    give the full step's losses to the bit.  Each probe is one loss-only
+    step, which also returns the branch pattern of the passes it ran.  A
+    pair either of whose probes changes that pattern from the unshifted
+    one straddles a ReLU kink or a zero-norm row, where n averages two
+    slopes; it is skipped and counted, not scored.  More than
+    _MAX_SKIPPED of the pairs skipped raises NumericalError, so that
     skipping cannot hide a wrong gradient.  A block whose joint +eps
     shift leaves the loss bit-identical is not read by the loss: its
     numeric gradient is 0, and it is scored without probes.
     """
     base, analytic = step(bundle, batch)
-    pattern = _branch_pattern(bundle, batch)
+    pattern = step(bundle, batch, grad=False)[1]
     rng = derive_rng(bundle.seed, TAG_GRADCHECK)
     worst, skipped, pairs = 0.0, 0, 0
     for _, start, stop, _ in _layout(bundle.config):
@@ -710,8 +710,9 @@ def grad_check(bundle: ModelBundle, batch: dict, eps: float = 1e-5) -> GradCheck
             losses, crossed = [], False
             for shift in (eps, -eps):
                 block[...] = saved + shift * v
-                losses.append(step(bundle, batch, grad=False)[0]["loss"])
-                crossed = crossed or _branch_pattern(bundle, batch) != pattern
+                probed, probed_pattern = step(bundle, batch, grad=False)
+                losses.append(probed["loss"])
+                crossed = crossed or probed_pattern != pattern
             block[...] = saved
             pairs += 1
             if crossed:

@@ -120,8 +120,6 @@ class TrainState:
     labels3d: np.ndarray
     shuffle_rng: np.random.Generator
     source_rng: np.random.Generator
-    # TrainConfig.source_cdf, built once per run.
-    source_cdf: np.ndarray
     epoch: int = 0
     # Argmax (pixel, point) predictions of the current parameters; filled
     # by predictions() and cleared by _run_epoch, which changes them.
@@ -204,8 +202,7 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
         labels2d=np.full((len(SOURCES), corr.count), IGNORE, dtype=np.int32),
         labels3d=np.full((len(SOURCES), num_points), IGNORE, dtype=np.int32),
         shuffle_rng=derive_rng(config.seed, TAG_SHUFFLE),
-        source_rng=derive_rng(config.seed, TAG_SOURCE),
-        source_cdf=config.source_cdf())
+        source_rng=derive_rng(config.seed, TAG_SOURCE))
     _set_sources(state, 0, labels[pixel_key], labels[point_key])
     return state
 
@@ -311,8 +308,9 @@ def _draw_sources(state: TrainState, counts2d: np.ndarray, counts3d: np.ndarray
     the bit, generator state included, for size counts2d[t] and then
     counts3d[t] (or 1 each): numpy draws such a choice by searching the
     normalised cumulative sum of ``p`` for uniform samples, here that sum
-    is built once per run, and the epoch's uniforms come from one
-    ``random`` call, which yields the same doubles in the same order.
+    (TrainConfig.source_cdf) is built once per epoch, and the epoch's
+    uniforms come from one ``random`` call, which yields the same doubles
+    in the same order.
     Returns each network's draws, one array per step.
     """
     steps = len(counts2d)
@@ -323,9 +321,10 @@ def _draw_sources(state: TrainState, counts2d: np.ndarray, counts3d: np.ndarray
     uniform = state.source_rng.random(int(sizes.sum()))
     net = np.repeat(np.tile([0, 1], steps), sizes)
     draw = np.empty(len(uniform), dtype=np.intp)
+    cdf = state.config.source_cdf()
     for k in (0, 1):
         mine = net == k
-        draw[mine] = state.source_cdf[k].searchsorted(uniform[mine], side="right")
+        draw[mine] = cdf[k].searchsorted(uniform[mine], side="right")
         state.source_counts[k] += np.bincount(draw[mine], minlength=4)
     per_step = np.split(draw, np.cumsum(sizes)[:-1])
     return per_step[0::2], per_step[1::2]
@@ -442,7 +441,6 @@ def _fork(state: TrainState, config: TrainConfig) -> TrainState:
                    labels2d=state.labels2d.copy(), labels3d=state.labels3d.copy(),
                    shuffle_rng=copy.deepcopy(state.shuffle_rng),
                    source_rng=copy.deepcopy(state.source_rng),
-                   source_cdf=config.source_cdf(),
                    history=[dict(row) for row in state.history],
                    source_counts=state.source_counts.copy())
 

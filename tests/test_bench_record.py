@@ -1,5 +1,6 @@
 """Tests for scripts/bench_record.py, on canned benchmark output."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -58,3 +59,20 @@ def test_tier1_summary_rejects_output_without_a_summary():
 
 def test_held_out_seed_is_never_recorded():
     assert 7919 not in bench_record.SEEDS
+
+
+def test_source_digest_is_sha256sum_of_the_sorted_sources(tmp_path, monkeypatch):
+    src = tmp_path / "src" / "cnslab"
+    src.mkdir(parents=True)
+    (src / "b.py").write_bytes(b"y = 2\n")
+    (src / "a.py").write_bytes(b"x = 1\n")
+    (src / "notes.txt").write_bytes(b"not source\n")
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    # cd src/cnslab && sha256sum *.py | sha256sum
+    listing = "".join(f"{hashlib.sha256(body).hexdigest()}  {name}\n"
+                      for name, body in (("a.py", b"x = 1\n"), ("b.py", b"y = 2\n")))
+    digest = bench_record.source_sha256()
+    assert digest == hashlib.sha256(listing.encode()).hexdigest()
+    assert bench_record.source_lines() == 2
+    (src / "b.py").write_bytes(b"y = 3\n")
+    assert bench_record.source_sha256() != digest

@@ -643,7 +643,7 @@ def test_loss_only_step_matches_the_full_step(rng):
              for key, value in batch.items()}
     for b in (batch, ignored, empty, {k: batch[k] for k in ("x3d", "y3d")}, {}):
         full = step(bundle, b)[0]
-        assert step(bundle, b, grad=False) == (full, None)
+        assert step(bundle, b, grad=False)[0] == full
     assert ce_loss(rng.standard_normal((6, 5)), batch["y2d"], grad=False)[1] is None
     assert ce_loss(rng.standard_normal((6, 5)), np.full(6, IGNORE),
                    grad=False) == (0.0, None)
@@ -825,7 +825,14 @@ def _frozen_step(bundle, batch, grad=True):
             d_outs["f2d"], d_outs["f3d"] = d_x, d_p
     losses["loss"] = losses["l_ce2d"] + losses["l_ce3d"] + weight * losses["l_latent"]
     if not grad:
-        return losses, None
+        # The branch pattern: per pass, the sign of each hidden unit per
+        # row, then whether each feature-head output row has zero norm.
+        parts = []
+        for _, _, cols, _, cache in passes:
+            parts += [h > 0 for h in cache[1:-1]]
+            parts += [np.linalg.norm(outs[head], axis=1) < 1e-12
+                      for head in cols if head in ("f2d", "f3d")]
+        return losses, b"".join(part.tobytes() for part in parts)
 
     total = np.zeros_like(bundle.params)
     views = param_views(bundle.config, total)
@@ -902,7 +909,10 @@ def test_step_matches_its_frozen_form_byte_for_byte(model, case):
                 ref_losses, ref_grad = _frozen_step(bundle, batch)
                 assert losses == ref_losses, (terms, n, weight)
                 assert grad.tobytes() == ref_grad.tobytes(), (terms, n, weight)
-                assert step(bundle, batch, grad=False) == (ref_losses, None)
+                losses, pattern = step(bundle, batch, grad=False)
+                assert losses == ref_losses, (terms, n, weight)
+                assert pattern == _frozen_step(bundle, batch, grad=False)[1], \
+                    (terms, n, weight)
 
 
 def test_each_step_returns_a_fresh_gradient(rng):
@@ -929,6 +939,25 @@ def test_grad_check_flags_wrong_latent_weight(monkeypatch, rng):
 
     monkeypatch.setattr(nncore, "step", wrong)
     assert grad_check(bundle, batch).error > 1e-2
+
+
+def test_grad_check_runs_each_pass_once_per_probe(monkeypatch, rng):
+    bundle = tiny_bundle()
+    batch = _training_batch(bundle, rng, weight=0.5)
+    forward, calls = nncore.mlp_forward, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(nncore, "mlp_forward", counted)
+    result = grad_check(bundle, batch)
+    blocks = len(param_views(bundle.config, bundle.params))
+    # Each step runs the batch's 3 passes: the full step and a loss-only
+    # one at the base point, one loss-only step per block to see whether
+    # the loss reads it, and one per probe, which also gives its pattern.
+    assert result.pairs > 0
+    assert len(calls) == 3 * (2 + blocks + 2 * result.pairs)
 
 
 def test_sgd_step_hand_example():

@@ -17,7 +17,7 @@ from .evaluation import confusion, coverage, label_error_rate, miou
 from .geometry import (CameraModel, CorrespondenceSet, PointCloud,
                        build_correspondences, look_at, project_points)
 from .nncore import (ModelBundle, ModelConfig, anchor_units, ce_loss,
-                     class_logits, class_map, config_hash, cosine_align_loss,
+                     class_layer, class_logits, config_hash, cosine_align_loss,
                      grad_check,
                      load_checkpoint, make_bundle, save_checkpoint, sgd_step,
                      step)
@@ -43,8 +43,8 @@ __all__ = [
     "ModelConfig", "NumericalError", "PlacementError", "PointCloud",
     "ROW_ORDER", "SOURCES", "Scene", "SceneConfig", "SuiteConfig",
     "TrainConfig", "TrainState", "ValidationError", "anchor_units",
-    "argmax_label", "build_correspondences", "ce_loss", "class_logits",
-    "class_map", "config_hash",
+    "argmax_label", "build_correspondences", "ce_loss", "class_layer",
+    "class_logits", "config_hash",
     "confusion", "cosine_align_loss", "coverage", "derive_clip_labels",
     "derive_rng", "generate_scene", "grad_check", "label_error_rate",
     "load_checkpoint", "look_at", "make_bundle", "miou", "mock_clip_scores",

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import BundleFormatError
-from .evaluation import format_value, parse_value
+from .evaluation import format_value, parse_value, read_text
 from .geometry import CameraModel, PointCloud
 from .nncore import config_hash
 from .scenesynth import (FeatureMap, MaskMap, Scene, ScoreMap,
@@ -151,15 +151,6 @@ def _read_header_line(blob: bytes, name: str) -> Tuple[str, int]:
         raise BundleFormatError(f"{name}: undecodable header (offset 0)") from exc
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise BundleFormatError(
-            f"{path.name}: undecodable byte at offset {exc.start} (UTF-8 "
-            f"text required)") from None
-
-
 def _read_points(path: Path) -> PointCloud:
     name = path.name
     blob = path.read_bytes()
@@ -206,7 +197,7 @@ def _read_points(path: Path) -> PointCloud:
 def _read_cameras(path: Path) -> Tuple[List[CameraModel], List[int]]:
     """The cameras of cameras.txt and the line number of each."""
     cameras, linenos = [], []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, BundleFormatError).splitlines(), start=1):
         if not line.strip():
             continue
         tokens = line.split()
@@ -269,7 +260,7 @@ def read_raster(path: Path) -> np.ndarray:
 
 def read_manifest(path: Path) -> Dict[str, str]:
     manifest = {}
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, BundleFormatError).splitlines(), start=1):
         if not line.strip():
             continue
         if "=" not in line:

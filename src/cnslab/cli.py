@@ -34,7 +34,7 @@ import numpy as np
 
 from . import ablation, bundle, evaluation, nncore, pseudolabel, scenesynth, training
 from .errors import ConfigError, NumericalError, ValidationError
-from .evaluation import csv_cell, format_value, parse_value
+from .evaluation import csv_cell, format_value, parse_value, read_text
 from .seeding import TAG_GRADCHECK, derive_rng
 
 logger = logging.getLogger("cnslab")
@@ -112,7 +112,8 @@ class RunConfig:
             path = Path(config_file)
             if not path.is_file():
                 raise ConfigError(f"config file not found: {path}")
-            for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            seen = set()
+            for lineno, line in enumerate(read_text(path, ConfigError).splitlines(), start=1):
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
                     continue
@@ -122,6 +123,9 @@ class RunConfig:
                 key, text = stripped.split("=", 1)
                 key, value = cls._parse_pair(key.strip(), text.strip(),
                                              f"{path.name}:{lineno}")
+                if key in seen:
+                    raise ConfigError(f"{path.name}:{lineno}: duplicate key {key!r}")
+                seen.add(key)
                 values[key] = value
         for key, value in _parse_overrides(overrides):
             values[key] = value

@@ -5,12 +5,13 @@ IGNORE ground-truth elements are excluded from all counts.  Predictions
 of IGNORE (possible for projection-style labels that do not cover every
 element) are likewise excluded; `coverage` reports the share of labeled
 elements alongside the score.  The one value codec of every text file
-the package writes (format_value / parse_value) lives here too.
+(format_value, parse_value) and its UTF-8 reader (read_text) live here too.
 """
 
 from __future__ import annotations
 
 import typing
+from pathlib import Path
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -109,6 +110,15 @@ def parse_value(hint, text: str):
     if hint is float and not np.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
     return value
+
+
+def read_text(path: Path, error: type) -> str:
+    """The UTF-8 text of file `path`; an undecodable byte raises `error`."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path.name}: undecodable byte at offset {exc.start} "
+                    f"(UTF-8 text required)") from None
 
 
 def csv_cell(value) -> str:

@@ -5,12 +5,12 @@ output) over hand-built descriptors.  On top of the shared latent space
 sit four trainable linear heads — semantic heads mapping into the class
 embedding space and feature heads mapping into the anchor space — plus a
 frozen bias-free anchor projection and the frozen class embedding table.
-A semantic head is folded into the class embeddings (class_map), so its
-logits are f @ M + c.
+A semantic head is folded into the class embeddings: with its class map
+M = W @ E.T / T and c = b @ E.T / T, its logits are f @ M + c.
 
 Every head is linear and reads only the latent rows, and so is each
-encoder's output layer.  The training step and inference therefore fold
-an encoder's output layer into the heads it feeds (fold_output): the
+encoder's output layer.  Training and inference therefore fold an
+encoder's output layer into the heads it feeds, in one place (_fold): the
 folded net maps input rows straight to the head outputs, and the latent
 rows are never formed.  The losses (ce_loss, cosine_align_loss) read
 head outputs and return their gradients; one chain-rule helper carries
@@ -191,10 +191,9 @@ class ModelBundle:
     updating `params` in place updates them all.  The frozen `anchor_head`
     (D_s, K_f) is a separate read-only array.  `embeddings` is the frozen
     (L, embed_dim) float64 table of unit class embeddings; its checks live
-    here, so make_bundle and load_checkpoint both pass them.
-    `scaled_embeddings` is that table divided by the temperature, E / T,
-    which class_map and the training step's gradient read.  `step_plan`
-    is what `step` reads of the model that no update changes.
+    here, so make_bundle and load_checkpoint both pass them.  `step_plan`
+    is what `step` and class_layer read of the model that no update
+    changes, the scaled table E / T among it.
     """
 
     def __init__(self, config: ModelConfig, params: np.ndarray,
@@ -213,7 +212,6 @@ class ModelBundle:
         self.config = config
         self.params = params
         self.embeddings = embeddings
-        self.scaled_embeddings = embeddings / config.temperature
         self.seed = int(seed)
         views = param_views(config, params)
         layers = range(len(config.hidden) + 1)
@@ -226,13 +224,6 @@ class ModelBundle:
         anchor_head.setflags(write=False)
         self.anchor_head = anchor_head
         self.step_plan = _step_plan(self)
-
-    def head(self, name: str) -> Dict[str, np.ndarray]:
-        try:
-            return {"s2d": self.head_s2d, "s3d": self.head_s3d,
-                    "f2d": self.head_f2d, "f3d": self.head_f3d}[name]
-        except KeyError:
-            raise ValidationError(f"unknown head {name!r}") from None
 
 
 def make_bundle(config: ModelConfig, embeddings: np.ndarray,
@@ -274,28 +265,13 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def class_map(bundle: ModelBundle, head: str) -> Tuple[np.ndarray, np.ndarray]:
-    """A semantic head folded into the class embeddings: (M, c).
-
-    With M = W @ E.T / T and c = b @ E.T / T, the logits of feature rows f
-    are (f @ W + b) @ E.T / T = f @ M + c, so the rows never pass through
-    embed_dim.  The training step and inference fold the encoder's output
-    layer into (M, c) in turn (fold_output).
-    """
-    if head not in ("s2d", "s3d"):
-        raise ValidationError(f"class_map expects a semantic head, got {head!r}")
-    h = bundle.head(head)
-    scale = bundle.scaled_embeddings.T
-    return h["w"] @ scale, h["b"] @ scale
-
-
 def class_logits(rows: np.ndarray,
                  folded: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Logits rows @ M + c under a folded class map (M, c).
 
-    With (M, c) from class_map the rows are latent features; inference
-    passes an encoder's last hidden activations and the last layer of the
-    encoder folded into the class map (fold_output).
+    Inference passes an encoder's last hidden activations and the
+    encoder's output layer folded into its semantic head's class map
+    (class_layer).
     """
     m, c = folded
     logits = np.asarray(rows, dtype=np.float64) @ m
@@ -472,7 +448,7 @@ def _step_plan(bundle: ModelBundle) -> _StepPlan:
         for name in names:
             semantic = name.startswith("s")
             hi = lo + (num_classes if semantic else config.anchor_dim)
-            h = bundle.head(name)
+            h = getattr(bundle, f"head_{name}")
             heads.append(_Head(semantic, slice(lo, hi), h["w"], h["b"],
                                blocks[f"head_{name}.w"], blocks[f"head_{name}.b"]))
             lo = hi
@@ -487,8 +463,8 @@ def _step_plan(bundle: ModelBundle) -> _StepPlan:
             make_pass("enc2d", heads2d, False) if heads2d else None,
             make_pass("enc3d", ["s3d"], False) if ce3d else None,
             make_pass("enc3d", ["f3d"], ce3d) if latent else None)
-    return _StepPlan(_param_count(config), num_classes, bundle.scaled_embeddings,
-                     bundle.scaled_embeddings.T, terms)
+    emb = bundle.embeddings / config.temperature
+    return _StepPlan(_param_count(config), num_classes, emb, emb.T, terms)
 
 
 def _block(vec: np.ndarray, block) -> np.ndarray:
@@ -496,13 +472,10 @@ def _block(vec: np.ndarray, block) -> np.ndarray:
     return vec[sl].reshape(shape)
 
 
-def _fold_pass(plan: _StepPlan, p: _Pass, rows: np.ndarray):
-    """Fold `p`'s heads into its encoder's output layer and run `rows`.
-
-    Returns (output, (folded net, head map A, forward cache)).  A holds the
-    heads' maps from latent rows side by side: a feature head's (W, b), a
-    semantic head's class map (W, b) @ E.T / T (class_map).
-    """
+def _fold(plan: _StepPlan, p: _Pass) -> Tuple[Mlp, np.ndarray]:
+    """`p`'s encoder with its output layer folded into `p`'s heads: (net, A).
+    A holds the heads' maps from latent rows side by side (fold_output): a
+    feature head's (W, b), a semantic head's class map (W, b) @ E.T / T."""
     a = np.empty((p.mlp.weights[-1].shape[1], p.width))
     c = np.empty(p.width)
     for head in p.heads:
@@ -512,9 +485,25 @@ def _fold_pass(plan: _StepPlan, p: _Pass, rows: np.ndarray):
         else:
             a[:, head.cols] = head.w
             c[head.cols] = head.b
-    net = fold_output(p.mlp, a, c)
+    return fold_output(p.mlp, a, c), a
+
+
+def _fold_pass(plan: _StepPlan, p: _Pass, rows: np.ndarray):
+    """Run `rows` through `p`'s folded net: (output, (net, A, forward cache))."""
+    net, a = _fold(plan, p)
     out, cache = mlp_forward(net, rows)
     return out, (net, a, cache)
+
+
+def class_layer(bundle: ModelBundle, enc: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Encoder `enc`'s output layer folded into its semantic head's class
+    map, (W_L @ M, b_L @ M + c): the last layer of `step`'s fold for a
+    batch of `enc`'s labelled rows alone.  class_logits applies it."""
+    plan = bundle.step_plan
+    p = {"enc2d": plan.terms[True, False, False][0],
+         "enc3d": plan.terms[False, True, False][1]}[enc]
+    net = _fold(plan, p)[0]
+    return net.weights[-1], net.biases[-1]
 
 
 def _backward(plan: _StepPlan, p: _Pass, run, d_out: np.ndarray, total: np.ndarray):
@@ -771,9 +760,9 @@ def save_checkpoint(bundle: ModelBundle, path, extra: Optional[dict] = None):
 def load_checkpoint(path) -> Tuple[ModelBundle, dict]:
     """Read a checkpoint back into a ModelBundle (embeddings renormalized).
 
-    A malformed header or payload raises ValidationError naming the file.
-    Header keys that name no ModelConfig field are kept in the returned
-    metadata and otherwise ignored.
+    A malformed header (a line not key=value, a repeated key) or payload
+    raises ValidationError naming the file.  Header keys that name no
+    ModelConfig field are kept in the returned metadata and otherwise ignored.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -781,8 +770,14 @@ def load_checkpoint(path) -> Tuple[ModelBundle, dict]:
     if not blob.startswith(_CKPT_MAGIC.encode()) or end < 0:
         raise ValidationError(f"{path}: not a {_CKPT_MAGIC} checkpoint")
     try:
-        meta = dict(line.split("=", 1)
-                    for line in blob[:end].decode().splitlines()[1:] if "=" in line)
+        meta = {}
+        for lineno, line in enumerate(blob[:end].decode().splitlines()[1:], start=2):
+            if "=" not in line:
+                raise ValueError(f"line {lineno}: expected key=value")
+            key, value = line.split("=", 1)
+            if key in meta:
+                raise ValueError(f"line {lineno}: duplicate key {key!r}")
+            meta[key] = value
         kinds = typing.get_type_hints(ModelConfig)
         cfg = ModelConfig(**{f.name: parse_value(kinds[f.name], meta[f.name])
                              for f in fields(ModelConfig)})

@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .evaluation import confusion, csv_cell, miou
-from .nncore import (Mlp, ModelBundle, ModelConfig, anchor_units, class_logits,
-                     class_map, fold_output, make_bundle, mlp_forward, sgd_step,
-                     step)
+from .nncore import (ModelBundle, ModelConfig, anchor_units, class_layer,
+                     class_logits, make_bundle, mlp_forward, sgd_step, step)
 from .pseudolabel import (IGNORE, REFINE3D_REPROJECT, REFINE3D_TRANSFER_MASKS,
                           derive_clip_labels, refine_points_by_view_masks,
                           refine_views, reproject_refine_points,
@@ -233,16 +232,16 @@ def _set_sources(state: TrainState, row: int, pixel: np.ndarray,
 _CHUNK = 1024
 
 
-def _predict_rows(bundle: ModelBundle, mlp: Mlp, head: str,
-                  rows: np.ndarray) -> np.ndarray:
-    """Argmax semantic-head prediction for (N, D) descriptor rows, by chunk.
+def _predict_rows(bundle: ModelBundle, enc: str, rows: np.ndarray) -> np.ndarray:
+    """Argmax semantic-head prediction of encoder `enc` for (N, D) rows, by chunk.
 
-    The encoder's output layer is folded into the class map once per call,
-    so each chunk runs the hidden layers and then one layer to the logits.
+    The encoder's output layer is folded into the class map once per call
+    by the training step's fold (class_layer), so each chunk runs the
+    hidden layers and then one layer to the logits.
     """
     out = np.empty(len(rows), dtype=np.int32)
-    net = fold_output(mlp, *class_map(bundle, head))
-    folded = (net.weights[-1], net.biases[-1])
+    mlp = getattr(bundle, enc)
+    folded = class_layer(bundle, enc)
     for lo in range(0, len(rows), _CHUNK):
         hidden, _ = mlp_forward(mlp, rows[lo:lo + _CHUNK], hidden_only=True)
         out[lo:lo + _CHUNK] = np.argmax(class_logits(hidden, folded), axis=1)
@@ -252,13 +251,13 @@ def _predict_rows(bundle: ModelBundle, mlp: Mlp, head: str,
 def predict_labels_2d(bundle: ModelBundle, desc: np.ndarray) -> np.ndarray:
     """Argmax semantic-head prediction for (V, H, W, D) pixel descriptors."""
     views, h, w, dim = desc.shape
-    labels = _predict_rows(bundle, bundle.enc2d, "s2d", desc.reshape(-1, dim))
+    labels = _predict_rows(bundle, "enc2d", desc.reshape(-1, dim))
     return labels.reshape(views, h, w)
 
 
 def predict_labels_3d(bundle: ModelBundle, desc: np.ndarray) -> np.ndarray:
     """Argmax semantic-head prediction for (N, D) point descriptors."""
-    return _predict_rows(bundle, bundle.enc3d, "s3d", desc)
+    return _predict_rows(bundle, "enc3d", desc)
 
 
 def predictions(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:

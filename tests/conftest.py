@@ -1,6 +1,7 @@
 """Shared fixtures: one small scene with oracle outputs, reused read-only;
 project_point, the one-point projection the geometry tests check
-cnslab's vectorized code against; and mutate, which swaps in a function
+cnslab's vectorized code against; class_map, the reference class map the
+folded logits are checked against; and mutate, which swaps in a function
 with one line of its source edited, for the gradient checker's mutants."""
 
 import inspect
@@ -42,6 +43,15 @@ def project_point(camera: CameraModel, point):
     if not (0 <= u < camera.width and 0 <= v < camera.height):
         return None
     return u, v, float(z)
+
+
+def class_map(bundle, head: str):
+    """A semantic head folded into the class embeddings: (M, c), with
+    M = W @ E.T / T and c = b @ E.T / T, so that the logits of latent rows
+    f are (f @ W + b) @ E.T / T = f @ M + c."""
+    h = getattr(bundle, f"head_{head}")
+    scale = (bundle.embeddings / bundle.config.temperature).T
+    return h["w"] @ scale, h["b"] @ scale
 
 
 def mutate(monkeypatch, module, name: str, old: str, new: str):

@@ -347,10 +347,14 @@ def test_config_file_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "x")]) == 1
     assert "not found" in capsys.readouterr().err
     bad = tmp_path / "bad.cfg"
-    bad.write_text("object_count 4\n")
-    assert cli.main(["synth", "--config", str(bad),
-                     "--out", str(tmp_path / "x")]) == 1
-    assert "expected key=value" in capsys.readouterr().err
+    for body, message in ((b"object_count 4\n", "bad.cfg:1: expected key=value"),
+                          (b"lr=0.1\nlr=0.2\n", "bad.cfg:2: duplicate key 'lr'"),
+                          (b"lr=0.1\n\xff\xfe=1\n", "bad.cfg: undecodable byte at offset 7")):
+        bad.write_bytes(body)
+        assert cli.main(["gradcheck", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
 
 def test_override_beats_config_file(tmp_path):

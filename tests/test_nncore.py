@@ -12,16 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnslab import cli, nncore
+from cnslab import cli, nncore, training
 from cnslab.errors import NumericalError, ValidationError
-from cnslab.nncore import (Mlp, ModelConfig, anchor_units, ce_loss, class_logits,
-                           class_map, cosine_align_loss, fold_output, grad_check,
+from cnslab.nncore import (Mlp, ModelConfig, anchor_units, ce_loss, class_layer,
+                           class_logits, cosine_align_loss, fold_output, grad_check,
                            load_checkpoint, make_bundle, mlp_backward, mlp_forward,
                            param_views, save_checkpoint, sgd_step, softmax_rows, step)
 from cnslab.pseudolabel import IGNORE
 from cnslab.scenesynth import mock_text_embeddings
 
-from conftest import mutate
+from conftest import class_map, mutate
 
 
 def tiny_bundle(temperature=1.0, seed=5, hidden=(8,)):
@@ -248,10 +248,7 @@ def test_ce_loss_all_ignore_is_zero(rng):
 
 
 def test_ce_loss_validation(rng):
-    bundle = tiny_bundle()
     logits = rng.standard_normal((2, 5))
-    with pytest.raises(ValidationError):
-        class_map(bundle, "f2d")  # only a semantic head scores classes
     with pytest.raises(ValidationError):
         ce_loss(logits, np.array([0, 5]))  # class 5 of 5
     with pytest.raises(ValidationError):
@@ -302,7 +299,7 @@ def _unfolded_ce(bundle, feats, head, y):
 
     Returns the loss and its gradient w.r.t. z.
     """
-    h = bundle.head(head)
+    h = getattr(bundle, f"head_{head}")
     emb = bundle.embeddings
     keep = y != IGNORE
     n = int(keep.sum())
@@ -346,12 +343,32 @@ def test_class_logits_formula(rng):
         bundle = tiny_bundle(temperature=temperature)
         bundle.params[:] = rng.standard_normal(bundle.params.shape)
         for head in ("s2d", "s3d"):
-            h = bundle.head(head)
+            h = getattr(bundle, f"head_{head}")
             logits = class_logits(feats, class_map(bundle, head))
             z = feats @ h["w"] + h["b"]
             expected = (z @ bundle.embeddings.T) / temperature
             np.testing.assert_allclose(logits, expected, rtol=1e-12, atol=0)
             assert np.array_equal(logits.argmax(axis=1), expected.argmax(axis=1))
+
+
+@pytest.mark.parametrize("hidden", [(), (8,), (8, 7)])
+def test_training_and_inference_score_the_same_logits(rng, hidden):
+    # Inference folds through the step plan's semantic-only passes, so a
+    # loss-only step's cross-entropy is that of inference's logits, to the
+    # bit, and inference predicts their argmax.
+    for temperature in (0.5, 1.0, 2.0):
+        bundle = tiny_bundle(temperature=temperature, hidden=hidden)
+        bundle.params[:] = rng.standard_normal(bundle.params.shape)  # biases too
+        for enc, width in (("2d", 5), ("3d", 6)):
+            x = rng.standard_normal((40, width))
+            y = rng.integers(0, 5, size=40).astype(np.int32)
+            y[[3, 17]] = IGNORE
+            rows = mlp_forward(getattr(bundle, f"enc{enc}"), x, hidden_only=True)[0]
+            logits = class_logits(rows, class_layer(bundle, f"enc{enc}"))
+            losses = step(bundle, {f"x{enc}": x, f"y{enc}": y}, grad=False)[0]
+            assert losses[f"l_ce{enc}"] == ce_loss(logits, y)[0]
+            assert np.array_equal(training._predict_rows(bundle, f"enc{enc}", x),
+                                  logits.argmax(axis=1))
 
 
 def test_fold_output_skips_the_output_layer(rng):
@@ -670,13 +687,13 @@ def _unfolded_step(bundle, batch):
             grads[f"{enc}.b{i}"] += db
 
     def head_back(head, feats, d_z):
-        h = bundle.head(head)
+        h = getattr(bundle, f"head_{head}")
         grads[f"head_{head}.w"] += feats.T @ d_z
         grads[f"head_{head}.b"] += d_z.sum(axis=0)
         return d_z @ h["w"].T
 
     def cosine_side(head, feats, anchors):
-        h = bundle.head(head)
+        h = getattr(bundle, f"head_{head}")
         z = feats @ h["w"] + h["b"]
         norms = np.linalg.norm(z, axis=1)
         live = (norms >= 1e-12) & anchors.any(axis=1)
@@ -763,7 +780,7 @@ def _frozen_side_by_side(arrays):
 def _frozen_head_map(bundle, head):
     if head in ("s2d", "s3d"):
         return class_map(bundle, head)
-    h = bundle.head(head)
+    h = getattr(bundle, f"head_{head}")
     return h["w"], h["b"]
 
 
@@ -782,7 +799,7 @@ def _frozen_unfold_grads(bundle, views, enc, a, cols, g, s):
     for head, span in cols.items():
         d_w, d_b = d_a[:, span], s[span]
         if head in ("s2d", "s3d"):
-            emb = bundle.scaled_embeddings
+            emb = bundle.embeddings / bundle.config.temperature
             d_w, d_b = d_w @ emb, d_b @ emb
         views[f"head_{head}.w"] += d_w
         views[f"head_{head}.b"] += d_b
@@ -1151,6 +1168,12 @@ def test_checkpoint_rejects_garbage(tmp_path):
         broken = tmp_path / "broken.ckpt"
         broken.write_bytes(blob.replace(old, new, 1))
         with pytest.raises(ValidationError, match="broken.ckpt"):
+            load_checkpoint(broken)
+    # Every header line is key=value, and no key is repeated.
+    for old, new, message in ((b"\nseed=5\n", b"\nseed=7\nseed=9\n", "duplicate key 'seed'"),
+                              (b"\nEND\n", b"\ngarbage line\nEND\n", "expected key=value")):
+        broken.write_bytes(blob.replace(old, new, 1))
+        with pytest.raises(ValidationError, match=f"broken.ckpt: bad header: .*{message}"):
             load_checkpoint(broken)
 
 

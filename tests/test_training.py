@@ -11,7 +11,7 @@ import pytest
 from cnslab import nncore, training
 from cnslab.ablation import SuiteConfig, _score_label_row
 from cnslab.errors import ValidationError
-from cnslab.nncore import (ModelConfig, class_logits, class_map, grad_check,
+from cnslab.nncore import (ModelConfig, class_logits, grad_check,
                            make_bundle, mlp_forward, param_views)
 from cnslab.pseudolabel import IGNORE, transfer_labels
 from cnslab.scenesynth import (ClipNoiseConfig, MaskFragConfig, SceneConfig,
@@ -23,7 +23,7 @@ from cnslab.training import (METRIC_COLUMNS, TrainConfig, compute_self_labels,
                              predictions, run_stage1, run_stage2, train,
                              write_metrics_csv)
 
-from conftest import SMALL_SCENE, mutate
+from conftest import SMALL_SCENE, class_map, mutate
 
 
 def short_config(**overrides):

@@ -160,6 +160,8 @@ def _parse_overrides(tokens: Sequence[str]) -> List[Tuple[str, object]]:
                 raise ConfigError(f"missing value for override --{key}")
             text = tokens[idx + 1]
             idx += 2
+        if any(key == seen for seen, _ in pairs):
+            raise ConfigError(f"command line: repeated option --{key}")
         pairs.append(RunConfig._parse_pair(key, text, "command line"))
     return pairs
 

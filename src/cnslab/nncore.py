@@ -16,8 +16,11 @@ rows are never formed.  The losses (ce_loss, cosine_align_loss) read
 head outputs and return their gradients; one chain-rule helper carries
 the folded layer's gradient back to the encoder and head parameters.
 
-Every trainable parameter lives in one float64 vector, laid out by
-param_views.  All arithmetic is float64; gradients are written by hand.
+Every trainable parameter lives in one vector, laid out by param_views.
+All arithmetic runs in the dtype of that vector: float32 for a trained
+model (init_state casts it once, ModelBundle.astype), float64 for the
+gradient checker and for bundles straight from make_bundle.  Gradients
+are written by hand.
 `step` computes the training objective and its gradient as one vector
 laid out like the parameters; training and grad_check (central finite
 differences) both call it, the checker's probes in its loss-only mode,
@@ -77,7 +80,7 @@ def mlp_forward(mlp: Mlp, x: np.ndarray,
     hidden_only the output layer is not run: the output is the last hidden
     layer's activations, or the input rows of a net without hidden layers.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=mlp.weights[0].dtype)
     cache = [x]
     h = x
     last = len(mlp.weights) - 1
@@ -100,7 +103,7 @@ def mlp_backward(mlp: Mlp, cache: list, d_out: np.ndarray, out=None
     """
     d_w = [None] * len(mlp.weights)
     d_b = [None] * len(mlp.biases)
-    grad = np.asarray(d_out, dtype=np.float64)
+    grad = np.asarray(d_out)
     last = len(mlp.weights) - 1
     for i in range(last, -1, -1):
         if i < last:
@@ -189,11 +192,12 @@ class ModelBundle:
     `params` holds every trainable parameter; `enc2d`, `enc3d` and the
     four heads ({"w": (D_h, D_out), "b": (D_out,)}) are views into it, so
     updating `params` in place updates them all.  The frozen `anchor_head`
-    (D_s, K_f) is a separate read-only array.  `embeddings` is the frozen
-    (L, embed_dim) float64 table of unit class embeddings; its checks live
-    here, so make_bundle and load_checkpoint both pass them.  `step_plan`
-    is what `step` and class_layer read of the model that no update
-    changes, the scaled table E / T among it.
+    (D_s, K_f) is a separate read-only array of the same dtype; the model
+    computes in that dtype.  `embeddings` is the frozen (L, embed_dim)
+    float64 table of unit class embeddings; its checks live here, so
+    make_bundle and load_checkpoint both pass them.  `step_plan` is what
+    `step` and class_layer read of the model that no update changes, the
+    scaled table E / T in the parameters' dtype among it.
     """
 
     def __init__(self, config: ModelConfig, params: np.ndarray,
@@ -224,6 +228,12 @@ class ModelBundle:
         anchor_head.setflags(write=False)
         self.anchor_head = anchor_head
         self.step_plan = _step_plan(self)
+
+    def astype(self, dtype) -> "ModelBundle":
+        """A copy of the model that computes in `dtype`: its parameters and
+        anchor head are cast (and copied), the rest is shared."""
+        return ModelBundle(self.config, self.params.astype(dtype), self.embeddings,
+                           self.seed, self.anchor_head.astype(dtype))
 
 
 def make_bundle(config: ModelConfig, embeddings: np.ndarray,
@@ -274,7 +284,7 @@ def class_logits(rows: np.ndarray,
     (class_layer).
     """
     m, c = folded
-    logits = np.asarray(rows, dtype=np.float64) @ m
+    logits = rows @ m
     logits += c
     return logits
 
@@ -286,9 +296,11 @@ def ce_loss(logits: np.ndarray, target_labels: np.ndarray, grad: bool = True
     IGNORE targets are skipped and get a zero gradient row; an all-IGNORE
     batch yields zero loss and a zero gradient.  Returns (loss, gradient
     w.r.t. the logits); with grad=False the backward half is skipped and
-    the gradient is None.  `logits` is not written.
+    the gradient is None.  `logits` is not written.  The log of a picked
+    probability is floored at 1e-300, or at the dtype's smallest normal
+    number where that is larger (float32), so that the loss stays finite.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.asarray(logits)
     targets = np.asarray(target_labels).ravel()
     if logits.ndim != 2 or len(targets) != len(logits):
         raise ValidationError(f"logits of shape {logits.shape} vs {len(targets)} targets")
@@ -303,7 +315,8 @@ def ce_loss(logits: np.ndarray, target_labels: np.ndarray, grad: bool = True
     probs = softmax_rows(logits[valid] if masked else logits.copy())
     rows = np.arange(n)
     picked = probs[rows, labels]
-    loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
+    floor = max(1e-300, float(np.finfo(probs.dtype).tiny))
+    loss = float(-np.log(np.maximum(picked, probs.dtype.type(floor))).mean())
     if not grad:
         return loss, None
     d_logits = probs  # probs is not read again; its buffer is reused
@@ -320,9 +333,11 @@ def anchor_units(bundle: ModelBundle, oracle_feats: np.ndarray) -> np.ndarray:
 
     Row i is the frozen anchor projection s_i @ A scaled to unit norm, or a
     zero row where the projection has ~zero norm.  The anchor head never
-    trains, so a training run computes these once.
+    trains, so a training run computes these once.  They are in the
+    dtype of the bundle's anchor head.
     """
-    units = np.asarray(oracle_feats, dtype=np.float64) @ bundle.anchor_head
+    head = bundle.anchor_head
+    units = np.asarray(oracle_feats, dtype=head.dtype) @ head
     norms = np.linalg.norm(units, axis=1)
     degenerate = norms < _NORM_EPS
     units /= np.where(degenerate, 1.0, norms)[:, None]
@@ -344,9 +359,7 @@ def cosine_align_loss(x_out: np.ndarray, p_out: np.ndarray, anchors: np.ndarray,
     gradient w.r.t. p_out, zero-norm count); with grad=False the backward
     half is skipped and both gradients are None.  No input is written.
     """
-    x_out = np.asarray(x_out, dtype=np.float64)
-    p_out = np.asarray(p_out, dtype=np.float64)
-    a_unit = np.asarray(anchors, dtype=np.float64)
+    x_out, p_out, a_unit = np.asarray(x_out), np.asarray(p_out), np.asarray(anchors)
     if not (len(x_out) == len(p_out) == len(a_unit)):
         raise ValidationError("cosine_align_loss needs equally many x, p, anchor rows")
     n = len(x_out)
@@ -427,7 +440,8 @@ class _StepPlan(NamedTuple):
 
     `terms` maps which terms a batch holds, (y2d, y3d, anchors present),
     to the passes over its x2d, x3d and pair3d rows, None where a pass
-    does not run.  `emb` is the scaled class embedding table E / T.
+    does not run.  `emb` is the scaled class embedding table E / T in the
+    parameters' dtype.
     """
 
     size: int
@@ -463,7 +477,7 @@ def _step_plan(bundle: ModelBundle) -> _StepPlan:
             make_pass("enc2d", heads2d, False) if heads2d else None,
             make_pass("enc3d", ["s3d"], False) if ce3d else None,
             make_pass("enc3d", ["f3d"], ce3d) if latent else None)
-    emb = bundle.embeddings / config.temperature
+    emb = bundle.embeddings.astype(bundle.params.dtype) / config.temperature
     return _StepPlan(_param_count(config), num_classes, emb, emb.T, terms)
 
 
@@ -476,8 +490,9 @@ def _fold(plan: _StepPlan, p: _Pass) -> Tuple[Mlp, np.ndarray]:
     """`p`'s encoder with its output layer folded into `p`'s heads: (net, A).
     A holds the heads' maps from latent rows side by side (fold_output): a
     feature head's (W, b), a semantic head's class map (W, b) @ E.T / T."""
-    a = np.empty((p.mlp.weights[-1].shape[1], p.width))
-    c = np.empty(p.width)
+    dtype = plan.emb.dtype
+    a = np.empty((p.mlp.weights[-1].shape[1], p.width), dtype)
+    c = np.empty(p.width, dtype)
     for head in p.heads:
         if head.semantic:
             np.matmul(head.w, plan.emb_t, out=a[:, head.cols])
@@ -613,10 +628,11 @@ def step(bundle: ModelBundle, batch: dict, grad: bool = True
         return losses, _branch_pattern(passes, runs)
 
     # Every block is written below, except those of absent terms.
-    total = np.empty(plan.size) if ce2d and ce3d and latent else np.zeros(plan.size)
+    alloc = np.empty if ce2d and ce3d and latent else np.zeros
+    total = alloc(plan.size, plan.emb.dtype)
     if pass2d:
         if ce2d and latent:
-            d_out = np.empty((len(d_s2d), pass2d.width))
+            d_out = np.empty((len(d_s2d), pass2d.width), plan.emb.dtype)
             d_out[:, :plan.num_classes] = d_s2d
             d_out[:, plan.num_classes:] = d_f2d
         else:
@@ -673,8 +689,12 @@ def grad_check(bundle: ModelBundle, batch: dict, eps: float = 1e-5) -> GradCheck
     _MAX_SKIPPED of the pairs skipped raises NumericalError, so that
     skipping cannot hide a wrong gradient.  A block whose joint +eps
     shift leaves the loss bit-identical is not read by the loss: its
-    numeric gradient is 0, and it is scored without probes.
+    numeric gradient is 0, and it is scored without probes.  Every step
+    runs on a float64 copy of `bundle` (ModelBundle.astype): central
+    differences at eps = 1e-5 need float64 to resolve the checker's 1e-4
+    bound.  `bundle` itself is not touched.
     """
+    bundle = bundle.astype(np.float64)
     base, analytic = step(bundle, batch)
     pattern = step(bundle, batch, grad=False)[1]
     rng = derive_rng(bundle.seed, TAG_GRADCHECK)
@@ -733,8 +753,9 @@ def save_checkpoint(bundle: ModelBundle, path, extra: Optional[dict] = None):
 
     The header names every ModelConfig field; the payload holds the
     parameter vector, then the frozen anchor head and the class embedding
-    table.  A value that is not finite in float32 raises NumericalError
-    before anything is written.
+    table, so a float32 model's parameters are stored exactly.  A value
+    that is not finite in float32 raises NumericalError before anything
+    is written.
     """
     with np.errstate(over="ignore"):  # the check below reports an overflow
         payload = np.concatenate([bundle.params, bundle.anchor_head.ravel(),
@@ -758,15 +779,18 @@ def save_checkpoint(bundle: ModelBundle, path, extra: Optional[dict] = None):
 
 
 def load_checkpoint(path) -> Tuple[ModelBundle, dict]:
-    """Read a checkpoint back into a ModelBundle (embeddings renormalized).
+    """Read a checkpoint back into a float32 ModelBundle.
 
-    A malformed header (a line not key=value, a repeated key) or payload
+    The parameters and the anchor head are the float32 payload as it is,
+    so a float32 model comes back exactly; the class embeddings are
+    renormalized in float64.  The header ends at its own END line.  A
+    malformed header (a line not key=value, a repeated key) or payload
     raises ValidationError naming the file.  Header keys that name no
     ModelConfig field are kept in the returned metadata and otherwise ignored.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    end = blob.find(b"END\n")
+    end = blob.find(b"\nEND\n")
     if not blob.startswith(_CKPT_MAGIC.encode()) or end < 0:
         raise ValidationError(f"{path}: not a {_CKPT_MAGIC} checkpoint")
     try:
@@ -791,7 +815,7 @@ def load_checkpoint(path) -> Tuple[ModelBundle, dict]:
     except (ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: bad header: {exc}") from None
 
-    start = end + 4
+    start = end + 5
     n_params = _param_count(cfg)
     n_anchor = cfg.sam_dim * cfg.anchor_dim
     expected = 4 * (n_params + n_anchor + num_classes * cfg.embed_dim)
@@ -802,10 +826,10 @@ def load_checkpoint(path) -> Tuple[ModelBundle, dict]:
     # Checked before the float64 cast, which warns on a signalling NaN.
     if not np.isfinite(payload).all():
         raise ValidationError(f"{path}: payload holds non-finite values")
-    params = payload[:n_params].astype(np.float64)
-    frozen = payload[n_params:].astype(np.float64)
-    anchor = frozen[:n_anchor].reshape(cfg.sam_dim, cfg.anchor_dim)
-    emb = frozen[n_anchor:].reshape(num_classes, cfg.embed_dim)
+    params = payload[:n_params].astype(np.float32)  # a writable copy
+    anchor = payload[n_params:n_params + n_anchor].reshape(cfg.sam_dim, cfg.anchor_dim)
+    emb = payload[n_params + n_anchor:].astype(np.float64).reshape(num_classes,
+                                                                   cfg.embed_dim)
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     if not norms.all():
         raise ValidationError(f"{path}: class embedding row "

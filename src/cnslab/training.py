@@ -144,6 +144,8 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
                ) -> TrainState:
     """Precompute descriptors, oracle labels, and unit anchors; build the model.
 
+    The model is drawn by make_bundle and trains in float32, the precision
+    its checkpoint stores: a saved and reloaded model is the trained one.
     `descriptors` may carry the scene_descriptors(scene,
     config.descriptor_noise) pair built by the caller, so that runs on one
     scene share it.  Every dimension check runs before the descriptors are
@@ -176,7 +178,7 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
                   else (descriptors[0].shape[-1], descriptors[1].shape[-1]))
     if (model_config.input2d_dim, model_config.input3d_dim) != input_dims:
         raise ValidationError("model input dims do not match descriptor dims")
-    bundle = make_bundle(model_config, embeddings, config.seed)
+    bundle = make_bundle(model_config, embeddings, config.seed).astype(np.float32)
     if descriptors is None:
         descriptors = scene_descriptors(scene, config.descriptor_noise)
     desc2d, desc3d = descriptors
@@ -227,7 +229,7 @@ def _set_sources(state: TrainState, row: int, pixel: np.ndarray,
 # prediction and self-labels
 
 # Rows per inference chunk.  Every temporary of a chunk (a 64-wide hidden
-# activation is 512 KiB) then stays small enough to be reused from the
+# activation is 256 KiB in float32) then stays small enough to be reused from the
 # allocator's free pages instead of being mapped afresh on every call.
 _CHUNK = 1024
 
@@ -433,9 +435,7 @@ def _fork(state: TrainState, config: TrainConfig) -> TrainState:
     Parameters, label tables, generators, history and counters are copied;
     the read-only data and predictions are shared.
     """
-    old = state.bundle
-    bundle = ModelBundle(old.config, old.params.copy(), old.embeddings, old.seed,
-                         old.anchor_head)
+    bundle = state.bundle.astype(state.bundle.params.dtype)
     return replace(state, bundle=bundle, config=config,
                    labels2d=state.labels2d.copy(), labels3d=state.labels3d.copy(),
                    shuffle_rng=copy.deepcopy(state.shuffle_rng),

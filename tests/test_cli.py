@@ -22,7 +22,7 @@ import pytest
 
 from cnslab import ablation, cli, nncore, training
 from cnslab.bundle import read_manifest, read_raster, write_raster
-from cnslab.errors import ValidationError
+from cnslab.errors import ConfigError, ValidationError
 from cnslab.scenesynth import mock_text_embeddings
 
 from conftest import TINY_TRAIN
@@ -357,6 +357,20 @@ def test_config_file_errors(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tokens, key", [
+    (["--lr", "0.1", "--lr=0.2"], "--lr"),
+    (["--seed=1", "--lr", "0.1", "--seed", "1"], "--seed")])
+def test_repeated_command_line_option_is_rejected(tmp_path, capsys, tokens, key):
+    # As a key repeated in a --config file is: the last one does not win.
+    with pytest.raises(ConfigError, match=f"repeated option {key}"):
+        cli.RunConfig.resolve(None, tokens)
+    assert cli.main(["synth", "--out", str(tmp_path / "x"), *tokens]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"repeated option {key}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_override_beats_config_file(tmp_path):
     cfg = _write_cfg(tmp_path / "tiny.cfg")
     out = tmp_path / "run"
@@ -516,22 +530,56 @@ def test_numerical_abort_names_where_it_happened(pipeline, tmp_path, capsys):
                          "--batch_pixels", "16", "--batch_points", "16"])
     assert code == 2
     err = capsys.readouterr().err
-    assert ("numerical abort: epoch 0 stage 1 step 33: non-finite gradient; "
+    assert ("numerical abort: epoch 0 stage 1 step 4: non-finite gradient; "
             "step aborted (first non-finite loss term l_ce2d)") in err
 
 
 def test_train_refuses_a_checkpoint_that_overflows_float32(pipeline, tmp_path, capsys):
-    # At this learning rate the parameters stay finite in float64 but not
-    # in the checkpoint's float32: train must abort and write no file.
+    # Training runs in the checkpoint's float32, so parameters that would
+    # overflow it abort the run first: train must exit 2 and write no file.
     cfg = _write_cfg(tmp_path / "tiny.cfg")
     out = tmp_path / "x"
-    code = cli.main(["train", str(pipeline / "synth" / "bundle"), "--config", str(cfg),
-                     "--out", str(out), "--hidden", "64", "--latent_dim", "48",
-                     "--anchor_dim", "16", "--lr", "1e5"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = cli.main(["train", str(pipeline / "synth" / "bundle"), "--config", str(cfg),
+                         "--out", str(out), "--hidden", "64", "--latent_dim", "48",
+                         "--anchor_dim", "16", "--lr", "1e5"])
     assert code == 2
-    assert "values not finite in float32; nothing written" in capsys.readouterr().err
+    assert "numerical abort: epoch 0 stage 1 step" in capsys.readouterr().err
     assert not (out / "checkpoint.ckpt").exists()
     assert not (out / "checkpoint.ckpt.tmp").exists()
+
+
+def test_eval_scores_the_trained_model_exactly(pipeline, tmp_path, monkeypatch):
+    # The checkpoint holds the trained float32 parameters to the bit, so
+    # eval predicts what the final epoch of training predicted.
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
+    bundle_dir = str(pipeline / "synth" / "bundle")
+    returned = {}
+
+    def recording(name):
+        real = getattr(training, name)
+
+        def record(*args, **kwargs):
+            returned[name] = real(*args, **kwargs)
+            return returned[name]
+        monkeypatch.setattr(training, name, record)
+
+    recording("train")
+    assert cli.main(["train", bundle_dir, "--config", str(cfg),
+                     "--out", str(tmp_path / "train")]) == 0
+    state = returned["train"]
+    recording("predict_labels_2d")
+    recording("predict_labels_3d")
+    ckpt = tmp_path / "train" / "checkpoint.ckpt"
+    assert cli.main(["eval", bundle_dir, str(ckpt), "--config", str(cfg),
+                     "--out", str(tmp_path / "eval")]) == 0
+    loaded, _ = nncore.load_checkpoint(ckpt)
+    assert state.bundle.params.dtype == loaded.params.dtype == np.float32
+    assert loaded.params.tobytes() == state.bundle.params.tobytes()
+    pixel, point = training.predictions(state)
+    assert np.array_equal(returned["predict_labels_2d"], pixel)
+    assert np.array_equal(returned["predict_labels_3d"], point)
 
 
 def test_eval_rejects_class_count_mismatch(pipeline, tmp_path, capsys):
@@ -691,8 +739,8 @@ def test_refine_bytes_are_pinned(tmp_path):
 
 # sha256 of the train and eval outputs of the `pipeline` fixture (TINY_CFG).
 TRAIN_SHA256 = {
-    "train/checkpoint.ckpt": "bd87e8e84847c569ff2690192392179d5d65f86ecd7170cecf4357e8480b0da2",
-    "train/metrics.csv": "ab87286023cee4f3758f80799c0d7d9adf37a1f13321900046095d8499c49138",
+    "train/checkpoint.ckpt": "f80c2cba8f83dd982a319842093c5c8a992908965f0d2f719ff7e106ba3cbb33",
+    "train/metrics.csv": "e96e3eb4aecc0d9eec97d5cfda1cf88a4783653a601303e2547533623618d2e7",
     "eval/eval.csv": "50fca71f67d5d6d0e6f006bba9cf48f776bc7cd959a8af1fad95a4b4c2fa29ed",
 }
 

@@ -946,6 +946,50 @@ def test_each_step_returns_a_fresh_gradient(rng):
     assert not np.shares_memory(third, first) and not np.shares_memory(third, second)
 
 
+@pytest.mark.parametrize("hidden", [(), (8,), (8, 7)])
+def test_float32_step_agrees_with_the_float64_step(hidden):
+    # On float32-representable parameters and rows, a float32 bundle and a
+    # float64 copy compute the same losses and gradient up to float32
+    # round-off, IGNORE labels and zero anchor rows included.
+    rng = np.random.default_rng(len(hidden))
+    wide = tiny_bundle(hidden=hidden)
+    wide.params[:] = (0.3 * rng.standard_normal(wide.params.shape)).astype(np.float32)
+    narrow = wide.astype(np.float32)
+    assert narrow.params.dtype == narrow.anchor_head.dtype == np.float32
+    assert wide.params.dtype == np.float64
+    n = 64
+    y2d, y3d = rng.integers(0, 5, size=n), rng.integers(0, 5, size=n)
+    y2d[rng.random(n) < 0.3] = IGNORE
+    y3d[rng.random(n) < 0.3] = IGNORE
+    anchors = anchor_units(narrow, rng.standard_normal((n, 3)))
+    assert anchors.dtype == np.float32
+    anchors[rng.random(n) < 0.3] = 0.0
+    batch = {"x2d": rng.standard_normal((n, 5)).astype(np.float32), "y2d": y2d,
+             "x3d": rng.standard_normal((n, 6)).astype(np.float32), "y3d": y3d,
+             "pair3d": rng.standard_normal((n, 6)).astype(np.float32),
+             "anchors": anchors, "latent_weight": 0.5}
+    losses, grad = step(narrow, batch)
+    ref_losses, ref_grad = step(wide, batch)
+    assert grad.dtype == np.float32 and ref_grad.dtype == np.float64
+    for key, ref in ref_losses.items():
+        assert abs(losses[key] - ref) <= 2e-6 * abs(ref), key
+    assert np.abs(grad - ref_grad).max() <= 2e-6 * np.abs(ref_grad).max()
+
+    # Rows whose logit gap exceeds 104, labelled with their smallest logit:
+    # the float32 probability of the label underflows to 0, and the loss
+    # reads the log floor, finfo(float32).tiny, not infinity.
+    x2d = 1000.0 * batch["x2d"]
+    logits = class_logits(mlp_forward(narrow.enc2d, x2d, hidden_only=True)[0],
+                          class_layer(narrow, "enc2d"))
+    far = np.ptp(logits, axis=1) > 104
+    assert far.sum() >= n // 2
+    far_batch = {"x2d": x2d[far], "y2d": np.argmin(logits[far], axis=1)}
+    losses, grad = step(narrow, far_batch)
+    assert losses["l_ce2d"] == pytest.approx(-np.log(np.finfo(np.float32).tiny))
+    assert np.isfinite(grad).all()
+    assert step(wide, far_batch)[0]["l_ce2d"] > 104
+
+
 def test_grad_check_flags_wrong_latent_weight(monkeypatch, rng):
     bundle = tiny_bundle()
     batch = _training_batch(bundle, rng, weight=0.5)
@@ -1175,6 +1219,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
         broken.write_bytes(blob.replace(old, new, 1))
         with pytest.raises(ValidationError, match=f"broken.ckpt: bad header: .*{message}"):
             load_checkpoint(broken)
+
+
+def test_checkpoint_round_trip_of_a_float32_model_is_exact(tmp_path):
+    # A header value ending in END does not end the header.
+    bundle = tiny_bundle(seed=9).astype(np.float32)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(bundle, path, extra={"note": "THE END"})
+    loaded, meta = load_checkpoint(path)
+    assert meta["x_note"] == "THE END"
+    assert loaded.params.dtype == loaded.anchor_head.dtype == np.float32
+    assert loaded.params.tobytes() == bundle.params.tobytes()
+    assert loaded.anchor_head.tobytes() == bundle.anchor_head.tobytes()
+    assert loaded.step_plan.emb.tobytes() == bundle.step_plan.emb.tobytes()
+    assert loaded.params.flags.writeable
 
 
 @pytest.mark.parametrize("value", [1e39, np.nan])

@@ -151,11 +151,12 @@ def test_one_epoch_uses_every_entry_once(small_scene, small_oracles, monkeypatch
     data = state.data
     n_ent, num_points = state.labels2d.shape[1], state.labels3d.shape[1]
     assert n_ent % 100
-    # Column 0 of each descriptor row carries its entry or point index.
+    # Column 0 of each descriptor row carries its entry or point index,
+    # scaled by 2**-12 (exact in float32) so that training stays finite.
     data["x2d"] = data["x2d"].copy()
-    data["x2d"][:, 0] = np.arange(n_ent)
+    data["x2d"][:, 0] = np.arange(n_ent) * 2.0 ** -12
     data["desc3d"] = data["desc3d"].copy()
-    data["desc3d"][:, 0] = np.arange(num_points)
+    data["desc3d"][:, 0] = np.arange(num_points) * 2.0 ** -12
     batches = []
 
     def recording_step(bundle, batch, *args, **kwargs):
@@ -167,18 +168,18 @@ def test_one_epoch_uses_every_entry_once(small_scene, small_oracles, monkeypatch
     training._run_epoch(state, stage=1)
 
     assert [len(b["x2d"]) for b in batches] == [100] * (n_ent // 100) + [n_ent % 100]
-    ents = np.concatenate([b["x2d"][:, 0] for b in batches]).astype(np.int64)
+    ents = (np.concatenate([b["x2d"][:, 0] for b in batches]) * 2 ** 12).astype(np.int64)
     assert np.array_equal(np.sort(ents), np.arange(n_ent))
-    pts = np.concatenate([b["x3d"][:, 0] for b in batches]).astype(np.int64)
+    pts = (np.concatenate([b["x3d"][:, 0] for b in batches]) * 2 ** 12).astype(np.int64)
     assert len(pts) == 128 * len(batches) >= num_points
     counts = np.bincount(pts, minlength=num_points)
     assert counts.max() - counts.min() <= 1
     for b in batches:  # every term of a batch reads the same entries
-        e = b["x2d"][:, 0].astype(np.int64)
-        p = b["x3d"][:, 0].astype(np.int64)
+        e = (b["x2d"][:, 0] * 2 ** 12).astype(np.int64)
+        p = (b["x3d"][:, 0] * 2 ** 12).astype(np.int64)
         assert np.array_equal(b["y2d"], state.labels2d[0, e])
         assert np.array_equal(b["y3d"], state.labels3d[1, p])
-        assert np.array_equal(b["pair3d"][:, 0], data["ent_point"][e])
+        assert np.array_equal(b["pair3d"][:, 0] * 2 ** 12, data["ent_point"][e])
         assert np.array_equal(b["anchors"], data["anchors"][e])
 
 

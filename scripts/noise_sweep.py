@@ -2,8 +2,10 @@
 
 For each flip probability the script generates one scene, derives raw
 argmax labels and mask-refined labels, and reports pixel/point error
-rates.  The point columns show the full 2D -> 3D path: multi-view
-transfer of the refined pixel labels, then in-mask voting on points.
+rates.  The point columns show derive_clip_labels' default 2D -> 3D
+path: the raw pixel labels are carried onto points (a point takes the
+label of the lowest camera index that sees it), and the point labels
+are then voted inside each view's masks carried onto the points.
 
 Usage:
     python3 scripts/noise_sweep.py

@@ -40,9 +40,8 @@ _RAS_MAGIC = "CNSRAS v1"
 _DTYPES = {"<f4": np.dtype("<f4"), "<i4": np.dtype("<i4")}
 
 # The oracle parameters a manifest records, from oracles["meta"].
-_ORACLE_KEYS = ("clip_eps", "clip_block", "clip_margin", "frag_splits",
-                "frag_jitter", "feat_dim", "feat_sigma", "embed_dim",
-                "oracle_seed")
+_ORACLE_KEYS = ("clip_eps", "clip_block", "frag_splits", "frag_jitter",
+                "feat_dim", "feat_sigma", "embed_dim", "oracle_seed")
 _MANIFEST_ORDER = (
     "format", "num_points", "num_views", "num_classes", "object_count",
     "seed", "room_size", "config_hash", *_ORACLE_KEYS, "has_labels",

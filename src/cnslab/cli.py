@@ -217,7 +217,7 @@ def cmd_refine(cfg: RunConfig, bundle_dir: str, out_dir: str) -> int:
     corr = scene.correspondences()
     derived = pseudolabel.derive_clip_labels(
         corr, oracles["scores"], oracles["masks"], len(scene.cloud),
-        refine3d_mode=cfg["refine3d_mode"], multiview=cfg["multiview"])
+        refine3d_mode=cfg["refine3d_mode"])
 
     gt_pixel = scenesynth.gt_pixel_stack(scene)
     rows = []

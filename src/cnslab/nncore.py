@@ -754,8 +754,10 @@ def save_checkpoint(bundle: ModelBundle, path, extra: Optional[dict] = None):
     The header names every ModelConfig field; the payload holds the
     parameter vector, then the frozen anchor head and the class embedding
     table, so a float32 model's parameters are stored exactly.  A value
-    that is not finite in float32 raises NumericalError before anything
-    is written.
+    that is not finite in float32 raises NumericalError, and an extra
+    whose x_<key>=<value> line would not read back as written (a key
+    holding "=", a line break or a character UTF-8 cannot encode in key
+    or value) raises ValidationError, before anything is written.
     """
     with np.errstate(over="ignore"):  # the check below reports an overflow
         payload = np.concatenate([bundle.params, bundle.anchor_head.ravel(),
@@ -768,8 +770,13 @@ def save_checkpoint(bundle: ModelBundle, path, extra: Optional[dict] = None):
     lines.append(f"num_classes={len(bundle.embeddings)}")
     lines.append(f"seed={bundle.seed}")
     lines.append(f"config_hash={config_hash(cfg)}")
-    lines += [f"x_{key}={format_value(value)}"
-              for key, value in sorted((extra or {}).items())]
+    for key, value in sorted((extra or {}).items()):
+        line = f"x_{key}={format_value(value)}"
+        if ("=" in str(key) or line.splitlines() != [line]
+                or line.encode(errors="replace").decode() != line):
+            raise ValidationError(f"{path}: extra {line!r} would not read back "
+                                  f"as one key=value line; nothing written")
+        lines.append(line)
     lines.append("END")
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:

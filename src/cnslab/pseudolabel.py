@@ -35,13 +35,12 @@ def argmax_label(scores: np.ndarray) -> np.ndarray:
 
 
 def transfer_labels(corr: CorrespondenceSet, pixel_labels: np.ndarray,
-                    num_points: int, multiview: str = "first-camera") -> np.ndarray:
+                    num_points: int) -> np.ndarray:
     """Carry a (V, H, W) pixel label stack onto points along the correspondences.
 
-    Points with no correspondence (or only IGNORE-labeled pixels) get
-    IGNORE.  With multiview="first-camera" the lowest camera index
-    holding a non-IGNORE label wins; "vote" takes the per-point plurality
-    across views (ties to the lowest class index).
+    A point takes the label of the lowest camera index that holds a
+    non-IGNORE label for it; points with no correspondence (or only
+    IGNORE-labeled pixels) get IGNORE.
     """
     if pixel_labels.ndim != 3:
         raise ValidationError(
@@ -52,18 +51,10 @@ def transfer_labels(corr: CorrespondenceSet, pixel_labels: np.ndarray,
     ok = lab != IGNORE
     pts, cams, lab = corr.point_index[ok], corr.camera_index[ok], lab[ok]
     out = np.full(num_points, IGNORE, dtype=np.int32)
-    if multiview == "first-camera":
-        # A point has one entry per camera; the lowest camera writes last.
-        for k in reversed(range(len(pixel_labels))):
-            sel = cams == k
-            out[pts[sel]] = lab[sel]
-    elif multiview == "vote":
-        counts = np.zeros((num_points, 1 + int(lab.max(initial=0))), dtype=np.int64)
-        np.add.at(counts, (pts, lab), 1)
-        voted = counts.sum(axis=1) > 0
-        out[voted] = np.argmax(counts[voted], axis=1)
-    else:
-        raise ValidationError(f"unknown multiview policy {multiview!r}")
+    # A point has one entry per camera; the lowest camera writes last.
+    for k in reversed(range(len(pixel_labels))):
+        sel = cams == k
+        out[pts[sel]] = lab[sel]
     return out
 
 
@@ -145,8 +136,7 @@ def refine_points_by_view_masks(labels: np.ndarray,
 
 
 def reproject_refine_points(corr: CorrespondenceSet, labels: np.ndarray,
-                            masks: Sequence[MaskMap],
-                            multiview: str = "first-camera") -> np.ndarray:
+                            masks: Sequence[MaskMap]) -> np.ndarray:
     """Refine point labels by a pixel round trip.
 
     Point labels are splatted onto each view's paired pixels (IGNORE
@@ -156,8 +146,7 @@ def reproject_refine_points(corr: CorrespondenceSet, labels: np.ndarray,
     _require_points(labels, "reproject_refine_points")
     pixel = np.full((len(masks),) + masks[0].mask_ids.shape, IGNORE, dtype=np.int32)
     pixel[corr.camera_index, corr.v, corr.u] = labels[corr.point_index]
-    transferred = transfer_labels(corr, refine_views(pixel, masks), len(labels),
-                                  multiview)
+    transferred = transfer_labels(corr, refine_views(pixel, masks), len(labels))
     return np.where(transferred != IGNORE, transferred, labels).astype(np.int32)
 
 
@@ -167,8 +156,7 @@ REFINE3D_REPROJECT = "reproject"
 
 def derive_clip_labels(corr: CorrespondenceSet, scores: Sequence[ScoreMap],
                        masks: Sequence[MaskMap], num_points: int,
-                       refine3d_mode: str = REFINE3D_TRANSFER_MASKS,
-                       multiview: str = "first-camera") -> dict:
+                       refine3d_mode: str = REFINE3D_TRANSFER_MASKS) -> dict:
     """Full oracle-label pipeline for one scene.
 
     Returns raw and mask-refined labels on both domains:
@@ -183,11 +171,11 @@ def derive_clip_labels(corr: CorrespondenceSet, scores: Sequence[ScoreMap],
         raise ValidationError(f"unknown refine3d_mode {refine3d_mode!r}")
     pixel_raw = np.stack([argmax_label(s.scores) for s in scores])
     pixel_refined = refine_views(pixel_raw, masks)
-    point_raw = transfer_labels(corr, pixel_raw, num_points, multiview)
+    point_raw = transfer_labels(corr, pixel_raw, num_points)
     if refine3d_mode == REFINE3D_TRANSFER_MASKS:
         point_masks = transfer_masks(corr, masks, num_points)
         point_refined = refine_points_by_view_masks(point_raw, point_masks)
     else:
-        point_refined = transfer_labels(corr, pixel_refined, num_points, multiview)
+        point_refined = transfer_labels(corr, pixel_refined, num_points)
     return {"pixel_raw": pixel_raw, "pixel_refined": pixel_refined,
             "point_raw": point_raw, "point_refined": point_refined}

@@ -54,12 +54,6 @@ _JITTER_CELL = 8
 # back to the corner, every face has zero area and sampling fails; at 1e6
 # float32 point positions still sit within 0.0625 of their draws.
 MAX_ROOM_SIZE = 1e6
-# Farthest camera_radius and |camera_height|: 100 sides of the largest room.
-# Past about 1e154 the camera's distance to the room centre overflows.
-MAX_CAMERA_DISTANCE = 100 * MAX_ROOM_SIZE
-# Largest CLIP margin.  Scores are float32, which overflow past 3.4e38, and
-# only their argmax is read, so no larger margin changes a label.
-MAX_CLIP_MARGIN = 1e6
 # Largest feat_sigma.  Past about 1e153 a noisy feature's norm overflows
 # and the unit features read 0; at 1e6 the noise swamps the unit anchors.
 MAX_FEAT_SIGMA = 1e6
@@ -94,8 +88,6 @@ class SceneConfig:
     max_box_size: float = 2.2
     placement_margin: float = 0.25
     max_place_attempts: int = 1000
-    camera_radius: Optional[float] = None  # default 0.85 * room_size
-    camera_height: Optional[float] = None  # default 0.65 * room_size
 
     def validate(self):
         if self.num_classes < 2:
@@ -126,16 +118,6 @@ class SceneConfig:
         if not self.placement_margin >= 0:
             raise ValidationError(
                 f"placement_margin must be >= 0, got {self.placement_margin}")
-        if (self.camera_radius is not None
-                and not 0 < self.camera_radius <= MAX_CAMERA_DISTANCE):
-            raise ValidationError(
-                f"camera_radius must be > 0 and <= {MAX_CAMERA_DISTANCE:g}, "
-                f"got {self.camera_radius}")
-        if (self.camera_height is not None
-                and not abs(self.camera_height) <= MAX_CAMERA_DISTANCE):
-            raise ValidationError(
-                f"camera_height must be within +-{MAX_CAMERA_DISTANCE:g}, "
-                f"got {self.camera_height}")
 
 
 @dataclass(frozen=True)
@@ -144,16 +126,12 @@ class ClipNoiseConfig:
 
     eps: float = 0.4
     block: int = 4
-    margin: float = 1.0
 
     def validate(self):
         if not 0.0 <= self.eps <= 1.0:
             raise ValidationError(f"eps must be in [0, 1], got {self.eps}")
         if self.block < 1:
             raise ValidationError(f"block must be >= 1, got {self.block}")
-        if not 0 < self.margin <= MAX_CLIP_MARGIN:
-            raise ValidationError(
-                f"margin must be > 0 and <= {MAX_CLIP_MARGIN:g}, got {self.margin}")
 
 
 @dataclass(frozen=True)
@@ -369,8 +347,8 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
                        np.concatenate(labels), np.concatenate(instances))
 
     center = np.array([cfg.room_size / 2, cfg.room_size / 2, 0.5])
-    radius = cfg.camera_radius if cfg.camera_radius is not None else 0.85 * cfg.room_size
-    height = cfg.camera_height if cfg.camera_height is not None else 0.65 * cfg.room_size
+    radius = 0.85 * cfg.room_size
+    height = 0.65 * cfg.room_size
     cameras = []
     for k in range(cfg.camera_count):
         angle = 2.0 * np.pi * k / cfg.camera_count
@@ -385,8 +363,7 @@ def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
                   cfg.room_size)
     blind = scene.blind_camera()
     if blind is not None:
-        raise ValidationError(f"camera {blind} sees no point; check focal, "
-                              f"camera_radius and camera_height")
+        raise ValidationError(f"camera {blind} sees no point; check focal")
     scene.validate()
     return scene
 
@@ -428,11 +405,12 @@ def mock_clip_scores(scene: Scene, camera_index: int, noise: ClipNoiseConfig,
                      seed: int) -> ScoreMap:
     """Noisy per-pixel class scores for one view.
 
-    Each pixel backed by a visible point gives its ground-truth class a
-    positive margin with probability 1 - eps; with probability eps a
-    uniformly random wrong class gets the margin instead.  Flip decisions
-    are shared inside block x block pixel cells (block=1 is i.i.d.).
-    Pixels with no visible point score the background class.
+    Each pixel backed by a visible point scores its ground-truth class 1
+    with probability 1 - eps; with probability eps a uniformly random
+    wrong class scores 1 instead.  Every other class scores 0, so only
+    the argmax carries information.  Flip decisions are shared inside
+    block x block pixel cells (block=1 is i.i.d.).  Pixels with no
+    visible point score the background class.
     """
     noise.validate()
     render = render_view(scene, camera_index)
@@ -452,7 +430,7 @@ def mock_clip_scores(scene: Scene, camera_index: int, noise: ClipNoiseConfig,
     labels = np.where(flip & visible, (render.label + offset) % big_l, render.label)
     scores = np.zeros((h, w, big_l), dtype=np.float32)
     flat = scores.reshape(-1, big_l)
-    flat[np.arange(h * w), labels.ravel()] = noise.margin
+    flat[np.arange(h * w), labels.ravel()] = 1.0
     return ScoreMap(scores)
 
 
@@ -968,7 +946,6 @@ def standard_oracle_outputs(scene: Scene, clip_noise: ClipNoiseConfig,
         "embeddings": mock_text_embeddings(scene.num_classes, embed_dim, seed),
         "meta": {
             "clip_eps": clip_noise.eps, "clip_block": clip_noise.block,
-            "clip_margin": clip_noise.margin,
             "frag_splits": frag.splits_per_object,
             "frag_jitter": frag.boundary_jitter_px,
             "feat_dim": feat_dim, "feat_sigma": feat_sigma,

@@ -54,7 +54,6 @@ class TrainConfig:
     latent_loss_weight: float = 1.0
     refine_labels: bool = True
     refine3d_mode: str = REFINE3D_TRANSFER_MASKS
-    multiview: str = "first-camera"
     descriptor_noise: float = 0.02
     seed: int = 0
 
@@ -186,7 +185,7 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
     anchors = np.stack([fm.features for fm in oracles["features"]])[entries]
 
     labels = derive_clip_labels(corr, oracles["scores"], masks, num_points,
-                                config.refine3d_mode, config.multiview)
+                                config.refine3d_mode)
     pixel_key = "pixel_refined" if config.refine_labels else "pixel_raw"
     point_key = "point_refined" if config.refine_labels else "point_raw"
 
@@ -220,8 +219,7 @@ def _set_sources(state: TrainState, row: int, pixel: np.ndarray,
     corr = state.data["corr"]
     state.labels2d[row] = pixel[corr.camera_index, corr.v, corr.u]
     state.labels2d[row + 1] = point[corr.point_index]
-    state.labels3d[row] = transfer_labels(corr, pixel, len(point),
-                                          state.config.multiview)
+    state.labels3d[row] = transfer_labels(corr, pixel, len(point))
     state.labels3d[row + 1] = point
 
 
@@ -290,8 +288,7 @@ def compute_self_labels(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:
         if state.config.refine3d_mode == REFINE3D_TRANSFER_MASKS:
             point = refine_points_by_view_masks(point, state.data["point_masks"])
         else:
-            point = reproject_refine_points(state.data["corr"], point, masks,
-                                            state.config.multiview)
+            point = reproject_refine_points(state.data["corr"], point, masks)
     _set_sources(state, 2, pixel, point)
     return pixel, point
 

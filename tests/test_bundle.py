@@ -70,9 +70,9 @@ def test_manifest_contents_and_order(written, small_scene):
     keys = [line.split("=", 1)[0] for line in lines]
     assert keys == ["format", "num_points", "num_views", "num_classes",
                     "object_count", "seed", "room_size", "config_hash",
-                    "clip_eps", "clip_block", "clip_margin", "frag_splits",
-                    "frag_jitter", "feat_dim", "feat_sigma", "embed_dim",
-                    "oracle_seed", "has_labels"]
+                    "clip_eps", "clip_block", "frag_splits", "frag_jitter",
+                    "feat_dim", "feat_sigma", "embed_dim", "oracle_seed",
+                    "has_labels"]
     manifest = read_manifest(path / "manifest.txt")
     assert manifest["format"] == FORMAT_VERSION
     assert manifest["num_points"] == str(len(small_scene.cloud))
@@ -257,6 +257,23 @@ def test_read_bundle_rejects_inconsistencies(written, tmp_path):
     (broken / "view_0.masks.bin").write_bytes(raster[:-4])
     with pytest.raises(BundleFormatError, match="view_0.masks.bin"):
         read_bundle(broken)
+
+
+def test_manifest_keys_the_reader_does_not_use_are_ignored(written, tmp_path):
+    # Manifests written before clip_margin was dropped still load.
+    src, _ = written
+    old = tmp_path / "old"
+    _copy_bundle(src, old)
+    manifest = (old / "manifest.txt").read_text()
+    (old / "manifest.txt").write_text(
+        manifest.replace("clip_block=", "clip_margin=1.0\nclip_block="))
+    scene, oracles, manifest = read_bundle(old)
+    fresh_scene, fresh_oracles, _ = read_bundle(src)
+    assert manifest["clip_margin"] == "1.0"
+    assert oracles["meta"] == fresh_oracles["meta"]
+    assert np.array_equal(scene.cloud.positions, fresh_scene.cloud.positions)
+    for a, b in zip(oracles["scores"], fresh_oracles["scores"]):
+        assert np.array_equal(a.scores, b.scores)
 
 
 def test_read_bundle_validates_scene(written, tmp_path):

@@ -77,7 +77,7 @@ def test_resolved_config_echo(pipeline):
         assert list(pairs) == list(cli.SCHEMA), stage
         assert pairs["object_count"] == "4"
         assert pairs["total_epochs"] == "2"
-        assert pairs["camera_radius"] == "none"
+        assert pairs["switch_probs_2d"] == "none"
         assert pairs["rows"] == "baseline,full"
 
 
@@ -85,11 +85,11 @@ def test_resolved_config_round_trips(tmp_path):
     cfg = _write_cfg(tmp_path / "tiny.cfg")
     first, second = tmp_path / "a", tmp_path / "b"
     assert cli.main(["synth", "--config", str(cfg), "--out", str(first),
-                     "--switch_per_element", "true", "--camera_radius", "5.5",
+                     "--switch_per_element", "true", "--feat_sigma", "0.5",
                      "--hidden", "16,8", "--switch_probs_2d", "0.5,0,0.5,0",
                      "--rows", "full,wo_cns"]) == 0
     echoed = (first / "resolved.cfg").read_text().splitlines()
-    for line in ("switch_per_element=true", "camera_radius=5.5", "hidden=16,8",
+    for line in ("switch_per_element=true", "feat_sigma=0.5", "hidden=16,8",
                  "switch_probs_2d=0.5,0.0,0.5,0.0", "rows=full,wo_cns"):
         assert line in echoed
     assert cli.main(["synth", "--config", str(first / "resolved.cfg"),
@@ -223,6 +223,25 @@ def test_bad_value_is_rejected(tmp_path, capsys):
     assert "bad value" in capsys.readouterr().err
 
 
+# The keys deleted because no run set them, each with its old default.
+REMOVED_KEYS = {"margin": "1.0", "multiview": "first-camera",
+                "camera_radius": "none", "camera_height": "none"}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+def test_an_old_resolved_config_with_a_removed_key_is_refused(pipeline, tmp_path,
+                                                              capsys, key):
+    old = tmp_path / "resolved.cfg"
+    old.write_text((pipeline / "synth" / "resolved.cfg").read_text()
+                   + f"{key}={REMOVED_KEYS[key]}\n")
+    code = cli.main(["synth", "--config", str(old), "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"unknown config key {key!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def _holds_float(hint):
     return hint is float or any(_holds_float(arg) for arg in typing.get_args(hint))
 
@@ -231,8 +250,7 @@ FLOAT_KEYS = [key for key, entry in cli.SCHEMA.items() if _holds_float(entry.hin
 
 
 def test_float_keys_cover_plain_optional_and_tuple_hints():
-    assert {"room_size", "camera_radius", "switch_probs",
-            "switch_probs_2d"} <= set(FLOAT_KEYS)
+    assert {"room_size", "switch_probs", "switch_probs_2d"} <= set(FLOAT_KEYS)
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
@@ -255,8 +273,7 @@ def test_edge_float_ends_in_an_exit_code(tmp_path, key, text):
     assert code in (0, 1, 2)
 
 
-@pytest.mark.parametrize("key", ["camera_radius", "camera_height", "margin",
-                                 "feat_sigma"])
+@pytest.mark.parametrize("key", ["feat_sigma"])
 def test_float_too_large_for_its_arithmetic_is_rejected(tmp_path, capsys, key):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -274,7 +291,7 @@ def test_blind_generated_camera_names_its_keys(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: camera 0 sees no point")
-    assert all(key in err for key in ("focal", "camera_radius", "camera_height"))
+    assert "focal" in err
 
 
 def test_room_too_large_to_sample_is_rejected(tmp_path, capsys):
@@ -658,7 +675,7 @@ def test_synth_restarts_a_layout_that_cannot_place(tmp_path):
 SYNTH_SHA256 = {
     0: {
         "cameras.txt": "8941d6d65d482ed39d747aa87a90f7ee817475bc0f77a3481a3bfca6dc9b2e6b",
-        "manifest.txt": "844b5f7807feb85e949d0e4384de7f4039dad011f0baebb4d4e48b344e2e78b6",
+        "manifest.txt": "290477aaa5fa56fa21ea882f57868ab1dfbc7af176bf84b1e86cfb76cff12f44",
         "points.bin": "3251d0bbc90e8070a0c9ca2ae311b5fd9f62b7b603bf611baebffae11ad1fecc",
         "view_0.feat.bin": "a6d2ebdf2d072e75c1f830ead65d72be78c8905a8e818ffdfc3db498cba0494c",
         "view_0.masks.bin": "63ef44b3a467694d0aac652a9ac97df63ce864d6c492015b6159259c2a244335",
@@ -675,7 +692,7 @@ SYNTH_SHA256 = {
     },
     1: {
         "cameras.txt": "8941d6d65d482ed39d747aa87a90f7ee817475bc0f77a3481a3bfca6dc9b2e6b",
-        "manifest.txt": "72ab9d8243442a2f5ebdf0b1c764e64f1b2dcfba739a4e1499c60f0b4c9a9201",
+        "manifest.txt": "588b6ae320b3e5f03e2e613521b354434dc55558b1ca7c497b7b08fd2bd97166",
         "points.bin": "a2262e66c5c0ef28ca6d63e0eb3555829e6edadbf2e8fde5147072ef4c6dfb19",
         "view_0.feat.bin": "b21f7fb6ec9d8bec6c953c45fe12f227797373c0d6fcf3ea4d9585ec5f9a9999",
         "view_0.masks.bin": "d7d4071464b42a966ae1f8059363047277260a4b83c552cdbcbbe2ab07b6f755",
@@ -718,9 +735,9 @@ REFINE_SHA256 = {
         "point_labels.bin": "b9f71a48567398f0d06e727548d0a1d2b965dd609b53626d9caa41f68dbcdf1d",
         **_REFINED_VIEWS_SHA256,
     },
-    ("--refine3d_mode", "reproject", "--multiview", "vote"): {
-        "refine.csv": "6588509a6044ad21a403bd5b002a3627fe3b01119cf0a544f16f2bccafc621e9",
-        "point_labels.bin": "412a28fe0f97cc374a3c0363031e278a13941e9c103947063b7881375bcfd2de",
+    ("--refine3d_mode", "reproject"): {
+        "refine.csv": "a08f26ee588e3dfc716f5aa0fa9bafa12ac0c09b5f3031e74499b7d0505fda7c",
+        "point_labels.bin": "456e1fca94c2f6cb8c46ff87625234afb59915cc0b5ed8136cfb9ba1979deff0",
         **_REFINED_VIEWS_SHA256,
     },
 }
@@ -739,7 +756,7 @@ def test_refine_bytes_are_pinned(tmp_path):
 
 # sha256 of the train and eval outputs of the `pipeline` fixture (TINY_CFG).
 TRAIN_SHA256 = {
-    "train/checkpoint.ckpt": "f80c2cba8f83dd982a319842093c5c8a992908965f0d2f719ff7e106ba3cbb33",
+    "train/checkpoint.ckpt": "8f6e766c2a67702ca8deec0dcd48abf267b667609b0a1980a39077b461ed05d3",
     "train/metrics.csv": "e96e3eb4aecc0d9eec97d5cfda1cf88a4783653a601303e2547533623618d2e7",
     "eval/eval.csv": "50fca71f67d5d6d0e6f006bba9cf48f776bc7cd959a8af1fad95a4b4c2fa29ed",
 }

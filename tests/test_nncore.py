@@ -1222,12 +1222,13 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_checkpoint_round_trip_of_a_float32_model_is_exact(tmp_path):
-    # A header value ending in END does not end the header.
+    # A header value ending in END does not end the header, and a value
+    # may hold "=".
     bundle = tiny_bundle(seed=9).astype(np.float32)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(bundle, path, extra={"note": "THE END"})
+    save_checkpoint(bundle, path, extra={"note": "THE END", "pair": "a=b"})
     loaded, meta = load_checkpoint(path)
-    assert meta["x_note"] == "THE END"
+    assert meta["x_note"] == "THE END" and meta["x_pair"] == "a=b"
     assert loaded.params.dtype == loaded.anchor_head.dtype == np.float32
     assert loaded.params.tobytes() == bundle.params.tobytes()
     assert loaded.anchor_head.tobytes() == bundle.anchor_head.tobytes()
@@ -1241,6 +1242,15 @@ def test_checkpoint_save_refuses_values_not_finite_in_float32(tmp_path, value):
     bundle.params[3] = value  # finite in float64, or not at all
     with pytest.raises(NumericalError, match="not finite in float32"):
         save_checkpoint(bundle, tmp_path / "model.ckpt")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("extra", [
+    {"note": "a\nb"}, {"note": "a\rb"}, {"note": "p\u2028q"}, {"note": "x\nEND\ny"},
+    {"a=b": 1}, {"a\nb": 1}, {"note\x85": 1}, {"note": "\ud800"}])
+def test_checkpoint_save_refuses_extras_that_do_not_read_back(tmp_path, extra):
+    with pytest.raises(ValidationError, match="would not read back"):
+        save_checkpoint(tiny_bundle(), tmp_path / "model.ckpt", extra=extra)
     assert not list(tmp_path.iterdir())
 
 

@@ -174,7 +174,7 @@ def test_clip_scores_are_one_hot_margins(small_scene, small_oracles):
     score = small_oracles["scores"][0]
     h, w = SMALL_SCENE.image_height, SMALL_SCENE.image_width
     assert score.scores.shape == (h, w, SMALL_SCENE.num_classes)
-    # Exactly one class per pixel carries the margin, all others are zero.
+    # Exactly one class per pixel scores 1, all others are zero.
     assert np.count_nonzero(score.scores) == h * w
     assert score.scores.max() == pytest.approx(1.0)
     assert np.all(score.scores.sum(axis=2) == pytest.approx(1.0))
@@ -256,8 +256,6 @@ def test_clip_noise_config_validation():
         ClipNoiseConfig(eps=1.1).validate()
     with pytest.raises(ValidationError):
         ClipNoiseConfig(block=0).validate()
-    with pytest.raises(ValidationError):
-        ClipNoiseConfig(margin=0.0).validate()
     ClipNoiseConfig(eps=1.0).validate()  # boundary value is allowed
 
 

@@ -77,12 +77,19 @@ class SuiteConfig:
                 f"got {self.feat_sigma}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if not self.rows:
+            raise ConfigError("need at least one row")
         for seed in self.seeds:
             if not 0 <= seed < SEED_BOUND:
                 raise ConfigError(f"seed must be in [0, 2**32), got {seed}")
         for row in self.rows:
             if row not in ROW_ORDER:
                 raise ConfigError(f"unknown ablation row {row!r}")
+        # A repeat would count one run twice in the row medians.
+        for name, values in (("seed", self.seeds), ("row", self.rows)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"each {name} may be given once, got "
+                                  f"{','.join(map(str, values))}")
 
     def model_config(self) -> ModelConfig:
         """The model every trained run of this configuration builds."""
@@ -105,8 +112,8 @@ def row_train_config(row: str, base: TrainConfig) -> Optional[TrainConfig]:
     if row == "wo_sct":
         return replace(base, stage1_epochs=base.total_epochs)
     if row == "wo_clip":
-        return replace(base, switch_probs=(0.0, 0.0, 0.5, 0.5),
-                       switch_probs_2d=None, switch_probs_3d=None)
+        return replace(base, switch_probs_2d=(0.0, 0.0, 0.5, 0.5),
+                       switch_probs_3d=(0.0, 0.0, 0.5, 0.5))
     if row == "wo_latent":
         return replace(base, latent_loss_weight=0.0)
     if row == "full":

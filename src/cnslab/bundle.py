@@ -8,7 +8,6 @@ A bundle is a directory:
     view_K.scores.bin   "CNSRAS v1 W H C <f4\\n" + float32 LE payload
     view_K.masks.bin    "CNSRAS v1 W H 1 <i4\\n" + int32 LE payload
     view_K.feat.bin     "CNSRAS v1 W H D <f4\\n" + float32 LE payload
-    view_K.labels.bin   optional int32 label raster, IGNORE = -1
 
 Raster payloads are row-major, channel-last.  The dtype token doubles as
 an endianness guard: only "<f4" and "<i4" are accepted.  Text values
@@ -16,14 +15,15 @@ are written by evaluation.format_value, floats as repr() so float64
 round-trips exactly.  All writes land in a ".tmp" file first and are
 renamed into place, so a crashed writer never leaves a corrupt final
 file.  Readers reject any inconsistency rather than guessing, reporting
-file names and byte offsets.
+file names and byte offsets.  Manifest keys the reader does not use,
+such as the has_labels line of older bundles, are ignored.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ _ORACLE_KEYS = ("clip_eps", "clip_block", "frag_splits", "frag_jitter",
                 "feat_dim", "feat_sigma", "embed_dim", "oracle_seed")
 _MANIFEST_ORDER = (
     "format", "num_points", "num_views", "num_classes", "object_count",
-    "seed", "room_size", "config_hash", *_ORACLE_KEYS, "has_labels",
+    "seed", "room_size", "config_hash", *_ORACLE_KEYS,
 )
 
 
@@ -91,13 +91,8 @@ def write_raster(path, arr: np.ndarray, dtype_token: str):
     _atomic_write(Path(path), _raster_bytes(np.asarray(arr), dtype_token))
 
 
-def write_bundle(scene: Scene, oracles: dict, path,
-                 labels: Optional[List[np.ndarray]] = None) -> Dict[str, str]:
-    """Write a scene and its oracle outputs; returns the manifest mapping.
-
-    `labels` may carry one int32 (H, W) raster per view (IGNORE = -1),
-    stored as view_K.labels.bin.
-    """
+def write_bundle(scene: Scene, oracles: dict, path) -> Dict[str, str]:
+    """Write a scene and its oracle outputs; returns the manifest mapping."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     views = len(scene.cameras)
@@ -110,7 +105,6 @@ def write_bundle(scene: Scene, oracles: dict, path,
         "object_count": scene.object_count,
         "seed": scene.seed,
         "room_size": scene.room_size,
-        "has_labels": int(labels is not None),
     }
     for key in _ORACLE_KEYS:
         manifest[key] = meta.get(key, "")
@@ -126,10 +120,6 @@ def write_bundle(scene: Scene, oracles: dict, path,
                       _raster_bytes(oracles["masks"][k].mask_ids, "<i4"))
         _atomic_write(path / f"view_{k}.feat.bin",
                       _raster_bytes(oracles["features"][k].features, "<f4"))
-        if labels is not None:
-            _atomic_write(path / f"view_{k}.labels.bin",
-                          _raster_bytes(np.asarray(labels[k], dtype=np.int32),
-                                        "<i4"))
     manifest_text = "".join(f"{key}={format_value(manifest[key])}\n"
                             for key in _MANIFEST_ORDER)
     _atomic_write(path / "manifest.txt", manifest_text.encode())
@@ -279,8 +269,7 @@ def read_bundle(path) -> Tuple[Scene, dict, Dict[str, str]]:
     """Load and validate a bundle; returns (scene, oracles, manifest).
 
     The oracles dict mirrors what was written (scores/masks/features per
-    view, regenerated embeddings, meta) plus "labels" when label rasters
-    are present.
+    view, regenerated embeddings, meta).
     """
     path = Path(path)
     manifest = read_manifest(path / "manifest.txt")
@@ -307,8 +296,7 @@ def read_bundle(path) -> Tuple[Scene, dict, Dict[str, str]]:
             f"cameras.txt holds {len(cameras)} cameras but manifest.txt says "
             f"num_views={num_views}")
 
-    scores, masks, feats, labels = [], [], [], []
-    has_labels = manifest.get("has_labels", "0") == "1"
+    scores, masks, feats = [], [], []
     for k, cam in enumerate(cameras):
         score_arr = read_raster(path / f"view_{k}.scores.bin")
         if score_arr.shape[:2] != (cam.height, cam.width):
@@ -329,12 +317,6 @@ def read_bundle(path) -> Tuple[Scene, dict, Dict[str, str]]:
         if feat_arr.shape[:2] != (cam.height, cam.width):
             raise BundleFormatError(f"view_{k}.feat.bin does not match camera size")
         feats.append(FeatureMap(feat_arr))
-        if has_labels:
-            lab_arr = read_raster(path / f"view_{k}.labels.bin")
-            if lab_arr.shape != (cam.height, cam.width, 1):
-                raise BundleFormatError(f"view_{k}.labels.bin: expected "
-                                        f"single-channel raster")
-            labels.append(lab_arr[:, :, 0])
 
     if cloud.gt_labels is None or cloud.object_ids is None:
         raise BundleFormatError("points.bin lacks labels/object ids required "
@@ -353,6 +335,4 @@ def read_bundle(path) -> Tuple[Scene, dict, Dict[str, str]]:
     if manifest.get("embed_dim") and manifest.get("oracle_seed"):
         oracles["embeddings"] = mock_text_embeddings(
             num_classes, man_value("embed_dim"), man_value("oracle_seed"))
-    if has_labels:
-        oracles["labels"] = labels
     return scene, oracles, manifest

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import typing
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -74,11 +74,9 @@ def format_value(value) -> str:
     """Canonical text of one value in every key=value file and CSV cell.
 
     The files are resolved.cfg, manifest.txt, cameras.txt and checkpoint
-    headers.  None is "none", bools "true"/"false", floats (numpy scalars
-    included) their repr (exact round trip), tuples comma-joined items.
+    headers.  Bools are "true"/"false", floats (numpy scalars included)
+    their repr (exact round trip), tuples comma-joined items.
     """
-    if value is None:
-        return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -91,15 +89,12 @@ def format_value(value) -> str:
 def parse_value(hint, text: str):
     """Inverse of format_value for a type hint; ValueError if text does not parse.
 
-    Optional[X] also reads "none"; tuples read comma-separated items
-    (empty items skipped); bools also read 1/0, yes/no and on/off.  Floats
-    must be finite: no file or flag has a use for nan or inf.
+    Tuples read comma-separated items (empty items skipped); bools also
+    read 1/0, yes/no and on/off.  Floats must be finite: no file or flag
+    has a use for nan or inf.
     """
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is Union:
-        return None if text.strip().lower() == "none" else parse_value(args[0], text)
     if typing.get_origin(hint) is tuple:
-        return tuple(parse_value(args[0], part.strip())
+        return tuple(parse_value(typing.get_args(hint)[0], part.strip())
                      for part in text.split(",") if part.strip())
     if hint is bool:
         lowered = text.strip().lower()

@@ -22,7 +22,7 @@ TAG_SOURCE = 8
 TAG_PALETTE = 9
 TAG_DESCRIPTOR = 10
 TAG_GRADCHECK = 11
-TAG_SUITE = 12
+# 12 (TAG_SUITE, which no stream used) is retired.
 
 # Root seeds must lie in [0, SEED_BOUND): derive_rng keys its streams by
 # the low 32 bits, so a seed outside would alias an in-range one.

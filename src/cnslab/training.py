@@ -47,9 +47,8 @@ class TrainConfig:
     lr: float = 0.1
     batch_pixels: int = 256
     batch_points: int = 256
-    switch_probs: Tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
-    switch_probs_2d: Optional[Tuple[float, float, float, float]] = None
-    switch_probs_3d: Optional[Tuple[float, float, float, float]] = None
+    switch_probs_2d: Tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
+    switch_probs_3d: Tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
     switch_per_element: bool = False
     latent_loss_weight: float = 1.0
     refine_labels: bool = True
@@ -58,9 +57,8 @@ class TrainConfig:
     seed: int = 0
 
     def probs_for(self, net: int) -> np.ndarray:
-        """Effective source probabilities for network 0 (2D) or 1 (3D)."""
-        override = self.switch_probs_2d if net == 0 else self.switch_probs_3d
-        probs = np.asarray(self.switch_probs if override is None else override,
+        """Source probabilities of network 0 (2D) or 1 (3D), normalised."""
+        probs = np.asarray(self.switch_probs_3d if net else self.switch_probs_2d,
                            dtype=np.float64)
         return probs / probs.sum()
 
@@ -79,11 +77,8 @@ class TrainConfig:
             raise ValidationError(f"lr must be > 0, got {self.lr}")
         if min(self.batch_pixels, self.batch_points) < 1:
             raise ValidationError("batch sizes must be >= 1")
-        for name, probs in (("switch_probs", self.switch_probs),
-                            ("switch_probs_2d", self.switch_probs_2d),
+        for name, probs in (("switch_probs_2d", self.switch_probs_2d),
                             ("switch_probs_3d", self.switch_probs_3d)):
-            if probs is None:
-                continue
             arr = np.asarray(probs, dtype=np.float64)
             if arr.shape != (4,) or not (arr >= 0).all():
                 raise ValidationError(f"{name} must be 4 non-negative values")
@@ -421,8 +416,8 @@ def warmup_key(config: TrainConfig) -> TrainConfig:
     """`config` with the fields that only stage 2 reads, and stage1_epochs,
     reset: runs on one scene whose keys are equal agree on init_state and on
     every stage-1 epoch that both run."""
-    return replace(config, stage1_epochs=0, switch_probs=TrainConfig.switch_probs,
-                   switch_probs_2d=None, switch_probs_3d=None,
+    return replace(config, stage1_epochs=0, switch_probs_2d=TrainConfig.switch_probs_2d,
+                   switch_probs_3d=TrainConfig.switch_probs_3d,
                    switch_per_element=False)
 
 

@@ -4,12 +4,13 @@ Each criterion is one test that prints a single "[acceptance N]
 PASS/FAIL" line with the measured quantities, then asserts.  Criteria
 with a wall-clock budget include the elapsed time in the verdict.  The
 standard ablation suite is run once in a module fixture and shared by
-the three criteria that read it.
+the two criteria that read it and by the check of README's table.
 """
 
 import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +210,19 @@ def test_ac5_ablation_ordering(standard_report):
                f"{elapsed:.0f}s (budget 600s)", ok and elapsed < 600.0)
 
 
+def test_readme_ablation_table_is_the_standard_suite(standard_report):
+    # README's table states this fixture's medians at three decimals.
+    report, _ = standard_report
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = {}
+    for line in readme.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0] in ablation.ROW_ORDER:
+            table[cells[0]] = (cells[2], cells[3])
+    assert table == {row: (f"{med['miou2d']:.3f}", f"{med['miou3d']:.3f}")
+                     for row, med in report.medians.items()}
+
+
 def test_ac6_co_corruption_collapse(standard_report):
     report, _ = standard_report
     wo_clip = report.medians["wo_clip"]["miou3d"]
@@ -306,14 +320,9 @@ def test_ac8_determinism(tmp_path):
             scene, ClipNoiseConfig(eps=0.3, block=1 + trial % 3),
             MaskFragConfig(1 + trial % 3, trial % 2), feat_dim=4,
             feat_sigma=0.1, embed_dim=8)
-        labels = None
-        if trial % 4 == 0:
-            lab_rng = np.random.default_rng(trial)
-            labels = [lab_rng.integers(-1, 4, size=(32, 32)).astype(np.int32)
-                      for _ in scene.cameras]
         first = tmp_path / f"rt{trial}a"
         second = tmp_path / f"rt{trial}b"
-        write_bundle(scene, oracles, first, labels=labels)
+        write_bundle(scene, oracles, first)
         loaded, oracles2, _ = read_bundle(first)
         same = (np.array_equal(loaded.cloud.positions,
                                scene.cloud.positions.astype("<f4"))
@@ -326,11 +335,7 @@ def test_ac8_determinism(tmp_path):
                 and all(np.array_equal(a.features, b.features) for a, b in
                         zip(oracles2["features"], oracles["features"]))
                 and np.array_equal(oracles2["embeddings"], oracles["embeddings"]))
-        if labels is not None:
-            same &= all(np.array_equal(a, b)
-                        for a, b in zip(oracles2["labels"], labels))
-        write_bundle(loaded, oracles2, second,
-                     labels=oracles2.get("labels"))
+        write_bundle(loaded, oracles2, second)
         same &= all((first / p.name).read_bytes() == p.read_bytes()
                     for p in second.iterdir())
         round_trips += int(same)
@@ -346,7 +351,8 @@ def test_ac8_determinism(tmp_path):
 def test_ac9_source_draw_frequencies(small_scene, small_oracles):
     probs = (0.4, 0.3, 0.2, 0.1)
     config = TrainConfig(stage1_epochs=0, total_epochs=10, lr=0.05,
-                         switch_probs=probs, switch_per_element=True, seed=3)
+                         switch_probs_2d=probs, switch_probs_3d=probs,
+                         switch_per_element=True, seed=3)
     model_cfg = ModelConfig(
         input2d_dim=PIXEL_DESC_DIM, input3d_dim=POINT_DESC_DIM, hidden=(16,),
         latent_dim=12, embed_dim=16, anchor_dim=8, sam_dim=8)

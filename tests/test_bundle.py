@@ -71,14 +71,12 @@ def test_manifest_contents_and_order(written, small_scene):
     assert keys == ["format", "num_points", "num_views", "num_classes",
                     "object_count", "seed", "room_size", "config_hash",
                     "clip_eps", "clip_block", "frag_splits", "frag_jitter",
-                    "feat_dim", "feat_sigma", "embed_dim", "oracle_seed",
-                    "has_labels"]
+                    "feat_dim", "feat_sigma", "embed_dim", "oracle_seed"]
     manifest = read_manifest(path / "manifest.txt")
     assert manifest["format"] == FORMAT_VERSION
     assert manifest["num_points"] == str(len(small_scene.cloud))
     assert manifest["num_views"] == str(len(small_scene.cameras))
     assert manifest["clip_eps"] == "0.4"
-    assert manifest["has_labels"] == "0"
     assert manifest == echoed
 
 
@@ -92,19 +90,6 @@ def test_bundle_write_is_bit_exact(tmp_path, small_scene, small_oracles):
     assert files_a == files_b
     for name in files_a:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-
-def test_bundle_with_label_rasters(tmp_path, small_scene, small_oracles):
-    h, w = SMALL_SCENE.image_height, SMALL_SCENE.image_width
-    labels = [np.full((h, w), k - 1, dtype=np.int32)
-              for k in range(len(small_scene.cameras))]
-    path = tmp_path / "labeled"
-    write_bundle(small_scene, small_oracles, path, labels=labels)
-    assert read_manifest(path / "manifest.txt")["has_labels"] == "1"
-    _, oracles, _ = read_bundle(path)
-    assert len(oracles["labels"]) == len(labels)
-    for got, expect in zip(oracles["labels"], labels):
-        assert np.array_equal(got, expect)
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +244,26 @@ def test_read_bundle_rejects_inconsistencies(written, tmp_path):
         read_bundle(broken)
 
 
-def test_manifest_keys_the_reader_does_not_use_are_ignored(written, tmp_path):
-    # Manifests written before clip_margin was dropped still load.
+def test_manifest_keys_the_reader_does_not_use_are_ignored(written, small_scene,
+                                                           tmp_path):
+    # Bundles written before clip_margin was dropped still load, and so do
+    # bundles that carried label rasters: their has_labels line and
+    # view_K.labels.bin files are not read.
     src, _ = written
     old = tmp_path / "old"
     _copy_bundle(src, old)
     manifest = (old / "manifest.txt").read_text()
     (old / "manifest.txt").write_text(
-        manifest.replace("clip_block=", "clip_margin=1.0\nclip_block="))
+        manifest.replace("clip_block=", "clip_margin=1.0\nclip_block=")
+        + "has_labels=1\n")
+    h, w = SMALL_SCENE.image_height, SMALL_SCENE.image_width
+    for k in range(len(small_scene.cameras)):
+        write_raster(old / f"view_{k}.labels.bin",
+                     np.full((h, w), k - 1, dtype=np.int32), "<i4")
     scene, oracles, manifest = read_bundle(old)
     fresh_scene, fresh_oracles, _ = read_bundle(src)
-    assert manifest["clip_margin"] == "1.0"
+    assert manifest["clip_margin"] == "1.0" and manifest["has_labels"] == "1"
+    assert sorted(oracles) == sorted(fresh_oracles)
     assert oracles["meta"] == fresh_oracles["meta"]
     assert np.array_equal(scene.cloud.positions, fresh_scene.cloud.positions)
     for a, b in zip(oracles["scores"], fresh_oracles["scores"]):
@@ -302,12 +296,9 @@ def test_no_tmp_files_left_behind(written):
 
 @pytest.fixture(scope="module")
 def fuzz_bundle(tmp_path_factory, small_scene, small_oracles):
-    """A labelled bundle on disk and the original bytes of each of its files."""
-    h, w = SMALL_SCENE.image_height, SMALL_SCENE.image_width
-    labels = [np.full((h, w), k - 1, dtype=np.int32)
-              for k in range(len(small_scene.cameras))]
+    """A bundle on disk and the original bytes of each of its files."""
     path = tmp_path_factory.mktemp("fuzz") / "scene"
-    write_bundle(small_scene, small_oracles, path, labels=labels)
+    write_bundle(small_scene, small_oracles, path)
     return path, {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
 

@@ -77,7 +77,7 @@ def test_resolved_config_echo(pipeline):
         assert list(pairs) == list(cli.SCHEMA), stage
         assert pairs["object_count"] == "4"
         assert pairs["total_epochs"] == "2"
-        assert pairs["switch_probs_2d"] == "none"
+        assert pairs["switch_probs_2d"] == "0.25,0.25,0.25,0.25"
         assert pairs["rows"] == "baseline,full"
 
 
@@ -221,11 +221,35 @@ def test_bad_value_is_rejected(tmp_path, capsys):
                      "--object_count", "many"])
     assert code == 1
     assert "bad value" in capsys.readouterr().err
+    # Before each network's source probabilities became one plain key, an
+    # unset one was echoed as "none"; no key reads that value now.
+    old = tmp_path / "old.cfg"
+    old.write_text("switch_probs_2d=none\n")
+    assert cli.main(["synth", "--config", str(old), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad value 'none' for key 'switch_probs_2d'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
-# The keys deleted because no run set them, each with its old default.
+@pytest.mark.parametrize("option, value, message", [
+    ("--seeds", "0,0,1", "each seed may be given once"),
+    ("--rows", "baseline,wo_cns,baseline", "each row may be given once"),
+    ("--rows", "", "need at least one row")],
+    ids=["repeated-seed", "repeated-row", "no-rows"])
+def test_ablate_refuses_a_repeated_seed_or_row_and_no_rows(tmp_path, capsys,
+                                                           option, value, message):
+    # A repeated seed or row would count one run twice in the medians.
+    assert cli.main(["ablate", "--out", str(tmp_path / "x"), option, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "x").exists()
+
+
+# Deleted keys, each with its old default.
 REMOVED_KEYS = {"margin": "1.0", "multiview": "first-camera",
-                "camera_radius": "none", "camera_height": "none"}
+                "camera_radius": "none", "camera_height": "none",
+                "switch_probs": "0.25,0.25,0.25,0.25"}
 
 
 @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
@@ -249,8 +273,15 @@ def _holds_float(hint):
 FLOAT_KEYS = [key for key, entry in cli.SCHEMA.items() if _holds_float(entry.hint)]
 
 
-def test_float_keys_cover_plain_optional_and_tuple_hints():
-    assert {"room_size", "switch_probs", "switch_probs_2d"} <= set(FLOAT_KEYS)
+def test_float_keys_cover_plain_and_tuple_hints():
+    assert {"room_size", "switch_probs_2d", "switch_probs_3d"} <= set(FLOAT_KEYS)
+
+
+def test_every_key_holds_a_value():
+    # No key is Optional, so the value codec has no "none".
+    assert len(cli.SCHEMA) == 39
+    assert not [key for key, entry in cli.SCHEMA.items()
+                if typing.get_origin(entry.hint) is typing.Union]
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
@@ -675,7 +706,7 @@ def test_synth_restarts_a_layout_that_cannot_place(tmp_path):
 SYNTH_SHA256 = {
     0: {
         "cameras.txt": "8941d6d65d482ed39d747aa87a90f7ee817475bc0f77a3481a3bfca6dc9b2e6b",
-        "manifest.txt": "290477aaa5fa56fa21ea882f57868ab1dfbc7af176bf84b1e86cfb76cff12f44",
+        "manifest.txt": "9c66d402a02fcdec3d5e925dfb7122271e770824d744924778a0aae46d24bc8d",
         "points.bin": "3251d0bbc90e8070a0c9ca2ae311b5fd9f62b7b603bf611baebffae11ad1fecc",
         "view_0.feat.bin": "a6d2ebdf2d072e75c1f830ead65d72be78c8905a8e818ffdfc3db498cba0494c",
         "view_0.masks.bin": "63ef44b3a467694d0aac652a9ac97df63ce864d6c492015b6159259c2a244335",
@@ -692,7 +723,7 @@ SYNTH_SHA256 = {
     },
     1: {
         "cameras.txt": "8941d6d65d482ed39d747aa87a90f7ee817475bc0f77a3481a3bfca6dc9b2e6b",
-        "manifest.txt": "588b6ae320b3e5f03e2e613521b354434dc55558b1ca7c497b7b08fd2bd97166",
+        "manifest.txt": "b31ef87befa150edde5089f64955377ee16b5ed2a64b733fd93e5154e050118b",
         "points.bin": "a2262e66c5c0ef28ca6d63e0eb3555829e6edadbf2e8fde5147072ef4c6dfb19",
         "view_0.feat.bin": "b21f7fb6ec9d8bec6c953c45fe12f227797373c0d6fcf3ea4d9585ec5f9a9999",
         "view_0.masks.bin": "d7d4071464b42a966ae1f8059363047277260a4b83c552cdbcbbe2ab07b6f755",
@@ -756,7 +787,7 @@ def test_refine_bytes_are_pinned(tmp_path):
 
 # sha256 of the train and eval outputs of the `pipeline` fixture (TINY_CFG).
 TRAIN_SHA256 = {
-    "train/checkpoint.ckpt": "8f6e766c2a67702ca8deec0dcd48abf267b667609b0a1980a39077b461ed05d3",
+    "train/checkpoint.ckpt": "2b977c5bdc421753b4a1e89ebae53148f772c7f684a36e6b58ba7bcd41cd2c07",
     "train/metrics.csv": "e96e3eb4aecc0d9eec97d5cfda1cf88a4783653a601303e2547533623618d2e7",
     "eval/eval.csv": "50fca71f67d5d6d0e6f006bba9cf48f776bc7cd959a8af1fad95a4b4c2fa29ed",
 }

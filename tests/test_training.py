@@ -55,9 +55,9 @@ def test_train_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(batch_pixels=0).validate()
     with pytest.raises(ValidationError):
-        TrainConfig(switch_probs=(0.5, 0.5, 0.5, -0.5)).validate()
+        TrainConfig(switch_probs_3d=(0.5, 0.5, 0.5, -0.5)).validate()
     with pytest.raises(ValidationError):
-        TrainConfig(switch_probs=(0.3, 0.3, 0.3, 0.3)).validate()
+        TrainConfig(switch_probs_3d=(0.3, 0.3, 0.3, 0.3)).validate()
     with pytest.raises(ValidationError):
         TrainConfig(switch_probs_2d=(1.0, 0.0, 0.0, 0.0, 0.0)).validate()
     with pytest.raises(ValidationError):
@@ -72,8 +72,8 @@ def test_train_config_validation():
 
 
 def test_probs_for_overrides():
-    cfg = TrainConfig(switch_probs=(0.25, 0.25, 0.25, 0.25),
-                      switch_probs_2d=(1.0, 0.0, 0.0, 0.0))
+    # Each network reads its own key; the other keeps the default.
+    cfg = TrainConfig(switch_probs_2d=(1.0, 0.0, 0.0, 0.0))
     assert np.allclose(cfg.probs_for(0), [1, 0, 0, 0])
     assert np.allclose(cfg.probs_for(1), [0.25, 0.25, 0.25, 0.25])
 
@@ -279,7 +279,8 @@ def test_all_oracle_switching_equals_pure_stage1(small_scene, small_oracles):
     # run of the same length.
     switched = train(small_scene, small_oracles,
                      short_config(stage1_epochs=1, total_epochs=3,
-                                  switch_probs=(1.0, 0.0, 0.0, 0.0),
+                                  switch_probs_2d=(1.0, 0.0, 0.0, 0.0),
+                                  switch_probs_3d=(1.0, 0.0, 0.0, 0.0),
                                   refine3d_mode="reproject"))
     pure = train(small_scene, small_oracles,
                  short_config(stage1_epochs=3, total_epochs=3,
@@ -299,8 +300,8 @@ def test_one_hot_source_is_the_same_per_element_and_per_batch(
     # that stream feeds nothing but the draws.
     probs = tuple(float(s == source) for s in range(4))
     runs = [train(small_scene, small_oracles,
-                  short_config(stage1_epochs=1, total_epochs=3, switch_probs=probs,
-                               switch_per_element=per_element))
+                  short_config(stage1_epochs=1, total_epochs=3, switch_probs_2d=probs,
+                               switch_probs_3d=probs, switch_per_element=per_element))
             for per_element in (False, True)]
     assert _params_equal(*(_params_snapshot(run.bundle) for run in runs))
     assert runs[0].history == runs[1].history
@@ -309,7 +310,7 @@ def test_one_hot_source_is_the_same_per_element_and_per_batch(
 @pytest.mark.parametrize("per_element", [False, True])
 def test_source_draws_equal_generator_choice(small_scene, small_oracles,
                                              per_element):
-    config = short_config(switch_probs=(0.1, 0.2, 0.3, 0.4),
+    config = short_config(switch_probs_2d=(0.1, 0.2, 0.3, 0.4),
                           switch_probs_3d=(0.5, 0.0, 0.0, 0.5),
                           switch_per_element=per_element)
     state = init_state(small_scene, small_oracles, config)
@@ -329,7 +330,8 @@ def test_source_draws_equal_generator_choice(small_scene, small_oracles,
 def test_source_draw_frequencies(small_scene, small_oracles):
     probs = (0.4, 0.3, 0.2, 0.1)
     config = short_config(stage1_epochs=0, total_epochs=10,
-                          switch_probs=probs, switch_per_element=True)
+                          switch_probs_2d=probs, switch_probs_3d=probs,
+                          switch_per_element=True)
     state = init_state(small_scene, small_oracles, config)
     run_stage1(state)
     run_stage2(state)

@@ -3,10 +3,10 @@
 Each command runs in a fresh interpreter, once with this checkout's
 `src` and once with OTHER_CHECKOUT's `src` on PYTHONPATH, in a temporary
 work directory per checkout.  The commands are `synth` at seeds 0 and 1,
-`refine` of the seed-0 bundle in both refine3d modes, a short `train` and
-its `eval`, and a one-seed `ablate` of all eight rows.  Every output file
-is then printed as `same` or `differs` (or missing on one side), with the
-lines that differ.  A line that is not UTF-8 text prints as its length.
+`refine` of the seed-0 bundle, a short `train` and its `eval`, and a
+one-seed `ablate` of all eight rows.  Every output file is then printed
+as `same` or `differs` (or missing on one side), with the lines that
+differ.  A line that is not UTF-8 text prints as its length.
 
 Usage:
     python3 scripts/compare_outputs.py OTHER_CHECKOUT
@@ -29,10 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = [
     ["synth", "--out", "synth0", "--seed", "0"],
     ["synth", "--out", "synth1", "--seed", "1"],
-    ["refine", "synth0/bundle", "--out", "refine_transfer_masks",
-     "--refine3d_mode", "transfer-masks"],
-    ["refine", "synth0/bundle", "--out", "refine_reproject",
-     "--refine3d_mode", "reproject"],
+    ["refine", "synth0/bundle", "--out", "refine"],
     ["train", "synth0/bundle", "--out", "train", "--stage1_epochs", "1",
      "--total_epochs", "3"],
     ["eval", "synth0/bundle", "train/checkpoint.ckpt", "--out", "eval"],

@@ -170,7 +170,7 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
         gt_pixel = gt_pixel_stack(scene)
         gt_point = scene.cloud.gt_labels
         labels = derive_clip_labels(corr, oracles["scores"], oracles["masks"],
-                                    len(scene.cloud), suite.train.refine3d_mode)
+                                    len(scene.cloud))
         # Built once per descriptor_noise a trained row of this seed asks for.
         descriptors: Dict[float, tuple] = {}
         configs = {row: row_train_config(row, replace(suite.train, seed=seed))

@@ -216,8 +216,7 @@ def cmd_refine(cfg: RunConfig, bundle_dir: str, out_dir: str) -> int:
     scene, oracles, _ = _load_bundle(bundle_dir)
     corr = scene.correspondences()
     derived = pseudolabel.derive_clip_labels(
-        corr, oracles["scores"], oracles["masks"], len(scene.cloud),
-        refine3d_mode=cfg["refine3d_mode"])
+        corr, oracles["scores"], oracles["masks"], len(scene.cloud))
 
     gt_pixel = scenesynth.gt_pixel_stack(scene)
     rows = []
@@ -237,13 +236,13 @@ def cmd_refine(cfg: RunConfig, bundle_dir: str, out_dir: str) -> int:
     bundle.write_raster(out / "point_labels.bin",
                         derived["point_refined"].reshape(-1, 1), "<i4")
 
-    lines = ["scope,raw_error,refined_error,mask_purity"]
-    lines += [",".join([scope, *(csv_cell(v) for v in values)])
-              for scope, *values in rows]
-    (out / "refine.csv").write_text("\n".join(lines) + "\n")
-    for scope, raw_err, ref_err, purity in rows:
-        print(f"{scope}: raw_error={raw_err} refined_error={ref_err} "
-              f"mask_purity={purity}")
+    header = ["scope", "raw_error", "refined_error", "mask_purity"]
+    cells = [[scope, *(csv_cell(v) for v in values)] for scope, *values in rows]
+    (out / "refine.csv").write_text(
+        "".join(",".join(row) + "\n" for row in [header, *cells]))
+    for scope, *values in cells:
+        print(f"{scope}: " + " ".join(f"{name}={value}" for name, value
+                                      in zip(header[1:], values)))
     return EXIT_OK
 
 

@@ -150,9 +150,6 @@ class CorrespondenceSet:
     def count(self) -> int:
         return len(self.point_index)
 
-    def __len__(self) -> int:
-        return self.count
-
     def camera_slice(self, camera: int) -> np.ndarray:
         """Boolean mask selecting one camera's entries."""
         return self.camera_index == camera

@@ -134,6 +134,15 @@ def fold_output(mlp: Mlp, a: np.ndarray, bias: np.ndarray) -> Mlp:
     return net
 
 
+# Largest temperature, and 1 over the smallest.  The class map E / T is
+# float32: past about 3.4e38 T rounds to inf there and every logit reads 0,
+# and below about 1.4e-45 it rounds to 0 and the map is inf or NaN.  Well
+# inside these bounds a small T already ends in a numerical abort (1e-2 on
+# the default scene) and a large one leaves the logits too flat to learn;
+# the bounds keep out only the values that float32 cannot hold.
+MAX_TEMPERATURE = 1e6
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Dimensions of the co-trained model pair."""
@@ -151,8 +160,10 @@ class ModelConfig:
         if min(self.input2d_dim, self.input3d_dim, self.latent_dim,
                self.embed_dim, self.anchor_dim, self.sam_dim, *self.hidden) < 1:
             raise ValidationError("all model dimensions must be >= 1")
-        if not self.temperature > 0:
-            raise ValidationError(f"temperature must be > 0, got {self.temperature}")
+        if not 1 / MAX_TEMPERATURE <= self.temperature <= MAX_TEMPERATURE:
+            raise ValidationError(
+                f"temperature must be >= {1 / MAX_TEMPERATURE:g} and "
+                f"<= {MAX_TEMPERATURE:g}, got {self.temperature}")
 
 
 _HEAD_NAMES = ("head_s2d", "head_s3d", "head_f2d", "head_f3d")

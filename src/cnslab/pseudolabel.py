@@ -142,6 +142,10 @@ def reproject_refine_points(corr: CorrespondenceSet, labels: np.ndarray,
     Point labels are splatted onto each view's paired pixels (IGNORE
     elsewhere), voted inside that view's masks, and transferred back with
     the usual camera priority.  Points visible nowhere keep their label.
+
+    No pipeline step calls it: training and derive_clip_labels refine
+    points with refine_points_by_view_masks, which has the lower point
+    error.  It stays for the benchmark tracer, whose name list holds it.
     """
     _require_points(labels, "reproject_refine_points")
     pixel = np.full((len(masks),) + masks[0].mask_ids.shape, IGNORE, dtype=np.int32)
@@ -150,32 +154,20 @@ def reproject_refine_points(corr: CorrespondenceSet, labels: np.ndarray,
     return np.where(transferred != IGNORE, transferred, labels).astype(np.int32)
 
 
-REFINE3D_TRANSFER_MASKS = "transfer-masks"
-REFINE3D_REPROJECT = "reproject"
-
-
 def derive_clip_labels(corr: CorrespondenceSet, scores: Sequence[ScoreMap],
-                       masks: Sequence[MaskMap], num_points: int,
-                       refine3d_mode: str = REFINE3D_TRANSFER_MASKS) -> dict:
+                       masks: Sequence[MaskMap], num_points: int) -> dict:
     """Full oracle-label pipeline for one scene.
 
-    Returns raw and mask-refined labels on both domains:
+    Returns raw and mask-refined labels on both domains, and the masks
+    carried onto points (transfer_masks) that refine the point labels:
     {"pixel_raw": (V, H, W), "pixel_refined": (V, H, W),
-     "point_raw": (N,), "point_refined": (N,)}.
-
-    refine3d_mode picks how the refined point labels arise: voting over
-    transferred mask ids ("transfer-masks") or transferring the already
-    refined pixel labels ("reproject").
+     "point_raw": (N,), "point_refined": (N,), "point_masks": [(N,)] * V}.
     """
-    if refine3d_mode not in (REFINE3D_TRANSFER_MASKS, REFINE3D_REPROJECT):
-        raise ValidationError(f"unknown refine3d_mode {refine3d_mode!r}")
     pixel_raw = np.stack([argmax_label(s.scores) for s in scores])
     pixel_refined = refine_views(pixel_raw, masks)
     point_raw = transfer_labels(corr, pixel_raw, num_points)
-    if refine3d_mode == REFINE3D_TRANSFER_MASKS:
-        point_masks = transfer_masks(corr, masks, num_points)
-        point_refined = refine_points_by_view_masks(point_raw, point_masks)
-    else:
-        point_refined = transfer_labels(corr, pixel_refined, num_points)
+    point_masks = transfer_masks(corr, masks, num_points)
+    point_refined = refine_points_by_view_masks(point_raw, point_masks)
     return {"pixel_raw": pixel_raw, "pixel_refined": pixel_refined,
-            "point_raw": point_raw, "point_refined": point_refined}
+            "point_raw": point_raw, "point_refined": point_refined,
+            "point_masks": point_masks}

@@ -26,10 +26,8 @@ from .errors import NumericalError, ValidationError
 from .evaluation import confusion, csv_cell, miou
 from .nncore import (ModelBundle, ModelConfig, anchor_units, class_layer,
                      class_logits, make_bundle, mlp_forward, sgd_step, step)
-from .pseudolabel import (IGNORE, REFINE3D_REPROJECT, REFINE3D_TRANSFER_MASKS,
-                          derive_clip_labels, refine_points_by_view_masks,
-                          refine_views, reproject_refine_points,
-                          transfer_labels, transfer_masks)
+from .pseudolabel import (IGNORE, derive_clip_labels, refine_points_by_view_masks,
+                          refine_views, transfer_labels)
 from .scenesynth import (MAX_DESCRIPTOR_NOISE, PIXEL_DESC_DIM, POINT_DESC_DIM,
                          Scene, gt_pixel_stack, pixel_descriptors,
                          point_descriptors)
@@ -52,7 +50,6 @@ class TrainConfig:
     switch_per_element: bool = False
     latent_loss_weight: float = 1.0
     refine_labels: bool = True
-    refine3d_mode: str = REFINE3D_TRANSFER_MASKS
     descriptor_noise: float = 0.02
     seed: int = 0
 
@@ -84,8 +81,6 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be 4 non-negative values")
             if not abs(arr.sum() - 1.0) < 1e-9:
                 raise ValidationError(f"{name} must sum to 1, got {float(arr.sum())!r}")
-        if self.refine3d_mode not in (REFINE3D_TRANSFER_MASKS, REFINE3D_REPROJECT):
-            raise ValidationError(f"unknown refine3d_mode {self.refine3d_mode!r}")
         if not self.latent_loss_weight >= 0:
             raise ValidationError(
                 f"latent_loss_weight must be >= 0, got {self.latent_loss_weight}")
@@ -179,8 +174,7 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
     entries = (corr.camera_index, corr.v, corr.u)
     anchors = np.stack([fm.features for fm in oracles["features"]])[entries]
 
-    labels = derive_clip_labels(corr, oracles["scores"], masks, num_points,
-                                config.refine3d_mode)
+    labels = derive_clip_labels(corr, oracles["scores"], masks, num_points)
     pixel_key = "pixel_refined" if config.refine_labels else "pixel_raw"
     point_key = "point_refined" if config.refine_labels else "point_raw"
 
@@ -189,7 +183,7 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
         "x2d": desc2d[entries], "anchors": anchor_units(bundle, anchors),
         "ent_point": corr.point_index,
         "gt_pixel": gt_pixel_stack(scene), "gt_point": scene.cloud.gt_labels,
-        "masks": masks, "point_masks": transfer_masks(corr, masks, num_points),
+        "masks": masks, "point_masks": labels["point_masks"],
         "corr": corr,
     }
     state = TrainState(
@@ -276,14 +270,10 @@ def compute_self_labels(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:
     Fills the self-label rows 2-3 of both label tables and returns the
     (pixel stack (V, H, W), point labels (N,)) they were taken from.
     """
-    masks = state.data["masks"]
     pixel, point = predictions(state)
     if state.config.refine_labels:
-        pixel = refine_views(pixel, masks)
-        if state.config.refine3d_mode == REFINE3D_TRANSFER_MASKS:
-            point = refine_points_by_view_masks(point, state.data["point_masks"])
-        else:
-            point = reproject_refine_points(state.data["corr"], point, masks)
+        pixel = refine_views(pixel, state.data["masks"])
+        point = refine_points_by_view_masks(point, state.data["point_masks"])
     _set_sources(state, 2, pixel, point)
     return pixel, point
 

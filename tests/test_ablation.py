@@ -208,7 +208,7 @@ def test_median_over_seeds():
 # report.csv of shared_suite().  Its figures are those of a run in which
 # every trained row built its own descriptors and ran its own stage 1.
 SHARED_REPORT_SHA256 = \
-    "536d28a560ff2f43e6a3141c3471886b279cef7b2035c9ddb3c816b96e7b633f"
+    "a060234243fe26bda2efabdeb072ec1e01eab4ca6753a0ebbc060c674cbecceb"
 
 
 def shared_suite(**overrides):

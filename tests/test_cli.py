@@ -140,6 +140,19 @@ def test_refine_outputs(pipeline, small_scene):
     assert points.shape == (len(small_scene.cloud), 1, 1)
 
 
+def test_refine_prints_its_csv_cells(pipeline, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
+    assert cli.main(["refine", str(pipeline / "synth" / "bundle"), "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == 0
+    header, *rows = [line.split(",") for line in
+                     (tmp_path / "r" / "refine.csv").read_text().splitlines()]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [f"{scope}: " + " ".join(f"{name}={cell}" for name, cell
+                                               in zip(header[1:], cells))
+                       for scope, *cells in rows]
+    assert printed[-1].endswith(" mask_purity=absent")
+
+
 def test_train_outputs(pipeline):
     model, meta = nncore.load_checkpoint(pipeline / "train" / "checkpoint.ckpt")
     assert meta["num_classes"] == "5"
@@ -249,7 +262,8 @@ def test_ablate_refuses_a_repeated_seed_or_row_and_no_rows(tmp_path, capsys,
 # Deleted keys, each with its old default.
 REMOVED_KEYS = {"margin": "1.0", "multiview": "first-camera",
                 "camera_radius": "none", "camera_height": "none",
-                "switch_probs": "0.25,0.25,0.25,0.25"}
+                "switch_probs": "0.25,0.25,0.25,0.25",
+                "refine3d_mode": "transfer-masks"}
 
 
 @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
@@ -279,7 +293,7 @@ def test_float_keys_cover_plain_and_tuple_hints():
 
 def test_every_key_holds_a_value():
     # No key is Optional, so the value codec has no "none".
-    assert len(cli.SCHEMA) == 39
+    assert len(cli.SCHEMA) == 38
     assert not [key for key, entry in cli.SCHEMA.items()
                 if typing.get_origin(entry.hint) is typing.Union]
 
@@ -365,6 +379,23 @@ def test_descriptor_noise_too_large_for_float32_is_rejected(pipeline, tmp_path,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "descriptor_noise" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("value", ["1e300", "1e-300"])
+def test_temperature_float32_cannot_hold_is_rejected(pipeline, tmp_path, capsys,
+                                                     value):
+    # In float32 1e300 rounds to inf and 1e-300 to 0: every logit would
+    # read 0, or the class map inf.
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["train", str(pipeline / "synth" / "bundle"),
+                         "--config", str(cfg), "--out", str(tmp_path / "x"),
+                         "--temperature", value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "temperature" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -750,44 +781,50 @@ def test_synth_bundle_bytes_are_pinned(tmp_path, seed):
     assert digests == SYNTH_SHA256[seed]
 
 
-# sha256 of the outputs of `cnslab refine` on the `synth --seed 0` bundle,
-# per refine override.  The files hold only integers and their decimal
-# text, so no BLAS or float rounding enters them.  The refined pixel
-# labels do not depend on how the point labels are refined.
-_REFINED_VIEWS_SHA256 = {
+# sha256 of the outputs of `cnslab refine` on the `synth --seed 0` bundle.
+# The files hold only integers and their decimal text, so no BLAS or float
+# rounding enters them.
+REFINE_SHA256 = {
+    "refine.csv": "42995f479d7c3d08032b70d03cafe247df762de2f40ece4564ed9fa9e62b50c8",
+    "point_labels.bin": "b9f71a48567398f0d06e727548d0a1d2b965dd609b53626d9caa41f68dbcdf1d",
     "view_0.labels.bin": "d0c91335ccacdf6e52b711e036e31a1e3ad94a52783a2e77e457aaa87155b209",
     "view_1.labels.bin": "89e75751262ad4bab54364a8a4c0780e1f0a6b6ce8ac5118ad5047bc05edb8da",
     "view_2.labels.bin": "413ca54ef978649779cd8cb867a8579bb22b10b1aeb3c9e66daed59cd25ac8d8",
     "view_3.labels.bin": "329fb05fd53e225890a17814284d5164ab047427bd1eb653bbe5106a3c58a88b",
 }
-REFINE_SHA256 = {
-    (): {
-        "refine.csv": "42995f479d7c3d08032b70d03cafe247df762de2f40ece4564ed9fa9e62b50c8",
-        "point_labels.bin": "b9f71a48567398f0d06e727548d0a1d2b965dd609b53626d9caa41f68dbcdf1d",
-        **_REFINED_VIEWS_SHA256,
-    },
-    ("--refine3d_mode", "reproject"): {
-        "refine.csv": "a08f26ee588e3dfc716f5aa0fa9bafa12ac0c09b5f3031e74499b7d0505fda7c",
-        "point_labels.bin": "456e1fca94c2f6cb8c46ff87625234afb59915cc0b5ed8136cfb9ba1979deff0",
-        **_REFINED_VIEWS_SHA256,
-    },
-}
 
 
-def test_refine_bytes_are_pinned(tmp_path):
-    assert cli.main(["synth", "--out", str(tmp_path / "synth"), "--seed", "0"]) == 0
-    for i, overrides in enumerate(REFINE_SHA256):
-        out = tmp_path / f"refine{i}"
-        assert cli.main(["refine", str(tmp_path / "synth" / "bundle"),
-                         "--out", str(out), *overrides]) == 0
-        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                   for path in out.iterdir() if path.name != "resolved.cfg"}
-        assert digests == REFINE_SHA256[overrides], overrides
+@pytest.fixture(scope="module")
+def default_refine(tmp_path_factory):
+    """Run `cnslab refine` on the default `synth --seed 0` bundle; return its
+    output directory."""
+    root = tmp_path_factory.mktemp("default")
+    assert cli.main(["synth", "--out", str(root / "synth"), "--seed", "0"]) == 0
+    assert cli.main(["refine", str(root / "synth" / "bundle"),
+                     "--out", str(root / "refine")]) == 0
+    return root / "refine"
+
+
+def test_refine_bytes_are_pinned(default_refine):
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in default_refine.iterdir() if path.name != "resolved.cfg"}
+    assert digests == REFINE_SHA256
+
+
+def test_readme_refine_line_is_the_default_bundle(default_refine):
+    # README's quick start states the points row of this refine.csv at two
+    # decimals.
+    rows = [line.split(",") for line in
+            (default_refine / "refine.csv").read_text().splitlines()]
+    raw, refined = next(map(float, row[1:3]) for row in rows if row[0] == "points")
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text().split())
+    assert f"error from {raw:.2f} to {refined:.2f} before any training" in text
 
 
 # sha256 of the train and eval outputs of the `pipeline` fixture (TINY_CFG).
 TRAIN_SHA256 = {
-    "train/checkpoint.ckpt": "2b977c5bdc421753b4a1e89ebae53148f772c7f684a36e6b58ba7bcd41cd2c07",
+    "train/checkpoint.ckpt": "7db6d62d60b445c0ab0ed9146bfd58fa5e7e652d129576b263b9606aad5de69f",
     "train/metrics.csv": "e96e3eb4aecc0d9eec97d5cfda1cf88a4783653a601303e2547533623618d2e7",
     "eval/eval.csv": "50fca71f67d5d6d0e6f006bba9cf48f776bc7cd959a8af1fad95a4b4c2fa29ed",
 }

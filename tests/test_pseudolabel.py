@@ -280,7 +280,10 @@ def test_derive_clip_labels_noiseless(small_scene, noiseless_oracles):
                              noiseless_oracles["masks"],
                              len(small_scene.cloud))
     assert set(out) == {"pixel_raw", "pixel_refined", "point_raw",
-                        "point_refined"}
+                        "point_refined", "point_masks"}
+    point_masks = transfer_masks(corr, noiseless_oracles["masks"],
+                                 len(small_scene.cloud))
+    assert np.array_equal(np.stack(out["point_masks"]), np.stack(point_masks))
     visible = np.zeros(len(small_scene.cloud), dtype=bool)
     visible[corr.point_index] = True
     for key in ("point_raw", "point_refined"):
@@ -294,16 +297,16 @@ def test_derive_clip_labels_noiseless(small_scene, noiseless_oracles):
     assert np.array_equal(out["pixel_refined"], gt_pixel)
 
 
-def test_derive_clip_labels_modes_agree_when_noiseless(small_scene,
-                                                      noiseless_oracles):
+def test_derive_clip_labels_refined_points_carry_the_refined_pixels_when_noiseless(
+        small_scene, noiseless_oracles):
+    # Voting among points inside the transferred masks and carrying the
+    # voted pixels onto points agree when the oracles are noiseless.
     corr = small_scene.correspondences()
-    a = derive_clip_labels(corr, noiseless_oracles["scores"],
-                           noiseless_oracles["masks"], len(small_scene.cloud),
-                           refine3d_mode="transfer-masks")
-    b = derive_clip_labels(corr, noiseless_oracles["scores"],
-                           noiseless_oracles["masks"], len(small_scene.cloud),
-                           refine3d_mode="reproject")
-    assert np.array_equal(a["point_refined"], b["point_refined"])
+    out = derive_clip_labels(corr, noiseless_oracles["scores"],
+                             noiseless_oracles["masks"], len(small_scene.cloud))
+    assert np.array_equal(out["point_refined"],
+                          transfer_labels(corr, out["pixel_refined"],
+                                          len(small_scene.cloud)))
 
 
 def test_derive_clip_labels_refinement_helps(small_scene):
@@ -349,12 +352,3 @@ def test_every_oracle_noise_field_changes_the_refined_labels(small_scene):
             moved = _refined_labels(small_scene, *configs.values())
             assert not all(np.array_equal(a, b) for a, b in zip(base, moved)), \
                 f"{cls.__name__}.{f.name} does not change the refined labels"
-
-
-def test_derive_clip_labels_rejects_unknown_mode(small_scene, noiseless_oracles):
-    with pytest.raises(ValidationError):
-        derive_clip_labels(small_scene.correspondences(),
-                           noiseless_oracles["scores"],
-                           noiseless_oracles["masks"],
-                           len(small_scene.cloud), refine3d_mode="average")
-

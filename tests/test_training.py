@@ -61,8 +61,6 @@ def test_train_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(switch_probs_2d=(1.0, 0.0, 0.0, 0.0, 0.0)).validate()
     with pytest.raises(ValidationError):
-        TrainConfig(refine3d_mode="splat").validate()
-    with pytest.raises(ValidationError):
         TrainConfig(latent_loss_weight=-0.1).validate()
     for seed in (2 ** 32, -1):
         with pytest.raises(ValidationError, match=r"2\*\*32"):
@@ -272,19 +270,16 @@ def test_inference_matches_the_unfolded_logits_on_the_small_scene(small_scene,
 
 
 def test_all_oracle_switching_equals_pure_stage1(small_scene, small_oracles):
-    # With switch probabilities (1, 0, 0, 0) and the reproject refinement
-    # (where the transferred 2D oracle labels coincide with the refined
-    # point labels), stage 2 feeds both networks exactly the stage-1
-    # supervision, so the parameter trajectory must match a pure stage-1
-    # run of the same length.
+    # With the 2D network always drawing clip2d and the 3D network always
+    # clip3d, stage 2 feeds both networks exactly the stage-1 supervision,
+    # so the parameter trajectory must match a pure stage-1 run of the
+    # same length.
     switched = train(small_scene, small_oracles,
                      short_config(stage1_epochs=1, total_epochs=3,
                                   switch_probs_2d=(1.0, 0.0, 0.0, 0.0),
-                                  switch_probs_3d=(1.0, 0.0, 0.0, 0.0),
-                                  refine3d_mode="reproject"))
+                                  switch_probs_3d=(0.0, 1.0, 0.0, 0.0)))
     pure = train(small_scene, small_oracles,
-                 short_config(stage1_epochs=3, total_epochs=3,
-                              refine3d_mode="reproject"))
+                 short_config(stage1_epochs=3, total_epochs=3))
     assert _params_equal(_params_snapshot(switched.bundle),
                          _params_snapshot(pure.bundle))
     for row_a, row_b in zip(switched.history, pure.history):

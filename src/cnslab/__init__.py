@@ -18,7 +18,7 @@ from .geometry import (CameraModel, CorrespondenceSet, PointCloud,
                        build_correspondences, look_at, project_points)
 from .nncore import (ModelBundle, ModelConfig, anchor_units, ce_loss,
                      class_layer, class_logits, config_hash, cosine_align_loss,
-                     grad_check,
+                     feature_major, grad_check,
                      load_checkpoint, make_bundle, save_checkpoint, sgd_step,
                      step)
 from .pseudolabel import (IGNORE, argmax_label, derive_clip_labels,
@@ -46,7 +46,8 @@ __all__ = [
     "argmax_label", "build_correspondences", "ce_loss", "class_layer",
     "class_logits", "config_hash",
     "confusion", "cosine_align_loss", "coverage", "derive_clip_labels",
-    "derive_rng", "generate_scene", "grad_check", "label_error_rate",
+    "derive_rng", "feature_major", "generate_scene", "grad_check",
+    "label_error_rate",
     "load_checkpoint", "look_at", "make_bundle", "miou", "mock_clip_scores",
     "mock_sam_features", "mock_sam_masks", "mock_text_embeddings",
     "pixel_descriptors", "point_descriptors", "project_points",

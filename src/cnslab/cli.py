@@ -285,10 +285,10 @@ def cmd_eval(cfg: RunConfig, bundle_dir: str, checkpoint: str,
             f"checkpoint was trained with descriptor_noise={trained} but eval "
             f"uses descriptor_noise={noise}; pass --descriptor_noise {trained}")
     desc2d, desc3d = training.scene_descriptors(scene, cfg["descriptor_noise"])
-    if desc2d.shape[3] != model.config.input2d_dim:
+    if len(desc2d) - 1 != model.config.input2d_dim:
         raise ValidationError(
             f"checkpoint expects {model.config.input2d_dim}-dim pixel "
-            f"descriptors, scene yields {desc2d.shape[3]}")
+            f"descriptors, scene yields {len(desc2d) - 1}")
     pred2d = training.predict_labels_2d(model, desc2d)
     pred3d = training.predict_labels_3d(model, desc3d)
     miou2d = _miou_value(pred2d, scenesynth.gt_pixel_stack(scene), scene.num_classes)
@@ -347,6 +347,8 @@ def gradient_trials(root_seed: int, first_trial: int
         pair3d = rng.standard_normal((batch, config.input3d_dim))
         y3d = rng.integers(0, num_classes, size=batch)
         y3d[-1] = pseudolabel.IGNORE
+        # Drawn as rows, then laid out as the step reads them.
+        x2d, x3d, pair3d = map(nncore.feature_major, (x2d, x3d, pair3d))
         yield "ce2d", model, {"x2d": x2d, "y2d": y}
         yield "ce3d", model, {"x3d": x3d, "y3d": y}
         yield "latent", model, {"x2d": x2d, "pair3d": x3d, "anchors": anchors,

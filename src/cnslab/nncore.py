@@ -5,8 +5,14 @@ output) over hand-built descriptors.  On top of the shared latent space
 sit four trainable linear heads — semantic heads mapping into the class
 embedding space and feature heads mapping into the anchor space — plus a
 frozen bias-free anchor projection and the frozen class embedding table.
-A semantic head is folded into the class embeddings: with its class map
-M = W @ E.T / T and c = b @ E.T / T, its logits are f @ M + c.
+A semantic head is folded into the class embeddings: its class map is
+[M; c] = [W; b] @ E.T / T, and its logits are f @ M + c.
+
+Every layer, encoder or head, is one (fan_in + 1, fan_out) array [W; b],
+the bias as its last row, and rows are feature-major: (features, rows),
+one column per row, over a trailing row of ones (feature_major).  A
+layer is then one product [W; b].T @ h with no bias add, and its
+gradient one product h @ d.T with no sum.
 
 Every head is linear and reads only the latent rows, and so is each
 encoder's output layer.  Training and inference therefore fold an
@@ -16,7 +22,9 @@ rows are never formed.  The losses (ce_loss, cosine_align_loss) read
 head outputs and return their gradients; one chain-rule helper carries
 the folded layer's gradient back to the encoder and head parameters.
 
-Every trainable parameter lives in one vector, laid out by param_views.
+Every trainable parameter lives in one vector, laid out by param_views;
+each bias follows its weight there, so each layer [W; b] is one
+contiguous view of it (_layer_blocks), and so is its gradient.
 All arithmetic runs in the dtype of that vector: float32 for a trained
 model (init_state casts it once, ModelBundle.astype), float64 for the
 gradient checker and for bundles straight from make_bundle.  Gradients
@@ -26,7 +34,7 @@ laid out like the parameters; training and grad_check (central finite
 differences) both call it, the checker's probes in its loss-only mode,
 which returns the branch pattern of its passes in place of the gradient.
 What `step` reads of a model that no update changes (its passes, the
-heads' column spans, the gradient blocks) is set up once per ModelBundle.
+heads' spans, the gradient blocks) is set up once per ModelBundle.
 """
 
 from __future__ import annotations
@@ -56,81 +64,100 @@ _NORM_EPS = 1e-12
 
 @dataclass
 class Mlp:
-    """Fully connected net: ReLU on hidden layers, linear output."""
+    """Fully connected net: ReLU on hidden layers, linear output.
 
-    weights: List[np.ndarray]  # each (fan_in, fan_out)
-    biases: List[np.ndarray]
+    Each layer is one (fan_in + 1, fan_out) array [W; b]: the weights, then
+    the bias as the last row.  The net reads feature-major rows: an input
+    is (fan_in + 1, N), one column per row, with a trailing row of ones
+    (feature_major) that each layer's bias row multiplies.
+    """
+
+    layers: List[np.ndarray]
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ValidationError("need matching, non-empty weight/bias lists")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ValidationError(f"layer {i} shapes incompatible: {w.shape}, {b.shape}")
-            if i and self.weights[i - 1].shape[1] != w.shape[0]:
+        if not self.layers:
+            raise ValidationError("need a non-empty layer list")
+        for i, layer in enumerate(self.layers):
+            if layer.ndim != 2 or len(layer) < 2:
+                raise ValidationError(
+                    f"layer {i} must be (fan_in + 1, fan_out), got {layer.shape}")
+            if i and self.layers[i - 1].shape[1] + 1 != len(layer):
                 raise ValidationError(f"layer {i} fan-in does not match layer {i-1} fan-out")
+
+
+def feature_major(rows: np.ndarray) -> np.ndarray:
+    """(N, D) rows as the (D + 1, N) input an Mlp reads: one column per row
+    and a trailing row of ones, in `rows`' dtype."""
+    rows = np.asarray(rows)
+    out = np.empty((rows.shape[1] + 1, len(rows)), rows.dtype)
+    out[:-1] = rows.T
+    out[-1] = 1
+    return out
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray,
                 hidden_only: bool = False) -> Tuple[np.ndarray, list]:
-    """Forward pass returning (output, cache-for-backward).
+    """Forward pass of feature-major rows x (fan_in + 1, N): (output, cache).
 
-    Each layer allocates one array, the `h @ w` product; the bias and the
-    ReLU are applied to it in place.  `x` is never written.  With
-    hidden_only the output layer is not run: the output is the last hidden
-    layer's activations, or the input rows of a net without hidden layers.
+    Each layer is one product [W; b].T @ h, bias included.  A hidden layer
+    writes it into a fresh (fan_out + 1, N) array, applies the ReLU in
+    place and sets the trailing ones row; the output layer's (fan_out, N)
+    product is the output.  `x` is never written.  With hidden_only the
+    output layer is not run: the output is the last hidden layer's
+    activations, ones row included, or `x` for a net without hidden layers.
     """
-    x = np.asarray(x, dtype=mlp.weights[0].dtype)
+    x = np.asarray(x, dtype=mlp.layers[0].dtype)
     cache = [x]
     h = x
-    last = len(mlp.weights) - 1
-    for i in range(last if hidden_only else last + 1):
-        h = h @ mlp.weights[i]
-        h += mlp.biases[i]
-        if i < last:
-            np.maximum(h, 0.0, out=h)
+    last = len(mlp.layers) - 1
+    for layer in mlp.layers[:last]:
+        act = np.empty((layer.shape[1] + 1, h.shape[1]), layer.dtype)
+        np.matmul(layer.T, h, out=act[:-1])
+        np.maximum(act[:-1], 0.0, out=act[:-1])
+        act[-1] = 1.0
+        cache.append(act)
+        h = act
+    if not hidden_only:
+        h = mlp.layers[last].T @ h
         cache.append(h)
     return h, cache
 
 
-def mlp_backward(mlp: Mlp, cache: list, d_out: np.ndarray, out=None
-                 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Backward pass: (weight grads, bias grads).
+def mlp_backward(mlp: Mlp, cache: list, d_out: np.ndarray, out=None) -> List[np.ndarray]:
+    """Backward pass of a feature-major output gradient d_out (fan_out, N):
+    each layer's gradient [dW; db], one product h @ d.T of its input h and
+    its output gradient d, whose ones row of h gives db.
 
-    `out`, if given, holds per layer a (weight, bias) pair of arrays that
-    layer's gradients are written into, or None for fresh arrays.  The
-    gradient w.r.t. the input is not formed: the inputs are data.
+    `out`, if given, holds per layer an array that layer's gradient is
+    written into, or None for a fresh array.  The gradient w.r.t. the
+    input is not formed: the inputs are data.
     """
-    d_w = [None] * len(mlp.weights)
-    d_b = [None] * len(mlp.biases)
+    grads = [None] * len(mlp.layers)
     grad = np.asarray(d_out)
-    last = len(mlp.weights) - 1
-    for i in range(last, -1, -1):
-        if i < last:
-            grad *= cache[i + 1] > 0
-        w_out, b_out = (out[i] if out else None) or (None, None)
-        d_w[i] = np.matmul(cache[i].T, grad, out=w_out)
-        d_b[i] = grad.sum(axis=0, out=b_out)
+    for i in range(len(mlp.layers) - 1, -1, -1):
+        grads[i] = np.matmul(cache[i], grad.T, out=out[i] if out else None)
         if i:
-            grad = grad @ mlp.weights[i].T
-    return d_w, d_b
+            grad = mlp.layers[i][:-1] @ grad
+            grad *= cache[i][:-1] > 0
+    return grads
 
 
-def fold_output(mlp: Mlp, a: np.ndarray, bias: np.ndarray) -> Mlp:
-    """`mlp` with its linear output layer folded into a linear map (A, a).
+def fold_output(mlp: Mlp, head: np.ndarray) -> Mlp:
+    """`mlp` with its linear output layer folded into a linear map [A; a].
 
-    The folded net outputs out(x) @ A + a without forming out(x): its last
-    layer is (W_L @ A, b_L @ A + a), and its hidden layers are `mlp`'s own
-    arrays.  A map that feeds several heads has their (A_i, a_i) side by
-    side, and so the folded net has their outputs side by side.
+    `head` (fan_out + 1, K) maps an output row o to o @ A + a, in the same
+    layer form as `mlp`'s.  The folded net outputs that map of out(x)
+    without forming out(x): its last layer is [W_L; b_L] @ A with a added
+    to the bias row, and its hidden layers are `mlp`'s own arrays.  A map
+    that feeds several heads has their maps side by side, and so the
+    folded net has their outputs stacked.
     """
-    b_last = mlp.biases[-1] @ a
-    b_last += bias
-    # Built without Mlp's shape checks: `mlp` passed them, and the products
-    # above fail on an `a` or `bias` that does not fit.
+    last = mlp.layers[-1] @ head[:-1]
+    last[-1] += head[-1]
+    # Built without Mlp's shape checks: `mlp` passed them, and the product
+    # above fails on a map that does not fit.
     net = object.__new__(Mlp)
-    net.weights = mlp.weights[:-1] + [mlp.weights[-1] @ a]
-    net.biases = mlp.biases[:-1] + [b_last]
+    net.layers = mlp.layers[:-1] + [last]
     return net
 
 
@@ -197,18 +224,32 @@ def param_views(config: ModelConfig, vec: np.ndarray) -> Dict[str, np.ndarray]:
             for name, start, stop, shape in _layout(config)}
 
 
+@functools.lru_cache(maxsize=64)
+def _layer_blocks(config: ModelConfig) -> Dict[str, Tuple[Tuple[slice, Tuple[int, int]], ...]]:
+    """Per encoder and head, the (slice, shape) of each of its layers' [W; b]
+    blocks: _layout puts every bias right after its weight, so a layer is
+    one contiguous (fan_in + 1, fan_out) block of the vector."""
+    layout = _layout(config)
+    blocks: Dict[str, list] = {}
+    for (name, start, _, (fan_in, fan_out)), (_, _, stop, _) in zip(layout[0::2],
+                                                                   layout[1::2]):
+        blocks.setdefault(name.split(".")[0], []).append(
+            (slice(start, stop), (fan_in + 1, fan_out)))
+    return {owner: tuple(layers) for owner, layers in blocks.items()}
+
+
 class ModelBundle:
     """The trainable encoder/head pair plus the frozen components.
 
-    `params` holds every trainable parameter; `enc2d`, `enc3d` and the
-    four heads ({"w": (D_h, D_out), "b": (D_out,)}) are views into it, so
-    updating `params` in place updates them all.  The frozen `anchor_head`
-    (D_s, K_f) is a separate read-only array of the same dtype; the model
-    computes in that dtype.  `embeddings` is the frozen (L, embed_dim)
-    float64 table of unit class embeddings; its checks live here, so
-    make_bundle and load_checkpoint both pass them.  `step_plan` is what
-    `step` and class_layer read of the model that no update changes, the
-    scaled table E / T in the parameters' dtype among it.
+    `params` holds every trainable parameter; the layers of `enc2d` and
+    `enc3d` and the four heads (each a (D_h + 1, D_out) [W; b]) are views
+    into it, so updating `params` in place updates them all.  The frozen
+    `anchor_head` (D_s, K_f) is a separate read-only array of the same
+    dtype; the model computes in that dtype.  `embeddings` is the frozen
+    (L, embed_dim) float64 table of unit class embeddings; its checks live
+    here, so make_bundle and load_checkpoint both pass them.  `step_plan`
+    is what `step` and class_layer read of the model that no update
+    changes, the scaled table E / T in the parameters' dtype among it.
     """
 
     def __init__(self, config: ModelConfig, params: np.ndarray,
@@ -228,14 +269,11 @@ class ModelBundle:
         self.params = params
         self.embeddings = embeddings
         self.seed = int(seed)
-        views = param_views(config, params)
-        layers = range(len(config.hidden) + 1)
-        self.enc2d, self.enc3d = (
-            Mlp([views[f"{enc}.w{i}"] for i in layers],
-                [views[f"{enc}.b{i}"] for i in layers])
-            for enc in ("enc2d", "enc3d"))
+        layers = {owner: [params[sl].reshape(shape) for sl, shape in blocks]
+                  for owner, blocks in _layer_blocks(config).items()}
+        self.enc2d, self.enc3d = Mlp(layers["enc2d"]), Mlp(layers["enc3d"])
         self.head_s2d, self.head_s3d, self.head_f2d, self.head_f3d = (
-            {"w": views[f"{head}.w"], "b": views[f"{head}.b"]} for head in _HEAD_NAMES)
+            layers[head][0] for head in _HEAD_NAMES)
         anchor_head.setflags(write=False)
         self.anchor_head = anchor_head
         self.step_plan = _step_plan(self)
@@ -273,86 +311,85 @@ def make_bundle(config: ModelConfig, embeddings: np.ndarray,
 # losses
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable row softmax, computed in place in `logits`."""
-    # The row max one column at a time: a reduction along a short last
-    # axis costs more per row than a pass per column.
-    top = logits[:, 0].copy()
-    for j in range(1, logits.shape[1]):
-        np.maximum(top, logits[:, j], out=top)
-    logits -= top[:, None]
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax of each column of class logits (C, N),
+    computed in place in `logits`."""
+    logits -= logits.max(axis=0)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= logits.sum(axis=0)
     return logits
 
 
-def class_logits(rows: np.ndarray,
-                 folded: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Logits rows @ M + c under a folded class map (M, c).
+def class_logits(rows: np.ndarray, folded: np.ndarray) -> np.ndarray:
+    """Class logits (C, N) of feature-major rows (D + 1, N) under a folded
+    class layer [M; c] (D + 1, C): folded.T @ rows.
 
     Inference passes an encoder's last hidden activations and the
     encoder's output layer folded into its semantic head's class map
     (class_layer).
     """
-    m, c = folded
-    logits = rows @ m
-    logits += c
-    return logits
+    return folded.T @ rows
 
 
 def ce_loss(logits: np.ndarray, target_labels: np.ndarray, grad: bool = True
             ) -> Tuple[float, Optional[np.ndarray]]:
-    """Mean cross-entropy of class logits (N, C) against target labels.
+    """Mean cross-entropy of class logits (C, N) against N target labels.
 
-    IGNORE targets are skipped and get a zero gradient row; an all-IGNORE
-    batch yields zero loss and a zero gradient.  Returns (loss, gradient
-    w.r.t. the logits); with grad=False the backward half is skipped and
-    the gradient is None.  `logits` is not written.  The log of a picked
-    probability is floored at 1e-300, or at the dtype's smallest normal
-    number where that is larger (float32), so that the loss stays finite.
+    The logits are feature-major: column i holds row i's C logits.
+    IGNORE targets are skipped and get a zero gradient column; an
+    all-IGNORE batch yields zero loss and a zero gradient.  Returns (loss,
+    gradient w.r.t. the logits); with grad=False the backward half is
+    skipped and the gradient is None.  `logits` is not written.  The log
+    of a picked probability is floored at 1e-300, or at the dtype's
+    smallest normal number where that is larger (float32), so that the
+    loss stays finite.
     """
     logits = np.asarray(logits)
     targets = np.asarray(target_labels).ravel()
-    if logits.ndim != 2 or len(targets) != len(logits):
+    if logits.ndim != 2 or len(targets) != logits.shape[1]:
         raise ValidationError(f"logits of shape {logits.shape} vs {len(targets)} targets")
     valid = targets != IGNORE
     n = int(np.count_nonzero(valid))
     if not n:
         return 0.0, np.zeros_like(logits) if grad else None
+    # Every column runs through the softmax.  An IGNORE column picks class
+    # 0, which its loss never reads and its gradient does not change; the
+    # column is then zeroed, to +0.0, as its probabilities are not negative.
     masked = n < len(targets)
-    labels = targets[valid] if masked else targets
-    if labels.max() >= logits.shape[1] or labels.min() < 0:
+    labels = np.where(valid, targets, 0) if masked else targets
+    if labels.max() >= len(logits) or labels.min() < 0:
         raise ValidationError("target labels outside [0, num_classes)")
-    probs = softmax_rows(logits[valid] if masked else logits.copy())
-    rows = np.arange(n)
-    picked = probs[rows, labels]
-    floor = max(1e-300, float(np.finfo(probs.dtype).tiny))
-    loss = float(-np.log(np.maximum(picked, probs.dtype.type(floor))).mean())
+    probs = softmax(logits.copy())
+    cols = np.arange(len(targets))
+    picked = probs[labels, cols]
+    floor = probs.dtype.type(max(1e-300, float(np.finfo(probs.dtype).tiny)))
+    logs = np.log(np.maximum(picked[valid] if masked else picked, floor))
+    loss = -float(np.add.reduce(logs)) / n
     if not grad:
         return loss, None
     d_logits = probs  # probs is not read again; its buffer is reused
-    d_logits[rows, labels] = picked - 1.0
+    d_logits[labels, cols] = picked - valid
     d_logits /= n
     if masked:
-        d_logits, d_kept = np.zeros_like(logits), d_logits
-        d_logits[valid] = d_kept
+        d_logits *= valid
     return loss, d_logits
 
 
 def anchor_units(bundle: ModelBundle, oracle_feats: np.ndarray) -> np.ndarray:
-    """Unit anchor embeddings (N, anchor_dim) of oracle features (N, sam_dim).
+    """Unit anchor embeddings (anchor_dim, N) of oracle features (N, sam_dim).
 
-    Row i is the frozen anchor projection s_i @ A scaled to unit norm, or a
-    zero row where the projection has ~zero norm.  The anchor head never
-    trains, so a training run computes these once.  They are in the
-    dtype of the bundle's anchor head.
+    Column i is the frozen anchor projection s_i @ A scaled to unit norm,
+    or a zero column where the projection has ~zero norm: feature-major,
+    as cosine_align_loss reads them.  The anchor head never trains, so a
+    training run computes these once.  They are in the dtype of the
+    bundle's anchor head.
     """
     head = bundle.anchor_head
-    units = np.asarray(oracle_feats, dtype=head.dtype) @ head
-    norms = np.linalg.norm(units, axis=1)
+    units = head.T @ np.asarray(oracle_feats, dtype=head.dtype).T
+    norms = np.linalg.norm(units, axis=0)
     degenerate = norms < _NORM_EPS
-    units /= np.where(degenerate, 1.0, norms)[:, None]
-    units[degenerate] = 0.0
+    units /= np.where(degenerate, 1.0, norms)
+    units[:, degenerate] = 0.0
     return units
 
 
@@ -361,59 +398,56 @@ def cosine_align_loss(x_out: np.ndarray, p_out: np.ndarray, anchors: np.ndarray,
                       ) -> Tuple[float, Optional[np.ndarray], Optional[np.ndarray], int]:
     """Pull both feature-head outputs toward the frozen anchor embedding.
 
-    `x_out` and `p_out` are the F2d and F3d head outputs of paired rows.
-    Per pair i the loss is (1 - cos(x_out_i, a_i)) + (1 - cos(p_out_i, a_i)),
-    averaged over pairs, with a_i the unit anchor embedding given in
-    `anchors` (rows of anchor_units); the frozen anchors get no gradient.
-    Zero-norm head outputs and zero anchor rows contribute cosine 0 with
-    zero gradient and are counted.  Returns (loss, gradient w.r.t. x_out,
-    gradient w.r.t. p_out, zero-norm count); with grad=False the backward
-    half is skipped and both gradients are None.  No input is written.
+    `x_out` and `p_out` are the F2d and F3d head outputs of paired rows,
+    feature-major (K, N) like `anchors`, the rows' unit anchor embeddings
+    (anchor_units).  Per pair i the loss is (1 - cos(x_i, a_i)) +
+    (1 - cos(p_i, a_i)) over the columns i, averaged over pairs; the
+    frozen anchors get no gradient.  Zero-norm head outputs and zero
+    anchor columns contribute cosine 0 with zero gradient and are counted.
+    Returns (loss, gradient w.r.t. x_out, gradient w.r.t. p_out, zero-norm
+    count); with grad=False the backward half is skipped and both
+    gradients are None.  No input is written.
     """
     x_out, p_out, a_unit = np.asarray(x_out), np.asarray(p_out), np.asarray(anchors)
-    if not (len(x_out) == len(p_out) == len(a_unit)):
-        raise ValidationError("cosine_align_loss needs equally many x, p, anchor rows")
-    n = len(x_out)
+    n = a_unit.shape[1]
+    if not x_out.shape[1] == p_out.shape[1] == n:
+        raise ValidationError("cosine_align_loss needs equally many x, p, anchor columns")
     if n == 0:
         if not grad:
             return 0.0, None, None, 0
         return 0.0, np.zeros_like(x_out), np.zeros_like(p_out), 0
 
-    a_degen = ~a_unit.any(axis=1)
+    a_degen = ~a_unit.any(axis=0)
     total = 0.0
-    zero_count = int(a_degen.sum())
+    zero_count = np.count_nonzero(a_degen)
 
     def side(out):
         nonlocal total, zero_count
-        # The arithmetic of np.linalg.norm, without its conj copy.
-        norms = np.sqrt(np.add.reduce(out * out, axis=1))
+        norms = np.sqrt(np.add.reduce(out * out, axis=0))
         degen = norms < _NORM_EPS
-        divisor = np.where(degen, 1.0, norms)[:, None]
-        unit = out / divisor
+        divisor = np.where(degen, 1.0, norms)
+        cos = np.add.reduce(out * a_unit, axis=0)
+        cos /= divisor
         dead = degen | a_degen
         masked = dead.any()
         if masked:
-            unit[degen] = 0.0
-        cos = np.einsum("ij,ij->i", unit, a_unit)
-        if masked:
             cos[dead] = 0.0
-        zero_count += int(degen.sum())
-        total += float(np.sum(1.0 - cos))
+        zero_count += np.count_nonzero(degen)
+        total += n - float(np.add.reduce(cos))
         if not grad:
             return None
-        # d(cos)/d(out) = (a_unit - cos * unit) / norm and the loss holds
-        # -cos / n, so the sign goes into the divisor; zero for dead rows.
-        d_out = cos[:, None] * unit
-        np.subtract(a_unit, d_out, out=d_out)
-        d_out /= -divisor
-        d_out /= n
+        # d(-cos / n)/d(out) = (cos * out / |out| - a) / (n |out|); zero for
+        # dead columns.
+        inv = 1.0 / (divisor * n)
+        d_out = out * (cos * inv / divisor)
+        d_out -= a_unit * inv
         if masked:
-            d_out[dead] = 0.0
+            d_out[:, dead] = 0.0
         return d_out
 
     d_x = side(x_out)
     d_p = side(p_out)
-    return total / n, d_x, d_p, zero_count
+    return total / n, d_x, d_p, int(zero_count)
 
 
 # ---------------------------------------------------------------------------
@@ -421,22 +455,21 @@ def cosine_align_loss(x_out: np.ndarray, p_out: np.ndarray, anchors: np.ndarray,
 
 
 class _Head(NamedTuple):
-    """A head folded into an encoder pass of `step`: its columns of the
-    pass output, the bundle's views of its (W, b), and their blocks of the
-    gradient vector as (slice, shape)."""
+    """A head folded into an encoder pass of `step`: its span of the pass
+    (columns of the folded map, rows of the output), the bundle's view of
+    its [W; b], and that layer's block of the gradient vector as (slice,
+    shape)."""
 
     semantic: bool
     cols: slice
-    w: np.ndarray
-    b: np.ndarray
-    grad_w: tuple
-    grad_b: tuple
+    layer: np.ndarray
+    block: tuple
 
 
 class _Pass(NamedTuple):
     """An encoder pass of `step`: the encoder, the heads folded into its
-    output layer and their total width, the encoder's (W, b) gradient
-    blocks per layer, and whether an earlier pass of the step wrote those
+    output layer and their total width, the encoder's [W; b] gradient
+    block per layer, and whether an earlier pass of the step wrote those
     blocks, so that this one adds to them."""
 
     mlp: Mlp
@@ -464,8 +497,7 @@ class _StepPlan(NamedTuple):
 
 def _step_plan(bundle: ModelBundle) -> _StepPlan:
     config = bundle.config
-    blocks = {name: (slice(start, stop), shape)
-              for name, start, stop, shape in _layout(config)}
+    blocks = _layer_blocks(config)
     num_classes = len(bundle.embeddings)
 
     def make_pass(enc, names, adds):
@@ -473,13 +505,10 @@ def _step_plan(bundle: ModelBundle) -> _StepPlan:
         for name in names:
             semantic = name.startswith("s")
             hi = lo + (num_classes if semantic else config.anchor_dim)
-            h = getattr(bundle, f"head_{name}")
-            heads.append(_Head(semantic, slice(lo, hi), h["w"], h["b"],
-                               blocks[f"head_{name}.w"], blocks[f"head_{name}.b"]))
+            heads.append(_Head(semantic, slice(lo, hi), getattr(bundle, f"head_{name}"),
+                               blocks[f"head_{name}"][0]))
             lo = hi
-        return _Pass(getattr(bundle, enc), tuple(heads), lo,
-                     tuple((blocks[f"{enc}.w{i}"], blocks[f"{enc}.b{i}"])
-                           for i in range(len(config.hidden) + 1)), adds)
+        return _Pass(getattr(bundle, enc), tuple(heads), lo, blocks[enc], adds)
 
     terms = {}
     for ce2d, ce3d, latent in itertools.product((False, True), repeat=3):
@@ -498,80 +527,73 @@ def _block(vec: np.ndarray, block) -> np.ndarray:
 
 
 def _fold(plan: _StepPlan, p: _Pass) -> Tuple[Mlp, np.ndarray]:
-    """`p`'s encoder with its output layer folded into `p`'s heads: (net, A).
-    A holds the heads' maps from latent rows side by side (fold_output): a
-    feature head's (W, b), a semantic head's class map (W, b) @ E.T / T."""
-    dtype = plan.emb.dtype
-    a = np.empty((p.mlp.weights[-1].shape[1], p.width), dtype)
-    c = np.empty(p.width, dtype)
+    """`p`'s encoder with its output layer folded into `p`'s heads: (net, m).
+    m holds the heads' maps [A; a] from latent rows side by side
+    (fold_output): a feature head's [W; b], a semantic head's class map
+    [W; b] @ E.T / T."""
+    m = np.empty((p.mlp.layers[-1].shape[1] + 1, p.width), plan.emb.dtype)
     for head in p.heads:
         if head.semantic:
-            np.matmul(head.w, plan.emb_t, out=a[:, head.cols])
-            np.matmul(head.b, plan.emb_t, out=c[head.cols])
+            np.matmul(head.layer, plan.emb_t, out=m[:, head.cols])
         else:
-            a[:, head.cols] = head.w
-            c[head.cols] = head.b
-    return fold_output(p.mlp, a, c), a
+            m[:, head.cols] = head.layer
+    return fold_output(p.mlp, m), m
 
 
 def _fold_pass(plan: _StepPlan, p: _Pass, rows: np.ndarray):
-    """Run `rows` through `p`'s folded net: (output, (net, A, forward cache))."""
-    net, a = _fold(plan, p)
+    """Run feature-major `rows` through `p`'s folded net: (output, (net, m,
+    forward cache))."""
+    net, m = _fold(plan, p)
     out, cache = mlp_forward(net, rows)
-    return out, (net, a, cache)
+    return out, (net, m, cache)
 
 
-def class_layer(bundle: ModelBundle, enc: str) -> Tuple[np.ndarray, np.ndarray]:
+def class_layer(bundle: ModelBundle, enc: str) -> np.ndarray:
     """Encoder `enc`'s output layer folded into its semantic head's class
-    map, (W_L @ M, b_L @ M + c): the last layer of `step`'s fold for a
-    batch of `enc`'s labelled rows alone.  class_logits applies it."""
+    map, [W_L; b_L] @ M plus c in the bias row: the last layer of `step`'s
+    fold for a batch of `enc`'s labelled rows alone.  class_logits applies
+    it."""
     plan = bundle.step_plan
     p = {"enc2d": plan.terms[True, False, False][0],
          "enc3d": plan.terms[False, True, False][1]}[enc]
-    net = _fold(plan, p)[0]
-    return net.weights[-1], net.biases[-1]
+    return _fold(plan, p)[0].layers[-1]
 
 
 def _backward(plan: _StepPlan, p: _Pass, run, d_out: np.ndarray, total: np.ndarray):
     """Write (or add, when p.adds) the gradient of one folded pass into `total`.
 
-    The folded output layer's weight and bias gradients g = h.T @ D and
-    s = D.sum(0) are carried back through the fold (A, a) by the chain
-    rule: dW_L = g @ A.T, db_L = s @ A.T, dA = W_L.T @ g + b_L s^T and
-    da = s.  A semantic head's (M, c) = (W, b) @ E.T / T passes dA and da
-    on through E / T.
+    The folded output layer's gradient G = [g; s] = h @ D.T comes back
+    through the fold m = [A; a] by the chain rule: the encoder's last
+    layer gets G @ A.T, and the map gets [W_L; b_L].T @ G (which holds
+    W_L.T @ g + b_L s^T) over the row s.  A semantic head's map [W; b] @
+    E.T / T passes its gradient on through E / T.
     """
-    net, a, cache = run
-    views = [(_block(total, w), _block(total, b)) for w, b in p.blocks]
+    net, m, cache = run
+    views = [_block(total, block) for block in p.blocks]
     if p.adds:
-        d_w, d_b = mlp_backward(net, cache, d_out)
-        for (w, b), dw, db in zip(views[:-1], d_w, d_b):
-            w += dw
-            b += db
-        g, s = d_w[-1], d_b[-1]
-        views[-1][0][...] += g @ a.T
-        views[-1][1][...] += s @ a.T
+        grads = mlp_backward(net, cache, d_out)
+        for view, g in zip(views[:-1], grads):
+            view += g
+        views[-1] += grads[-1] @ m[:-1].T
     else:
-        d_w, d_b = mlp_backward(net, cache, d_out, out=views[:-1] + [None])
-        g, s = d_w[-1], d_b[-1]
-        np.matmul(g, a.T, out=views[-1][0])
-        np.matmul(s, a.T, out=views[-1][1])
-    d_a = p.mlp.weights[-1].T @ g
-    d_a += p.mlp.biases[-1][:, None] * s
+        grads = mlp_backward(net, cache, d_out, out=views[:-1] + [None])
+        np.matmul(grads[-1], m[:-1].T, out=views[-1])
+    g = grads[-1]
+    d_map = np.empty_like(m)
+    np.matmul(p.mlp.layers[-1].T, g, out=d_map[:-1])
+    d_map[-1] = g[-1]
     for head in p.heads:
         if head.semantic:
-            np.matmul(d_a[:, head.cols], plan.emb, out=_block(total, head.grad_w))
-            np.matmul(s[head.cols], plan.emb, out=_block(total, head.grad_b))
+            np.matmul(d_map[:, head.cols], plan.emb, out=_block(total, head.block))
         else:
-            _block(total, head.grad_w)[...] = d_a[:, head.cols]
-            _block(total, head.grad_b)[...] = s[head.cols]
+            _block(total, head.block)[...] = d_map[:, head.cols]
 
 
 def _branch_pattern(passes, runs) -> bytes:
     """What picks the non-smooth branches of a step, read off its passes.
 
     `passes` are step's three passes, None where one did not run, and
-    `runs` what _fold_pass returned for each: (output, (net, A, forward
+    `runs` what _fold_pass returned for each: (output, (net, m, forward
     cache)).  The pattern is the sign of every hidden unit, per row, of
     every pass that ran, and whether each feature-head output row has zero
     norm, which cosine_align_loss answers with the same test.
@@ -580,11 +602,11 @@ def _branch_pattern(passes, runs) -> bytes:
     for p, (out, run) in zip(passes, runs):
         if p is None:
             continue
-        parts += [h > 0 for h in run[2][1:-1]]
+        parts += [h[:-1] > 0 for h in run[2][1:-1]]
         feature = p.heads[-1]
         if not feature.semantic:
-            f = out[:, feature.cols]
-            parts.append(np.sqrt(np.add.reduce(f * f, axis=1)) < _NORM_EPS)
+            f = out[feature.cols]
+            parts.append(np.sqrt(np.add.reduce(f * f, axis=0)) < _NORM_EPS)
     return b"".join(part.tobytes() for part in parts)
 
 
@@ -600,6 +622,10 @@ def step(bundle: ModelBundle, batch: dict, grad: bool = True
     * "pair3d" (the 3D rows paired with the "x2d" rows), "anchors" (their
       unit anchor embeddings, see anchor_units) and "latent_weight" w: the
       latent term l_latent.
+
+    Rows are feature-major, as an Mlp reads them (feature_major): the
+    x2d, x3d and pair3d rows are (D + 1, N) with a trailing ones row, the
+    anchors (anchor_dim, N); labels are (N,).
 
     Returns ({"loss", "l_ce2d", "l_ce3d", "l_latent"}, gradient), where
     loss = l_ce2d + l_ce3d + w * l_latent and the gradient, laid out like
@@ -624,12 +650,12 @@ def step(bundle: ModelBundle, batch: dict, grad: bool = True
 
     l_ce2d = l_ce3d = l_latent = 0.0
     if ce2d:
-        l_ce2d, d_s2d = ce_loss(out2d[:, :plan.num_classes], batch["y2d"], grad=grad)
+        l_ce2d, d_s2d = ce_loss(out2d[:plan.num_classes], batch["y2d"], grad=grad)
     if ce3d:
         l_ce3d, d_s3d = ce_loss(out3d, batch["y3d"], grad=grad)
     if latent:
         l_latent, d_f2d, d_f3d, _ = cosine_align_loss(
-            out2d[:, pass2d.heads[-1].cols], outp, batch["anchors"], grad=grad)
+            out2d[pass2d.heads[-1].cols], outp, batch["anchors"], grad=grad)
         if grad and weight != 1.0:  # the gradients are fresh arrays
             d_f2d *= weight
             d_f3d *= weight
@@ -643,9 +669,7 @@ def step(bundle: ModelBundle, batch: dict, grad: bool = True
     total = alloc(plan.size, plan.emb.dtype)
     if pass2d:
         if ce2d and latent:
-            d_out = np.empty((len(d_s2d), pass2d.width), plan.emb.dtype)
-            d_out[:, :plan.num_classes] = d_s2d
-            d_out[:, plan.num_classes:] = d_f2d
+            d_out = np.concatenate((d_s2d, d_f2d))
         else:
             d_out = d_s2d if ce2d else d_f2d
         _backward(plan, pass2d, run2d, d_out, total)

@@ -25,7 +25,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .evaluation import confusion, csv_cell, miou
 from .nncore import (ModelBundle, ModelConfig, anchor_units, class_layer,
-                     class_logits, make_bundle, mlp_forward, sgd_step, step)
+                     class_logits, feature_major, make_bundle, mlp_forward,
+                     sgd_step, step)
 from .pseudolabel import (IGNORE, derive_clip_labels, refine_points_by_view_masks,
                           refine_views, transfer_labels)
 from .scenesynth import (MAX_DESCRIPTOR_NOISE, PIXEL_DESC_DIM, POINT_DESC_DIM,
@@ -121,10 +122,17 @@ class TrainState:
 
 def scene_descriptors(scene: Scene,
                       noise: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Pixel descriptors of every view (V, H, W, D) and point descriptors (N, D)."""
-    desc2d = np.stack([pixel_descriptors(scene, k, noise)
-                       for k in range(len(scene.cameras))])
-    return desc2d, point_descriptors(scene, noise)
+    """Pixel descriptors of every view (D + 1, V, H, W) and point descriptors
+    (D + 1, N), feature-major with a trailing ones row, as the encoders read
+    them (nncore.feature_major).  Each view is written into place as it is
+    built, so no row-major copy of all views is held."""
+    camera = scene.cameras[0]
+    desc2d = np.empty((PIXEL_DESC_DIM + 1, len(scene.cameras), camera.height,
+                       camera.width), np.float32)
+    desc2d[-1] = 1
+    for k in range(len(scene.cameras)):
+        desc2d[:-1, k] = np.moveaxis(pixel_descriptors(scene, k, noise), -1, 0)
+    return desc2d, feature_major(point_descriptors(scene, noise))
 
 
 def init_state(scene: Scene, oracles: dict, config: TrainConfig,
@@ -164,7 +172,7 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
             f"model sam_dim (config feat_dim) {model_config.sam_dim} != "
             f"oracle feature dim {feat_dim}")
     input_dims = ((PIXEL_DESC_DIM, POINT_DESC_DIM) if descriptors is None
-                  else (descriptors[0].shape[-1], descriptors[1].shape[-1]))
+                  else (len(descriptors[0]) - 1, len(descriptors[1]) - 1))
     if (model_config.input2d_dim, model_config.input3d_dim) != input_dims:
         raise ValidationError("model input dims do not match descriptor dims")
     bundle = make_bundle(model_config, embeddings, config.seed).astype(np.float32)
@@ -180,7 +188,7 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
 
     data = {
         "desc2d": desc2d, "desc3d": desc3d,
-        "x2d": desc2d[entries], "anchors": anchor_units(bundle, anchors),
+        "x2d": desc2d[(slice(None), *entries)], "anchors": anchor_units(bundle, anchors),
         "ent_point": corr.point_index,
         "gt_pixel": gt_pixel_stack(scene), "gt_point": scene.cloud.gt_labels,
         "masks": masks, "point_masks": labels["point_masks"],
@@ -222,30 +230,37 @@ _CHUNK = 1024
 
 
 def _predict_rows(bundle: ModelBundle, enc: str, rows: np.ndarray) -> np.ndarray:
-    """Argmax semantic-head prediction of encoder `enc` for (N, D) rows, by chunk.
+    """Argmax semantic-head prediction of encoder `enc` for feature-major
+    rows (D + 1, N), by chunk of columns.
 
     The encoder's output layer is folded into the class map once per call
     by the training step's fold (class_layer), so each chunk runs the
-    hidden layers and then one layer to the logits.
+    hidden layers and then one layer to the logits.  Logits that overflow
+    (or a NaN) end in NumericalError, as a training step's do.
     """
-    out = np.empty(len(rows), dtype=np.int32)
+    count = rows.shape[1]
+    out = np.empty(count, dtype=np.int32)
     mlp = getattr(bundle, enc)
     folded = class_layer(bundle, enc)
-    for lo in range(0, len(rows), _CHUNK):
-        hidden, _ = mlp_forward(mlp, rows[lo:lo + _CHUNK], hidden_only=True)
-        out[lo:lo + _CHUNK] = np.argmax(class_logits(hidden, folded), axis=1)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for lo in range(0, count, _CHUNK):
+                hidden, _ = mlp_forward(mlp, rows[:, lo:lo + _CHUNK], hidden_only=True)
+                out[lo:lo + _CHUNK] = np.argmax(class_logits(hidden, folded), axis=0)
+    except FloatingPointError as exc:
+        raise NumericalError(f"{enc} inference: non-finite result ({exc})") from exc
     return out
 
 
 def predict_labels_2d(bundle: ModelBundle, desc: np.ndarray) -> np.ndarray:
-    """Argmax semantic-head prediction for (V, H, W, D) pixel descriptors."""
-    views, h, w, dim = desc.shape
-    labels = _predict_rows(bundle, "enc2d", desc.reshape(-1, dim))
-    return labels.reshape(views, h, w)
+    """Argmax semantic-head prediction for (D + 1, V, H, W) pixel
+    descriptors (scene_descriptors): labels (V, H, W)."""
+    labels = _predict_rows(bundle, "enc2d", desc.reshape(len(desc), -1))
+    return labels.reshape(desc.shape[1:])
 
 
 def predict_labels_3d(bundle: ModelBundle, desc: np.ndarray) -> np.ndarray:
-    """Argmax semantic-head prediction for (N, D) point descriptors."""
+    """Argmax semantic-head prediction for (D + 1, N) point descriptors."""
     return _predict_rows(bundle, "enc3d", desc)
 
 
@@ -313,6 +328,20 @@ def _draw_sources(state: TrainState, counts2d: np.ndarray, counts3d: np.ndarray
     return per_step[0::2], per_step[1::2]
 
 
+def _step_blocks(rows: np.ndarray, index: np.ndarray, width: int) -> np.ndarray:
+    """Columns `index` of feature-major `rows` (F, N), in order, as one
+    C-contiguous (F, width) block per step: (steps, F, width).  A last,
+    short block is filled up from the start of `index`; its step reads
+    only the columns it has."""
+    steps = -(-len(index) // width)
+    blocks = np.empty((steps, len(rows), width), rows.dtype)
+    # Every index is in range; a mode other than "raise" lets take write
+    # straight into the transposed view.
+    np.take(rows, np.resize(index, (steps, width)), axis=1,
+            out=blocks.transpose(1, 0, 2), mode="wrap")
+    return blocks
+
+
 def _run_epoch(state: TrainState, stage: int) -> dict:
     cfg = state.config
     data = state.data
@@ -325,15 +354,18 @@ def _run_epoch(state: TrainState, stage: int) -> dict:
     steps = math.ceil(n_ent / cfg.batch_pixels)
     # Step t trains on entries order[t * batch_pixels:][:batch_pixels] and
     # on the next batch_points points of point_order, which wraps around.
-    # The epoch's rows are gathered once, in this order; each step picks
-    # its labels from the drawn source rows, and a per-batch draw
-    # broadcasts over the batch.
+    # The epoch's rows are gathered once, in this order, into one
+    # contiguous block per step (_step_blocks); each step picks its labels
+    # from the drawn source rows, and a per-batch draw broadcasts over the
+    # batch.
     pts = point_order[np.arange(steps * cfg.batch_points) % num_points]
-    x2d, x3d = data["x2d"][order], data["desc3d"][pts]
+    x2d = _step_blocks(data["x2d"], order, cfg.batch_pixels)
+    x3d = _step_blocks(data["desc3d"], pts, cfg.batch_points)
+    pts = pts.reshape(steps, cfg.batch_points)
     use_latent = cfg.latent_loss_weight > 0
     if use_latent:
-        pair3d = data["desc3d"][data["ent_point"][order]]
-        anchors = data["anchors"][order]
+        pair3d = _step_blocks(data["desc3d"], data["ent_point"][order], cfg.batch_pixels)
+        anchors = _step_blocks(data["anchors"], order, cfg.batch_pixels)
     if stage == 1:  # each network's own-modality oracle labels
         draws2d, draws3d = [0] * steps, [1] * steps
     else:
@@ -341,26 +373,29 @@ def _run_epoch(state: TrainState, stage: int) -> dict:
         draws2d, draws3d = _draw_sources(state, counts2d,
                                          np.full(steps, cfg.batch_points))
     sums = {"l_ce2d": 0.0, "l_ce3d": 0.0, "l_latent": 0.0}
-    for t in range(steps):
-        rows2d = slice(t * cfg.batch_pixels, (t + 1) * cfg.batch_pixels)
-        rows3d = slice(t * cfg.batch_points, (t + 1) * cfg.batch_points)
-        batch = {"x2d": x2d[rows2d], "y2d": state.labels2d[draws2d[t], order[rows2d]],
-                 "x3d": x3d[rows3d], "y3d": state.labels3d[draws3d[t], pts[rows3d]]}
-        if use_latent:
-            batch["pair3d"] = pair3d[rows2d]
-            batch["anchors"] = anchors[rows2d]
-            batch["latent_weight"] = cfg.latent_loss_weight
-        losses, grad = step(bundle, batch)
-        try:
-            sgd_step(bundle, grad, cfg.lr)
-        except NumericalError as exc:
-            bad = [key for key in sums if not math.isfinite(losses[key])]
-            term = (f"first non-finite loss term {bad[0]}" if bad
-                    else "every loss term finite")
-            raise NumericalError(f"epoch {state.epoch} stage {stage} step {t}: "
-                                 f"{exc} ({term})") from exc
-        for key in sums:
-            sums[key] += losses[key]
+    # A step that overflows, or forms a NaN or a division by zero, raises at
+    # that operation: the abort names the step, and no warning comes first.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for t in range(steps):
+            ents = order[t * cfg.batch_pixels:(t + 1) * cfg.batch_pixels]
+            cols = slice(len(ents))
+            batch = {"x2d": x2d[t, :, cols], "y2d": state.labels2d[draws2d[t], ents],
+                     "x3d": x3d[t], "y3d": state.labels3d[draws3d[t], pts[t]]}
+            if use_latent:
+                batch["pair3d"] = pair3d[t, :, cols]
+                batch["anchors"] = anchors[t, :, cols]
+                batch["latent_weight"] = cfg.latent_loss_weight
+            try:
+                losses, grad = step(bundle, batch)
+                sgd_step(bundle, grad, cfg.lr)
+            except FloatingPointError as exc:
+                raise NumericalError(f"epoch {state.epoch} stage {stage} step {t}: "
+                                     f"non-finite result ({exc}); step aborted") from exc
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"epoch {state.epoch} stage {stage} step {t}: {exc}") from exc
+            for key in sums:
+                sums[key] += losses[key]
     return {key: value / steps for key, value in sums.items()}
 
 

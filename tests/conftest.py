@@ -1,11 +1,15 @@
 """Shared fixtures: one small scene with oracle outputs, reused read-only;
 project_point, the one-point projection the geometry tests check
 cnslab's vectorized code against; class_map, the reference class map the
-folded logits are checked against; and mutate, which swaps in a function
-with one line of its source edited, for the gradient checker's mutants."""
+folded logits are checked against; mutate, which swaps in a function
+with one line of its source edited, for the gradient checker's mutants;
+and kernels, the BLAS and SIMD kernels that byte pins of float32
+training depend on."""
 
+import ctypes
 import inspect
 import os
+from pathlib import Path
 
 # One BLAS thread, set before numpy is first imported: the suite's arrays
 # are small, and a thread per core oversubscribes the cores when two
@@ -46,12 +50,11 @@ def project_point(camera: CameraModel, point):
 
 
 def class_map(bundle, head: str):
-    """A semantic head folded into the class embeddings: (M, c), with
-    M = W @ E.T / T and c = b @ E.T / T, so that the logits of latent rows
-    f are (f @ W + b) @ E.T / T = f @ M + c."""
-    h = getattr(bundle, f"head_{head}")
+    """A semantic head folded into the class embeddings: [M; c] = [W; b] @
+    E.T / T, in the layer form of the head [W; b], so that the logits of
+    latent rows f are (f @ W + b) @ E.T / T = f @ M + c."""
     scale = (bundle.embeddings / bundle.config.temperature).T
-    return h["w"] @ scale, h["b"] @ scale
+    return getattr(bundle, f"head_{head}") @ scale
 
 
 def mutate(monkeypatch, module, name: str, old: str, new: str):
@@ -65,6 +68,31 @@ def mutate(monkeypatch, module, name: str, old: str, new: str):
     scope = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), scope)
     monkeypatch.setattr(module, name, scope[name])
+
+
+def kernels() -> dict:
+    """The kernels this process computes with: the core OpenBLAS picked at
+    start-up (OPENBLAS_CORETYPE sets it per process), read from the
+    OpenBLAS that numpy bundles, and numpy's enabled SIMD targets.  A
+    float32 training run's bytes depend on both."""
+    from numpy._core import _multiarray_umath as umath
+
+    simd = " ".join(target for target in umath.__cpu_dispatch__
+                    if umath.__cpu_features__.get(target))
+    core = "unknown"
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    return {"openblas_core": core, "numpy_simd": simd}
+
+
+# What the byte pins of trained outputs (test_cli.TRAIN_SHA256,
+# test_ablation.SHARED_REPORT_SHA256) were recorded under; see kernels().
+PINS_RECORDED_UNDER = {"openblas_core": "SkylakeX",
+                       "numpy_simd": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
 
 
 @pytest.fixture(scope="session")

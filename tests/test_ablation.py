@@ -23,6 +23,8 @@ from cnslab.scenesynth import (PIXEL_DESC_DIM, POINT_DESC_DIM, ClipNoiseConfig,
                                standard_oracle_outputs)
 from cnslab.training import TrainConfig, scene_descriptors, train
 
+from conftest import PINS_RECORDED_UNDER, kernels
+
 TINY_SCENE = SceneConfig(object_count=4, points_per_object=120,
                          background_points=500, num_classes=5, camera_count=3,
                          image_width=32, image_height=32, focal=24.0)
@@ -205,8 +207,9 @@ def test_median_over_seeds():
 # ---------------------------------------------------------------------------
 # descriptors shared by the trained rows of a seed
 
-# report.csv of shared_suite().  Its figures are those of a run in which
-# every trained row built its own descriptors and ran its own stage 1.
+# report.csv of shared_suite(), recorded under conftest.PINS_RECORDED_UNDER.
+# Its figures are those of a run in which every trained row built its own
+# descriptors and ran its own stage 1.
 SHARED_REPORT_SHA256 = \
     "a060234243fe26bda2efabdeb072ec1e01eab4ca6753a0ebbc060c674cbecceb"
 
@@ -237,7 +240,8 @@ def test_trained_rows_share_one_descriptor_build_per_seed(descriptor_builds,
     assert not any("error" in entry for entry in report.rows)
     write_report_csv(report, tmp_path / "report.csv")
     digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
-    assert digest == SHARED_REPORT_SHA256
+    assert digest == SHARED_REPORT_SHA256, (f"pinned under {PINS_RECORDED_UNDER}, "
+                                            f"running under {kernels()}")
 
 
 def test_label_only_rows_build_no_descriptors(descriptor_builds):

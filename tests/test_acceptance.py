@@ -18,7 +18,8 @@ import pytest
 from cnslab import ablation, cli, evaluation, pseudolabel, training
 from cnslab.bundle import read_bundle, write_bundle
 from cnslab.geometry import build_correspondences
-from cnslab.nncore import ModelConfig, make_bundle, mlp_forward, param_views, step
+from cnslab.nncore import (ModelConfig, feature_major, make_bundle, mlp_forward,
+                           param_views, step)
 from cnslab.scenesynth import (PIXEL_DESC_DIM, POINT_DESC_DIM, ClipNoiseConfig,
                                MaskFragConfig, SceneConfig, generate_scene,
                                mock_clip_scores, mock_sam_masks,
@@ -271,15 +272,15 @@ def test_ac7_latent_anchoring():
         for k in range(len(scene.cameras)):
             view = render_view(scene, k)
             visible = view.point_index >= 0
-            latent = mlp_forward(model.enc2d, pixel_descriptors(
-                scene, k, suite.train.descriptor_noise)[visible])[0]
-            feats.append(latent @ model.head_f2d["w"] + model.head_f2d["b"])
+            latent = mlp_forward(model.enc2d, feature_major(pixel_descriptors(
+                scene, k, suite.train.descriptor_noise)[visible]))[0].T
+            feats.append(latent @ model.head_f2d[:-1] + model.head_f2d[-1])
             groups.append(view.object_id[visible])
         gaps2d.append(_cosine_gap(np.concatenate(feats),
                                   np.concatenate(groups), rng))
-        latent = mlp_forward(model.enc3d, point_descriptors(
-            scene, suite.train.descriptor_noise))[0]
-        feats3d = latent @ model.head_f3d["w"] + model.head_f3d["b"]
+        latent = mlp_forward(model.enc3d, feature_major(point_descriptors(
+            scene, suite.train.descriptor_noise)))[0].T
+        feats3d = latent @ model.head_f3d[:-1] + model.head_f3d[-1]
         gaps3d.append(_cosine_gap(feats3d, scene.cloud.object_ids, rng))
     gap2d, gap3d = np.median(gaps2d), np.median(gaps3d)
     _report(7, f"median within-object minus cross-object cosine gap: "

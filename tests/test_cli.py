@@ -25,7 +25,7 @@ from cnslab.bundle import read_manifest, read_raster, write_raster
 from cnslab.errors import ConfigError, ValidationError
 from cnslab.scenesynth import mock_text_embeddings
 
-from conftest import TINY_TRAIN
+from conftest import PINS_RECORDED_UNDER, TINY_TRAIN, kernels
 
 TINY_CFG = dict(TINY_TRAIN, feat_dim=8, embed_dim=16, anchor_dim=8,
                 hidden="32", latent_dim=24, stage1_epochs=1, total_epochs=2,
@@ -597,20 +597,41 @@ def test_dim_mismatch_fails_before_the_descriptor_build(pipeline, tmp_path, caps
     assert built == []
 
 
-def test_numerical_abort_names_where_it_happened(pipeline, tmp_path, capsys):
-    # At this learning rate the 2D logits overflow within the first epoch
-    # once the batches are small enough to take many steps.
+def _abort_message(pipeline, tmp_path, capsys, *flags):
+    """stderr of a tiny train with `flags` that must end in a numerical
+    abort; any RuntimeWarning is an error."""
     cfg = _write_cfg(tmp_path / "tiny.cfg")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         code = cli.main(["train", str(pipeline / "synth" / "bundle"),
-                         "--config", str(cfg), "--out", str(tmp_path / "x"),
-                         "--lr", "1000", "--total_epochs", "2", "--stage1_epochs", "1",
-                         "--batch_pixels", "16", "--batch_points", "16"])
+                         "--config", str(cfg), "--out", str(tmp_path / "x"), *flags])
     assert code == 2
-    err = capsys.readouterr().err
-    assert ("numerical abort: epoch 0 stage 1 step 4: non-finite gradient; "
-            "step aborted (first non-finite loss term l_ce2d)") in err
+    return capsys.readouterr().err
+
+
+def test_numerical_abort_names_where_it_happened(pipeline, tmp_path, capsys):
+    # At this learning rate the 2D logits overflow within the first epoch
+    # once the batches are small enough to take many steps.  The step
+    # raises at the overflow, so no RuntimeWarning comes before the abort.
+    err = _abort_message(pipeline, tmp_path, capsys, "--lr", "1000",
+                         "--total_epochs", "2", "--stage1_epochs", "1",
+                         "--batch_pixels", "16", "--batch_points", "16")
+    assert err == ("numerical abort: epoch 0 stage 1 step 4: non-finite result "
+                   "(overflow encountered in matmul); step aborted\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--descriptor_noise", "10", "--batch_pixels", "16", "--batch_points", "16"),
+     "epoch 0 stage 1 step 14: non-finite result (overflow encountered in matmul); "
+     "step aborted"),
+    # At 100 the steps of epoch 0 stay finite, and its inference overflows.
+    (("--descriptor_noise", "100"),
+     "enc3d inference: non-finite result (overflow encountered in matmul)"),
+], ids=["step", "inference"])
+def test_descriptor_noise_abort_comes_before_any_warning(pipeline, tmp_path, capsys,
+                                                         flags, message):
+    err = _abort_message(pipeline, tmp_path, capsys, *flags)
+    assert err == f"numerical abort: {message}\n"
 
 
 def test_train_refuses_a_checkpoint_that_overflows_float32(pipeline, tmp_path, capsys):
@@ -822,10 +843,11 @@ def test_readme_refine_line_is_the_default_bundle(default_refine):
     assert f"error from {raw:.2f} to {refined:.2f} before any training" in text
 
 
-# sha256 of the train and eval outputs of the `pipeline` fixture (TINY_CFG).
+# sha256 of the train and eval outputs of the `pipeline` fixture (TINY_CFG),
+# recorded under conftest.PINS_RECORDED_UNDER.
 TRAIN_SHA256 = {
-    "train/checkpoint.ckpt": "7db6d62d60b445c0ab0ed9146bfd58fa5e7e652d129576b263b9606aad5de69f",
-    "train/metrics.csv": "e96e3eb4aecc0d9eec97d5cfda1cf88a4783653a601303e2547533623618d2e7",
+    "train/checkpoint.ckpt": "a7aef511d2c03cc1931949d16a09ad5f0078d06b79d3d50f1db40e951f1e8877",
+    "train/metrics.csv": "10edea840b806c3c3a8defcf9cb0a55418a42330817b0cbca9467b962ee23604",
     "eval/eval.csv": "50fca71f67d5d6d0e6f006bba9cf48f776bc7cd959a8af1fad95a4b4c2fa29ed",
 }
 
@@ -833,7 +855,8 @@ TRAIN_SHA256 = {
 def test_train_and_eval_bytes_are_pinned(pipeline):
     digests = {name: hashlib.sha256((pipeline / name).read_bytes()).hexdigest()
                for name in TRAIN_SHA256}
-    assert digests == TRAIN_SHA256
+    assert digests == TRAIN_SHA256, (f"pinned under {PINS_RECORDED_UNDER}, "
+                                     f"running under {kernels()}")
 
 
 def test_noise_sweep_script(tmp_path):

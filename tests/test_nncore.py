@@ -2,7 +2,9 @@
 
 Analytic gradients are verified against central finite differences;
 loss values are checked against closed-form cases (uniform softmax,
-perfectly aligned or anti-aligned features) worked out by hand.
+perfectly aligned or anti-aligned features) worked out by hand.  The
+encoders and losses read feature-major rows (one column per row); the
+references below are written in plain row-major numpy.
 """
 
 import itertools
@@ -15,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 from cnslab import cli, nncore, training
 from cnslab.errors import NumericalError, ValidationError
 from cnslab.nncore import (Mlp, ModelConfig, anchor_units, ce_loss, class_layer,
-                           class_logits, cosine_align_loss, fold_output, grad_check,
-                           load_checkpoint, make_bundle, mlp_backward, mlp_forward,
-                           param_views, save_checkpoint, sgd_step, softmax_rows, step)
+                           class_logits, cosine_align_loss, feature_major, fold_output,
+                           grad_check, load_checkpoint, make_bundle, mlp_backward,
+                           mlp_forward, param_views, save_checkpoint, sgd_step, softmax,
+                           step)
 from cnslab.pseudolabel import IGNORE
 from cnslab.scenesynth import mock_text_embeddings
 
@@ -34,9 +37,18 @@ def tiny_bundle(temperature=1.0, seed=5, hidden=(8,)):
 
 def he_mlp(widths, rng):
     """He-initialized MLP with zero biases."""
-    return Mlp([rng.standard_normal((a, b)) * np.sqrt(2.0 / a)
-                for a, b in zip(widths[:-1], widths[1:])],
-               [np.zeros(b) for b in widths[1:]])
+    return Mlp([np.vstack([rng.standard_normal((a, b)) * np.sqrt(2.0 / a), np.zeros(b)])
+                for a, b in zip(widths[:-1], widths[1:])])
+
+
+def rows_forward(mlp, x):
+    """The MLP in plain row-major form: h @ W + b per layer, ReLU between."""
+    h = x
+    for i, layer in enumerate(mlp.layers):
+        h = h @ layer[:-1] + layer[-1]
+        if i < len(mlp.layers) - 1:
+            h = np.maximum(h, 0.0)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -44,79 +56,91 @@ def he_mlp(widths, rng):
 
 
 def test_mlp_zero_net_maps_to_zero():
-    mlp = Mlp([np.zeros((3, 4)), np.zeros((4, 2))],
-              [np.zeros(4), np.zeros(2)])
-    out, _ = mlp_forward(mlp, np.ones((5, 3)))
-    assert np.array_equal(out, np.zeros((5, 2)))
+    mlp = Mlp([np.zeros((4, 4)), np.zeros((5, 2))])
+    out, _ = mlp_forward(mlp, feature_major(np.ones((5, 3))))
+    assert np.array_equal(out, np.zeros((2, 5)))
 
 
 def test_mlp_identity_layer():
-    mlp = Mlp([np.eye(3)], [np.zeros(3)])
+    mlp = Mlp([np.vstack([np.eye(3), np.zeros(3)])])
     x = np.array([[1.0, -2.0, 0.5]])
-    out, _ = mlp_forward(mlp, x)
+    out, _ = mlp_forward(mlp, feature_major(x))
     # Single layer means linear output: negatives pass through.
-    assert np.array_equal(out, x)
+    assert np.array_equal(out, x.T)
+
+
+def test_feature_major_adds_a_ones_row():
+    rows = np.arange(6, dtype=np.float32).reshape(3, 2)
+    x = feature_major(rows)
+    assert x.dtype == np.float32 and x.flags.c_contiguous
+    assert np.array_equal(x, [[0, 2, 4], [1, 3, 5], [1, 1, 1]])
 
 
 def test_mlp_forward_brute_force(rng):
     mlp = he_mlp([4, 6, 5, 3], rng)
-    x = rng.standard_normal((7, 4))
+    for layer in mlp.layers:
+        layer[-1] = rng.standard_normal(layer.shape[1])
+    rows = rng.standard_normal((7, 4))
+    x = feature_major(rows)
     x_before = x.copy()
     out, cache = mlp_forward(mlp, x)
     assert np.array_equal(x, x_before)
     assert cache[0] is x
-    h = x
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = h @ w + b
-        if i < len(mlp.weights) - 1:
+    h = rows
+    for i, layer in enumerate(mlp.layers):
+        h = h @ layer[:-1] + layer[-1]
+        if i < len(mlp.layers) - 1:
             h = np.where(h > 0, h, 0.0)
-            # The cache holds each hidden layer's post-ReLU activations.
-            assert np.allclose(cache[i + 1], h, atol=1e-12)
-            assert (cache[i + 1] >= 0).all()
-    assert np.allclose(out, h, atol=1e-12)
+            # The cache holds each hidden layer's post-ReLU activations,
+            # feature-major, over a row of ones.
+            assert np.allclose(cache[i + 1][:-1], h.T, atol=1e-12)
+            assert (cache[i + 1] >= 0).all() and (cache[i + 1][-1] == 1).all()
+    assert np.allclose(out, h.T, atol=1e-12)
     assert cache[-1] is out
+    hidden, _ = mlp_forward(mlp, x, hidden_only=True)
+    assert np.array_equal(hidden, cache[-2])
 
 
 def test_mlp_backward_matches_finite_difference(rng):
     mlp = he_mlp([3, 5, 2], rng)
-    x = rng.standard_normal((4, 3))
-    d_out = rng.standard_normal((4, 2))
+    x = feature_major(rng.standard_normal((4, 3)))
+    d_out = rng.standard_normal((2, 4))
 
     def scalar_loss():
         out, _ = mlp_forward(mlp, x)
         return float(np.sum(out * d_out))
 
     out, cache = mlp_forward(mlp, x)
-    d_w, d_b = mlp_backward(mlp, cache, d_out)
+    grads = mlp_backward(mlp, cache, d_out)
+    assert [g.shape for g in grads] == [layer.shape for layer in mlp.layers]
     eps = 1e-6
-    for arrs, grads in ((mlp.weights, d_w), (mlp.biases, d_b)):
-        for arr, grad in zip(arrs, grads):
-            flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + eps
-                hi = scalar_loss()
-                flat[j] = orig - eps
-                lo = scalar_loss()
-                flat[j] = orig
-                assert abs((hi - lo) / (2 * eps) - gflat[j]) < 1e-5
+    for layer, grad in zip(mlp.layers, grads):
+        flat = layer.reshape(-1)
+        gflat = grad.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + eps
+            hi = scalar_loss()
+            flat[j] = orig - eps
+            lo = scalar_loss()
+            flat[j] = orig
+            assert abs((hi - lo) / (2 * eps) - gflat[j]) < 1e-5
 
 
 def test_mlp_validation():
     with pytest.raises(ValidationError):
-        Mlp([], [])
+        Mlp([])
     with pytest.raises(ValidationError):
-        Mlp([np.zeros((3, 4))], [np.zeros(5)])
+        Mlp([np.zeros(5)])
     with pytest.raises(ValidationError):
-        Mlp([np.zeros((3, 4)), np.zeros((5, 2))], [np.zeros(4), np.zeros(2)])
+        Mlp([np.zeros((4, 4)), np.zeros((6, 2))])
 
 
 def test_make_bundle_initial_weights():
     bundle = tiny_bundle()
     for mlp, fan_in in ((bundle.enc2d, 5), (bundle.enc3d, 6)):
-        assert [w.shape for w in mlp.weights] == [(fan_in, 8), (8, 7)]
-        assert all(np.array_equal(b, np.zeros_like(b)) for b in mlp.biases)
+        assert [layer.shape for layer in mlp.layers] == [(fan_in + 1, 8), (9, 7)]
+        assert not any(layer[-1].any() for layer in mlp.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +155,7 @@ def test_make_bundle_deterministic():
     views_b = param_views(b.config, b.params)
     for name in views_a:
         assert np.array_equal(views_a[name], views_b[name])
-    assert not np.array_equal(a.enc2d.weights[0], c.enc2d.weights[0])
+    assert not np.array_equal(a.enc2d.layers[0], c.enc2d.layers[0])
     assert np.array_equal(a.anchor_head, b.anchor_head)
 
 
@@ -143,9 +167,12 @@ def test_param_views_order_and_views():
                      "enc3d.w0", "enc3d.b0", "enc3d.w1", "enc3d.b1",
                      "head_s2d.w", "head_s2d.b", "head_s3d.w", "head_s3d.b",
                      "head_f2d.w", "head_f2d.b", "head_f3d.w", "head_f3d.b"]
-    # Entries are live views onto the bundle arrays and its one vector.
+    # Entries are live views onto the bundle arrays and its one vector; a
+    # layer [W; b] is a weight and the bias after it.
     views["head_s2d.b"][0] = 42.0
-    assert bundle.head_s2d["b"][0] == 42.0
+    assert bundle.head_s2d[-1, 0] == 42.0
+    assert np.shares_memory(bundle.enc3d.layers[1], views["enc3d.w1"])
+    assert np.array_equal(bundle.enc3d.layers[1][:-1], views["enc3d.w1"])
     assert sum(v.size for v in views.values()) == bundle.params.size
     assert all(np.shares_memory(v, bundle.params) for v in views.values())
 
@@ -206,9 +233,8 @@ def test_bundle_rejects_non_unit_embeddings():
 
 def test_ce_loss_uniform_equals_log_num_classes(rng):
     bundle = tiny_bundle()
-    bundle.head_s2d["w"][:] = 0.0
-    bundle.head_s2d["b"][:] = 0.0
-    feats = rng.standard_normal((10, 7))
+    bundle.head_s2d[:] = 0.0
+    feats = feature_major(rng.standard_normal((10, 7)))
     y = rng.integers(0, 5, size=10).astype(np.int32)
     loss, _ = ce_loss(class_logits(feats, class_map(bundle, "s2d")), y)
     assert loss == pytest.approx(np.log(5), abs=1e-12)
@@ -218,39 +244,41 @@ def test_ce_loss_single_element_eight_classes(rng):
     cfg = ModelConfig(input2d_dim=4, input3d_dim=4, hidden=(6,), latent_dim=5,
                       embed_dim=64, anchor_dim=4, sam_dim=3)
     bundle = make_bundle(cfg, mock_text_embeddings(8, 64, seed=2), seed=0)
-    bundle.head_s3d["w"][:] = 0.0
-    bundle.head_s3d["b"][:] = 0.0
-    logits = class_logits(rng.standard_normal((1, 5)), class_map(bundle, "s3d"))
+    bundle.head_s3d[:] = 0.0
+    logits = class_logits(feature_major(rng.standard_normal((1, 5))),
+                          class_map(bundle, "s3d"))
     loss, _ = ce_loss(logits, np.array([3], dtype=np.int32))
     assert loss == pytest.approx(2.0794415416798357, abs=1e-12)
 
 
 def test_ce_loss_skips_ignore(rng):
-    logits = rng.standard_normal((6, 5))
+    logits = rng.standard_normal((5, 6))
     before = logits.copy()
     y = np.array([1, IGNORE, 3, IGNORE, 0, 2], dtype=np.int32)
     loss, d_logits = ce_loss(logits, y)
     assert np.array_equal(logits, before)
     keep = y != IGNORE
-    ref, ref_d_logits = ce_loss(logits[keep], y[keep])
+    ref, ref_d_logits = ce_loss(logits[:, keep], y[keep])
     # The masked batch and its all-valid sub-batch agree bit for bit.
     assert loss == ref
-    assert np.array_equal(d_logits[keep], ref_d_logits)
-    # Ignored rows get zero gradient.
-    assert np.array_equal(d_logits[~keep], np.zeros((2, 5)))
+    assert d_logits[:, keep].tobytes() == ref_d_logits.tobytes()
+    # Ignored columns get zero gradient.
+    assert d_logits[:, ~keep].tobytes() == np.zeros((5, 2)).tobytes()
 
 
 def test_ce_loss_all_ignore_is_zero(rng):
-    loss, d_logits = ce_loss(rng.standard_normal((3, 5)),
+    loss, d_logits = ce_loss(rng.standard_normal((5, 3)),
                              np.full(3, IGNORE, dtype=np.int32))
     assert loss == 0.0
-    assert np.array_equal(d_logits, np.zeros((3, 5)))
+    assert np.array_equal(d_logits, np.zeros((5, 3)))
 
 
 def test_ce_loss_validation(rng):
-    logits = rng.standard_normal((2, 5))
+    logits = rng.standard_normal((5, 2))
     with pytest.raises(ValidationError):
         ce_loss(logits, np.array([0, 5]))  # class 5 of 5
+    with pytest.raises(ValidationError):
+        ce_loss(logits, np.array([-2, IGNORE]))
     with pytest.raises(ValidationError):
         ce_loss(logits, np.array([0, 1, 2]))
 
@@ -260,14 +288,14 @@ def test_ce_loss_gradients_match_finite_difference(rng):
     # semantic head's gradient passes through E / T.
     bundle = tiny_bundle(temperature=0.7, hidden=())
     y = np.array([0, 4, IGNORE, 2, 1, 3], dtype=np.int32)
-    batch = {"x2d": rng.standard_normal((6, 5)), "y2d": y}
+    batch = {"x2d": feature_major(rng.standard_normal((6, 5))), "y2d": y}
     views = param_views(bundle.config, step(bundle, batch)[1])
     assert views["head_s2d.w"].any() and views["enc2d.w0"].any()
     assert grad_check(bundle, batch, eps=1e-5).error < 1e-4
 
 
 def test_ce_loss_logit_gradient_matches_finite_difference(rng):
-    logits = rng.standard_normal((4, 5))
+    logits = rng.standard_normal((5, 4))
     y = np.array([0, 1, IGNORE, 3], dtype=np.int32)
     _, d_logits = ce_loss(logits, y)
     eps = 1e-6
@@ -285,7 +313,7 @@ def test_ce_loss_logit_gradient_matches_finite_difference(rng):
 
 def test_ce_loss_end_to_end_gradients(rng):
     bundle = tiny_bundle()
-    x = rng.standard_normal((6, 5))
+    x = feature_major(rng.standard_normal((6, 5)))
     y = np.array([0, 1, IGNORE, 3, 4, 2], dtype=np.int32)
     batch = {"x2d": x, "y2d": y}
     _, grad = step(bundle, batch)
@@ -295,7 +323,8 @@ def test_ce_loss_end_to_end_gradients(rng):
 
 
 def _unfolded_ce(bundle, feats, head, y):
-    """Reference cross-entropy through z = f @ W + b and logits z @ E.T / T.
+    """Reference cross-entropy of latent rows f (N, D) through z = f @ W + b
+    and logits z @ E.T / T.
 
     Returns the loss and its gradient w.r.t. z.
     """
@@ -303,7 +332,7 @@ def _unfolded_ce(bundle, feats, head, y):
     emb = bundle.embeddings
     keep = y != IGNORE
     n = int(keep.sum())
-    z = feats @ h["w"] + h["b"]
+    z = feats @ h[:-1] + h[-1]
     d_z = np.zeros_like(z)
     if n == 0:
         return 0.0, d_z
@@ -327,10 +356,10 @@ def test_folded_ce_loss_matches_unfolded_form(rng):
     for temperature in (2.0, 1.0, 0.5):
         bundle = tiny_bundle(temperature=temperature)
         bundle.params[:] = rng.standard_normal(bundle.params.shape)
-        feats = mlp_forward(bundle.enc2d, x)[0]
+        feats = rows_forward(bundle.enc2d, x)
         for head in ("s2d", "s3d"):
-            logits = mlp_forward(fold_output(bundle.enc2d, *class_map(bundle, head)), x)[0]
-            loss, _ = ce_loss(logits, y)
+            net = fold_output(bundle.enc2d, class_map(bundle, head))
+            loss, _ = ce_loss(mlp_forward(net, feature_major(x))[0], y)
             ref_loss, _ = _unfolded_ce(bundle, feats, head, y)
             assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
 
@@ -344,11 +373,11 @@ def test_class_logits_formula(rng):
         bundle.params[:] = rng.standard_normal(bundle.params.shape)
         for head in ("s2d", "s3d"):
             h = getattr(bundle, f"head_{head}")
-            logits = class_logits(feats, class_map(bundle, head))
-            z = feats @ h["w"] + h["b"]
+            logits = class_logits(feature_major(feats), class_map(bundle, head))
+            z = feats @ h[:-1] + h[-1]
             expected = (z @ bundle.embeddings.T) / temperature
-            np.testing.assert_allclose(logits, expected, rtol=1e-12, atol=0)
-            assert np.array_equal(logits.argmax(axis=1), expected.argmax(axis=1))
+            np.testing.assert_allclose(logits, expected.T, rtol=1e-12, atol=0)
+            assert np.array_equal(logits.argmax(axis=0), expected.argmax(axis=1))
 
 
 @pytest.mark.parametrize("hidden", [(), (8,), (8, 7)])
@@ -360,7 +389,7 @@ def test_training_and_inference_score_the_same_logits(rng, hidden):
         bundle = tiny_bundle(temperature=temperature, hidden=hidden)
         bundle.params[:] = rng.standard_normal(bundle.params.shape)  # biases too
         for enc, width in (("2d", 5), ("3d", 6)):
-            x = rng.standard_normal((40, width))
+            x = feature_major(rng.standard_normal((40, width)))
             y = rng.integers(0, 5, size=40).astype(np.int32)
             y[[3, 17]] = IGNORE
             rows = mlp_forward(getattr(bundle, f"enc{enc}"), x, hidden_only=True)[0]
@@ -368,32 +397,33 @@ def test_training_and_inference_score_the_same_logits(rng, hidden):
             losses = step(bundle, {f"x{enc}": x, f"y{enc}": y}, grad=False)[0]
             assert losses[f"l_ce{enc}"] == ce_loss(logits, y)[0]
             assert np.array_equal(training._predict_rows(bundle, f"enc{enc}", x),
-                                  logits.argmax(axis=1))
+                                  logits.argmax(axis=0))
 
 
 def test_fold_output_skips_the_output_layer(rng):
-    x = rng.standard_normal((30, 5))
+    rows = rng.standard_normal((30, 5))
+    x = feature_major(rows)
     for hidden in ((8,), (8, 7), ()):
         bundle = tiny_bundle(hidden=hidden)
         bundle.params[:] = rng.standard_normal(bundle.params.shape)
         enc = bundle.enc2d
         a, c = rng.standard_normal((7, 4)), rng.standard_normal(4)
-        net = fold_output(enc, a, c)
-        assert len(net.weights) == len(enc.weights)
-        assert all(w is v for w, v in zip(net.weights[:-1], enc.weights[:-1]))
+        net = fold_output(enc, np.vstack([a, c]))
+        assert len(net.layers) == len(enc.layers)
+        assert all(w is v for w, v in zip(net.layers[:-1], enc.layers[:-1]))
         out, cache = mlp_forward(net, x)
-        np.testing.assert_allclose(out, mlp_forward(enc, x)[0] @ a + c, rtol=1e-12)
+        np.testing.assert_allclose(out, (rows_forward(enc, rows) @ a + c).T, rtol=1e-12)
         hidden_rows, _ = mlp_forward(enc, x, hidden_only=True)
         # hidden_only stops at the rows the output layer reads.
         assert np.array_equal(hidden_rows, cache[-2])
         if not hidden:
-            assert np.array_equal(hidden_rows, x)
+            assert hidden_rows is x
 
 
-def test_softmax_rows_stable():
-    probs = softmax_rows(np.array([[1e4, 1e4 + 1.0], [0.0, 0.0]]))
-    assert np.allclose(probs.sum(axis=1), 1.0)
-    assert probs[1, 0] == pytest.approx(0.5)
+def test_softmax_stable():
+    probs = softmax(np.array([[1e4, 0.0], [1e4 + 1.0, 0.0]]))
+    assert np.allclose(probs.sum(axis=0), 1.0)
+    assert probs[0, 1] == pytest.approx(0.5)
     assert np.isfinite(probs).all()
 
 
@@ -404,14 +434,16 @@ def test_softmax_rows_stable():
 def test_anchor_units_normalize_the_anchor_projection(rng):
     bundle = tiny_bundle()
     feats = rng.standard_normal((6, 3))
-    feats[2] = 0.0  # a degenerate projection becomes a zero row
+    feats[2] = 0.0  # a degenerate projection becomes a zero column
     a_raw = feats @ bundle.anchor_head
     units = anchor_units(bundle, feats.astype(np.float32))
+    assert units.shape == (7, 6)
     keep = np.arange(6) != 2
     np.testing.assert_allclose(
-        units[keep], a_raw[keep] / np.linalg.norm(a_raw[keep], axis=1, keepdims=True),
+        units[:, keep], (a_raw[keep] / np.linalg.norm(a_raw[keep], axis=1,
+                                                      keepdims=True)).T,
         rtol=1e-6)
-    assert not units[2].any()
+    assert not units[:, 2].any()
 
 
 def _anchors(rng, n=4):
@@ -433,20 +465,20 @@ def test_align_loss_four_when_anti_aligned(rng):
 
 
 def test_align_loss_range(rng):
-    loss, *_ = cosine_align_loss(rng.standard_normal((20, 7)),
-                                 rng.standard_normal((20, 7)), _anchors(rng, 20))
+    loss, *_ = cosine_align_loss(rng.standard_normal((7, 20)),
+                                 rng.standard_normal((7, 20)), _anchors(rng, 20))
     assert 0.0 <= loss <= 4.0
 
 
 def test_align_loss_zero_norm_row_counts(rng):
     a_unit = _anchors(rng, n=2)
     x = a_unit.copy()
-    x[1] = 0.0  # degenerate 2D head output: cosine treated as 0
+    x[:, 1] = 0.0  # degenerate 2D head output: cosine treated as 0
     loss, d_x, _, zero_count = cosine_align_loss(x, a_unit, a_unit)
     assert zero_count == 1
     assert loss == pytest.approx(0.5, abs=1e-12)  # one miss of 1.0 over 2 pairs
-    # Degenerate rows must not produce gradients.
-    assert np.isfinite(d_x).all() and not d_x[1].any()
+    # Degenerate columns must not produce gradients.
+    assert np.isfinite(d_x).all() and not d_x[:, 1].any()
 
 
 def test_align_loss_degenerate_anchor(rng):
@@ -458,17 +490,17 @@ def test_align_loss_degenerate_anchor(rng):
 
 
 def test_align_loss_positive_rescaling_invariant(rng):
-    x = rng.standard_normal((5, 7))
-    p = rng.standard_normal((5, 7))
+    x = rng.standard_normal((7, 5))
+    p = rng.standard_normal((7, 5))
     s = _anchors(rng, 5)
     base, *_ = cosine_align_loss(x, p, s)
-    scales = rng.uniform(0.1, 10.0, size=(5, 1))
+    scales = rng.uniform(0.1, 10.0, size=5)
     scaled, *_ = cosine_align_loss(x * scales, p * scales, s)
     assert scaled == pytest.approx(base, abs=1e-10)
 
 
 def test_align_loss_no_anchor_gradient_by_default(rng):
-    x, p, s = rng.standard_normal((4, 7)), rng.standard_normal((4, 7)), _anchors(rng)
+    x, p, s = rng.standard_normal((7, 4)), rng.standard_normal((7, 4)), _anchors(rng)
     inputs = [arr.copy() for arr in (x, p, s)]
     result = cosine_align_loss(x, p, s)
     # A gradient for each head output and none for the frozen anchors.
@@ -477,7 +509,7 @@ def test_align_loss_no_anchor_gradient_by_default(rng):
 
 
 def test_align_loss_gradients_match_finite_difference(rng):
-    outs = [rng.standard_normal((5, 7)), rng.standard_normal((5, 7))]
+    outs = [rng.standard_normal((7, 5)), rng.standard_normal((7, 5))]
     s = _anchors(rng, 5)
     grads = cosine_align_loss(*outs, s)[1:3]
     eps = 1e-6
@@ -494,7 +526,8 @@ def test_align_loss_gradients_match_finite_difference(rng):
     # The feature heads' gradients, through a folded layer that reads the
     # input rows directly.
     bundle = tiny_bundle(hidden=())
-    batch = {"x2d": rng.standard_normal((5, 5)), "pair3d": rng.standard_normal((5, 6)),
+    batch = {"x2d": feature_major(rng.standard_normal((5, 5))),
+             "pair3d": feature_major(rng.standard_normal((5, 6))),
              "anchors": s, "latent_weight": 0.5}
     views = param_views(bundle.config, step(bundle, batch)[1])
     assert views["head_f2d.w"].any() and views["head_f3d.w"].any()
@@ -503,8 +536,8 @@ def test_align_loss_gradients_match_finite_difference(rng):
 
 def test_align_loss_end_to_end_gradients(rng):
     bundle = tiny_bundle()
-    x2d = rng.standard_normal((4, 5))
-    x3d = rng.standard_normal((4, 6))
+    x2d = feature_major(rng.standard_normal((4, 5)))
+    x3d = feature_major(rng.standard_normal((4, 6)))
     s = anchor_units(bundle, rng.standard_normal((4, 3)))
     batch = {"x2d": x2d, "pair3d": x3d, "anchors": s, "latent_weight": 1.0}
     _, grad = step(bundle, batch)
@@ -515,16 +548,16 @@ def test_align_loss_end_to_end_gradients(rng):
 
 def test_align_loss_validates_lengths(rng):
     with pytest.raises(ValidationError):
-        cosine_align_loss(rng.standard_normal((3, 7)), rng.standard_normal((2, 7)),
-                          rng.standard_normal((3, 7)))
+        cosine_align_loss(rng.standard_normal((7, 3)), rng.standard_normal((7, 2)),
+                          rng.standard_normal((7, 3)))
 
 
 def test_align_loss_empty_batch():
-    loss, d_x, d_p, zero_count = cosine_align_loss(np.zeros((0, 7)), np.zeros((0, 7)),
-                                                   np.zeros((0, 7)))
+    loss, d_x, d_p, zero_count = cosine_align_loss(np.zeros((7, 0)), np.zeros((7, 0)),
+                                                   np.zeros((7, 0)))
     assert loss == 0.0
     assert zero_count == 0
-    assert d_x.shape == d_p.shape == (0, 7)
+    assert d_x.shape == d_p.shape == (7, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -533,45 +566,52 @@ def test_align_loss_empty_batch():
 
 def reference_ce_loss(logits, targets):
     """Mean cross-entropy and its logit gradient, in the plain formulation:
-    int64 labels, and the kept rows gathered and scattered back."""
+    a softmax of every column, int64 labels, and the kept columns' picks
+    and gradient formed on them alone and scattered back.
+
+    The softmax runs on the whole (C, N) array, as in ce_loss: numpy sums
+    a C-contiguous array over its classes in order, but a single column's
+    classes pairwise, so a softmax of the kept columns alone could differ
+    in the last bit.
+    """
     targets = np.asarray(targets).ravel()
     valid = targets != IGNORE
     if not valid.any():
         return 0.0, np.zeros_like(logits)
-    masked = not valid.all()
-    labels = (targets[valid] if masked else targets).astype(np.int64)
-    probs = softmax_rows(logits[valid] if masked else logits.copy())
+    exp = np.exp(logits - logits.max(axis=0))
+    probs = (exp / exp.sum(axis=0))[:, valid]
+    labels = targets[valid].astype(np.int64)
     n = len(labels)
-    loss = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-300)).mean())
-    probs[np.arange(n), labels] -= 1.0
+    cols = np.arange(n)
+    floor = max(1e-300, float(np.finfo(probs.dtype).tiny))
+    loss = -float(np.log(np.maximum(probs[labels, cols], floor)).sum()) / n
+    probs[labels, cols] -= 1.0
     probs /= n
-    if masked:
-        d_logits, d_kept = np.zeros_like(logits), probs
-        d_logits[valid] = d_kept
-        return loss, d_logits
-    return loss, probs
+    d_logits = np.zeros_like(logits)
+    d_logits[:, valid] = probs
+    return loss, d_logits
 
 
 def reference_align_loss(x_out, p_out, a_unit):
-    """cosine_align_loss in the plain formulation: np.linalg.norm on a copy,
-    live rows gathered, the gradient negated in its own pass."""
-    n = len(x_out)
-    a_degen = ~a_unit.any(axis=1)
+    """cosine_align_loss in the plain formulation: np.linalg.norm, a cosine
+    of every column with the dead ones set to 0, and the live columns'
+    gradient formed on them alone and scattered back.  (The sums over
+    features run on whole arrays, for the reason reference_ce_loss
+    gives.)"""
+    n = a_unit.shape[1]
+    a_degen = ~a_unit.any(axis=0)
     total, zero_count, grads = 0.0, int(a_degen.sum()), []
     for out in (x_out, p_out):
-        unit = out.copy()
-        norms = np.linalg.norm(unit, axis=1)
+        norms = np.linalg.norm(out, axis=0)
         degen = norms < 1e-12
-        unit /= np.where(degen, 1.0, norms)[:, None]
-        unit[degen] = 0.0
-        cos = np.einsum("ij,ij->i", unit, a_unit)
-        dead = degen | a_degen
-        live = ~dead
-        cos[dead] = 0.0
+        live = ~(degen | a_degen)
+        cos = np.where(live, (out * a_unit).sum(axis=0) / np.where(degen, 1.0, norms), 0.0)
         zero_count += int(degen.sum())
-        total += float(np.sum(1.0 - cos))
-        d_out = np.zeros_like(unit)
-        d_out[live] = -(a_unit[live] - cos[live, None] * unit[live]) / norms[live, None] / n
+        total += n - float(cos.sum())
+        norm = norms[live]
+        inv = 1.0 / (norm * n)
+        d_out = np.zeros_like(out)
+        d_out[:, live] = out[:, live] * (cos[live] * inv / norm) - a_unit[:, live] * inv
         grads.append(d_out)
     return total / n, grads[0], grads[1], zero_count
 
@@ -580,9 +620,9 @@ def reference_align_loss(x_out, p_out, a_unit):
 def test_ce_loss_matches_the_plain_formula_bit_for_bit(trial):
     rng = np.random.default_rng(trial)
     n, classes = int(rng.integers(1, 40)), int(rng.integers(2, 9))
-    # A column view of a wider array, as the training step passes it.
-    wide = rng.standard_normal((n, classes + 5)) * 10.0 ** rng.uniform(-3, 3)
-    logits = wide[:, 2:2 + classes]
+    # Rows of a wider array, as the training step passes the 2D logits.
+    wide = rng.standard_normal((classes + 5, n)) * 10.0 ** rng.uniform(-3, 3)
+    logits = wide[2:2 + classes]
     targets = rng.integers(0, classes, size=n).astype(np.int32)
     if trial % 4:
         targets[rng.random(n) < 0.3 * (trial % 4)] = IGNORE
@@ -598,18 +638,18 @@ def test_align_loss_matches_the_plain_formula_bit_for_bit(trial):
     rng = np.random.default_rng(100 + trial)
     n, k = int(rng.integers(1, 40)), int(rng.integers(1, 17))
     scale = 10.0 ** rng.uniform(-3, 3)
-    # The x and p outputs are column views of wider forward outputs.
-    x_wide = rng.standard_normal((n, k + 3)) * scale
-    p_wide = rng.standard_normal((n, 2 * k)) * scale
-    x_out, p_out = x_wide[:, 3:], p_wide[:, k:]
-    anchors = rng.standard_normal((n, k))
-    anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
+    # The x and p outputs are rows of wider forward outputs.
+    x_wide = rng.standard_normal((k + 3, n)) * scale
+    p_wide = rng.standard_normal((2 * k, n)) * scale
+    x_out, p_out = x_wide[3:], p_wide[k:]
+    anchors = rng.standard_normal((k, n))
+    anchors /= np.linalg.norm(anchors, axis=0)
     if trial % 2:
-        x_out[rng.random(n) < 0.2] = 0.0
-        p_out[rng.random(n) < 0.2] = 0.0
-        anchors[rng.random(n) < 0.2] = 0.0
+        x_out[:, rng.random(n) < 0.2] = 0.0
+        p_out[:, rng.random(n) < 0.2] = 0.0
+        anchors[:, rng.random(n) < 0.2] = 0.0
     if trial == 7:
-        x_out[0] = 1e-13  # below the norm floor, but not zero
+        x_out[:, 0] = 1e-13  # below the norm floor, but not zero
     got = cosine_align_loss(x_out, p_out, anchors)
     ref = reference_align_loss(x_out, p_out, anchors)
     assert got[0] == ref[0] and got[3] == ref[3]
@@ -622,16 +662,33 @@ def test_align_loss_matches_the_plain_formula_bit_for_bit(trial):
 # SGD and the gradient checker
 
 
-def _training_batch(bundle, rng, weight=1.0, n=6):
-    """CE2d and CE3d rows with IGNORE labels plus a latent term on other 3D rows."""
+def _training_rows(bundle, rng, weight=1.0, n=6):
+    """Row-major CE2d and CE3d rows with IGNORE labels, plus a latent term
+    on other 3D rows with one zero anchor row."""
     y2d = rng.integers(0, 5, size=n)
     y3d = rng.integers(0, 5, size=n)
     y2d[0] = y3d[-1] = IGNORE
+    anchors = anchor_units(bundle, rng.standard_normal((n, 3))).T
+    anchors[1] = 0.0
     return {"x2d": rng.standard_normal((n, 5)), "y2d": y2d,
             "x3d": rng.standard_normal((n, 6)), "y3d": y3d,
-            "pair3d": rng.standard_normal((n, 6)),
-            "anchors": anchor_units(bundle, rng.standard_normal((n, 3))),
+            "pair3d": rng.standard_normal((n, 6)), "anchors": anchors,
             "latent_weight": weight}
+
+
+def _feature_major_batch(rows):
+    """A row-major batch in the layout `step` reads."""
+    batch = dict(rows)
+    for key in ("x2d", "x3d", "pair3d"):
+        if key in rows:
+            batch[key] = feature_major(rows[key])
+    if "anchors" in rows:
+        batch["anchors"] = np.ascontiguousarray(rows["anchors"].T)
+    return batch
+
+
+def _training_batch(bundle, rng, weight=1.0, n=6):
+    return _feature_major_batch(_training_rows(bundle, rng, weight, n))
 
 
 def test_step_combines_its_terms(rng):
@@ -656,90 +713,123 @@ def test_loss_only_step_matches_the_full_step(rng):
     bundle = tiny_bundle()
     batch = _training_batch(bundle, rng, weight=0.5)
     ignored = {**batch, "y2d": np.full(6, IGNORE), "y3d": np.full(6, IGNORE)}
-    empty = {key: value[:0] if key != "latent_weight" else value
+    empty = {key: value[..., :0] if key != "latent_weight" else value
              for key, value in batch.items()}
     for b in (batch, ignored, empty, {k: batch[k] for k in ("x3d", "y3d")}, {}):
         full = step(bundle, b)[0]
         assert step(bundle, b, grad=False)[0] == full
-    assert ce_loss(rng.standard_normal((6, 5)), batch["y2d"], grad=False)[1] is None
-    assert ce_loss(rng.standard_normal((6, 5)), np.full(6, IGNORE),
+    assert ce_loss(rng.standard_normal((5, 6)), batch["y2d"], grad=False)[1] is None
+    assert ce_loss(rng.standard_normal((5, 6)), np.full(6, IGNORE),
                    grad=False) == (0.0, None)
-    assert cosine_align_loss(np.zeros((0, 7)), np.zeros((0, 7)), np.zeros((0, 7)),
+    assert cosine_align_loss(np.zeros((7, 0)), np.zeros((7, 0)), np.zeros((7, 0)),
                              grad=False) == (0.0, None, None, 0)
 
 
-def _unfolded_step(bundle, batch):
-    """Reference step with nothing folded: latent rows f = mlp(x), then the
-    heads, then the losses, and back through each of them in turn."""
-    grads = {name: np.zeros_like(view)
-             for name, view in param_views(bundle.config, bundle.params).items()}
+def _unfolded_step(bundle, rows):
+    """Reference step in plain row-major numpy, nothing folded.
+
+    `rows` is a row-major batch (rows (N, D), anchors (N, K)).  Every
+    layer is h @ W + b, the latent rows f are formed, each head reads them
+    as f @ W + b, and the losses are taken on the head outputs; the
+    gradient goes back through each of these in turn.  Returns the losses
+    and the gradient laid out like bundle.params.
+    """
+    params = param_views(bundle.config, bundle.params)
+    grads = {name: np.zeros_like(view) for name, view in params.items()}
+    emb = bundle.embeddings / bundle.config.temperature
+    depth = len(bundle.config.hidden) + 1
+    weight = rows["latent_weight"] if "anchors" in rows else 0.0
     losses = {"l_ce2d": 0.0, "l_ce3d": 0.0, "l_latent": 0.0}
-    weight = batch["latent_weight"] if "anchors" in batch else 0.0
 
-    def encode(enc, rows):
-        feats, cache = mlp_forward(getattr(bundle, enc), rows)
-        return feats, cache, np.zeros_like(feats)
+    def encode(enc, x):
+        acts = [x]
+        for i in range(depth):
+            z = acts[-1] @ params[f"{enc}.w{i}"] + params[f"{enc}.b{i}"]
+            acts.append(np.maximum(z, 0.0) if i < depth - 1 else z)
+        return acts
 
-    def back(enc, cache, d_feats):
-        d_w, d_b = mlp_backward(getattr(bundle, enc), cache, d_feats)
-        for i, (dw, db) in enumerate(zip(d_w, d_b)):
-            grads[f"{enc}.w{i}"] += dw
-            grads[f"{enc}.b{i}"] += db
+    def encode_back(enc, acts, d):
+        for i in reversed(range(depth)):
+            grads[f"{enc}.w{i}"] += acts[i].T @ d
+            grads[f"{enc}.b{i}"] += d.sum(axis=0)
+            if i:
+                d = (d @ params[f"{enc}.w{i}"].T) * (acts[i] > 0)
 
-    def head_back(head, feats, d_z):
-        h = getattr(bundle, f"head_{head}")
-        grads[f"head_{head}.w"] += feats.T @ d_z
-        grads[f"head_{head}.b"] += d_z.sum(axis=0)
-        return d_z @ h["w"].T
+    def head(name, f):
+        return f @ params[f"head_{name}.w"] + params[f"head_{name}.b"]
 
-    def cosine_side(head, feats, anchors):
-        h = getattr(bundle, f"head_{head}")
-        z = feats @ h["w"] + h["b"]
+    def head_back(name, f, d_z):
+        grads[f"head_{name}.w"] += f.T @ d_z
+        grads[f"head_{name}.b"] += d_z.sum(axis=0)
+        return d_z @ params[f"head_{name}.w"].T
+
+    def ce(z, y):
+        keep = y != IGNORE
+        n = int(keep.sum())
+        d_z = np.zeros_like(z)
+        if not n:
+            return 0.0, d_z
+        logits = z[keep] @ emb.T
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        picked = (np.arange(n), y[keep])
+        loss = -np.log(probs[picked]).mean()
+        probs[picked] -= 1.0
+        d_z[keep] = probs / n @ emb
+        return loss, d_z
+
+    def cosine(z, anchors):
         norms = np.linalg.norm(z, axis=1)
         live = (norms >= 1e-12) & anchors.any(axis=1)
-        cos = np.where(live, np.einsum("ij,ij->i", z, anchors) / np.maximum(norms, 1e-300), 0.0)
-        d_z = -(anchors - cos[:, None] * z / norms[:, None]) / norms[:, None]
+        safe = np.where(live, norms, 1.0)[:, None]
+        cos = np.where(live, np.sum(z * anchors, axis=1) / safe[:, 0], 0.0)
+        d_z = -(anchors - cos[:, None] * z / safe) / safe
         d_z[~live] = 0.0
-        return float(np.sum(1.0 - cos)), d_z * (weight / len(feats))
+        return float(np.sum(1.0 - cos)), d_z
 
-    if "y2d" in batch or "anchors" in batch:
-        f2d, c2d, d2d = encode("enc2d", batch["x2d"])
-    if "y2d" in batch:
-        losses["l_ce2d"], d_z = _unfolded_ce(bundle, f2d, "s2d", batch["y2d"])
+    if "y2d" in rows or "anchors" in rows:
+        acts2d = encode("enc2d", rows["x2d"])
+        f2d, d2d = acts2d[-1], np.zeros_like(acts2d[-1])
+    if "y2d" in rows:
+        losses["l_ce2d"], d_z = ce(head("s2d", f2d), rows["y2d"])
         d2d += head_back("s2d", f2d, d_z)
-    if "y3d" in batch:
-        f3d, c3d, d3d = encode("enc3d", batch["x3d"])
-        losses["l_ce3d"], d_z = _unfolded_ce(bundle, f3d, "s3d", batch["y3d"])
-        back("enc3d", c3d, d3d + head_back("s3d", f3d, d_z))
-    if "anchors" in batch:
-        fp, cp, dp = encode("enc3d", batch["pair3d"])
-        miss2d, d_z2d = cosine_side("f2d", f2d, batch["anchors"])
-        miss3d, d_z3d = cosine_side("f3d", fp, batch["anchors"])
-        losses["l_latent"] = (miss2d + miss3d) / len(fp)
-        d2d += head_back("f2d", f2d, d_z2d)
-        back("enc3d", cp, dp + head_back("f3d", fp, d_z3d))
-    if "y2d" in batch or "anchors" in batch:
-        back("enc2d", c2d, d2d)
+    if "y3d" in rows:
+        acts = encode("enc3d", rows["x3d"])
+        losses["l_ce3d"], d_z = ce(head("s3d", acts[-1]), rows["y3d"])
+        encode_back("enc3d", acts, head_back("s3d", acts[-1], d_z))
+    if "anchors" in rows:
+        n = len(rows["anchors"])
+        acts = encode("enc3d", rows["pair3d"])
+        miss2d, d_z2d = cosine(head("f2d", f2d), rows["anchors"])
+        miss3d, d_z3d = cosine(head("f3d", acts[-1]), rows["anchors"])
+        losses["l_latent"] = (miss2d + miss3d) / n
+        d2d += head_back("f2d", f2d, d_z2d * (weight / n))
+        encode_back("enc3d", acts, head_back("f3d", acts[-1], d_z3d * (weight / n)))
+    if "y2d" in rows or "anchors" in rows:
+        encode_back("enc2d", acts2d, d2d)
     losses["loss"] = losses["l_ce2d"] + losses["l_ce3d"] + weight * losses["l_latent"]
     return losses, np.concatenate([g.ravel() for g in grads.values()])
 
 
+_TERM_KEYS = {"ce2d": ("x2d", "y2d"), "ce3d": ("x3d", "y3d"),
+              "latent": ("x2d", "pair3d", "anchors", "latent_weight")}
+
+
 @pytest.mark.parametrize("hidden", [(8,), (8, 7), ()])
-@pytest.mark.parametrize("terms", ["full", "ce2d", "ce3d", "latent"])
+@pytest.mark.parametrize("terms", ["full", "ce2d", "ce3d", "latent", "ce2d+ce3d",
+                                   "ce2d+latent", "ce3d+latent"])
 def test_step_matches_the_unfolded_reference(hidden, terms):
+    # Every term subset, in float64, on parameters drawn biases and all,
+    # with IGNORE labels and a zero anchor row in the batch.
     rng = np.random.default_rng(2024 + len(hidden))
     bundle = tiny_bundle(temperature=0.8, hidden=hidden)
-    bundle.params[:] = 0.5 * rng.standard_normal(bundle.params.shape)  # biases too
-    keys = {"full": ("x2d", "y2d", "x3d", "y3d", "pair3d", "anchors"),
-            "ce2d": ("x2d", "y2d"), "ce3d": ("x3d", "y3d"),
-            "latent": ("x2d", "pair3d", "anchors")}[terms]
+    bundle.params[:] = 0.5 * rng.standard_normal(bundle.params.shape)
+    names = ("ce2d", "ce3d", "latent") if terms == "full" else terms.split("+")
     for weight in (0.0, 0.5, 1.0):
-        full = _training_batch(bundle, rng, weight=weight, n=9)
-        batch = {key: full[key] for key in keys}
-        if "anchors" in batch:
-            batch["latent_weight"] = weight
-        losses, grad = step(bundle, batch)
-        ref_losses, ref_grad = _unfolded_step(bundle, batch)
+        full = _training_rows(bundle, rng, weight=weight, n=9)
+        rows = {key: full[key] for name in names for key in _TERM_KEYS[name]}
+        losses, grad = step(bundle, _feature_major_batch(rows))
+        ref_losses, ref_grad = _unfolded_step(bundle, rows)
         for key, value in ref_losses.items():
             assert losses[key] == pytest.approx(value, rel=1e-12, abs=0), key
         # Entries that are sums with cancellation are held to the same
@@ -749,39 +839,28 @@ def test_step_matches_the_unfolded_reference(hidden, terms):
 
 
 # ---------------------------------------------------------------------------
-# the step against a frozen copy of its earlier per-call form, byte for byte
+# the step against a frozen copy of its per-call form, byte for byte
 #
-# _frozen_step and _frozen_unfold_grads are the step as it was before the
-# per-model plan, verbatim but for the names of what they call: the
-# plain-formula CE above, and the backward pass and head maps as they
-# were then.  Any change to the step must keep every loss and every
-# gradient byte equal to theirs.
+# _frozen_step and _frozen_unfold_grads are the step without its per-model
+# plan: every head map built and stacked on each call, the plain-formula CE
+# above, and the backward pass and chain rule written out.  Any change to
+# the plan must keep every loss and every gradient byte equal to theirs.
 
 
 def _frozen_mlp_backward(mlp, cache, d_out):
-    d_w = [None] * len(mlp.weights)
-    d_b = [None] * len(mlp.biases)
+    grads = [None] * len(mlp.layers)
     grad = np.asarray(d_out, dtype=np.float64)
-    last = len(mlp.weights) - 1
-    for i in range(last, -1, -1):
-        if i < last:
-            grad *= cache[i + 1] > 0
-        d_w[i] = cache[i].T @ grad
-        d_b[i] = grad.sum(axis=0)
+    for i in range(len(mlp.layers) - 1, -1, -1):
+        grads[i] = cache[i] @ grad.T
         if i:
-            grad = grad @ mlp.weights[i].T
-    return d_w, d_b
-
-
-def _frozen_side_by_side(arrays):
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
+            grad = (mlp.layers[i][:-1] @ grad) * (cache[i][:-1] > 0)
+    return grads
 
 
 def _frozen_head_map(bundle, head):
     if head in ("s2d", "s3d"):
         return class_map(bundle, head)
-    h = getattr(bundle, f"head_{head}")
-    return h["w"], h["b"]
+    return getattr(bundle, f"head_{head}")
 
 
 def _frozen_ce_loss(logits, targets, grad=True):
@@ -789,20 +868,19 @@ def _frozen_ce_loss(logits, targets, grad=True):
     return loss, d_logits if grad else None
 
 
-def _frozen_unfold_grads(bundle, views, enc, a, cols, g, s):
+def _frozen_unfold_grads(bundle, views, enc, m, cols, g):
     mlp = getattr(bundle, enc)
-    last = len(mlp.weights) - 1
-    views[f"{enc}.w{last}"] += g @ a.T
-    views[f"{enc}.b{last}"] += s @ a.T
-    d_a = mlp.weights[-1].T @ g
-    d_a += np.outer(mlp.biases[-1], s)
+    last = len(mlp.layers) - 1
+    g_last = g @ m[:-1].T
+    views[f"{enc}.w{last}"] += g_last[:-1]
+    views[f"{enc}.b{last}"] += g_last[-1]
+    d_map = np.vstack([mlp.layers[-1].T @ g, g[-1]])
     for head, span in cols.items():
-        d_w, d_b = d_a[:, span], s[span]
+        d_head = d_map[:, span]
         if head in ("s2d", "s3d"):
-            emb = bundle.embeddings / bundle.config.temperature
-            d_w, d_b = d_w @ emb, d_b @ emb
-        views[f"head_{head}.w"] += d_w
-        views[f"head_{head}.b"] += d_b
+            d_head = d_head @ (bundle.embeddings / bundle.config.temperature)
+        views[f"head_{head}.w"] += d_head[:-1]
+        views[f"head_{head}.b"] += d_head[-1]
 
 
 def _frozen_step(bundle, batch, grad=True):
@@ -818,15 +896,15 @@ def _frozen_step(bundle, batch, grad=True):
         if not heads:
             continue
         maps = [_frozen_head_map(bundle, head) for head in heads]
-        a = _frozen_side_by_side([m for m, _ in maps])
-        net = fold_output(getattr(bundle, enc), a, _frozen_side_by_side([c for _, c in maps]))
+        m = np.concatenate(maps, axis=1)
+        net = fold_output(getattr(bundle, enc), m)
         out, cache = mlp_forward(net, batch[rows])
         cols, lo = {}, 0
-        for head, (m, _) in zip(heads, maps):
-            cols[head] = slice(lo, lo + m.shape[1])
-            outs[head] = out[:, cols[head]]
-            lo += m.shape[1]
-        passes.append((enc, a, cols, net, cache))
+        for head, hm in zip(heads, maps):
+            cols[head] = slice(lo, lo + hm.shape[1])
+            outs[head] = out[cols[head]]
+            lo += hm.shape[1]
+        passes.append((enc, m, cols, net, cache))
 
     losses = {"l_ce2d": 0.0, "l_ce3d": 0.0, "l_latent": 0.0}
     d_outs = {}
@@ -846,20 +924,20 @@ def _frozen_step(bundle, batch, grad=True):
         # row, then whether each feature-head output row has zero norm.
         parts = []
         for _, _, cols, _, cache in passes:
-            parts += [h > 0 for h in cache[1:-1]]
-            parts += [np.linalg.norm(outs[head], axis=1) < 1e-12
+            parts += [h[:-1] > 0 for h in cache[1:-1]]
+            parts += [np.linalg.norm(outs[head], axis=0) < 1e-12
                       for head in cols if head in ("f2d", "f3d")]
         return losses, b"".join(part.tobytes() for part in parts)
 
     total = np.zeros_like(bundle.params)
     views = param_views(bundle.config, total)
-    for enc, a, cols, net, cache in passes:
-        d_w, d_b = _frozen_mlp_backward(net, cache,
-                                        _frozen_side_by_side([d_outs[head] for head in cols]))
-        for i in range(len(d_w) - 1):
-            views[f"{enc}.w{i}"] += d_w[i]
-            views[f"{enc}.b{i}"] += d_b[i]
-        _frozen_unfold_grads(bundle, views, enc, a, cols, d_w[-1], d_b[-1])
+    for enc, m, cols, net, cache in passes:
+        grads = _frozen_mlp_backward(net, cache,
+                                     np.concatenate([d_outs[head] for head in cols]))
+        for i, g in enumerate(grads[:-1]):
+            views[f"{enc}.w{i}"] += g[:-1]
+            views[f"{enc}.b{i}"] += g[-1]
+        _frozen_unfold_grads(bundle, views, enc, m, cols, grads[-1])
     return losses, total
 
 
@@ -878,11 +956,14 @@ def _random_batch(bundle, rng, n, weight, case):
     anchor rows."""
     cfg = bundle.config
     classes = len(bundle.embeddings)
-    batch = {"x2d": rng.standard_normal((n, cfg.input2d_dim)).astype(np.float32),
+    def rows(dim):
+        return feature_major(rng.standard_normal((n, dim)).astype(np.float32))
+
+    batch = {"x2d": rows(cfg.input2d_dim),
              "y2d": rng.integers(0, classes, size=n).astype(np.int32),
-             "x3d": rng.standard_normal((n, cfg.input3d_dim)),
+             "x3d": feature_major(rng.standard_normal((n, cfg.input3d_dim))),
              "y3d": rng.integers(0, classes, size=n).astype(np.int32),
-             "pair3d": rng.standard_normal((n, cfg.input3d_dim)).astype(np.float32),
+             "pair3d": rows(cfg.input3d_dim),
              "anchors": anchor_units(bundle, rng.standard_normal((n, cfg.sam_dim))),
              "latent_weight": weight}
     some = rng.random(n) < 0.3
@@ -893,15 +974,11 @@ def _random_batch(bundle, rng, n, weight, case):
         batch["y2d"][:] = IGNORE
         batch["y3d"][:] = IGNORE
     elif case == "zero_heads":
-        batch["x2d"][some] = 0.0
-        batch["pair3d"][~some] = 0.0
+        batch["x2d"][:-1, some] = 0.0
+        batch["pair3d"][:-1, ~some] = 0.0
     elif case == "zero_anchors":
-        batch["anchors"][some] = 0.0
+        batch["anchors"][:, some] = 0.0
     return batch
-
-
-_TERM_KEYS = {"ce2d": ("x2d", "y2d"), "ce3d": ("x3d", "y3d"),
-              "latent": ("x2d", "pair3d", "anchors", "latent_weight")}
 
 
 @pytest.mark.parametrize("model", ["shipped", "hidden_10_7"])
@@ -963,10 +1040,10 @@ def test_float32_step_agrees_with_the_float64_step(hidden):
     y3d[rng.random(n) < 0.3] = IGNORE
     anchors = anchor_units(narrow, rng.standard_normal((n, 3)))
     assert anchors.dtype == np.float32
-    anchors[rng.random(n) < 0.3] = 0.0
-    batch = {"x2d": rng.standard_normal((n, 5)).astype(np.float32), "y2d": y2d,
-             "x3d": rng.standard_normal((n, 6)).astype(np.float32), "y3d": y3d,
-             "pair3d": rng.standard_normal((n, 6)).astype(np.float32),
+    anchors[:, rng.random(n) < 0.3] = 0.0
+    batch = {"x2d": feature_major(rng.standard_normal((n, 5)).astype(np.float32)), "y2d": y2d,
+             "x3d": feature_major(rng.standard_normal((n, 6)).astype(np.float32)), "y3d": y3d,
+             "pair3d": feature_major(rng.standard_normal((n, 6)).astype(np.float32)),
              "anchors": anchors, "latent_weight": 0.5}
     losses, grad = step(narrow, batch)
     ref_losses, ref_grad = step(wide, batch)
@@ -978,12 +1055,13 @@ def test_float32_step_agrees_with_the_float64_step(hidden):
     # Rows whose logit gap exceeds 104, labelled with their smallest logit:
     # the float32 probability of the label underflows to 0, and the loss
     # reads the log floor, finfo(float32).tiny, not infinity.
-    x2d = 1000.0 * batch["x2d"]
+    x2d = batch["x2d"].copy()
+    x2d[:-1] *= 1000.0
     logits = class_logits(mlp_forward(narrow.enc2d, x2d, hidden_only=True)[0],
                           class_layer(narrow, "enc2d"))
-    far = np.ptp(logits, axis=1) > 104
+    far = np.ptp(logits, axis=0) > 104
     assert far.sum() >= n // 2
-    far_batch = {"x2d": x2d[far], "y2d": np.argmin(logits[far], axis=1)}
+    far_batch = {"x2d": x2d[:, far], "y2d": np.argmin(logits[:, far], axis=0)}
     losses, grad = step(narrow, far_batch)
     assert losses["l_ce2d"] == pytest.approx(-np.log(np.finfo(np.float32).tiny))
     assert np.isfinite(grad).all()
@@ -1023,11 +1101,12 @@ def test_grad_check_runs_each_pass_once_per_probe(monkeypatch, rng):
 
 def test_sgd_step_hand_example():
     bundle = tiny_bundle()
-    bundle.head_s2d["w"][:] = 1.0
+    bundle.head_s2d[:-1] = 1.0
     grad = np.zeros_like(bundle.params)
     param_views(bundle.config, grad)["head_s2d.w"][:] = 0.5
     sgd_step(bundle, grad, lr=0.1)
-    assert np.allclose(bundle.head_s2d["w"], 0.95, atol=1e-15)
+    assert np.allclose(bundle.head_s2d[:-1], 0.95, atol=1e-15)
+    assert not bundle.head_s2d[-1].any()
 
 
 def test_sgd_step_validation():
@@ -1043,14 +1122,14 @@ def test_sgd_step_validation():
     with pytest.raises(ValidationError):
         sgd_step(bundle, np.zeros_like(bundle.params), lr=0.0)
     # A rejected step must not have touched anything.
-    assert np.array_equal(bundle.head_s2d["b"], np.zeros(9))
+    assert np.array_equal(bundle.head_s2d[-1], np.zeros(9))
 
 
 def test_sgd_never_touches_frozen_anchor(rng):
     bundle = tiny_bundle()
     frozen = bundle.anchor_head.copy()
-    x2d = rng.standard_normal((8, 5))
-    x3d = rng.standard_normal((8, 6))
+    x2d = feature_major(rng.standard_normal((8, 5)))
+    x3d = feature_major(rng.standard_normal((8, 6)))
     s = anchor_units(bundle, rng.standard_normal((8, 3)))
     y = rng.integers(0, 5, size=8).astype(np.int32)
     for _ in range(5):
@@ -1068,7 +1147,7 @@ def _linear_step(monkeypatch, direction, claimed):
     def fake(bundle, batch, grad=True):
         g = np.zeros_like(bundle.params)
         param_views(bundle.config, g)["head_s2d.b"][:] = claimed
-        return {"loss": float(bundle.head_s2d["b"] @ direction)}, g if grad else None
+        return {"loss": float(bundle.head_s2d[-1] @ direction)}, g if grad else None
     monkeypatch.setattr(nncore, "step", fake)
 
 
@@ -1089,12 +1168,13 @@ def test_grad_check_flags_wrong_gradient(monkeypatch):
 def test_grad_check_skips_and_counts_a_relu_kink(monkeypatch, rng):
     bundle = tiny_bundle()
     x = rng.standard_normal((1, 5))
-    batch = {"x2d": x, "y2d": np.array([2])}
+    batch = {"x2d": feature_major(x), "y2d": np.array([2])}
     # Hidden unit 0 of the one row sits eps / 2 above its kink, so the -eps
     # probe of its bias crosses it, and so does that of each of its
     # weights whose input exceeds 1/2.  The central difference of a
     # crossing pair averages two slopes: a quarter off for the bias.
-    bundle.enc2d.biases[0][0] = 0.5e-5 - x[0] @ bundle.enc2d.weights[0][:, 0]
+    first = bundle.enc2d.layers[0]
+    first[-1, 0] = 0.5e-5 - x[0] @ first[:-1, 0]
     result = grad_check(bundle, batch)
     assert result.skipped == 1 + np.count_nonzero(np.abs(x[0]) > 0.5)
     assert result.error < 1e-4
@@ -1108,8 +1188,8 @@ def _zero_row_batch(bundle, rng, n=4):
     enc3d or head_f3d gives it a direction."""
     pair3d = rng.standard_normal((n, bundle.config.input3d_dim))
     pair3d[1] = 0.0
-    return {"x2d": rng.standard_normal((n, bundle.config.input2d_dim)),
-            "pair3d": pair3d,
+    return {"x2d": feature_major(rng.standard_normal((n, bundle.config.input2d_dim))),
+            "pair3d": feature_major(pair3d),
             "anchors": anchor_units(bundle, rng.standard_normal((n, 3))),
             "latent_weight": 1.0}
 
@@ -1117,8 +1197,8 @@ def _zero_row_batch(bundle, rng, n=4):
 def test_grad_check_skips_and_counts_a_zero_feature_row(monkeypatch, rng):
     bundle = tiny_bundle(hidden=())
     batch = _zero_row_batch(bundle, rng)
-    f3d = batch["pair3d"] @ bundle.enc3d.weights[0] @ bundle.head_f3d["w"]
-    assert not f3d[1].any() and f3d[0].any()
+    f3d = bundle.head_f3d.T @ feature_major((bundle.enc3d.layers[0].T @ batch["pair3d"]).T)
+    assert not f3d[:, 1].any() and f3d[:, 0].any()
     result = grad_check(bundle, batch)
     assert result.skipped == 7 + 7  # enc3d.b0 and head_f3d.b
     assert result.error < 1e-4
@@ -1137,7 +1217,7 @@ def test_grad_check_fails_past_its_skip_cap(rng):
 
 
 @pytest.mark.parametrize("name, old, new", [
-    ("cosine_align_loss", "d_out /= -divisor", "d_out /= divisor"),
+    ("cosine_align_loss", "d_out -= a_unit * inv", "d_out += a_unit * inv"),
     ("ce_loss", "    d_logits /= n\n", ""),
 ], ids=["cosine-sign-flipped", "ce-not-averaged"])
 def test_grad_check_fails_a_wrong_loss_gradient_on_one_ac4_trial(monkeypatch, name,

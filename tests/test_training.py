@@ -11,7 +11,7 @@ import pytest
 from cnslab import nncore, training
 from cnslab.ablation import SuiteConfig, _score_label_row
 from cnslab.errors import ValidationError
-from cnslab.nncore import (ModelConfig, class_logits, grad_check,
+from cnslab.nncore import (ModelConfig, class_logits, feature_major, grad_check,
                            make_bundle, mlp_forward, param_views)
 from cnslab.pseudolabel import IGNORE, transfer_labels
 from cnslab.scenesynth import (ClipNoiseConfig, MaskFragConfig, SceneConfig,
@@ -149,15 +149,18 @@ def test_one_epoch_uses_every_entry_once(small_scene, small_oracles, monkeypatch
     data = state.data
     n_ent, num_points = state.labels2d.shape[1], state.labels3d.shape[1]
     assert n_ent % 100
-    # Column 0 of each descriptor row carries its entry or point index,
+    # Feature 0 of each descriptor column carries its entry or point index,
     # scaled by 2**-12 (exact in float32) so that training stays finite.
     data["x2d"] = data["x2d"].copy()
-    data["x2d"][:, 0] = np.arange(n_ent) * 2.0 ** -12
+    data["x2d"][0] = np.arange(n_ent) * 2.0 ** -12
     data["desc3d"] = data["desc3d"].copy()
-    data["desc3d"][:, 0] = np.arange(num_points) * 2.0 ** -12
+    data["desc3d"][0] = np.arange(num_points) * 2.0 ** -12
     batches = []
 
     def recording_step(bundle, batch, *args, **kwargs):
+        # A full step reads C-contiguous blocks, one column per row.
+        assert all(value.flags.c_contiguous for key, value in batch.items()
+                   if key != "latent_weight") or len(batch["y2d"]) < 100
         batches.append({key: np.array(value) for key, value in batch.items()})
         return real_step(bundle, batch, *args, **kwargs)
 
@@ -165,20 +168,22 @@ def test_one_epoch_uses_every_entry_once(small_scene, small_oracles, monkeypatch
     monkeypatch.setattr(training, "step", recording_step)
     training._run_epoch(state, stage=1)
 
-    assert [len(b["x2d"]) for b in batches] == [100] * (n_ent // 100) + [n_ent % 100]
-    ents = (np.concatenate([b["x2d"][:, 0] for b in batches]) * 2 ** 12).astype(np.int64)
+    assert [b["x2d"].shape[1] for b in batches] == [100] * (n_ent // 100) + [n_ent % 100]
+    ents = (np.concatenate([b["x2d"][0] for b in batches]) * 2 ** 12).astype(np.int64)
     assert np.array_equal(np.sort(ents), np.arange(n_ent))
-    pts = (np.concatenate([b["x3d"][:, 0] for b in batches]) * 2 ** 12).astype(np.int64)
+    pts = (np.concatenate([b["x3d"][0] for b in batches]) * 2 ** 12).astype(np.int64)
     assert len(pts) == 128 * len(batches) >= num_points
     counts = np.bincount(pts, minlength=num_points)
     assert counts.max() - counts.min() <= 1
     for b in batches:  # every term of a batch reads the same entries
-        e = (b["x2d"][:, 0] * 2 ** 12).astype(np.int64)
-        p = (b["x3d"][:, 0] * 2 ** 12).astype(np.int64)
+        e = (b["x2d"][0] * 2 ** 12).astype(np.int64)
+        p = (b["x3d"][0] * 2 ** 12).astype(np.int64)
+        assert np.array_equal(b["x2d"], data["x2d"][:, e])
         assert np.array_equal(b["y2d"], state.labels2d[0, e])
+        assert np.array_equal(b["x3d"], data["desc3d"][:, p])
         assert np.array_equal(b["y3d"], state.labels3d[1, p])
-        assert np.array_equal(b["pair3d"][:, 0] * 2 ** 12, data["ent_point"][e])
-        assert np.array_equal(b["anchors"], data["anchors"][e])
+        assert np.array_equal(b["pair3d"][0] * 2 ** 12, data["ent_point"][e])
+        assert np.array_equal(b["anchors"], data["anchors"][:, e])
 
 
 def test_history_rows_have_metric_columns(small_scene, small_oracles):
@@ -208,12 +213,11 @@ def test_zeroed_head_predicts_class_zero(rng):
     cfg = ModelConfig(input2d_dim=4, input3d_dim=4, hidden=(6,), latent_dim=5,
                       embed_dim=8, anchor_dim=4, sam_dim=3)
     bundle = make_bundle(cfg, mock_text_embeddings(5, 8, seed=1), seed=0)
-    bundle.head_s3d["w"][:] = 0.0
-    bundle.head_s3d["b"][:] = 0.0
-    bundle.head_s2d["w"][:] = 0.0
-    bundle.head_s2d["b"][:] = 0.0
-    assert np.all(predict_labels_3d(bundle, rng.standard_normal((20, 4))) == 0)
-    assert np.all(predict_labels_2d(bundle, rng.standard_normal((1, 3, 3, 4))) == 0)
+    bundle.head_s3d[:] = 0.0
+    bundle.head_s2d[:] = 0.0
+    assert np.all(predict_labels_3d(bundle, feature_major(rng.standard_normal((20, 4)))) == 0)
+    pixels = feature_major(rng.standard_normal((9, 4))).reshape(5, 1, 3, 3)
+    assert np.all(predict_labels_2d(bundle, pixels) == 0)
 
 
 def _random_inference_bundle(rng):
@@ -227,32 +231,35 @@ def _random_inference_bundle(rng):
 
 
 def _one_piece_labels(bundle, mlp, head, rows):
-    """Argmax of the unfolded logits: latent rows first, then the class map."""
-    folded = class_map(bundle, head)
-    return np.argmax(class_logits(mlp_forward(mlp, rows)[0], folded), axis=1)
+    """Argmax of the unfolded logits of feature-major rows: latent rows
+    first, then the class map."""
+    latent = mlp_forward(mlp, rows)[0]
+    latent = np.vstack([latent, np.ones((1, latent.shape[1]), latent.dtype)])
+    return np.argmax(class_logits(latent, class_map(bundle, head)), axis=0)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_chunked_point_inference_matches_one_piece(offset):
     rng = np.random.default_rng(100 + offset)
     bundle = _random_inference_bundle(rng)
-    desc = rng.standard_normal((training._CHUNK + offset, 6)).astype(np.float32)
+    desc = feature_major(rng.standard_normal((training._CHUNK + offset, 6)).astype(np.float32))
     before = desc.copy()
     pred = predict_labels_3d(bundle, desc)
     assert np.array_equal(desc, before)
-    assert pred.shape == (len(desc),)
+    assert pred.shape == (desc.shape[1],)
     assert np.array_equal(pred, _one_piece_labels(bundle, bundle.enc3d, "s3d", desc))
 
 
 def test_chunked_pixel_inference_matches_one_piece(rng):
     bundle = _random_inference_bundle(rng)
-    desc = rng.standard_normal((3, 17, 29, 5)).astype(np.float32)
-    rows = desc[..., 0].size
+    rows = 3 * 17 * 29
     assert rows > training._CHUNK and rows % training._CHUNK != 0
+    desc = feature_major(rng.standard_normal((rows, 5)).astype(np.float32))
+    desc = desc.reshape(6, 3, 17, 29)
     before = desc.copy()
     pred = predict_labels_2d(bundle, desc)
     assert np.array_equal(desc, before)
-    expect = _one_piece_labels(bundle, bundle.enc2d, "s2d", desc.reshape(-1, 5))
+    expect = _one_piece_labels(bundle, bundle.enc2d, "s2d", desc.reshape(6, -1))
     assert np.array_equal(pred, expect.reshape(3, 17, 29))
 
 
@@ -263,7 +270,7 @@ def test_inference_matches_the_unfolded_logits_on_the_small_scene(small_scene,
     bundle, desc2d, desc3d = state.bundle, state.data["desc2d"], state.data["desc3d"]
     pixel = predict_labels_2d(bundle, desc2d)
     expect = _one_piece_labels(bundle, bundle.enc2d, "s2d",
-                               desc2d.reshape(-1, desc2d.shape[-1]))
+                               desc2d.reshape(len(desc2d), -1))
     assert np.array_equal(pixel, expect.reshape(pixel.shape))
     assert np.array_equal(predict_labels_3d(bundle, desc3d),
                           _one_piece_labels(bundle, bundle.enc3d, "s3d", desc3d))
@@ -481,10 +488,10 @@ def _stage1_batch(state, rng, rows=256):
     data = state.data
     ents = rng.choice(state.labels2d.shape[1], rows, replace=False)
     pts = rng.choice(state.labels3d.shape[1], rows, replace=False)
-    return {"x2d": data["x2d"][ents], "y2d": state.labels2d[0, ents],
-            "x3d": data["desc3d"][pts], "y3d": state.labels3d[1, pts],
-            "pair3d": data["desc3d"][data["ent_point"][ents]],
-            "anchors": data["anchors"][ents],
+    return {"x2d": data["x2d"][:, ents], "y2d": state.labels2d[0, ents],
+            "x3d": data["desc3d"][:, pts], "y3d": state.labels3d[1, pts],
+            "pair3d": data["desc3d"][:, data["ent_point"][ents]],
+            "anchors": data["anchors"][:, ents],
             "latent_weight": state.config.latent_loss_weight}
 
 
@@ -512,10 +519,12 @@ def test_directional_gradient_check_at_the_shipped_size(default_scene_inputs, se
 def test_shipped_size_check_catches_a_dropped_bias_term(default_scene_inputs,
                                                         monkeypatch):
     # The b_L s^T term of the head gradients is zero while the output
-    # biases are, as at init; three epochs make it show.
+    # biases are, as at init; three epochs make it show.  The mutant
+    # carries the head gradients back through W_L alone, not [W_L; b_L].
     state = _shipped_state(default_scene_inputs, 0)
     run_stage1(state)
     batch = _stage1_batch(state, np.random.default_rng(0))
     mutate(monkeypatch, nncore, "_backward",
-           "    d_a += p.mlp.biases[-1][:, None] * s\n", "")
+           "np.matmul(p.mlp.layers[-1].T, g, out=d_map[:-1])",
+           "np.matmul(p.mlp.layers[-1][:-1].T, g[:-1], out=d_map[:-1])")
     assert grad_check(state.bundle, batch).error > 1e-4

@@ -21,10 +21,10 @@ from .nncore import (ModelBundle, ModelConfig, anchor_units, ce_loss,
                      feature_major, grad_check,
                      load_checkpoint, make_bundle, save_checkpoint, sgd_step,
                      step)
-from .pseudolabel import (IGNORE, argmax_label, derive_clip_labels,
+from .pseudolabel import (IGNORE, VotePlan, argmax_label, derive_clip_labels,
                           refine_by_masks, refine_points_by_view_masks,
                           reproject_refine_points, transfer_labels,
-                          transfer_masks)
+                          transfer_masks, vote_plan)
 from .scenesynth import (ClipNoiseConfig, MaskFragConfig, Scene, SceneConfig,
                          generate_scene, mock_clip_scores, mock_sam_features,
                          mock_sam_masks, mock_text_embeddings,
@@ -42,7 +42,7 @@ __all__ = [
     "FORMAT_VERSION", "IGNORE", "MaskFragConfig", "ModelBundle",
     "ModelConfig", "NumericalError", "PlacementError", "PointCloud",
     "ROW_ORDER", "SOURCES", "Scene", "SceneConfig", "SuiteConfig",
-    "TrainConfig", "TrainState", "ValidationError", "anchor_units",
+    "TrainConfig", "TrainState", "ValidationError", "VotePlan", "anchor_units",
     "argmax_label", "build_correspondences", "ce_loss", "class_layer",
     "class_logits", "config_hash",
     "confusion", "cosine_align_loss", "coverage", "derive_clip_labels",
@@ -56,7 +56,7 @@ __all__ = [
     "reproject_refine_points", "render_view", "row_train_config",
     "run_ablation", "save_checkpoint", "sgd_step",
     "standard_oracle_outputs", "step", "train",
-    "transfer_labels", "transfer_masks", "write_bundle",
+    "transfer_labels", "transfer_masks", "vote_plan", "write_bundle",
     "write_metrics_csv", "write_raster", "write_report_csv",
     "write_report_text",
 ]

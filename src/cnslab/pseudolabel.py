@@ -7,11 +7,13 @@ set, and replacing every label inside a mask by the mask's plurality
 label.  Labels are plain int32 arrays: a scene's pixel labels are one
 (V, H, W) stack, its point labels one (N,) array.  All operations treat
 IGNORE (-1) as "no label": IGNORE elements never vote and are never
-overwritten.
+overwritten.  A scene's mask votes, pixel and point, follow one
+VotePlan, built once per scene.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -62,7 +64,10 @@ def transfer_masks(corr: CorrespondenceSet, masks: Sequence[MaskMap],
                    num_points: int) -> List[np.ndarray]:
     """Per-view point mask ids; -1 where a point is invisible in that view.
 
-    Mask ids are view-local and never merged across views.
+    Mask ids are view-local and never merged across views.  No pipeline
+    step calls it: a VotePlan holds the mask id of every correspondence
+    entry instead.  It stays for the benchmark tracer, whose name list
+    holds it.
     """
     if corr.count and int(corr.camera_index.max()) >= len(masks):
         raise ValidationError("masks must cover every view in the correspondence set")
@@ -91,23 +96,53 @@ def refine_by_masks(labels: np.ndarray, mask_ids: np.ndarray) -> np.ndarray:
             f"labels shape {labels.shape}")
     out = flat_labels.copy()
     voters = (flat_labels != IGNORE) & (flat_masks >= 0)
-    if voters.any():
-        num_classes = int(flat_labels[voters].max()) + 1
-        num_masks = int(flat_masks.max()) + 1
-        key = flat_masks[voters].astype(np.int64) * num_classes + flat_labels[voters]
-        counts = np.bincount(key, minlength=num_masks * num_classes)
-        counts = counts.reshape(num_masks, num_classes)
-        winner = np.argmax(counts, axis=1).astype(np.int32)  # ties -> lowest class
-        has_votes = counts.sum(axis=1) > 0
-        replace = (flat_labels != IGNORE) & (flat_masks >= 0) & has_votes[np.maximum(flat_masks, 0)]
-        out[replace] = winner[flat_masks[replace]]
+    votes, ids = flat_labels[voters], flat_masks[voters].astype(np.int64, copy=False)
+    if len(votes):
+        num_classes = int(votes.max()) + 1
+        num_masks = int(ids.max()) + 1
+        counts = np.bincount(ids * num_classes + votes, minlength=num_masks * num_classes)
+        winner = np.argmax(counts.reshape(num_masks, num_classes), axis=1)  # ties -> lowest
+        # A voter's mask holds at least its own vote.
+        out[voters] = winner[ids]
     return out.reshape(labels.shape)
 
 
-def refine_views(pixel_labels: np.ndarray, masks: Sequence[MaskMap]) -> np.ndarray:
+@dataclass(frozen=True)
+class VotePlan:
+    """Where each of a scene's mask votes is cast (vote_plan).
+
+    Mask ids are global: view k's ids are offset by the mask counts of
+    the views before it, so no two views share an id and one vote over
+    the whole (V, H, W) stack votes each view inside its own masks.
+    """
+
+    pixel_ids: np.ndarray    # (V, H, W) int64 global mask id of every pixel
+    entry_ids: np.ndarray    # (E,) global mask id of every correspondence entry
+    entry_point: np.ndarray  # (E,) point of every entry
+    first_entry: np.ndarray  # the lowest-camera entry of each point that has one
+    num_points: int
+
+
+def vote_plan(corr: CorrespondenceSet, masks: Sequence[MaskMap],
+              num_points: int) -> VotePlan:
+    """The mask-vote plan of one scene's correspondences, per-view masks
+    and points."""
+    if corr.count and int(corr.camera_index.max()) >= len(masks):
+        raise ValidationError("masks must cover every view in the correspondence set")
+    offsets = np.cumsum([0] + [int(m.mask_ids.max()) + 1 for m in masks[:-1]])
+    pixel_ids = np.stack([m.mask_ids for m in masks]).astype(np.int64)
+    pixel_ids += offsets[:, None, None]
+    by_point = np.lexsort((corr.camera_index, corr.point_index))
+    pts = corr.point_index[by_point]
+    first = np.ones(len(pts), dtype=bool)
+    first[1:] = pts[1:] != pts[:-1]
+    return VotePlan(pixel_ids, pixel_ids[corr.camera_index, corr.v, corr.u],
+                    corr.point_index, by_point[first], num_points)
+
+
+def refine_views(pixel_labels: np.ndarray, plan: VotePlan) -> np.ndarray:
     """Mask-vote each view of a (V, H, W) label stack inside its own masks."""
-    return np.stack([refine_by_masks(pixel_labels[k], mask.mask_ids)
-                     for k, mask in enumerate(masks)])
+    return refine_by_masks(pixel_labels, plan.pixel_ids)
 
 
 def _require_points(labels: np.ndarray, caller: str):
@@ -115,23 +150,20 @@ def _require_points(labels: np.ndarray, caller: str):
         raise ValidationError(f"{caller} expects (N,) point labels, got {labels.shape}")
 
 
-def refine_points_by_view_masks(labels: np.ndarray,
-                                point_mask_ids: Sequence[np.ndarray]) -> np.ndarray:
-    """Lift mask voting to points via per-view transferred mask ids.
+def refine_points_by_view_masks(labels: np.ndarray, plan: VotePlan) -> np.ndarray:
+    """Lift mask voting to points via the masks carried onto them.
 
-    Each view refines the point labels among its visible points; the
-    per-point result is taken from the lowest camera index where the
-    point is visible.  Points visible nowhere keep their label.
+    Each view refines the point labels of its correspondence entries
+    inside its masks; a point takes the result of its lowest-camera
+    entry.  Points with no entry keep their label.
     """
     _require_points(labels, "refine_points_by_view_masks")
+    if len(labels) != plan.num_points:
+        raise ValidationError(
+            f"{len(labels)} point labels for a vote plan of {plan.num_points} points")
+    refined = refine_by_masks(labels[plan.entry_point], plan.entry_ids)
     out = labels.copy()
-    filled = np.zeros(len(out), dtype=bool)
-    for ids in point_mask_ids:
-        refined = refine_by_masks(labels, ids)
-        visible = np.asarray(ids) >= 0
-        take = visible & ~filled
-        out[take] = refined[take]
-        filled |= visible
+    out[plan.entry_point[plan.first_entry]] = refined[plan.first_entry]
     return out
 
 
@@ -150,7 +182,8 @@ def reproject_refine_points(corr: CorrespondenceSet, labels: np.ndarray,
     _require_points(labels, "reproject_refine_points")
     pixel = np.full((len(masks),) + masks[0].mask_ids.shape, IGNORE, dtype=np.int32)
     pixel[corr.camera_index, corr.v, corr.u] = labels[corr.point_index]
-    transferred = transfer_labels(corr, refine_views(pixel, masks), len(labels))
+    plan = vote_plan(corr, masks, len(labels))
+    transferred = transfer_labels(corr, refine_views(pixel, plan), len(labels))
     return np.where(transferred != IGNORE, transferred, labels).astype(np.int32)
 
 
@@ -158,16 +191,16 @@ def derive_clip_labels(corr: CorrespondenceSet, scores: Sequence[ScoreMap],
                        masks: Sequence[MaskMap], num_points: int) -> dict:
     """Full oracle-label pipeline for one scene.
 
-    Returns raw and mask-refined labels on both domains, and the masks
-    carried onto points (transfer_masks) that refine the point labels:
+    Returns raw and mask-refined labels on both domains, and the scene's
+    mask-vote plan that refined them:
     {"pixel_raw": (V, H, W), "pixel_refined": (V, H, W),
-     "point_raw": (N,), "point_refined": (N,), "point_masks": [(N,)] * V}.
+     "point_raw": (N,), "point_refined": (N,), "vote_plan": VotePlan}.
     """
+    plan = vote_plan(corr, masks, num_points)
     pixel_raw = np.stack([argmax_label(s.scores) for s in scores])
-    pixel_refined = refine_views(pixel_raw, masks)
+    pixel_refined = refine_views(pixel_raw, plan)
     point_raw = transfer_labels(corr, pixel_raw, num_points)
-    point_masks = transfer_masks(corr, masks, num_points)
-    point_refined = refine_points_by_view_masks(point_raw, point_masks)
+    point_refined = refine_points_by_view_masks(point_raw, plan)
     return {"pixel_raw": pixel_raw, "pixel_refined": pixel_refined,
             "point_raw": point_raw, "point_refined": point_refined,
-            "point_masks": point_masks}
+            "vote_plan": plan}

@@ -154,7 +154,6 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
         raise ValidationError("scene has no pixel-point correspondences to train on")
     num_points = len(scene.cloud)
 
-    masks = oracles["masks"]
     embeddings = oracles["embeddings"]
     if len(embeddings) != scene.num_classes:
         raise ValidationError(
@@ -182,7 +181,7 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
     entries = (corr.camera_index, corr.v, corr.u)
     anchors = np.stack([fm.features for fm in oracles["features"]])[entries]
 
-    labels = derive_clip_labels(corr, oracles["scores"], masks, num_points)
+    labels = derive_clip_labels(corr, oracles["scores"], oracles["masks"], num_points)
     pixel_key = "pixel_refined" if config.refine_labels else "pixel_raw"
     point_key = "point_refined" if config.refine_labels else "point_raw"
 
@@ -191,8 +190,7 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
         "x2d": desc2d[(slice(None), *entries)], "anchors": anchor_units(bundle, anchors),
         "ent_point": corr.point_index,
         "gt_pixel": gt_pixel_stack(scene), "gt_point": scene.cloud.gt_labels,
-        "masks": masks, "point_masks": labels["point_masks"],
-        "corr": corr,
+        "vote_plan": labels["vote_plan"], "corr": corr,
     }
     state = TrainState(
         bundle=bundle, config=config, scene=scene, data=data,
@@ -287,8 +285,8 @@ def compute_self_labels(state: TrainState) -> Tuple[np.ndarray, np.ndarray]:
     """
     pixel, point = predictions(state)
     if state.config.refine_labels:
-        pixel = refine_views(pixel, state.data["masks"])
-        point = refine_points_by_view_masks(point, state.data["point_masks"])
+        pixel = refine_views(pixel, state.data["vote_plan"])
+        point = refine_points_by_view_masks(point, state.data["vote_plan"])
     _set_sources(state, 2, pixel, point)
     return pixel, point
 

@@ -874,6 +874,14 @@ def test_noise_sweep_script(tmp_path):
     assert [row[0] for row in rows] == [0.0, 0.4]
     _, pixel_raw, pixel_refined, point_raw, point_refined = rows[1]
     assert pixel_refined <= pixel_raw and point_refined <= point_raw
+    # README states the jitter floor of mask voting from the eps-0 row:
+    # perfect labels, voted inside masks whose boundaries are jittered.
+    _, pixel_raw, pixel_refined, point_raw, point_refined = rows[0]
+    assert pixel_raw == point_raw == 0
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text().split())
+    assert (f"voting alone makes {pixel_refined:.1%} of the pixel labels and "
+            f"{point_refined:.1%} of the point labels wrong") in text
 
 
 def test_no_command_imports_scipy(tmp_path):

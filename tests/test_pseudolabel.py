@@ -14,10 +14,10 @@ from cnslab.geometry import CorrespondenceSet
 from cnslab.pseudolabel import (IGNORE, argmax_label, derive_clip_labels,
                                 refine_by_masks, refine_points_by_view_masks,
                                 refine_views, reproject_refine_points,
-                                transfer_labels, transfer_masks)
+                                transfer_labels, transfer_masks, vote_plan)
 from cnslab.scenesynth import (ClipNoiseConfig, MaskFragConfig, MaskMap,
-                               gt_pixel_stack, mock_clip_scores, mock_sam_masks,
-                               render_view)
+                               SceneConfig, generate_scene, gt_pixel_stack,
+                               mock_clip_scores, mock_sam_masks, render_view)
 
 
 def _corr(entries):
@@ -29,6 +29,17 @@ def _corr(entries):
                              arr[:, 2].astype(np.int64),
                              arr[:, 3].astype(np.int64),
                              arr[:, 4])
+
+
+def _point_plan(point_mask_ids):
+    """A vote plan from per-view point mask ids, -1 where a view does not
+    see the point: point p sits at pixel (p, 0) of each view that sees it,
+    and the pixels of unseen points form one more mask of that view."""
+    entries = [(p, k, p, 0, 1.0) for k, ids in enumerate(point_mask_ids)
+               for p in np.flatnonzero(np.asarray(ids) >= 0)]
+    masks = [MaskMap(np.unique(ids, return_inverse=True)[1].reshape(1, -1))
+             for ids in point_mask_ids]
+    return vote_plan(_corr(entries), masks, len(point_mask_ids[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +237,7 @@ def test_refine_views_votes_each_view_in_its_own_masks():
     # Both views use mask id 0, but ids are view-local: no vote crosses views.
     pixel = np.array([[[1, 1], [1, 2]], [[3, 3], [2, 2]]], dtype=np.int32)
     masks = [MaskMap(np.zeros((2, 2), dtype=np.int32))] * 2
-    out = refine_views(pixel, masks)
+    out = refine_views(pixel, vote_plan(_corr([]), masks, 0))
     assert np.array_equal(out, [[[1, 1], [1, 1]], [[2, 2], [2, 2]]])
 
 
@@ -234,23 +245,83 @@ def test_refine_points_by_view_masks_camera_priority():
     labels = np.array([2, 2, 0], dtype=np.int32)
     view0 = np.array([0, 0, -1])  # points 0, 1 share a mask
     view1 = np.array([1, -1, 1])  # points 0, 2 share a mask
-    out = refine_points_by_view_masks(labels, [view0, view1])
+    out = refine_points_by_view_masks(labels, _point_plan([view0, view1]))
     # Point 0: view 0 votes {2,2} -> 2; view 1 would vote {2,0} -> 0.
     # The lower camera wins; point 2 only appears in view 1.
     assert np.array_equal(out, [2, 2, 0])
-    flipped = refine_points_by_view_masks(labels, [view1, view0])
+    flipped = refine_points_by_view_masks(labels, _point_plan([view1, view0]))
     assert flipped[0] == 0
 
 
 def test_refine_points_invisible_keep_labels():
     labels = np.array([4, 1], dtype=np.int32)
-    out = refine_points_by_view_masks(labels, [np.array([-1, 0])])
+    out = refine_points_by_view_masks(labels, _point_plan([np.array([-1, 0])]))
     assert out[0] == 4
 
 
 def test_refine_points_rejects_pixel_domain():
     with pytest.raises(ValidationError, match=r"\(N,\) point labels"):
-        refine_points_by_view_masks(np.zeros((2, 2), dtype=np.int32), [])
+        refine_points_by_view_masks(np.zeros((2, 2), dtype=np.int32),
+                                    _point_plan([[0, 0]]))
+
+
+def test_refine_points_rejects_labels_of_another_point_count():
+    plan = _point_plan([[0, 0, -1]])
+    for count in (2, 4):
+        with pytest.raises(ValidationError, match="vote plan of 3 points"):
+            refine_points_by_view_masks(np.zeros(count, dtype=np.int32), plan)
+
+
+@pytest.fixture(scope="module")
+def default_scene_masks():
+    scene = generate_scene(SceneConfig(), 0)
+    masks = [mock_sam_masks(scene, k, MaskFragConfig(), scene.seed)
+             for k in range(len(scene.cameras))]
+    return scene, masks
+
+
+def _per_view_votes(pixel, point, corr, masks):
+    """The votes one view at a time: each view's pixels inside its own
+    masks, and each view's visible points inside the masks carried onto
+    them, a point taking the result of the lowest camera that sees it."""
+    ref_pixel = np.stack([refine_by_masks(pixel[k], m.mask_ids)
+                          for k, m in enumerate(masks)])
+    ref_point = point.copy()
+    filled = np.zeros(len(point), dtype=bool)
+    for ids in transfer_masks(corr, masks, len(point)):
+        refined = refine_by_masks(point, ids)
+        take = (ids >= 0) & ~filled
+        ref_point[take] = refined[take]
+        filled |= ids >= 0
+    return ref_pixel, ref_point
+
+
+@pytest.mark.parametrize("which", ["small", "default"])
+def test_vote_plan_equals_the_per_view_votes(which, small_scene, small_oracles,
+                                             request, rng):
+    # Random labels with IGNORE holes and whole masks of IGNORE, on every
+    # view: one vote over the plan's global ids equals one vote per view.
+    if which == "small":
+        scene, masks = small_scene, small_oracles["masks"]
+    else:
+        scene, masks = request.getfixturevalue("default_scene_masks")
+    corr = scene.correspondences()
+    plan = vote_plan(corr, masks, len(scene.cloud))
+    point_masks = transfer_masks(corr, masks, len(scene.cloud))
+    shape = plan.pixel_ids.shape
+    for _ in range(20):
+        classes = int(rng.integers(1, 12))
+        pixel = rng.integers(0, classes, size=shape).astype(np.int32)
+        pixel[rng.random(shape) < rng.random()] = IGNORE
+        point = rng.integers(0, classes, size=len(scene.cloud)).astype(np.int32)
+        point[rng.random(len(point)) < rng.random()] = IGNORE
+        for k, mask in enumerate(masks):
+            gone = rng.choice(mask.mask_ids.max() + 1, size=5, replace=False)
+            pixel[k][np.isin(mask.mask_ids, gone)] = IGNORE
+            point[np.isin(point_masks[k], gone)] = IGNORE
+        ref_pixel, ref_point = _per_view_votes(pixel, point, corr, masks)
+        assert np.array_equal(refine_views(pixel, plan), ref_pixel)
+        assert np.array_equal(refine_points_by_view_masks(point, plan), ref_point)
 
 
 def test_reproject_refine_fixpoint_on_ground_truth(small_scene):
@@ -280,10 +351,16 @@ def test_derive_clip_labels_noiseless(small_scene, noiseless_oracles):
                              noiseless_oracles["masks"],
                              len(small_scene.cloud))
     assert set(out) == {"pixel_raw", "pixel_refined", "point_raw",
-                        "point_refined", "point_masks"}
+                        "point_refined", "vote_plan"}
+    # The plan's entry ids are the view masks carried onto points, each
+    # view's offset by the mask counts of the views before it.
+    plan = out["vote_plan"]
     point_masks = transfer_masks(corr, noiseless_oracles["masks"],
                                  len(small_scene.cloud))
-    assert np.array_equal(np.stack(out["point_masks"]), np.stack(point_masks))
+    counts = [m.mask_ids.max() + 1 for m in noiseless_oracles["masks"]]
+    offsets = np.cumsum([0] + counts[:-1])
+    assert np.array_equal(plan.entry_ids - offsets[corr.camera_index],
+                          np.stack(point_masks)[corr.camera_index, corr.point_index])
     visible = np.zeros(len(small_scene.cloud), dtype=bool)
     visible[corr.point_index] = True
     for key in ("point_raw", "point_refined"):

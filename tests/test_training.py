@@ -5,6 +5,9 @@ of all-oracle source switching with pure stage-1 training, empirical
 source-draw frequencies, determinism, and frozen-component invariants.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -528,3 +531,19 @@ def test_shipped_size_check_catches_a_dropped_bias_term(default_scene_inputs,
            "np.matmul(p.mlp.layers[-1].T, g, out=d_map[:-1])",
            "np.matmul(p.mlp.layers[-1][:-1].T, g[:-1], out=d_map[:-1])")
     assert grad_check(state.bundle, batch).error > 1e-4
+
+
+def test_readme_library_quick_start_prints_its_comment():
+    # README's library quick start trains the default scene for 30 epochs
+    # and states the last epoch's mIoU at three decimals.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    comment = re.search(r"# \{'epoch': (\d+), \.\.\., 'miou2d': ([\d.]+), "
+                        r"'miou3d': ([\d.]+)\}", snippet)
+    assert comment, "the quick start's print has no epoch/mIoU comment"
+    scope = {}
+    exec(compile(snippet, "README.md", "exec"), scope)
+    last = scope["state"].history[-1]
+    assert (str(last["epoch"]), f"{last['miou2d']:.3f}",
+            f"{last['miou3d']:.3f}") == comment.groups()

@@ -171,8 +171,8 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
         gt_point = scene.cloud.gt_labels
         labels = derive_clip_labels(corr, oracles["scores"], oracles["masks"],
                                     len(scene.cloud))
-        # Built once per descriptor_noise a trained row of this seed asks for.
-        descriptors: Dict[float, tuple] = {}
+        # Built at this seed's first trained row.
+        descriptors = None
         configs = {row: row_train_config(row, replace(suite.train, seed=seed))
                    for row in suite.rows}
         # Trained rows that agree up to stage 2 share one warm-up, as long as
@@ -192,17 +192,16 @@ def run_ablation(suite: SuiteConfig, scenes: Optional[dict] = None) -> AblationR
                     pred_point = labels[f"point_{key}"]
                     hashed = (row, suite.clip_noise, suite.frag)
                 else:
-                    noise = cfg.descriptor_noise
-                    if noise not in descriptors:
-                        descriptors[noise] = scene_descriptors(scene, noise)
+                    if descriptors is None:
+                        descriptors = scene_descriptors(scene)
                     group = warmup_key(cfg)
                     if len(groups[group]) > 1 and group not in warmups:
                         warmups[group] = run_stage1(
                             init_state(scene, oracles, cfg, suite.model_config(),
-                                       descriptors[noise]),
+                                       descriptors),
                             min(groups[group]))
                     state = train(scene, oracles, cfg, suite.model_config(),
-                                  descriptors[noise], start=warmups.get(group))
+                                  descriptors, start=warmups.get(group))
                     pred_pixel, pred_point = predictions(state)
                     hashed = replace(cfg, seed=0)
                 scored = _score_label_row(scene, pred_pixel, pred_point,

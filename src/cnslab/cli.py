@@ -256,8 +256,7 @@ def cmd_train(cfg: RunConfig, bundle_dir: str, out_dir: str) -> int:
     tconf = suite.train
     state = training.train(scene, oracles, tconf, suite.model_config())
     nncore.save_checkpoint(state.bundle, out / "checkpoint.ckpt",
-                           extra={"train_hash": nncore.config_hash(tconf),
-                                  "descriptor_noise": tconf.descriptor_noise})
+                           extra={"train_hash": nncore.config_hash(tconf)})
     training.write_metrics_csv(state.history, out / "metrics.csv")
     last = state.history[-1]
     print(f"trained {tconf.total_epochs} epochs: "
@@ -276,15 +275,7 @@ def cmd_eval(cfg: RunConfig, bundle_dir: str, checkpoint: str,
         raise ValidationError(
             f"checkpoint predicts {meta['num_classes']} classes but the "
             f"bundle has {scene.num_classes}")
-    # The network only scores right on the descriptors it was trained on.
-    # Checkpoints from before this header key was written are not checked.
-    trained = meta.get("x_descriptor_noise")
-    noise = format_value(cfg["descriptor_noise"])
-    if trained is not None and trained != noise:
-        raise ValidationError(
-            f"checkpoint was trained with descriptor_noise={trained} but eval "
-            f"uses descriptor_noise={noise}; pass --descriptor_noise {trained}")
-    desc2d, desc3d = training.scene_descriptors(scene, cfg["descriptor_noise"])
+    desc2d, desc3d = training.scene_descriptors(scene)
     if len(desc2d) - 1 != model.config.input2d_dim:
         raise ValidationError(
             f"checkpoint expects {model.config.input2d_dim}-dim pixel "

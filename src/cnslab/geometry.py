@@ -9,6 +9,7 @@ a cell is the one with minimal camera depth.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -149,6 +150,15 @@ class CorrespondenceSet:
     @property
     def count(self) -> int:
         return len(self.point_index)
+
+    @functools.cached_property
+    def first_entry(self) -> np.ndarray:
+        """Each point's lowest-camera entry, by point: a point has at most
+        one entry per camera and entries come in camera order, so it is the
+        point's first.  Read-only."""
+        first = np.unique(self.point_index, return_index=True)[1]
+        first.setflags(write=False)
+        return first
 
     def camera_slice(self, camera: int) -> np.ndarray:
         """Boolean mask selecting one camera's entries."""

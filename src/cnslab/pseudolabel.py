@@ -5,10 +5,11 @@ scoring pixels against class embeddings and taking the argmax, carrying
 labels and mask ids between pixels and points along the correspondence
 set, and replacing every label inside a mask by the mask's plurality
 label.  Labels are plain int32 arrays: a scene's pixel labels are one
-(V, H, W) stack, its point labels one (N,) array.  All operations treat
+(V, H, W) stack, its point labels one (N,) array.  Voting treats
 IGNORE (-1) as "no label": IGNORE elements never vote and are never
-overwritten.  A scene's mask votes, pixel and point, follow one
-VotePlan, built once per scene.
+overwritten.  A point takes the label of its lowest-camera entry, in
+transfer and in point voting alike.  A scene's mask votes, pixel and
+point, follow one VotePlan, built once per scene.
 """
 
 from __future__ import annotations
@@ -40,23 +41,19 @@ def transfer_labels(corr: CorrespondenceSet, pixel_labels: np.ndarray,
                     num_points: int) -> np.ndarray:
     """Carry a (V, H, W) pixel label stack onto points along the correspondences.
 
-    A point takes the label of the lowest camera index that holds a
-    non-IGNORE label for it; points with no correspondence (or only
-    IGNORE-labeled pixels) get IGNORE.
+    A point takes the label of its lowest-camera entry
+    (CorrespondenceSet.first_entry), IGNORE as well; points with no
+    correspondence get IGNORE.
     """
     if pixel_labels.ndim != 3:
         raise ValidationError(
             f"pixel labels must be a (V, H, W) stack, got {pixel_labels.shape}")
     if corr.count and int(corr.camera_index.max()) >= len(pixel_labels):
         raise ValidationError("pixel_labels must cover every view in the correspondence set")
-    lab = pixel_labels[corr.camera_index, corr.v, corr.u]
-    ok = lab != IGNORE
-    pts, cams, lab = corr.point_index[ok], corr.camera_index[ok], lab[ok]
+    first = corr.first_entry
     out = np.full(num_points, IGNORE, dtype=np.int32)
-    # A point has one entry per camera; the lowest camera writes last.
-    for k in reversed(range(len(pixel_labels))):
-        sel = cams == k
-        out[pts[sel]] = lab[sel]
+    out[corr.point_index[first]] = pixel_labels[
+        corr.camera_index[first], corr.v[first], corr.u[first]]
     return out
 
 
@@ -119,7 +116,7 @@ class VotePlan:
     pixel_ids: np.ndarray    # (V, H, W) int64 global mask id of every pixel
     entry_ids: np.ndarray    # (E,) global mask id of every correspondence entry
     entry_point: np.ndarray  # (E,) point of every entry
-    first_entry: np.ndarray  # the lowest-camera entry of each point that has one
+    first_entry: np.ndarray  # CorrespondenceSet.first_entry
     num_points: int
 
 
@@ -132,12 +129,8 @@ def vote_plan(corr: CorrespondenceSet, masks: Sequence[MaskMap],
     offsets = np.cumsum([0] + [int(m.mask_ids.max()) + 1 for m in masks[:-1]])
     pixel_ids = np.stack([m.mask_ids for m in masks]).astype(np.int64)
     pixel_ids += offsets[:, None, None]
-    by_point = np.lexsort((corr.camera_index, corr.point_index))
-    pts = corr.point_index[by_point]
-    first = np.ones(len(pts), dtype=bool)
-    first[1:] = pts[1:] != pts[:-1]
     return VotePlan(pixel_ids, pixel_ids[corr.camera_index, corr.v, corr.u],
-                    corr.point_index, by_point[first], num_points)
+                    corr.point_index, corr.first_entry, num_points)
 
 
 def refine_views(pixel_labels: np.ndarray, plan: VotePlan) -> np.ndarray:

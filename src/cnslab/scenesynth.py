@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,10 +57,9 @@ MAX_ROOM_SIZE = 1e6
 # Largest feat_sigma.  Past about 1e153 a noisy feature's norm overflows
 # and the unit features read 0; at 1e6 the noise swamps the unit anchors.
 MAX_FEAT_SIGMA = 1e6
-# Largest descriptor_noise.  Past about 3e37 the float32 descriptors
-# overflow; far below that (about 1e2 at the default lr) training already
-# ends in a numerical abort, and at 1e6 the noise swamps the unit palette.
-MAX_DESCRIPTOR_NOISE = 1e6
+# Standard deviation of the gaussian noise on the networks' input
+# appearance channels (point_appearance, pixel_descriptors).
+DESCRIPTOR_NOISE = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +158,9 @@ class Scene:
     seed: int
     room_size: float
     _corr: Optional[CorrespondenceSet] = field(default=None, repr=False, compare=False)
-    # point_appearance per noise sigma, read-only.
-    _appearance: Dict[float, np.ndarray] = field(default_factory=dict, init=False,
-                                                 repr=False, compare=False)
+    # point_appearance, read-only.
+    _appearance: Optional[np.ndarray] = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     def correspondences(self) -> CorrespondenceSet:
         if self._corr is None:
@@ -704,22 +703,19 @@ def instance_palette(max_instance_id: int) -> np.ndarray:
     return out
 
 
-def point_appearance(scene: Scene, noise_sigma: float) -> np.ndarray:
-    """Per-point appearance: instance palette plus gaussian channel noise.
+def point_appearance(scene: Scene) -> np.ndarray:
+    """Per-point appearance: instance palette plus gaussian channel noise
+    (DESCRIPTOR_NOISE).
 
-    Drawn once per scene and noise sigma; the read-only result is kept on
-    the scene.
+    Drawn once per scene; the read-only result is kept on the scene.
     """
-    app = scene._appearance.get(noise_sigma)
-    if app is None:
+    if scene._appearance is None:
         rng = derive_rng(scene.seed, TAG_DESCRIPTOR, 0)
         app = instance_palette(scene.object_count)[scene.cloud.object_ids]
-        if noise_sigma > 0:
-            app = app + noise_sigma * rng.standard_normal(app.shape)
-        app = app.astype(np.float32)
+        app = (app + DESCRIPTOR_NOISE * rng.standard_normal(app.shape)).astype(np.float32)
         app.setflags(write=False)
-        scene._appearance[noise_sigma] = app
-    return app
+        scene._appearance = app
+    return scene._appearance
 
 
 # Query-candidate slots of one k-NN block: 256 KiB per float64 array.
@@ -882,10 +878,10 @@ def _box_mean3(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def point_descriptors(scene: Scene, noise_sigma: float) -> np.ndarray:
+def point_descriptors(scene: Scene) -> np.ndarray:
     """3D network inputs: coordinates, appearance, neighborhood statistics."""
     pos = scene.cloud.positions.astype(np.float64)
-    app = point_appearance(scene, noise_sigma).astype(np.float64)
+    app = point_appearance(scene).astype(np.float64)
     dist, idx = _nearest_neighbors(pos, 9)
     if idx.shape[1] > 1:
         mean_dist = dist[:, 1:].mean(axis=1, keepdims=True) / scene.room_size
@@ -897,20 +893,19 @@ def point_descriptors(scene: Scene, noise_sigma: float) -> np.ndarray:
     return desc.astype(np.float32)
 
 
-def pixel_descriptors(scene: Scene, camera_index: int,
-                      noise_sigma: float) -> np.ndarray:
+def pixel_descriptors(scene: Scene, camera_index: int) -> np.ndarray:
     """2D network inputs: pixel position encoding, depth, and rendered
     appearance channels with their 3x3 local means."""
     render = render_view(scene, camera_index)
     h, w = render.label.shape
-    app_points = point_appearance(scene, noise_sigma).astype(np.float64)
+    app_points = point_appearance(scene).astype(np.float64)
     palette = instance_palette(scene.object_count)
     app = np.empty((h, w, APPEARANCE_DIM))
     visible = render.point_index >= 0
     app[visible] = app_points[render.point_index[visible]]
     rng = derive_rng(scene.seed, TAG_DESCRIPTOR, 1 + camera_index)
     empty_noise = rng.standard_normal((h, w, APPEARANCE_DIM))
-    empty_app = palette[BACKGROUND_INSTANCE][None, None, :] + noise_sigma * empty_noise
+    empty_app = palette[BACKGROUND_INSTANCE][None, None, :] + DESCRIPTOR_NOISE * empty_noise
     app[~visible] = empty_app[~visible]
     local = _box_mean3(app)
     yy, xx = np.mgrid[0:h, 0:w]

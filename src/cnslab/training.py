@@ -29,9 +29,8 @@ from .nncore import (ModelBundle, ModelConfig, anchor_units, class_layer,
                      sgd_step, step)
 from .pseudolabel import (IGNORE, derive_clip_labels, refine_points_by_view_masks,
                           refine_views, transfer_labels)
-from .scenesynth import (MAX_DESCRIPTOR_NOISE, PIXEL_DESC_DIM, POINT_DESC_DIM,
-                         Scene, gt_pixel_stack, pixel_descriptors,
-                         point_descriptors)
+from .scenesynth import (PIXEL_DESC_DIM, POINT_DESC_DIM, Scene, gt_pixel_stack,
+                         pixel_descriptors, point_descriptors)
 from .seeding import SEED_BOUND, TAG_SHUFFLE, TAG_SOURCE, derive_rng
 
 SOURCES = ("clip2d", "clip3d", "self2d", "self3d")
@@ -51,7 +50,6 @@ class TrainConfig:
     switch_per_element: bool = False
     latent_loss_weight: float = 1.0
     refine_labels: bool = True
-    descriptor_noise: float = 0.02
     seed: int = 0
 
     def probs_for(self, net: int) -> np.ndarray:
@@ -85,10 +83,6 @@ class TrainConfig:
         if not self.latent_loss_weight >= 0:
             raise ValidationError(
                 f"latent_loss_weight must be >= 0, got {self.latent_loss_weight}")
-        if not 0 <= self.descriptor_noise <= MAX_DESCRIPTOR_NOISE:
-            raise ValidationError(
-                f"descriptor_noise must be >= 0 and <= {MAX_DESCRIPTOR_NOISE:g}, "
-                f"got {self.descriptor_noise}")
         if not 0 <= self.seed < SEED_BOUND:
             raise ValidationError(f"seed must be in [0, 2**32), got {self.seed}")
 
@@ -120,8 +114,7 @@ class TrainState:
         default_factory=lambda: np.zeros((2, 4), dtype=np.int64))
 
 
-def scene_descriptors(scene: Scene,
-                      noise: float) -> Tuple[np.ndarray, np.ndarray]:
+def scene_descriptors(scene: Scene) -> Tuple[np.ndarray, np.ndarray]:
     """Pixel descriptors of every view (D + 1, V, H, W) and point descriptors
     (D + 1, N), feature-major with a trailing ones row, as the encoders read
     them (nncore.feature_major).  Each view is written into place as it is
@@ -131,8 +124,8 @@ def scene_descriptors(scene: Scene,
                        camera.width), np.float32)
     desc2d[-1] = 1
     for k in range(len(scene.cameras)):
-        desc2d[:-1, k] = np.moveaxis(pixel_descriptors(scene, k, noise), -1, 0)
-    return desc2d, feature_major(point_descriptors(scene, noise))
+        desc2d[:-1, k] = np.moveaxis(pixel_descriptors(scene, k), -1, 0)
+    return desc2d, feature_major(point_descriptors(scene))
 
 
 def init_state(scene: Scene, oracles: dict, config: TrainConfig,
@@ -143,10 +136,9 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
 
     The model is drawn by make_bundle and trains in float32, the precision
     its checkpoint stores: a saved and reloaded model is the trained one.
-    `descriptors` may carry the scene_descriptors(scene,
-    config.descriptor_noise) pair built by the caller, so that runs on one
-    scene share it.  Every dimension check runs before the descriptors are
-    built.
+    `descriptors` may carry the scene_descriptors(scene) pair built by the
+    caller, so that runs on one scene share it.  Every dimension check runs
+    before the descriptors are built.
     """
     config.validate()
     corr = scene.correspondences()
@@ -176,7 +168,7 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
         raise ValidationError("model input dims do not match descriptor dims")
     bundle = make_bundle(model_config, embeddings, config.seed).astype(np.float32)
     if descriptors is None:
-        descriptors = scene_descriptors(scene, config.descriptor_noise)
+        descriptors = scene_descriptors(scene)
     desc2d, desc3d = descriptors
     entries = (corr.camera_index, corr.v, corr.u)
     anchors = np.stack([fm.features for fm in oracles["features"]])[entries]
@@ -188,7 +180,6 @@ def init_state(scene: Scene, oracles: dict, config: TrainConfig,
     data = {
         "desc2d": desc2d, "desc3d": desc3d,
         "x2d": desc2d[(slice(None), *entries)], "anchors": anchor_units(bundle, anchors),
-        "ent_point": corr.point_index,
         "gt_pixel": gt_pixel_stack(scene), "gt_point": scene.cloud.gt_labels,
         "vote_plan": labels["vote_plan"], "corr": corr,
     }
@@ -233,15 +224,15 @@ def _predict_rows(bundle: ModelBundle, enc: str, rows: np.ndarray) -> np.ndarray
 
     The encoder's output layer is folded into the class map once per call
     by the training step's fold (class_layer), so each chunk runs the
-    hidden layers and then one layer to the logits.  Logits that overflow
-    (or a NaN) end in NumericalError, as a training step's do.
+    hidden layers and then one layer to the logits.  A fold or logits that
+    overflow (or a NaN) end in NumericalError, as a training step's do.
     """
     count = rows.shape[1]
     out = np.empty(count, dtype=np.int32)
     mlp = getattr(bundle, enc)
-    folded = class_layer(bundle, enc)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
+            folded = class_layer(bundle, enc)
             for lo in range(0, count, _CHUNK):
                 hidden, _ = mlp_forward(mlp, rows[:, lo:lo + _CHUNK], hidden_only=True)
                 out[lo:lo + _CHUNK] = np.argmax(class_logits(hidden, folded), axis=0)
@@ -362,7 +353,8 @@ def _run_epoch(state: TrainState, stage: int) -> dict:
     pts = pts.reshape(steps, cfg.batch_points)
     use_latent = cfg.latent_loss_weight > 0
     if use_latent:
-        pair3d = _step_blocks(data["desc3d"], data["ent_point"][order], cfg.batch_pixels)
+        pair3d = _step_blocks(data["desc3d"], data["corr"].point_index[order],
+                              cfg.batch_pixels)
         anchors = _step_blocks(data["anchors"], order, cfg.batch_pixels)
     if stage == 1:  # each network's own-modality oracle labels
         draws2d, draws3d = [0] * steps, [1] * steps

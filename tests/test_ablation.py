@@ -87,7 +87,7 @@ def test_nan_cases_cover_every_float_field():
     assert {(type(config).__name__, name) for config, name in NAN_CASES} >= {
         ("SceneConfig", "focal"), ("SceneConfig", "placement_margin"),
         ("TrainConfig", "lr"),
-        ("TrainConfig", "latent_loss_weight"), ("TrainConfig", "descriptor_noise"),
+        ("TrainConfig", "latent_loss_weight"),
         ("ModelConfig", "temperature"), ("SuiteConfig", "feat_sigma"),
         ("SuiteConfig", "temperature")}
 
@@ -211,7 +211,7 @@ def test_median_over_seeds():
 # Its figures are those of a run in which every trained row built its own
 # descriptors and ran its own stage 1.
 SHARED_REPORT_SHA256 = \
-    "a060234243fe26bda2efabdeb072ec1e01eab4ca6753a0ebbc060c674cbecceb"
+    "1763775a8ee03a72283bd281c9ef05e9474df59d1c747faed1784938cd2470fa"
 
 
 def shared_suite(**overrides):
@@ -225,9 +225,9 @@ def shared_suite(**overrides):
 def descriptor_builds(monkeypatch):
     builds = []
 
-    def counting(scene, noise):
+    def counting(scene):
         builds.append(scene.seed)
-        return scene_descriptors(scene, noise)
+        return scene_descriptors(scene)
 
     monkeypatch.setattr(ablation, "scene_descriptors", counting)
     return builds
@@ -249,40 +249,24 @@ def test_label_only_rows_build_no_descriptors(descriptor_builds):
     assert descriptor_builds == []
 
 
-def test_a_row_with_its_own_descriptor_noise_trains_on_its_own_descriptors(
-        monkeypatch):
-    suite = shared_suite(seeds=(0,))
-    own_noise = suite.train.descriptor_noise + 0.01
-    built = {}
-
-    def building(scene, noise):
-        built[noise] = scene_descriptors(scene, noise)
-        return built[noise]
-
-    def row_config(row, base):
-        cfg = row_train_config(row, base)
-        if row == "full":
-            cfg = dataclasses.replace(cfg, descriptor_noise=own_noise)
-        return cfg
-
-    trained_on = []
-
-    def recording(scene, oracles, cfg, model_config, descriptors, start):
-        trained_on.append(descriptors is built[cfg.descriptor_noise])
-        return train(scene, oracles, cfg, model_config, descriptors, start=start)
-
-    monkeypatch.setattr(ablation, "scene_descriptors", building)
-    monkeypatch.setattr(ablation, "row_train_config", row_config)
-    monkeypatch.setattr(ablation, "train", recording)
-    run_ablation(suite)
-    assert sorted(built) == [suite.train.descriptor_noise, own_noise]
-    assert trained_on == [True, True, True]
+def test_runs_on_one_scene_each_build_its_descriptors(descriptor_builds):
+    # The descriptors are not kept on the scene: a second run on the same
+    # scene object builds them again, once.
+    suite = tiny_suite(rows=("wo_sct", "full"),
+                       train=TrainConfig(stage1_epochs=1, total_epochs=1))
+    scene = generate_scene(suite.scene, 0)
+    oracles = standard_oracle_outputs(scene, suite.clip_noise, suite.frag,
+                                      suite.feat_dim, suite.feat_sigma,
+                                      suite.embed_dim)
+    for _ in range(2):
+        run_ablation(suite, scenes={0: (scene, oracles)})
+    assert descriptor_builds == [0, 0]
 
 
 def test_shared_descriptors_train_the_same_parameters(small_scene, small_oracles):
     config = TrainConfig(stage1_epochs=1, total_epochs=3)
     own = train(small_scene, small_oracles, config)
-    descriptors = scene_descriptors(small_scene, config.descriptor_noise)
+    descriptors = scene_descriptors(small_scene)
     shared = train(small_scene, small_oracles, config, descriptors=descriptors)
     assert own.bundle.params.tobytes() == shared.bundle.params.tobytes()
     assert own.history == shared.history

@@ -272,14 +272,13 @@ def test_ac7_latent_anchoring():
         for k in range(len(scene.cameras)):
             view = render_view(scene, k)
             visible = view.point_index >= 0
-            latent = mlp_forward(model.enc2d, feature_major(pixel_descriptors(
-                scene, k, suite.train.descriptor_noise)[visible]))[0].T
+            latent = mlp_forward(model.enc2d, feature_major(
+                pixel_descriptors(scene, k)[visible]))[0].T
             feats.append(latent @ model.head_f2d[:-1] + model.head_f2d[-1])
             groups.append(view.object_id[visible])
         gaps2d.append(_cosine_gap(np.concatenate(feats),
                                   np.concatenate(groups), rng))
-        latent = mlp_forward(model.enc3d, feature_major(point_descriptors(
-            scene, suite.train.descriptor_noise)))[0].T
+        latent = mlp_forward(model.enc3d, feature_major(point_descriptors(scene)))[0].T
         feats3d = latent @ model.head_f3d[:-1] + model.head_f3d[-1]
         gaps3d.append(_cosine_gap(feats3d, scene.cloud.object_ids, rng))
     gap2d, gap3d = np.median(gaps2d), np.median(gaps3d)

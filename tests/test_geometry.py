@@ -213,6 +213,18 @@ def test_entries_are_canonically_ordered(small_scene):
     assert len(np.unique(flat)) == corr.count
 
 
+def test_first_entry_is_each_points_lowest_camera(small_scene):
+    corr = build_correspondences(small_scene.cameras, small_scene.cloud)
+    lowest = {}
+    for e, (point, camera) in enumerate(zip(corr.point_index, corr.camera_index)):
+        if point not in lowest or camera < corr.camera_index[lowest[point]]:
+            lowest[point] = e
+    assert corr.first_entry.tolist() == [lowest[p] for p in sorted(lowest)]
+    assert corr.first_entry is corr.first_entry
+    assert not corr.first_entry.flags.writeable
+    assert len(CorrespondenceSet().first_entry) == 0
+
+
 def test_reprojection_identity(small_scene):
     corr = build_correspondences(small_scene.cameras, small_scene.cloud)
     entries = zip(corr.point_index, corr.camera_index, corr.u, corr.v, corr.depth)

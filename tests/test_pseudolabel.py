@@ -93,14 +93,15 @@ def test_transfer_first_camera_priority():
     pixel = np.stack([np.full((3, 3), 4, dtype=np.int32),
                       np.full((3, 3), 7, dtype=np.int32)])
     assert transfer_labels(corr, pixel, num_points=1)[0] == 4
-    # An IGNORE in the first view falls through to the second.
+    # An IGNORE in the first view is carried as it is.
     pixel[0, 0, 0] = IGNORE
-    assert transfer_labels(corr, pixel, num_points=1)[0] == 7
+    assert transfer_labels(corr, pixel, num_points=1)[0] == IGNORE
 
 
 def test_transfer_brute_force_rewalk(small_scene, rng):
     # Random per-view labels with holes, replayed by a python walk over
-    # the correspondence entries in camera order.
+    # the correspondence entries in camera order: each point's first entry
+    # gives its label, IGNORE as well.
     corr = small_scene.correspondences()
     n = len(small_scene.cloud)
     shape = gt_pixel_stack(small_scene).shape
@@ -108,11 +109,12 @@ def test_transfer_brute_force_rewalk(small_scene, rng):
     views[rng.random(shape) < 0.3] = IGNORE
     out = transfer_labels(corr, views, n)
     expected = np.full(n, IGNORE, dtype=np.int32)
+    seen = set()
     entries = list(zip(corr.point_index, corr.camera_index, corr.u, corr.v))
     for point, camera, u, v in sorted(entries, key=lambda e: e[1]):
-        lab = views[camera, v, u]
-        if expected[point] == IGNORE and lab != IGNORE:
-            expected[point] = lab
+        if point not in seen:
+            seen.add(point)
+            expected[point] = views[camera, v, u]
     assert np.array_equal(out, expected)
 
 

@@ -17,9 +17,9 @@ from scipy.spatial import cKDTree
 from cnslab.errors import PlacementError, ValidationError
 from cnslab.geometry import CameraModel, PointCloud, look_at
 from cnslab.scenesynth import (APPEARANCE_DIM, BACKGROUND_CLASS,
-                               BACKGROUND_INSTANCE, MAX_ROOM_SIZE,
-                               PIXEL_DESC_DIM,
-                               POINT_DESC_DIM, ClipNoiseConfig, MaskFragConfig,
+                               BACKGROUND_INSTANCE, DESCRIPTOR_NOISE,
+                               MAX_ROOM_SIZE, PIXEL_DESC_DIM, POINT_DESC_DIM,
+                               ClipNoiseConfig, MaskFragConfig,
                                MaskMap, Scene, SceneConfig, generate_scene,
                                instance_anchors, instance_palette, mask_purity,
                                mock_clip_scores, mock_sam_features,
@@ -31,7 +31,6 @@ from cnslab.scenesynth import (APPEARANCE_DIM, BACKGROUND_CLASS,
                                _split_objects, _upsample_blocks)
 from cnslab import scenesynth
 from cnslab.seeding import TAG_DESCRIPTOR, TAG_MASKS, derive_rng
-from cnslab.training import TrainConfig
 
 from conftest import SMALL_SCENE, project_point
 
@@ -667,27 +666,31 @@ def test_palette_prefix_property(n1, n2):
 
 
 def test_point_descriptors_shape_and_appearance(small_scene):
-    desc = point_descriptors(small_scene, noise_sigma=0.0)
+    desc = point_descriptors(small_scene)
     assert desc.shape == (len(small_scene.cloud), POINT_DESC_DIM)
     assert np.isfinite(desc).all()
-    # Normalized coordinates first, then noise-free palette appearance.
+    # Normalized coordinates first, then the palette appearance with its
+    # DESCRIPTOR_NOISE gaussian noise.
     assert desc[:, :3].min() >= 0.0 and desc[:, :3].max() <= 1.0
+    app = desc[:, 3:3 + APPEARANCE_DIM]
+    assert np.array_equal(app, point_appearance(small_scene))
     palette = instance_palette(small_scene.object_count)
-    expected = palette[small_scene.cloud.object_ids].astype(np.float32)
-    assert np.allclose(desc[:, 3:3 + APPEARANCE_DIM], expected, atol=1e-6)
-    again = point_descriptors(small_scene, noise_sigma=0.0)
+    noise = app - palette[small_scene.cloud.object_ids]
+    assert abs(noise.mean()) < 0.1 * DESCRIPTOR_NOISE
+    assert abs(noise.std() / DESCRIPTOR_NOISE - 1) < 0.05
+    again = point_descriptors(small_scene)
     assert np.array_equal(desc, again)
 
 
 def test_pixel_descriptors_shape_and_position(small_scene):
-    desc = pixel_descriptors(small_scene, 0, noise_sigma=0.02)
+    desc = pixel_descriptors(small_scene, 0)
     h, w = SMALL_SCENE.image_height, SMALL_SCENE.image_width
     assert desc.shape == (h, w, PIXEL_DESC_DIM)
     assert np.isfinite(desc).all()
     # First two channels encode normalized pixel position.
     assert desc[0, 0, 0] == 0.0 and desc[0, w - 1, 0] == 1.0
     assert desc[0, 0, 1] == 0.0 and desc[h - 1, 0, 1] == 1.0
-    again = pixel_descriptors(small_scene, 0, noise_sigma=0.02)
+    again = pixel_descriptors(small_scene, 0)
     assert np.array_equal(desc, again)
 
 
@@ -698,18 +701,17 @@ def test_point_appearance_is_drawn_once_per_scene_and_noise(small_scene, monkeyp
     real = scenesynth.derive_rng
     monkeypatch.setattr(scenesynth, "derive_rng",
                         lambda *args: drawn.append(args) or real(*args))
-    point = point_descriptors(scene, 0.02)
-    pixel = [pixel_descriptors(scene, k, 0.02) for k in range(len(scene.cameras))]
-    app = point_appearance(scene, 0.02)
+    point = point_descriptors(scene)
+    pixel = [pixel_descriptors(scene, k) for k in range(len(scene.cameras))]
+    app = point_appearance(scene)
     assert drawn.count((scene.seed, TAG_DESCRIPTOR, 0)) == 1
     assert not app.flags.writeable
-    assert point_appearance(scene, 0.02) is app
-    assert not np.array_equal(point_appearance(scene, 0.05), app)
-    assert drawn.count((scene.seed, TAG_DESCRIPTOR, 0)) == 2
+    assert point_appearance(scene) is app
     # Built from the kept draw, the descriptors are those built from a fresh one.
-    assert np.array_equal(point_descriptors(scene, 0.02), point)
-    assert all(np.array_equal(pixel_descriptors(scene, k, 0.02), p)
+    assert np.array_equal(point_descriptors(scene), point)
+    assert all(np.array_equal(pixel_descriptors(scene, k), p)
                for k, p in enumerate(pixel))
+    assert drawn.count((scene.seed, TAG_DESCRIPTOR, 0)) == 1
 
 
 # sha256 of the default scene's float32 descriptors (point, then the stacked
@@ -725,10 +727,8 @@ DESCRIPTOR_SHA256 = {
 @pytest.mark.parametrize("seed", sorted(DESCRIPTOR_SHA256))
 def test_descriptor_bytes_are_pinned(seed):
     scene = generate_scene(SceneConfig(), seed)
-    noise = TrainConfig().descriptor_noise
-    point = point_descriptors(scene, noise)
-    pixel = np.stack([pixel_descriptors(scene, k, noise)
-                      for k in range(len(scene.cameras))])
+    point = point_descriptors(scene)
+    pixel = np.stack([pixel_descriptors(scene, k) for k in range(len(scene.cameras))])
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (point, pixel))
     assert digests == DESCRIPTOR_SHA256[seed]
 

@@ -185,7 +185,7 @@ def test_one_epoch_uses_every_entry_once(small_scene, small_oracles, monkeypatch
         assert np.array_equal(b["y2d"], state.labels2d[0, e])
         assert np.array_equal(b["x3d"], data["desc3d"][:, p])
         assert np.array_equal(b["y3d"], state.labels3d[1, p])
-        assert np.array_equal(b["pair3d"][0] * 2 ** 12, data["ent_point"][e])
+        assert np.array_equal(b["pair3d"][0] * 2 ** 12, data["corr"].point_index[e])
         assert np.array_equal(b["anchors"], data["anchors"][:, e])
 
 
@@ -482,8 +482,7 @@ def default_scene_inputs():
     oracles = standard_oracle_outputs(scene, suite.clip_noise, suite.frag,
                                       suite.feat_dim, suite.feat_sigma,
                                       suite.embed_dim)
-    return suite, scene, oracles, training.scene_descriptors(
-        scene, suite.train.descriptor_noise)
+    return suite, scene, oracles, training.scene_descriptors(scene)
 
 
 def _stage1_batch(state, rng, rows=256):
@@ -493,7 +492,7 @@ def _stage1_batch(state, rng, rows=256):
     pts = rng.choice(state.labels3d.shape[1], rows, replace=False)
     return {"x2d": data["x2d"][:, ents], "y2d": state.labels2d[0, ents],
             "x3d": data["desc3d"][:, pts], "y3d": state.labels3d[1, pts],
-            "pair3d": data["desc3d"][:, data["ent_point"][ents]],
+            "pair3d": data["desc3d"][:, data["corr"].point_index[ents]],
             "anchors": data["anchors"][:, ents],
             "latent_weight": state.config.latent_loss_weight}
 

@@ -60,7 +60,6 @@ class SuiteConfig:
     anchor_dim: int = 16
     hidden: Tuple[int, ...] = (64,)
     latent_dim: int = 48
-    temperature: float = 1.0
     train: TrainConfig = field(default_factory=TrainConfig)
     seeds: Tuple[int, ...] = (0, 1, 2)
     rows: Tuple[str, ...] = ROW_ORDER
@@ -96,7 +95,7 @@ class SuiteConfig:
         return ModelConfig(input2d_dim=PIXEL_DESC_DIM, input3d_dim=POINT_DESC_DIM,
                            hidden=self.hidden, latent_dim=self.latent_dim,
                            embed_dim=self.embed_dim, anchor_dim=self.anchor_dim,
-                           sam_dim=self.feat_dim, temperature=self.temperature)
+                           sam_dim=self.feat_dim)
 
 
 def row_train_config(row: str, base: TrainConfig) -> Optional[TrainConfig]:

@@ -6,7 +6,7 @@ sit four trainable linear heads — semantic heads mapping into the class
 embedding space and feature heads mapping into the anchor space — plus a
 frozen bias-free anchor projection and the frozen class embedding table.
 A semantic head is folded into the class embeddings: its class map is
-[M; c] = [W; b] @ E.T / T, and its logits are f @ M + c.
+[M; c] = [W; b] @ E.T, and its logits are f @ M + c.
 
 Every layer, encoder or head, is one (fan_in + 1, fan_out) array [W; b],
 the bias as its last row, and rows are feature-major: (features, rows),
@@ -161,15 +161,6 @@ def fold_output(mlp: Mlp, head: np.ndarray) -> Mlp:
     return net
 
 
-# Largest temperature, and 1 over the smallest.  The class map E / T is
-# float32: past about 3.4e38 T rounds to inf there and every logit reads 0,
-# and below about 1.4e-45 it rounds to 0 and the map is inf or NaN.  Well
-# inside these bounds a small T already ends in a numerical abort (1e-2 on
-# the default scene) and a large one leaves the logits too flat to learn;
-# the bounds keep out only the values that float32 cannot hold.
-MAX_TEMPERATURE = 1e6
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Dimensions of the co-trained model pair."""
@@ -181,16 +172,11 @@ class ModelConfig:
     embed_dim: int = 512  # class embedding space
     anchor_dim: int = 64  # frozen anchor space
     sam_dim: int = 32  # oracle feature dimension entering the anchor head
-    temperature: float = 1.0
 
     def validate(self):
         if min(self.input2d_dim, self.input3d_dim, self.latent_dim,
                self.embed_dim, self.anchor_dim, self.sam_dim, *self.hidden) < 1:
             raise ValidationError("all model dimensions must be >= 1")
-        if not 1 / MAX_TEMPERATURE <= self.temperature <= MAX_TEMPERATURE:
-            raise ValidationError(
-                f"temperature must be >= {1 / MAX_TEMPERATURE:g} and "
-                f"<= {MAX_TEMPERATURE:g}, got {self.temperature}")
 
 
 _HEAD_NAMES = ("head_s2d", "head_s3d", "head_f2d", "head_f3d")
@@ -249,7 +235,7 @@ class ModelBundle:
     (L, embed_dim) float64 table of unit class embeddings; its checks live
     here, so make_bundle and load_checkpoint both pass them.  `step_plan`
     is what `step` and class_layer read of the model that no update
-    changes, the scaled table E / T in the parameters' dtype among it.
+    changes, the class table E in the parameters' dtype among it.
     """
 
     def __init__(self, config: ModelConfig, params: np.ndarray,
@@ -484,8 +470,8 @@ class _StepPlan(NamedTuple):
 
     `terms` maps which terms a batch holds, (y2d, y3d, anchors present),
     to the passes over its x2d, x3d and pair3d rows, None where a pass
-    does not run.  `emb` is the scaled class embedding table E / T in the
-    parameters' dtype.
+    does not run.  `emb` is the class embedding table E in the parameters'
+    dtype.
     """
 
     size: int
@@ -517,7 +503,7 @@ def _step_plan(bundle: ModelBundle) -> _StepPlan:
             make_pass("enc2d", heads2d, False) if heads2d else None,
             make_pass("enc3d", ["s3d"], False) if ce3d else None,
             make_pass("enc3d", ["f3d"], ce3d) if latent else None)
-    emb = bundle.embeddings.astype(bundle.params.dtype) / config.temperature
+    emb = bundle.embeddings.astype(bundle.params.dtype)
     return _StepPlan(_param_count(config), num_classes, emb, emb.T, terms)
 
 
@@ -530,7 +516,7 @@ def _fold(plan: _StepPlan, p: _Pass) -> Tuple[Mlp, np.ndarray]:
     """`p`'s encoder with its output layer folded into `p`'s heads: (net, m).
     m holds the heads' maps [A; a] from latent rows side by side
     (fold_output): a feature head's [W; b], a semantic head's class map
-    [W; b] @ E.T / T."""
+    [W; b] @ E.T."""
     m = np.empty((p.mlp.layers[-1].shape[1] + 1, p.width), plan.emb.dtype)
     for head in p.heads:
         if head.semantic:
@@ -566,7 +552,7 @@ def _backward(plan: _StepPlan, p: _Pass, run, d_out: np.ndarray, total: np.ndarr
     through the fold m = [A; a] by the chain rule: the encoder's last
     layer gets G @ A.T, and the map gets [W_L; b_L].T @ G (which holds
     W_L.T @ g + b_L s^T) over the row s.  A semantic head's map [W; b] @
-    E.T / T passes its gradient on through E / T.
+    E.T passes its gradient on through E.
     """
     net, m, cache = run
     views = [_block(total, block) for block in p.blocks]

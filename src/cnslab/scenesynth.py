@@ -60,6 +60,11 @@ MAX_FEAT_SIGMA = 1e6
 # Standard deviation of the gaussian noise on the networks' input
 # appearance channels (point_appearance, pixel_descriptors).
 DESCRIPTOR_NOISE = 0.02
+# Box side range, gap between boxes and draws per object of _place_boxes.
+MIN_BOX_SIZE = 0.8
+MAX_BOX_SIZE = 2.2
+_PLACEMENT_GAP = 0.25
+_PLACE_ATTEMPTS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +75,9 @@ DESCRIPTOR_NOISE = 0.02
 class SceneConfig:
     """Geometry of the synthetic room and its observers.
 
-    room_size is at most MAX_ROOM_SIZE (1e6), so that every box face
-    keeps a non-zero area.
+    room_size exceeds MAX_BOX_SIZE (2.2), so that every box fits, and is
+    at most MAX_ROOM_SIZE (1e6), so that every box face keeps a non-zero
+    area.
     """
 
     room_size: float = 8.0
@@ -83,10 +89,6 @@ class SceneConfig:
     image_width: int = 64
     image_height: int = 64
     focal: float = 48.0
-    min_box_size: float = 0.8
-    max_box_size: float = 2.2
-    placement_margin: float = 0.25
-    max_place_attempts: int = 1000
 
     def validate(self):
         if self.num_classes < 2:
@@ -97,26 +99,12 @@ class SceneConfig:
             raise ValidationError("background_points must be >= 1")
         if self.camera_count < 1:
             raise ValidationError("camera_count must be >= 1")
-        if not (0 < self.min_box_size <= self.max_box_size < self.room_size):
+        if not MAX_BOX_SIZE < self.room_size <= MAX_ROOM_SIZE:
             raise ValidationError(
-                "box sizes must satisfy 0 < min_box_size <= max_box_size < room_size, "
-                f"got {self.min_box_size}, {self.max_box_size}, {self.room_size}")
-        if not self.room_size <= MAX_ROOM_SIZE:
-            raise ValidationError(
-                f"room_size must be <= {MAX_ROOM_SIZE:g}, got {self.room_size}")
-        # Every box face needs a non-zero area: the smallest side must be at
-        # least one float step at the far wall, and its square must not
-        # underflow.
-        if not (self.min_box_size >= np.spacing(self.room_size)
-                and (self.min_box_size / 2) ** 2 > 0):
-            raise ValidationError(
-                f"min_box_size {self.min_box_size!r} is too small for room_size "
-                f"{self.room_size!r}: its box faces would have zero area")
+                f"room_size must be > {MAX_BOX_SIZE:g} and <= {MAX_ROOM_SIZE:g}, "
+                f"got {self.room_size}")
         if not self.focal > 0:
             raise ValidationError(f"focal must be > 0, got {self.focal}")
-        if not self.placement_margin >= 0:
-            raise ValidationError(
-                f"placement_margin must be >= 0, got {self.placement_margin}")
 
 
 @dataclass(frozen=True)
@@ -254,23 +242,22 @@ def _place_boxes(cfg: SceneConfig, rng) -> list:
     """Sample non-overlapping axis-aligned boxes resting on the floor."""
     boxes = []
     for index in range(cfg.object_count):
-        for _ in range(cfg.max_place_attempts):
-            sx = rng.uniform(cfg.min_box_size, cfg.max_box_size)
-            sy = rng.uniform(cfg.min_box_size, cfg.max_box_size)
-            sz = rng.uniform(cfg.min_box_size, cfg.max_box_size)
+        for _ in range(_PLACE_ATTEMPTS):
+            sx = rng.uniform(MIN_BOX_SIZE, MAX_BOX_SIZE)
+            sy = rng.uniform(MIN_BOX_SIZE, MAX_BOX_SIZE)
+            sz = rng.uniform(MIN_BOX_SIZE, MAX_BOX_SIZE)
             x0 = rng.uniform(0.0, cfg.room_size - sx)
             y0 = rng.uniform(0.0, cfg.room_size - sy)
             x1, y1 = x0 + sx, y0 + sy
-            gap = cfg.placement_margin
-            ok = all(x0 >= bx1 + gap or bx0 >= x1 + gap or
-                     y0 >= by1 + gap or by0 >= y1 + gap
+            ok = all(x0 >= bx1 + _PLACEMENT_GAP or bx0 >= x1 + _PLACEMENT_GAP or
+                     y0 >= by1 + _PLACEMENT_GAP or by0 >= y1 + _PLACEMENT_GAP
                      for bx0, by0, bx1, by1, _ in boxes)
             if ok:
                 boxes.append((x0, y0, x1, y1, sz))
                 break
         else:
             raise PlacementError(
-                f"could not place object {index} after {cfg.max_place_attempts} attempts")
+                f"could not place object {index} after {_PLACE_ATTEMPTS} attempts")
     return boxes
 
 
@@ -613,12 +600,13 @@ def mock_sam_masks(scene: Scene, camera_index: int, frag: MaskFragConfig,
 
 def mask_purity(masks: MaskMap, labels: np.ndarray) -> float:
     """Fraction of pixels whose label matches their mask's plurality label."""
-    flat_mask = masks.mask_ids.ravel()
+    flat_mask = masks.mask_ids.ravel().astype(np.int64)
     flat_label = labels.ravel()
-    pure = 0
-    for m in range(int(flat_mask.max()) + 1):
-        votes = flat_label[flat_mask == m]
-        pure += int(np.bincount(votes).max())
+    num_classes = int(flat_label.max()) + 1
+    num_masks = int(flat_mask.max()) + 1
+    counts = np.bincount(flat_mask * num_classes + flat_label,
+                         minlength=num_masks * num_classes)
+    pure = int(counts.reshape(num_masks, num_classes).max(axis=1).sum())
     return pure / flat_label.size
 
 

@@ -51,10 +51,9 @@ def project_point(camera: CameraModel, point):
 
 def class_map(bundle, head: str):
     """A semantic head folded into the class embeddings: [M; c] = [W; b] @
-    E.T / T, in the layer form of the head [W; b], so that the logits of
-    latent rows f are (f @ W + b) @ E.T / T = f @ M + c."""
-    scale = (bundle.embeddings / bundle.config.temperature).T
-    return getattr(bundle, f"head_{head}") @ scale
+    E.T, in the layer form of the head [W; b], so that the logits of
+    latent rows f are (f @ W + b) @ E.T = f @ M + c."""
+    return getattr(bundle, f"head_{head}") @ bundle.embeddings.T
 
 
 def mutate(monkeypatch, module, name: str, old: str, new: str):

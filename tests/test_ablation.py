@@ -85,11 +85,9 @@ NAN_CASES = [(config, f.name) for config in _VALID_CONFIGS
 
 def test_nan_cases_cover_every_float_field():
     assert {(type(config).__name__, name) for config, name in NAN_CASES} >= {
-        ("SceneConfig", "focal"), ("SceneConfig", "placement_margin"),
-        ("TrainConfig", "lr"),
-        ("TrainConfig", "latent_loss_weight"),
-        ("ModelConfig", "temperature"), ("SuiteConfig", "feat_sigma"),
-        ("SuiteConfig", "temperature")}
+        ("SceneConfig", "focal"), ("SceneConfig", "room_size"),
+        ("TrainConfig", "lr"), ("TrainConfig", "latent_loss_weight"),
+        ("SuiteConfig", "feat_sigma")}
 
 
 @pytest.mark.parametrize("config, name", NAN_CASES,

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnslab import ablation, cli, nncore, training
+from cnslab import cli, nncore, training
 from cnslab.bundle import read_manifest, read_raster, write_raster
-from cnslab.errors import ConfigError, ValidationError
+from cnslab.errors import ConfigError
 from cnslab.scenesynth import mock_text_embeddings
 
 from conftest import PINS_RECORDED_UNDER, TINY_TRAIN, kernels
@@ -105,23 +105,6 @@ def test_every_key_reaches_the_suite_config():
         # A fresh object differs from every default, whatever the key's type.
         changed = cli.RunConfig({**defaults, key: object()}).suite_config()
         assert changed != base, key
-
-
-def test_ablation_trains_at_the_configured_temperature(monkeypatch, small_scene,
-                                                      small_oracles):
-    seen = []
-
-    def fake_train(scene, oracles, config, model_config, descriptors, start):
-        seen.append(model_config)
-        raise ValidationError("stop after recording the model config")
-
-    monkeypatch.setattr(ablation, "train", fake_train)
-    suite = cli.RunConfig.resolve(None, ["--temperature", "0.5", "--seeds", "11",
-                                         "--rows", "full"]).suite_config()
-    report = ablation.run_ablation(suite, {11: (small_scene, small_oracles)})
-    assert [m.temperature for m in seen] == [0.5]
-    assert seen[0] == suite.model_config()
-    assert report.rows[0]["error"] == "stop after recording the model config"
 
 
 def test_refine_outputs(pipeline, small_scene):
@@ -263,7 +246,9 @@ def test_ablate_refuses_a_repeated_seed_or_row_and_no_rows(tmp_path, capsys,
 REMOVED_KEYS = {"margin": "1.0", "multiview": "first-camera",
                 "camera_radius": "none", "camera_height": "none",
                 "switch_probs": "0.25,0.25,0.25,0.25",
-                "refine3d_mode": "transfer-masks", "descriptor_noise": "0.02"}
+                "refine3d_mode": "transfer-masks", "descriptor_noise": "0.02",
+                "temperature": "1.0", "min_box_size": "0.8", "max_box_size": "2.2",
+                "placement_margin": "0.25", "max_place_attempts": "1000"}
 
 
 @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
@@ -293,7 +278,7 @@ def test_float_keys_cover_plain_and_tuple_hints():
 
 def test_every_key_holds_a_value():
     # No key is Optional, so the value codec has no "none".
-    assert len(cli.SCHEMA) == 37
+    assert len(cli.SCHEMA) == 32
     assert not [key for key, entry in cli.SCHEMA.items()
                 if typing.get_origin(entry.hint) is typing.Union]
 
@@ -344,32 +329,6 @@ def test_room_too_large_to_sample_is_rejected(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "room_size" in err
-
-
-@pytest.mark.parametrize("size", ["1e-300", "1e-20"])
-def test_box_too_small_for_its_faces_is_rejected(tmp_path, capsys, size):
-    code = cli.main(["synth", "--out", str(tmp_path / "x"),
-                     "--min_box_size", size, "--max_box_size", size])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "min_box_size" in err
-
-
-@pytest.mark.parametrize("value", ["1e300", "1e-300"])
-def test_temperature_float32_cannot_hold_is_rejected(pipeline, tmp_path, capsys,
-                                                     value):
-    # In float32 1e300 rounds to inf and 1e-300 to 0: every logit would
-    # read 0, or the class map inf.
-    cfg = _write_cfg(tmp_path / "tiny.cfg")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = cli.main(["train", str(pipeline / "synth" / "bundle"),
-                         "--config", str(cfg), "--out", str(tmp_path / "x"),
-                         "--temperature", value])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "temperature" in err
-    assert not (tmp_path / "x").exists()
 
 
 def test_missing_override_value(tmp_path, capsys):
@@ -717,6 +676,24 @@ def test_eval_reads_checkpoint_with_descriptor_noise_line(pipeline, tmp_path):
     assert digest == TRAIN_SHA256["eval/eval.csv"]
 
 
+def test_eval_reads_checkpoint_with_temperature_line(pipeline, tmp_path):
+    # Checkpoints from before the class table lost its temperature carry a
+    # temperature=1.0 header line after sam_dim; it is kept in the metadata
+    # and ignored, as the argmax of the logits does not change under a
+    # positive scale.
+    blob = (pipeline / "train" / "checkpoint.ckpt").read_bytes()
+    legacy = blob.replace(b"\nnum_classes=", b"\ntemperature=1.0\nnum_classes=", 1)
+    assert legacy != blob
+    ckpt = tmp_path / "legacy.ckpt"
+    ckpt.write_bytes(legacy)
+    assert nncore.load_checkpoint(ckpt)[1]["temperature"] == "1.0"
+    cfg = _write_cfg(tmp_path / "tiny.cfg")
+    assert cli.main(["eval", str(pipeline / "synth" / "bundle"), str(ckpt),
+                     "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    digest = hashlib.sha256((tmp_path / "x" / "eval.csv").read_bytes()).hexdigest()
+    assert digest == TRAIN_SHA256["eval/eval.csv"]
+
+
 def test_synth_restarts_a_layout_that_cannot_place(tmp_path):
     # The first box layout of seed 6 cannot place object 11; a layout
     # restarted from a derived stream can.
@@ -817,7 +794,7 @@ def test_readme_refine_line_is_the_default_bundle(default_refine):
 # sha256 of the train and eval outputs of the `pipeline` fixture (TINY_CFG),
 # recorded under conftest.PINS_RECORDED_UNDER.
 TRAIN_SHA256 = {
-    "train/checkpoint.ckpt": "829b3369b8b5f184ec2ab44d7d86b725cc5f181a448fc85a055bcd3e6f2bb84f",
+    "train/checkpoint.ckpt": "35df3ade058e36eea8e8c891447ad3aa8c8627c9d1b72bf515d939ee0abda8a0",
     "train/metrics.csv": "10edea840b806c3c3a8defcf9cb0a55418a42330817b0cbca9467b962ee23604",
     "eval/eval.csv": "50fca71f67d5d6d0e6f006bba9cf48f776bc7cd959a8af1fad95a4b4c2fa29ed",
 }

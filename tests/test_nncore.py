@@ -27,10 +27,9 @@ from cnslab.scenesynth import mock_text_embeddings
 from conftest import class_map, mutate
 
 
-def tiny_bundle(temperature=1.0, seed=5, hidden=(8,)):
+def tiny_bundle(seed=5, hidden=(8,)):
     cfg = ModelConfig(input2d_dim=5, input3d_dim=6, hidden=hidden, latent_dim=7,
-                      embed_dim=9, anchor_dim=7, sam_dim=3,
-                      temperature=temperature)
+                      embed_dim=9, anchor_dim=7, sam_dim=3)
     emb = mock_text_embeddings(5, 9, seed=1)
     return make_bundle(cfg, emb, seed=seed)
 
@@ -191,8 +190,6 @@ def test_make_bundle_rejects_dim_mismatch():
         make_bundle(cfg, mock_text_embeddings(5, 16, seed=1), seed=0)
     with pytest.raises(ValidationError):
         ModelConfig(input2d_dim=0, input3d_dim=6).validate()
-    with pytest.raises(ValidationError):
-        ModelConfig(input2d_dim=5, input3d_dim=6, temperature=0.0).validate()
 
 
 # The class embedding table is checked where every bundle is built.
@@ -285,8 +282,8 @@ def test_ce_loss_validation(rng):
 
 def test_ce_loss_gradients_match_finite_difference(rng):
     # Without a hidden layer the folded layer reads the input rows; the
-    # semantic head's gradient passes through E / T.
-    bundle = tiny_bundle(temperature=0.7, hidden=())
+    # semantic head's gradient passes through E.
+    bundle = tiny_bundle(hidden=())
     y = np.array([0, 4, IGNORE, 2, 1, 3], dtype=np.int32)
     batch = {"x2d": feature_major(rng.standard_normal((6, 5))), "y2d": y}
     views = param_views(bundle.config, step(bundle, batch)[1])
@@ -324,7 +321,7 @@ def test_ce_loss_end_to_end_gradients(rng):
 
 def _unfolded_ce(bundle, feats, head, y):
     """Reference cross-entropy of latent rows f (N, D) through z = f @ W + b
-    and logits z @ E.T / T.
+    and logits z @ E.T.
 
     Returns the loss and its gradient w.r.t. z.
     """
@@ -336,48 +333,46 @@ def _unfolded_ce(bundle, feats, head, y):
     d_z = np.zeros_like(z)
     if n == 0:
         return 0.0, d_z
-    logits = (z[keep] @ emb.T) / bundle.config.temperature
+    logits = z[keep] @ emb.T
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
     labels = y[keep]
     loss = -np.log(probs[np.arange(n), labels]).mean()
     d_logits = probs.copy()
     d_logits[np.arange(n), labels] -= 1.0
-    d_z[keep] = (d_logits / n) @ emb / bundle.config.temperature
+    d_z[keep] = (d_logits / n) @ emb
     return loss, d_z
 
 
 def test_folded_ce_loss_matches_unfolded_form(rng):
     # The encoder's output layer folded into the class map gives the
-    # logits of the unfolded chain x -> f -> z -> z @ E.T / T.
+    # logits of the unfolded chain x -> f -> z -> z @ E.T.
     x = rng.standard_normal((40, 5))
     y = rng.integers(0, 5, size=40).astype(np.int32)
     y[[0, 7, 39]] = IGNORE
-    for temperature in (2.0, 1.0, 0.5):
-        bundle = tiny_bundle(temperature=temperature)
-        bundle.params[:] = rng.standard_normal(bundle.params.shape)
-        feats = rows_forward(bundle.enc2d, x)
-        for head in ("s2d", "s3d"):
-            net = fold_output(bundle.enc2d, class_map(bundle, head))
-            loss, _ = ce_loss(mlp_forward(net, feature_major(x))[0], y)
-            ref_loss, _ = _unfolded_ce(bundle, feats, head, y)
-            assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+    bundle = tiny_bundle()
+    bundle.params[:] = rng.standard_normal(bundle.params.shape)
+    feats = rows_forward(bundle.enc2d, x)
+    for head in ("s2d", "s3d"):
+        net = fold_output(bundle.enc2d, class_map(bundle, head))
+        loss, _ = ce_loss(mlp_forward(net, feature_major(x))[0], y)
+        ref_loss, _ = _unfolded_ce(bundle, feats, head, y)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
 
 
 def test_class_logits_formula(rng):
     # class_logits applies the head folded into the embedding; it must
-    # agree with the unfolded (f @ W + b) @ E.T / T.
+    # agree with the unfolded (f @ W + b) @ E.T.
     feats = rng.standard_normal((200, 7))
-    for temperature in (2.0, 1.0, 0.5):
-        bundle = tiny_bundle(temperature=temperature)
-        bundle.params[:] = rng.standard_normal(bundle.params.shape)
-        for head in ("s2d", "s3d"):
-            h = getattr(bundle, f"head_{head}")
-            logits = class_logits(feature_major(feats), class_map(bundle, head))
-            z = feats @ h[:-1] + h[-1]
-            expected = (z @ bundle.embeddings.T) / temperature
-            np.testing.assert_allclose(logits, expected.T, rtol=1e-12, atol=0)
-            assert np.array_equal(logits.argmax(axis=0), expected.argmax(axis=1))
+    bundle = tiny_bundle()
+    bundle.params[:] = rng.standard_normal(bundle.params.shape)
+    for head in ("s2d", "s3d"):
+        h = getattr(bundle, f"head_{head}")
+        logits = class_logits(feature_major(feats), class_map(bundle, head))
+        z = feats @ h[:-1] + h[-1]
+        expected = z @ bundle.embeddings.T
+        np.testing.assert_allclose(logits, expected.T, rtol=1e-12, atol=0)
+        assert np.array_equal(logits.argmax(axis=0), expected.argmax(axis=1))
 
 
 @pytest.mark.parametrize("hidden", [(), (8,), (8, 7)])
@@ -385,19 +380,18 @@ def test_training_and_inference_score_the_same_logits(rng, hidden):
     # Inference folds through the step plan's semantic-only passes, so a
     # loss-only step's cross-entropy is that of inference's logits, to the
     # bit, and inference predicts their argmax.
-    for temperature in (0.5, 1.0, 2.0):
-        bundle = tiny_bundle(temperature=temperature, hidden=hidden)
-        bundle.params[:] = rng.standard_normal(bundle.params.shape)  # biases too
-        for enc, width in (("2d", 5), ("3d", 6)):
-            x = feature_major(rng.standard_normal((40, width)))
-            y = rng.integers(0, 5, size=40).astype(np.int32)
-            y[[3, 17]] = IGNORE
-            rows = mlp_forward(getattr(bundle, f"enc{enc}"), x, hidden_only=True)[0]
-            logits = class_logits(rows, class_layer(bundle, f"enc{enc}"))
-            losses = step(bundle, {f"x{enc}": x, f"y{enc}": y}, grad=False)[0]
-            assert losses[f"l_ce{enc}"] == ce_loss(logits, y)[0]
-            assert np.array_equal(training._predict_rows(bundle, f"enc{enc}", x),
-                                  logits.argmax(axis=0))
+    bundle = tiny_bundle(hidden=hidden)
+    bundle.params[:] = rng.standard_normal(bundle.params.shape)  # biases too
+    for enc, width in (("2d", 5), ("3d", 6)):
+        x = feature_major(rng.standard_normal((40, width)))
+        y = rng.integers(0, 5, size=40).astype(np.int32)
+        y[[3, 17]] = IGNORE
+        rows = mlp_forward(getattr(bundle, f"enc{enc}"), x, hidden_only=True)[0]
+        logits = class_logits(rows, class_layer(bundle, f"enc{enc}"))
+        losses = step(bundle, {f"x{enc}": x, f"y{enc}": y}, grad=False)[0]
+        assert losses[f"l_ce{enc}"] == ce_loss(logits, y)[0]
+        assert np.array_equal(training._predict_rows(bundle, f"enc{enc}", x),
+                              logits.argmax(axis=0))
 
 
 def test_fold_output_skips_the_output_layer(rng):
@@ -736,7 +730,7 @@ def _unfolded_step(bundle, rows):
     """
     params = param_views(bundle.config, bundle.params)
     grads = {name: np.zeros_like(view) for name, view in params.items()}
-    emb = bundle.embeddings / bundle.config.temperature
+    emb = bundle.embeddings
     depth = len(bundle.config.hidden) + 1
     weight = rows["latent_weight"] if "anchors" in rows else 0.0
     losses = {"l_ce2d": 0.0, "l_ce3d": 0.0, "l_latent": 0.0}
@@ -822,7 +816,7 @@ def test_step_matches_the_unfolded_reference(hidden, terms):
     # Every term subset, in float64, on parameters drawn biases and all,
     # with IGNORE labels and a zero anchor row in the batch.
     rng = np.random.default_rng(2024 + len(hidden))
-    bundle = tiny_bundle(temperature=0.8, hidden=hidden)
+    bundle = tiny_bundle(hidden=hidden)
     bundle.params[:] = 0.5 * rng.standard_normal(bundle.params.shape)
     names = ("ce2d", "ce3d", "latent") if terms == "full" else terms.split("+")
     for weight in (0.0, 0.5, 1.0):
@@ -878,7 +872,7 @@ def _frozen_unfold_grads(bundle, views, enc, m, cols, g):
     for head, span in cols.items():
         d_head = d_map[:, span]
         if head in ("s2d", "s3d"):
-            d_head = d_head @ (bundle.embeddings / bundle.config.temperature)
+            d_head = d_head @ bundle.embeddings
         views[f"head_{head}.w"] += d_head[:-1]
         views[f"head_{head}.b"] += d_head[-1]
 
@@ -989,7 +983,7 @@ def test_step_matches_its_frozen_form_byte_for_byte(model, case):
     if model == "shipped":
         bundle = _shipped_bundle(seed=3)
     else:
-        bundle = tiny_bundle(temperature=0.7, hidden=(10, 7))
+        bundle = tiny_bundle(hidden=(10, 7))
     if case != "zero_heads":  # trained-looking parameters, biases too
         bundle.params[:] = 0.3 * rng.standard_normal(bundle.params.shape)
     subsets = [terms for k in range(4)

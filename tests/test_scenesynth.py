@@ -60,7 +60,7 @@ def test_single_object_scene_counts():
     assert cloud.positions[:, :2].min() >= 0.0
     assert cloud.positions[:, :2].max() <= cfg.room_size
     assert cloud.positions[:, 2].min() >= 0.0
-    assert cloud.positions[:, 2].max() <= cfg.max_box_size
+    assert cloud.positions[:, 2].max() <= scenesynth.MAX_BOX_SIZE
 
 
 def test_scene_covers_every_class(small_scene):
@@ -84,11 +84,10 @@ def test_scene_generation_deterministic():
 
 
 def test_impossible_placement_raises():
+    # Ten boxes of sides >= 0.8, 0.25 apart, cannot all fit a 4 m room.
     cfg = SceneConfig(room_size=4.0, object_count=10, points_per_object=5,
                       background_points=5, num_classes=3, camera_count=1,
-                      image_width=16, image_height=16, focal=12.0,
-                      min_box_size=1.9, max_box_size=2.0,
-                      max_place_attempts=25)
+                      image_width=16, image_height=16, focal=12.0)
     with pytest.raises(PlacementError):
         generate_scene(cfg, seed=0)
 
@@ -113,21 +112,11 @@ def test_scene_config_validation():
         SceneConfig(num_classes=1).validate()
     with pytest.raises(ValidationError):
         SceneConfig(object_count=0).validate()
-    with pytest.raises(ValidationError):
-        SceneConfig(min_box_size=2.5, max_box_size=2.0).validate()
-    with pytest.raises(ValidationError):
-        SceneConfig(room_size=2.0, max_box_size=2.2).validate()
-
-
-def test_box_faces_must_keep_a_non_zero_area():
-    # 1e-301 is many float steps of a 1e-300 room, but its square is 0.
-    # (`test_cli` covers sizes below one float step of the 8 m room.)
-    with pytest.raises(ValidationError, match="min_box_size"):
-        SceneConfig(room_size=1e-300, min_box_size=1e-301,
-                    max_box_size=1e-301).validate()
-    # 1e-14 is about six float steps at the far wall: its faces sample.
-    cfg = SceneConfig(min_box_size=1e-14, max_box_size=1e-14, object_count=3)
-    assert len(generate_scene(cfg, seed=0).cloud) == 3 * 600 + 2400
+    # The room must hold the largest box side, 2.2.
+    for room_size in (2.2, 2.0, float("nan")):
+        with pytest.raises(ValidationError, match="room_size"):
+            SceneConfig(room_size=room_size).validate()
+    SceneConfig(room_size=2.3).validate()
 
 
 # ---------------------------------------------------------------------------
